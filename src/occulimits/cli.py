@@ -9,9 +9,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,19 +20,6 @@ FMT = "%.12g"
 
 def _fmt(x):
     return FMT % x
-
-
-def _thread_map(fn, items):
-    """Map preserving order; OCCULIMITS_THREADS caps the worker pool."""
-    try:
-        workers = int(os.environ.get("OCCULIMITS_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _int_list(text):
@@ -146,7 +131,7 @@ def cmd_ergodic(args):
     try:
         k_star = programs.stationary_lp(mdl).optimal_value
         curve, _ = dp.finite_horizon_values(mdl, max(args.T))
-        h_values = _thread_map(lambda e: dp.discounted_values(mdl, e)[0], args.eps)
+        h_values = [dp.discounted_values(mdl, eps)[0] for eps in args.eps]
     except programs.SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

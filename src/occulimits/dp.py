@@ -9,12 +9,18 @@ deterministic.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from . import measures
 from .model import transition
+from .programs import SolverError
 
-DEFAULT_VI_TOL = 1e-10
-VI_ITERATION_CAP = 5_000_000
+DEFAULT_TOL = 1e-10
+PI_ITERATION_CAP = 1000
+# a control is replaced only when the new one is better by more than this
+# relative margin, so float noise in the solve cannot make plans cycle
+IMPROVEMENT_TOL = 1e-13
 
 
 @dataclass
@@ -106,12 +112,16 @@ def finite_horizon_values(model, T):
     return curve, plan
 
 
-def discounted_values(model, eps, tol=DEFAULT_VI_TOL):
-    """Value iteration for h(y) = min_u {eps k(y,u) + (1-eps) E[h(f(y,u,s))]}.
+def discounted_values(model, eps, tol=DEFAULT_TOL):
+    """Howard policy iteration for h(y) = min_u {eps k(y,u) + (1-eps) E[h(f(y,u,s))]}.
 
-    Stops when the successive sup-norm change is <= tol*eps, which bounds the
-    fixed-point error by tol through the (1-eps) contraction.  Returns the
-    converged values and the greedy stationary plan.
+    Starts from the greedy plan for eps*k and evaluates each plan pi with one
+    sparse solve of (I - (1-eps) P_pi) h = eps k_pi; a state switches control
+    only on strict improvement.  Returns h and the greedy stationary plan of
+    the final h, after certifying the Bellman residual
+    max_y |min_u q(y,u) - h(y)| <= tol*eps, which bounds the fixed-point error
+    by tol through the (1-eps) contraction.  Raises SolverError when the
+    certificate fails or the iteration cap is hit.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps={eps!r} outside (0, 1)")
@@ -120,20 +130,27 @@ def discounted_values(model, eps, tol=DEFAULT_VI_TOL):
     tensor = transition(model)
     k_eps = eps * model.pair_cost
     decay = 1.0 - eps
-    stop = tol * eps
-    h = np.zeros(model.n_states)
-    for _ in range(VI_ITERATION_CAP):
+    starts = model.state_pair_start[:-1]
+    eye = sparse.identity(model.n_states, format="csr")
+    _, sel = _group_min(model, k_eps)
+    for _ in range(PI_ITERATION_CAP):
+        pairs = starts + sel
+        p_pi = tensor.plan_matrix(Plan("stationary_deterministic", sel).pair_weights(model))
+        h = spsolve(eye - decay * p_pi, k_eps[pairs])
         q = k_eps + decay * tensor.expect(h)
-        h_new = np.minimum.reduceat(q, model.state_pair_start[:-1])
-        delta = np.max(np.abs(h_new - h))
-        h = h_new
-        if delta <= stop:
+        vmin, best = _group_min(model, q)
+        improve = vmin < q[pairs] - IMPROVEMENT_TOL * (1.0 + np.abs(h))
+        if not improve.any():
             break
+        sel = np.where(improve, best, sel)
     else:
-        raise RuntimeError("value iteration failed to converge within the iteration cap")
-    q = k_eps + decay * tensor.expect(h)
-    _, sel = _group_min(model, q)
-    return ValueFunction(values=h), Plan(kind="stationary_deterministic", selector=sel)
+        raise SolverError(f"policy iteration (eps={eps}) hit its cap of "
+                          f"{PI_ITERATION_CAP} improvement rounds")
+    residual = float(np.max(np.abs(vmin - h)))
+    if not residual <= tol * eps:
+        raise SolverError(f"policy iteration (eps={eps}): Bellman residual "
+                          f"{residual:.3e} exceeds tol*eps={tol * eps:.3e}")
+    return ValueFunction(values=h), Plan(kind="stationary_deterministic", selector=best)
 
 
 def greedy_feedback_from_eta(model, eta):
@@ -181,6 +198,7 @@ def value_curve_csv_rows(model, curve, parameters=None):
 def evaluate_plan_discounted(model, plan, y0, eps, tail_tol=1e-12):
     """Normalized expected discounted cost of a plan, via its discounted
     occupational measure (identity between the cost series and the measure
-    integral)."""
+    integral).  Exact for stationary plans (one linear solve); tail_tol only
+    matters for staged plans, see measures.discounted_occupation."""
     gamma_d = measures.discounted_occupation(model, plan, y0, eps, tail_tol)
     return float(gamma_d.weights @ model.pair_cost)

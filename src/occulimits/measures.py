@@ -9,6 +9,8 @@ tensor, so every measure identity holds to float precision.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from .model import transition
 from .programs import GMeasure
@@ -75,9 +77,11 @@ def occupation_measure(model, plan, y0, T):
 def discounted_occupation(model, plan, y0, eps, tail_tol):
     """(1-eps)-geometrically weighted pair distribution, eps-normalized.
 
-    The infinite sum is truncated once the remaining geometric tail mass
-    drops below tail_tol, then renormalized to total mass 1.  Staged plans
-    are summed over their explicit horizon.
+    For a stationary plan the discounted state law nu solves
+    (I - (1-eps) P_pi^T) nu = eps delta_y0 (one sparse solve) and the pair
+    weights are nu(y) pi(u|y); tail_tol is validated but does not change the
+    result.  Staged plans are summed over their explicit horizon.  The
+    weights are renormalized to total mass 1.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps={eps!r} outside (0, 1)")
@@ -85,22 +89,23 @@ def discounted_occupation(model, plan, y0, eps, tail_tol):
         raise ValueError("tail_tol must be positive")
     plan.check_against(model)
     tensor = transition(model)
-    if plan.kind == "staged":
-        horizon = len(plan.selector)
+    if plan.kind != "staged":
+        w = plan.pair_weights(model)
+        rhs = np.zeros(model.n_states)
+        rhs[y0] = eps
+        nu = spsolve((sparse.identity(model.n_states, format="csr")
+                      - (1.0 - eps) * tensor.plan_matrix(w)).T, rhs)
+        weights = nu[model.pair_state] * w
     else:
-        horizon = max(1, int(np.ceil(np.log(tail_tol) / np.log1p(-eps))))
-    mu = np.zeros(model.n_states)
-    mu[y0] = 1.0
-    weights = np.zeros(model.n_pairs)
-    coeff = eps
-    for t in range(horizon):
-        w = _stage_pair_weights(model, plan, t)
-        pair_mass = mu[model.pair_state] * w
-        weights += coeff * pair_mass
-        if (1.0 - eps) ** (t + 1) < tail_tol and plan.kind != "staged":
-            break
-        mu = tensor.push(pair_mass)
-        coeff *= 1.0 - eps
+        mu = np.zeros(model.n_states)
+        mu[y0] = 1.0
+        weights = np.zeros(model.n_pairs)
+        coeff = eps
+        for t in range(len(plan.selector)):
+            pair_mass = mu[model.pair_state] * plan.pair_weights(model, t)
+            weights += coeff * pair_mass
+            mu = tensor.push(pair_mass)
+            coeff *= 1.0 - eps
     return GMeasure(weights=weights / weights.sum())
 
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 NOISE_NORMALIZATION_TOL = 1e-12
 ROW_SUM_TOL = 1e-12
@@ -184,6 +185,16 @@ class TransitionTensor:
         rows_i, cols_i = np.nonzero(self._rows)
         return cols_i, rows_i, self._rows[rows_i, cols_i]  # note: rows_i indexes pairs
 
+    def plan_matrix(self, pair_weights):
+        """Sparse (n_states, n_states) law P_pi(y'|y) = sum_u pi(u|y) P(y'|y,u)
+        of a stationary plan with per-pair weights pi(u|y)."""
+        nxt, pairs, probs = self.triplets()
+        vals = np.asarray(pair_weights, dtype=float)[pairs] * probs
+        on = vals != 0
+        n = self.model.n_states
+        return sparse.csr_matrix((vals[on], (self.model.pair_state[pairs[on]], nxt[on])),
+                                 shape=(n, n))
+
 
 def build_transition_tensor(model):
     """Build P(y'|y,u) = sum over noise atoms s with f(y,u,s)=y' of prob(s).
@@ -254,6 +265,8 @@ def validate(model):
         if rows.shape != (model.n_pairs, model.n_states):
             report.append(f"transition rows have shape {rows.shape}, "
                           f"expected {(model.n_pairs, model.n_states)}")
+        elif not np.all(np.isfinite(rows)):
+            report.append("transition rows contain non-finite entries")
         else:
             if rows.min(initial=0.0) < 0:
                 report.append("transition rows contain negative entries")

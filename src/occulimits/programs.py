@@ -127,7 +127,10 @@ def _solve_equalities(c, rows, cols, vals, b, n_cols, context):
     if m * n_cols <= DENSE_CELL_LIMIT:
         A = np.zeros((m, n_cols))
         np.add.at(A, (rows, cols), vals)
-        sol = lp_core.solve_lp(lp_core.LinearProgram(c=c, A=A, b=b))
+        try:
+            sol = lp_core.solve_lp(lp_core.LinearProgram(c=c, A=A, b=b))
+        except lp_core.LpError as exc:
+            raise SolverError(f"{context}: dense simplex ({m}x{n_cols}) failed: {exc}") from exc
         if sol.status != "optimal":
             raise SolverError(f"{context}: LP reported {sol.status} "
                               f"(phase-1 multipliers {sol.y_dual!r})")

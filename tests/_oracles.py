@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's solution paths: basic-feasible-point
 enumeration for LPs, deterministic-policy enumeration with per-class
-stationary distributions for the stationary LP value, and exhaustive
-noise-sequence expansion for short-horizon plan values.
+stationary distributions for the stationary LP value, exhaustive
+noise-sequence expansion for short-horizon plan values, value iteration for
+h_eps, and the truncated geometric series for discounted occupations.
 """
 
 from itertools import combinations, product
@@ -100,3 +101,46 @@ def brute_force_finite_horizon(model, y0, T):
             total += p_seq * cost
         best = min(best, total / T)
     return best
+
+
+def value_iteration(model, eps, tol=1e-10, max_sweeps=5_000_000):
+    """Reference h_eps by value iteration from h = 0, stopped once the
+    successive sup-norm change is <= tol*eps (fixed-point error <= tol by
+    the (1-eps) contraction); returns (h, lowest-index greedy selector)."""
+    tensor = transition(model)
+    k_eps = eps * model.pair_cost
+    starts = model.state_pair_start[:-1]
+    h = np.zeros(model.n_states)
+    for _ in range(max_sweeps):
+        h_new = np.minimum.reduceat(k_eps + (1.0 - eps) * tensor.expect(h), starts)
+        delta = np.max(np.abs(h_new - h))
+        h = h_new
+        if delta <= tol * eps:
+            break
+    else:
+        raise RuntimeError("value iteration failed to converge within the sweep cap")
+    q = k_eps + (1.0 - eps) * tensor.expect(h)
+    vmin = np.minimum.reduceat(q, starts)
+    cand = np.where(q <= vmin[model.pair_state], model.pair_local, model.n_pairs + 1)
+    return h, np.minimum.reduceat(cand, starts)
+
+
+def truncated_discounted_occupation(model, plan, y0, eps, tail_tol):
+    """Reference discounted occupation of a stationary plan: the geometric
+    series eps sum_t (1-eps)^t L_t of its pair laws, truncated once the
+    remaining tail mass (1-eps)^(t+1) drops below tail_tol, renormalized."""
+    tensor = transition(model)
+    w = plan.pair_weights(model)
+    mu = np.zeros(model.n_states)
+    mu[y0] = 1.0
+    weights = np.zeros(model.n_pairs)
+    coeff = eps
+    t = 0
+    while True:
+        pair_mass = mu[model.pair_state] * w
+        weights += coeff * pair_mass
+        if (1.0 - eps) ** (t + 1) < tail_tol:
+            return weights / weights.sum()
+        mu = tensor.push(pair_mass)
+        coeff *= 1.0 - eps
+        t += 1

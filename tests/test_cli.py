@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from occulimits import lp_core
 from occulimits.cli import main
-from occulimits.model import example1_model, save_model
+from occulimits.model import ModelError, example1_model, load_model, save_model
 from occulimits.suite import random_model
 
 
@@ -35,6 +36,20 @@ def test_validate_model_file(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", "--model", str(path))
     assert code == 0
     assert "states" in out and "noise" in out
+
+
+def test_validate_rejects_nan_kernel_row(tmp_path, capsys):
+    doc = {"states": [[0.0], [1.0]], "controls": {"shared": [[0.0]]},
+           "transition": [[[float("nan"), 1.0]], [[1.0, 0.0]]],
+           "cost": [{"state": 0, "control": 0, "value": 0.5},
+                    {"state": 1, "control": 0, "value": -0.5}]}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError, match="non-finite"):
+        load_model(path)
+    code, _, err = run(capsys, "validate", "--model", str(path))
+    assert code == 2
+    assert "non-finite" in err
 
 
 def test_bounds_example1(tmp_path, capsys):
@@ -119,6 +134,17 @@ def test_ergodic_thread_cap_is_deterministic(capsys, monkeypatch):
     monkeypatch.setenv("OCCULIMITS_THREADS", "4")
     _, out4, _ = run(capsys, *args)
     assert out1 == out4
+
+
+def test_dense_simplex_failure_exits_as_solver_error(capsys, monkeypatch):
+    def fail(lp):
+        raise lp_core.LpError("simplex iteration limit exceeded")
+
+    monkeypatch.setattr(lp_core, "solve_lp", fail)
+    code, _, err = run(capsys, "bounds", "--builtin", "example2", "--m", "3",
+                       "--y0", "-0.5", "--T", "1,10", "--eps", "0.5")
+    assert code == 3
+    assert "augmented LP" in err and "iteration limit" in err
 
 
 def test_missing_model_flags(capsys):

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
+from occulimits import dp
 from occulimits.dp import (Plan, discounted_values, evaluate_plan_average,
                            evaluate_plan_discounted, finite_horizon_values,
                            greedy_feedback_from_eta)
 from occulimits.model import (FiniteModel, NoiseAtom, StatePoint,
                               example1_model, example2_model, transition)
+from occulimits.programs import SolverError
 from occulimits.suite import random_model, random_stationary_plan
+
+from _oracles import value_iteration
 
 
 def constant_cost_model(c=0.7):
@@ -177,3 +182,28 @@ def test_discounted_values_input_checks():
         discounted_values(m, 0.5, tol=0.0)
     with pytest.raises(ValueError):
         finite_horizon_values(m, 0)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1, 1e-2, 1e-3])
+def test_policy_iteration_matches_value_iteration(eps):
+    models = [random_model(seed) for seed in range(50)]
+    models += [example1_model(0.5), example2_model(4)]
+    for m in models:
+        h, plan = discounted_values(m, eps)
+        h_vi, sel_vi = value_iteration(m, eps)
+        assert np.max(np.abs(h.values - h_vi)) <= 1e-9
+        assert np.array_equal(plan.selector, sel_vi)
+
+
+def test_tampered_values_fail_bellman_certificate(monkeypatch):
+    # a uniform shift c leaves every improvement decision unchanged but
+    # leaves a Bellman residual of eps*c
+    monkeypatch.setattr(dp, "spsolve", lambda a, b: spsolve(a, b) + 1e-6)
+    with pytest.raises(SolverError, match="Bellman residual"):
+        discounted_values(random_model(13), 0.1)
+
+
+def test_policy_iteration_cap_raises_solver_error(monkeypatch):
+    monkeypatch.setattr(dp, "PI_ITERATION_CAP", 0)
+    with pytest.raises(SolverError, match="cap"):
+        discounted_values(random_model(13), 0.1)

@@ -10,6 +10,8 @@ from occulimits.model import (FiniteModel, NoiseAtom, StatePoint,
 from occulimits.programs import GMeasure, membership_residuals
 from occulimits.suite import random_model, random_stationary_plan
 
+from _oracles import truncated_discounted_occupation
+
 
 def example1_optimal_plan(m):
     # +1 on the negative state (local 1), -1 on the positive state (local 0)
@@ -135,6 +137,18 @@ def test_discounted_occupation_in_W_eps(seed):
     g = discounted_occupation(m, plan, 1 % m.n_states, eps, tail_tol=1e-13)
     res = membership_residuals(m, g, "W_eps", eps=eps, y0=1 % m.n_states)
     assert res <= 1e-9
+
+
+@pytest.mark.parametrize("randomized", [False, True])
+def test_discounted_occupation_matches_truncated_series(randomized):
+    for seed in range(20):
+        m = random_model(seed)
+        plan = random_stationary_plan(m, seed, randomized=randomized)
+        y0 = seed % m.n_states
+        for eps in (0.5, 0.1, 1e-2):
+            g = discounted_occupation(m, plan, y0, eps, tail_tol=1e-13)
+            ref = truncated_discounted_occupation(m, plan, y0, eps, tail_tol=1e-14)
+            assert np.max(np.abs(g.weights - ref)) <= 1e-12
 
 
 def test_rho_zero_and_symmetry():

@@ -7,7 +7,7 @@ from occulimits.model import (FiniteModel, ModelError, NoiseAtom, StatePoint,
                               build_transition_tensor, example1_model,
                               example1_family_model, example2_model,
                               load_model, save_model, transition, validate)
-from occulimits.suite import random_model
+from occulimits.suite import random_model, random_stationary_plan
 
 
 def single_state_model():
@@ -209,6 +209,20 @@ def test_load_transition_mode(tmp_path):
     tensor = transition(m)
     assert np.allclose(tensor.row(0), [0.3, 0.7])
     assert np.allclose(tensor.push(np.array([1.0, 0.0])), [0.3, 0.7])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_plan_matrix_factored_and_kernel_rows_agree(seed):
+    m = random_model(seed)
+    rows = np.stack([transition(m).row(p) for p in range(m.n_pairs)])
+    kernel = FiniteModel(states=m.states, controls=m.controls, noise=[],
+                         dynamics=None, cost=m.cost, transition_rows=rows)
+    w = random_stationary_plan(m, seed, randomized=True).pair_weights(m)
+    expected = np.zeros((m.n_states, m.n_states))
+    np.add.at(expected, m.pair_state, w[:, None] * rows)
+    for mdl in (m, kernel):
+        assert np.allclose(transition(mdl).plan_matrix(w).toarray(), expected,
+                           rtol=0, atol=1e-15)
 
 
 def test_load_rejects_bad_noise_sum(tmp_path):
