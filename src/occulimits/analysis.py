@@ -174,7 +174,6 @@ class ExpansionDual:
     psi: np.ndarray
     eta: np.ndarray
     residual: float
-    v_limit: np.ndarray
 
 
 def dual_from_expansion(model, Ts):
@@ -197,7 +196,7 @@ def dual_from_expansion(model, Ts):
     eta = t2 * (v2 - v)
     tensor = transition(model)
     bellman = model.pair_cost - v[model.pair_state] + tensor.expect(eta) - eta[model.pair_state]
-    return ExpansionDual(psi=v, eta=eta, residual=abs(float(bellman.min())), v_limit=v)
+    return ExpansionDual(psi=v, eta=eta, residual=abs(float(bellman.min())))
 
 
 def abel_window(g, M, eps, delta):

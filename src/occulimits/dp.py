@@ -55,7 +55,7 @@ class Plan:
                 raise ValueError("plan/model mismatch: one probability row per state required")
             for i, row in enumerate(self.selector):
                 row = np.asarray(row)
-                if row.shape != (sizes[i],) or np.any(row < 0):
+                if row.shape != (sizes[i],) or not np.all(np.isfinite(row)) or np.any(row < 0):
                     raise ValueError(f"plan/model mismatch: bad probability row at state {i}")
                 if abs(row.sum() - 1.0) > 1e-12:
                     raise ValueError(f"plan/model mismatch: row at state {i} sums to {row.sum()!r}")

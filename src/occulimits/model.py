@@ -110,100 +110,64 @@ class FiniteModel:
     def control_value(self, state, local):
         return self.controls[state][local]
 
-    def pair_label(self, p):
-        s = int(self.pair_state[p])
-        l = int(self.pair_local[p])
-        return self.states[s].coords, self.controls[s][l]
-
     def nearest_state(self, value):
         """Index of the state whose first coordinate is closest to value."""
         return int(np.argmin(np.abs(self.state_values() - value)))
 
 
 class TransitionTensor:
-    """Transition law P(y'|y,u) for every admissible pair.
+    """Transition law P(y'|y,u) of every admissible pair, held as one sparse
+    CSR matrix P of shape (n_pairs, n_states) and read the same way for both
+    model kinds.
 
-    Backed either by the (dynamics, noise) factorization, where each pair has
-    one image per noise atom, or by explicit dense rows (kernel mode).
+    Dynamics models also keep next_idx, the (n_pairs, n_atoms) image of every
+    pair under every noise atom; kernel-row models have next_idx None.
     """
 
-    def __init__(self, model, next_idx=None, atom_probs=None, rows=None):
+    def __init__(self, model, P, next_idx=None):
         self.model = model
-        self.next_idx = next_idx          # (n_pairs, n_atoms) int, or None
-        self.atom_probs = atom_probs      # (n_atoms,) float, or None
-        self._rows = rows                 # (n_pairs, n_states) float, or None
-
-    @property
-    def factored(self):
-        return self.next_idx is not None
+        self.P = P
+        self.next_idx = next_idx
 
     def expect(self, values):
         """E[values(f(y,u,s))] for every pair, as a (n_pairs,) vector."""
-        if self.factored:
-            return np.asarray(values)[self.next_idx] @ self.atom_probs
-        return self._rows @ np.asarray(values)
+        return self.P @ np.asarray(values, dtype=float)
 
     def push(self, pair_mass):
         """Forward image: sum_(y,u) mass(y,u) P(.|y,u), a vector over states."""
-        out = np.zeros(self.model.n_states)
-        if self.factored:
-            for a in range(self.next_idx.shape[1]):
-                np.add.at(out, self.next_idx[:, a], pair_mass * self.atom_probs[a])
-        else:
-            out = pair_mass @ self._rows
-        return out
+        return self.P.T @ np.asarray(pair_mass, dtype=float)
 
     def row(self, p):
         """Dense probability row of pair p over states."""
-        if not self.factored:
-            return self._rows[p].copy()
-        out = np.zeros(self.model.n_states)
-        np.add.at(out, self.next_idx[p], self.atom_probs)
-        return out
+        return self.P[p].toarray().ravel()
 
     def row_sums(self):
-        if self.factored:
-            return np.full(self.model.n_pairs, float(np.sum(self.atom_probs)))
-        return self._rows.sum(axis=1)
+        return np.asarray(self.P.sum(axis=1)).ravel()
 
     def min_entry(self):
-        if self.factored:
-            return float(np.min(self.atom_probs)) if len(self.atom_probs) else 0.0
-        return float(self._rows.min()) if self._rows.size else 0.0
-
-    def triplets(self):
-        """COO entries (state_row, pair_col, prob) of the pair-to-state map.
-
-        Atoms sharing an image are not merged; LP assembly sums duplicates.
-        """
-        if self.factored:
-            n_pairs, n_atoms = self.next_idx.shape
-            rows = self.next_idx.reshape(-1)
-            cols = np.repeat(np.arange(n_pairs), n_atoms)
-            vals = np.tile(self.atom_probs, n_pairs)
-            return rows, cols, vals
-        rows_i, cols_i = np.nonzero(self._rows)
-        return cols_i, rows_i, self._rows[rows_i, cols_i]  # note: rows_i indexes pairs
+        """Smallest entry of P, implicit zeros included."""
+        return float(self.P.min()) if self.P.shape[0] else 0.0
 
     def plan_matrix(self, pair_weights):
         """Sparse (n_states, n_states) law P_pi(y'|y) = sum_u pi(u|y) P(y'|y,u)
         of a stationary plan with per-pair weights pi(u|y)."""
-        nxt, pairs, probs = self.triplets()
-        vals = np.asarray(pair_weights, dtype=float)[pairs] * probs
-        on = vals != 0
-        n = self.model.n_states
-        return sparse.csr_matrix((vals[on], (self.model.pair_state[pairs[on]], nxt[on])),
-                                 shape=(n, n))
+        w = np.asarray(pair_weights, dtype=float)
+        on = np.flatnonzero(w)
+        to_state = sparse.csr_matrix((w[on], (self.model.pair_state[on], np.arange(len(on)))),
+                                     shape=(self.model.n_states, len(on)))
+        return to_state @ self.P[on]
 
 
 def build_transition_tensor(model):
-    """Build P(y'|y,u) = sum over noise atoms s with f(y,u,s)=y' of prob(s).
+    """Build P(y'|y,u) = sum over noise atoms s with f(y,u,s)=y' of prob(s),
+    or read it from the kernel rows of a kernel-mode model.
 
     Raises ModelError naming the offending (state, control, noise) triple when
     the dynamics map leaves the state list.
     """
     if model.transition_rows is not None:
-        return TransitionTensor(model, rows=np.asarray(model.transition_rows, dtype=float))
+        return TransitionTensor(model, sparse.csr_matrix(
+            np.asarray(model.transition_rows, dtype=float)))
     n_pairs = model.n_pairs
     n_atoms = len(model.noise)
     next_idx = np.zeros((n_pairs, n_atoms), dtype=np.int64)
@@ -222,7 +186,11 @@ def build_transition_tensor(model):
                 )
             next_idx[p, a] = nxt
     probs = np.array([atom.prob for atom in model.noise])
-    return TransitionTensor(model, next_idx=next_idx, atom_probs=probs)
+    # atoms sharing an image are summed into one entry
+    P = sparse.csr_matrix((np.tile(probs, n_pairs),
+                           (np.repeat(np.arange(n_pairs), n_atoms), next_idx.ravel())),
+                          shape=(n_pairs, model.n_states))
+    return TransitionTensor(model, P, next_idx)
 
 
 def transition(model):
@@ -237,6 +205,11 @@ def transition(model):
 def validate(model):
     """Check every FiniteModel invariant; returns a list of violations (empty = valid)."""
     report = []
+    dims = {len(sp.coords) for sp in model.states}
+    if not dims:
+        report.append("model has no states")
+    elif len(dims) > 1 or 0 in dims:
+        report.append(f"states need one positive coordinate dimension, have {sorted(dims)}")
     seen = set()
     for i, sp in enumerate(model.states):
         if sp.index != i:
@@ -256,10 +229,15 @@ def validate(model):
         for a in model.noise:
             if not (0.0 < a.prob <= 1.0):
                 report.append(f"noise atom {a.id} has probability {a.prob!r} outside (0,1]")
+        if len({a.id for a in model.noise}) != len(model.noise):
+            report.append("noise atom ids are not unique")
         try:
             build_transition_tensor(model)
         except ModelError as exc:
             report.append(str(exc))
+        else:
+            if len(model.dynamics) > model.n_pairs * len(model.noise):
+                report.append("dynamics has entries outside the admissible triples")
     else:
         rows = np.asarray(model.transition_rows, dtype=float)
         if rows.shape != (model.n_pairs, model.n_states):
@@ -282,20 +260,13 @@ def validate(model):
 # builders for the two reference models
 # ---------------------------------------------------------------------------
 
-def example1_model(y0):
-    """Two-state model of the recursion y(t+1) = y(t)u(t)s(t) on {-|y0|, +|y0|}.
+def _sign_flip_model(values, initial_index=None):
+    """Recursion y(t+1) = y(t)u(t)s(t) on a sign-symmetric value list.
 
-    Controls are {-1, +1} at both states, the noise takes s=+1 with
+    Controls are {-1, +1} at every state, the noise takes s=+1 with
     probability 3/4 and s=-1 with probability 1/4, and the cost is k(y,u) = y.
-    Only the two reachable states are materialized; the recursion is exact on
-    them, no snapping is involved.
+    The list is closed under the recursion, so no snapping is involved.
     """
-    if not (-1.0 <= y0 <= 1.0):
-        raise ModelError(f"y0={y0!r} outside [-1, 1]")
-    if y0 == 0.0:
-        raise ModelError("y0=0 degenerates to the single absorbing state {0}")
-    a = abs(y0)
-    values = [-a, a]
     states = [StatePoint((v,), i) for i, v in enumerate(values)]
     controls = [[(-1.0,), (1.0,)] for _ in values]
     noise = [NoiseAtom(0, 0.75), NoiseAtom(1, 0.25)]  # s=+1, s=-1
@@ -306,11 +277,20 @@ def example1_model(y0):
         for l, (u,) in enumerate(controls[i]):
             cost[(i, l)] = y
             for atom in noise:
-                nxt = y * u * s_vals[atom.id]
-                dynamics[(i, l, atom.id)] = values.index(nxt)
+                dynamics[(i, l, atom.id)] = values.index(y * u * s_vals[atom.id])
     return FiniteModel(states=states, controls=controls, noise=noise,
-                       dynamics=dynamics, cost=cost,
-                       initial_index=values.index(y0))
+                       dynamics=dynamics, cost=cost, initial_index=initial_index)
+
+
+def example1_model(y0):
+    """Two-state example-1 model on {-|y0|, +|y0|}, the only states reachable
+    from y0, with y0 as its initial state."""
+    if not (-1.0 <= y0 <= 1.0):
+        raise ModelError(f"y0={y0!r} outside [-1, 1]")
+    if y0 == 0.0:
+        raise ModelError("y0=0 degenerates to the single absorbing state {0}")
+    values = [-abs(y0), abs(y0)]
+    return _sign_flip_model(values, initial_index=values.index(y0))
 
 
 def example1_family_model(y0s):
@@ -322,20 +302,7 @@ def example1_family_model(y0s):
     mags = sorted({abs(y) for y in y0s})
     if any(m == 0 or m > 1 for m in mags):
         raise ModelError("family magnitudes must lie in (0, 1]")
-    values = sorted({v for m in mags for v in (-m, m)})
-    states = [StatePoint((v,), i) for i, v in enumerate(values)]
-    controls = [[(-1.0,), (1.0,)] for _ in values]
-    noise = [NoiseAtom(0, 0.75), NoiseAtom(1, 0.25)]
-    s_vals = {0: 1.0, 1: -1.0}
-    dynamics = {}
-    cost = {}
-    for i, y in enumerate(values):
-        for l, (u,) in enumerate(controls[i]):
-            cost[(i, l)] = y
-            for atom in noise:
-                dynamics[(i, l, atom.id)] = values.index(y * u * s_vals[atom.id])
-    return FiniteModel(states=states, controls=controls, noise=noise,
-                       dynamics=dynamics, cost=cost)
+    return _sign_flip_model(sorted({v for m in mags for v in (-m, m)}))
 
 
 def _snap_dyadic(value, step):
@@ -415,6 +382,13 @@ _TOP_LEVEL_FIELDS = {"states", "controls", "noise", "dynamics", "transition",
                      "cost", "initial_state"}
 
 
+def _index(value):
+    """A JSON index: a non-negative integer, never a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{value!r} is not a non-negative integer index")
+    return value
+
+
 def load_model(path):
     """Load and validate a FiniteModel from a JSON model file.
 
@@ -441,6 +415,9 @@ def load_model(path):
         raise ModelError("exactly one of 'dynamics' or 'transition' is required")
     if "dynamics" in doc and "noise" not in doc:
         raise ModelError("missing field 'noise' (required with 'dynamics')")
+    for name in ("cost", "noise", "dynamics"):
+        if name in doc and not isinstance(doc[name], list):
+            raise ModelError(f"field {name!r} must be a list")
 
     try:
         states = [StatePoint(tuple(float(c) for c in coords), i)
@@ -452,16 +429,21 @@ def load_model(path):
     if not isinstance(ctrl, dict):
         raise ModelError("field 'controls' must be an object")
     if "shared" in ctrl:
-        shared = [tuple(float(c) for c in u) for u in ctrl["shared"]]
+        try:
+            shared = [tuple(float(c) for c in u) for u in ctrl["shared"]]
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"field 'controls.shared': {exc}") from exc
         controls = [list(shared) for _ in states]
     elif "per_state" in ctrl:
         if "control_values" not in ctrl:
             raise ModelError("field 'controls.control_values' required with 'per_state'")
-        cvals = [tuple(float(c) for c in u) for u in ctrl["control_values"]]
         try:
-            controls = [[cvals[j] for j in idxs] for idxs in ctrl["per_state"]]
+            cvals = [tuple(float(c) for c in u) for u in ctrl["control_values"]]
+            controls = [[cvals[_index(j)] for j in idxs] for idxs in ctrl["per_state"]]
         except IndexError as exc:
             raise ModelError(f"field 'controls.per_state': index out of range ({exc})") from exc
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"field 'controls': {exc}") from exc
         if len(controls) != len(states):
             raise ModelError("field 'controls.per_state' must have one entry per state")
     else:
@@ -470,9 +452,12 @@ def load_model(path):
     cost = {}
     for row in doc["cost"]:
         try:
-            cost[(int(row["state"]), int(row["control"]))] = float(row["value"])
+            key, value = (_index(row["state"]), _index(row["control"])), float(row["value"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"field 'cost': bad row {row!r} ({exc})") from exc
+        if key in cost:
+            raise ModelError(f"field 'cost': duplicate row {row!r}")
+        cost[key] = value
     n_pairs_expected = {(i, l) for i in range(len(states)) for l in range(len(controls[i]))}
     if set(cost) != n_pairs_expected:
         missing = sorted(n_pairs_expected - set(cost))[:3]
@@ -485,16 +470,19 @@ def load_model(path):
     if "dynamics" in doc:
         for row in doc.get("noise", []):
             try:
-                noise.append(NoiseAtom(int(row["id"]), float(row["prob"])))
+                noise.append(NoiseAtom(_index(row["id"]), float(row["prob"])))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ModelError(f"field 'noise': bad row {row!r} ({exc})") from exc
         dynamics = {}
         for row in doc["dynamics"]:
             try:
-                key = (int(row["state"]), int(row["control"]), int(row["noise_id"]))
-                dynamics[key] = int(row["next_state"])
+                key = (_index(row["state"]), _index(row["control"]), _index(row["noise_id"]))
+                nxt = _index(row["next_state"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ModelError(f"field 'dynamics': bad row {row!r} ({exc})") from exc
+            if key in dynamics:
+                raise ModelError(f"field 'dynamics': duplicate row {row!r}")
+            dynamics[key] = nxt
     else:
         tens = doc["transition"]
         rows = []
@@ -502,14 +490,17 @@ def load_model(path):
             for i in range(len(states)):
                 for l in range(len(controls[i])):
                     rows.append([float(v) for v in tens[i][l]])
-        except (IndexError, TypeError, ValueError) as exc:
+            transition_rows = np.array(rows)
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"field 'transition': {exc}") from exc
-        transition_rows = np.array(rows)
 
     initial_index = doc.get("initial_state")
     if initial_index is not None:
-        initial_index = int(initial_index)
-        if not (0 <= initial_index < len(states)):
+        try:
+            initial_index = _index(initial_index)
+        except ValueError as exc:
+            raise ModelError(f"field 'initial_state': {exc}") from exc
+        if initial_index >= len(states):
             raise ModelError(f"field 'initial_state': index {initial_index} out of range")
 
     model = FiniteModel(states=states, controls=controls, noise=noise,

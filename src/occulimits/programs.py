@@ -33,7 +33,6 @@ from .model import transition
 
 DENSE_CELL_LIMIT = 2_000_000
 CERT_TOL = 1e-7
-MASS_TOL = 1e-9
 
 
 class SolverError(RuntimeError):
@@ -110,12 +109,6 @@ class ProgramResult:
         return doc
 
 
-def _kernel_triplets(model):
-    """(state_row, pair_col, prob) entries of the pair-to-state transition map."""
-    tensor = transition(model)
-    return tensor.triplets()
-
-
 def _solve_equalities(c, rows, cols, vals, b, n_cols, context):
     """min c'x, sum of triplet entries x = b, x >= 0; returns (x, y, objective).
 
@@ -157,10 +150,10 @@ def stationary_lp(model):
     involves eta and the scalar mu).
     """
     n, n_pairs = model.n_states, model.n_pairs
-    t_rows, t_cols, t_vals = _kernel_triplets(model)
-    rows = np.concatenate([model.pair_state, t_rows, np.full(n_pairs, n)])
-    cols = np.concatenate([np.arange(n_pairs), t_cols, np.arange(n_pairs)])
-    vals = np.concatenate([np.ones(n_pairs), -t_vals, np.ones(n_pairs)])
+    kern = transition(model).P.T.tocoo()  # (state_row, pair_col, prob) entries
+    rows = np.concatenate([model.pair_state, kern.row, np.full(n_pairs, n)])
+    cols = np.concatenate([np.arange(n_pairs), kern.col, np.arange(n_pairs)])
+    vals = np.concatenate([np.ones(n_pairs), -kern.data, np.ones(n_pairs)])
     b = np.zeros(n + 1)
     b[n] = 1.0
     x, y, obj = _solve_equalities(model.pair_cost, rows, cols, vals, b,
@@ -175,10 +168,10 @@ def discounted_stationary_lp(model, eps, y0):
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps={eps!r} outside (0, 1)")
     n, n_pairs = model.n_states, model.n_pairs
-    t_rows, t_cols, t_vals = _kernel_triplets(model)
-    rows = np.concatenate([model.pair_state, t_rows])
-    cols = np.concatenate([np.arange(n_pairs), t_cols])
-    vals = np.concatenate([np.ones(n_pairs), -(1.0 - eps) * t_vals])
+    kern = transition(model).P.T.tocoo()
+    rows = np.concatenate([model.pair_state, kern.row])
+    cols = np.concatenate([np.arange(n_pairs), kern.col])
+    vals = np.concatenate([np.ones(n_pairs), -(1.0 - eps) * kern.data])
     b = np.zeros(n)
     b[y0] = eps
     x, _, obj = _solve_equalities(model.pair_cost, rows, cols, vals, b,
@@ -203,21 +196,21 @@ def augmented_lp(model, y0, theta=None):
                              f"({n_pairs}), got shape {theta_pair.shape}")
         if theta_pair.min(initial=0.0) < 0 or not np.all(np.isfinite(theta_pair)):
             raise ValueError("theta must be nonnegative and bounded")
-    t_rows, t_cols, t_vals = _kernel_triplets(model)
+    kern = transition(model).P.T.tocoo()
     arange = np.arange(n_pairs)
     rows = np.concatenate([
-        model.pair_state, t_rows, np.full(n_pairs, n),       # gamma block
-        n + 1 + model.pair_state, n + 1 + t_rows,            # xi block
+        model.pair_state, kern.row, np.full(n_pairs, n),     # gamma block
+        n + 1 + model.pair_state, n + 1 + kern.row,          # xi block
         n + 1 + model.pair_state,                            # gamma marginal in xi block
     ])
     cols = np.concatenate([
-        arange, t_cols, arange,
-        n_pairs + arange, n_pairs + t_cols,
+        arange, kern.col, arange,
+        n_pairs + arange, n_pairs + kern.col,
         arange,
     ])
     vals = np.concatenate([
-        np.ones(n_pairs), -t_vals, np.ones(n_pairs),
-        np.ones(n_pairs), -t_vals,
+        np.ones(n_pairs), -kern.data, np.ones(n_pairs),
+        np.ones(n_pairs), -kern.data,
         np.ones(n_pairs),
     ])
     b = np.zeros(2 * n + 1)

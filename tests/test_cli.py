@@ -52,6 +52,58 @@ def test_validate_rejects_nan_kernel_row(tmp_path, capsys):
     assert "non-finite" in err
 
 
+def _two_state_doc(**changes):
+    """A valid two-state dynamics model file; a change of None drops the field."""
+    doc = {"states": [[0.0], [1.0]], "controls": {"shared": [[0.0]]},
+           "noise": [{"id": 0, "prob": 1.0}],
+           "dynamics": [{"state": 0, "control": 0, "noise_id": 0, "next_state": 1},
+                        {"state": 1, "control": 0, "noise_id": 0, "next_state": 0}],
+           "cost": [{"state": 0, "control": 0, "value": 0.5},
+                    {"state": 1, "control": 0, "value": -0.5}]}
+    doc.update(changes)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+MALFORMED_DOCS = {
+    "shared_control_not_a_list": {"controls": {"shared": [1]}},
+    "negative_per_state_index": {"controls": {"per_state": [[0], [-1]],
+                                              "control_values": [[0.0], [1.0]]}},
+    "fractional_next_state": {"dynamics": [
+        {"state": 0, "control": 0, "noise_id": 0, "next_state": 0.7},
+        {"state": 1, "control": 0, "noise_id": 0, "next_state": 0}]},
+    "no_states": {"states": [], "dynamics": [], "cost": []},
+    "ragged_state_coords": {"states": [[0.0], [1.0, 2.0]]},
+    "dynamics_not_a_list": {"dynamics": 5},
+    "duplicate_dynamics_row": {"dynamics": [
+        {"state": 0, "control": 0, "noise_id": 0, "next_state": 1},
+        {"state": 1, "control": 0, "noise_id": 0, "next_state": 0},
+        {"state": 0, "control": 0, "noise_id": 0, "next_state": 0}]},
+    "dynamics_row_outside_pairs": {"dynamics": [
+        {"state": 0, "control": 0, "noise_id": 0, "next_state": 1},
+        {"state": 1, "control": 0, "noise_id": 0, "next_state": 0},
+        {"state": 7, "control": 0, "noise_id": 0, "next_state": 0}]},
+    "duplicate_cost_row": {"cost": [{"state": 0, "control": 0, "value": 0.5},
+                                    {"state": 1, "control": 0, "value": -0.5},
+                                    {"state": 0, "control": 0, "value": 9.0}]},
+    "duplicate_noise_id": {"noise": [{"id": 0, "prob": 0.5}, {"id": 0, "prob": 0.5}]},
+    "ragged_transition_rows": {"noise": None, "dynamics": None,
+                               "transition": [[[0.5, 0.5]], [[1.0]]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCS))
+def test_validate_refuses_malformed_model(tmp_path, capsys, case):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_two_state_doc()))
+    assert load_model(path).n_states == 2
+    path.write_text(json.dumps(_two_state_doc(**MALFORMED_DOCS[case])))
+    with pytest.raises(ModelError):
+        load_model(path)
+    code, out, err = run(capsys, "validate", "--model", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("invalid:")
+
+
 def test_bounds_example1(tmp_path, capsys):
     out_path = tmp_path / "bounds.json"
     code, _, err = run(capsys, "bounds", "--builtin", "example1", "--y0", "0.5",

@@ -162,6 +162,16 @@ def test_plan_model_mismatch():
         evaluate_plan_average(m, bad, 0, 2)
 
 
+def test_randomized_plan_with_nan_row_is_rejected():
+    # abs(nan - 1) > tol is False, so a sum test alone lets a NaN row through
+    m = example1_model(0.5)
+    plan = Plan(kind="stationary_randomized", selector=[[np.nan, 1.0], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="bad probability row at state 0"):
+        plan.check_against(m)
+    with pytest.raises(ValueError, match="mismatch"):
+        evaluate_plan_discounted(m, plan, 0, 0.1)
+
+
 def test_value_curve_csv_rows():
     from occulimits.dp import value_curve_csv_rows
     m = example1_model(0.5)

@@ -223,6 +223,12 @@ def test_plan_matrix_factored_and_kernel_rows_agree(seed):
     for mdl in (m, kernel):
         assert np.allclose(transition(mdl).plan_matrix(w).toarray(), expected,
                            rtol=0, atol=1e-15)
+    values = np.random.default_rng(seed).normal(size=m.n_states)
+    dyn, ker = transition(m), transition(kernel)
+    assert np.allclose(dyn.expect(values), ker.expect(values), rtol=0, atol=1e-15)
+    assert np.allclose(dyn.push(w), ker.push(w), rtol=0, atol=1e-15)
+    for p in range(m.n_pairs):
+        assert np.allclose(dyn.row(p), ker.row(p), rtol=0, atol=1e-15)
 
 
 def test_load_rejects_bad_noise_sum(tmp_path):
