@@ -11,6 +11,7 @@ read off their reduced costs.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 PIVOT_TOL = 1e-9
 PHASE1_TOL = 1e-8
@@ -30,7 +31,8 @@ class LpError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """min c'x subject to A x = b, x >= 0 (dense data)."""
+    """min c'x subject to A x = b, x >= 0; A is a dense array or a scipy.sparse
+    matrix, which is kept sparse."""
 
     c: np.ndarray
     A: np.ndarray
@@ -40,13 +42,15 @@ class LinearProgram:
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
-        self.A = np.asarray(self.A, dtype=float)
+        self.A = (self.A.astype(float, copy=False) if sparse.issparse(self.A)
+                  else np.asarray(self.A, dtype=float))
         self.b = np.asarray(self.b, dtype=float)
         m, n = self.A.shape
         if self.c.shape != (n,) or self.b.shape != (m,):
             raise LpError(f"inconsistent dimensions: A is {m}x{n}, "
                           f"c has {self.c.shape}, b has {self.b.shape}")
-        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))
+        entries = self.A.data if sparse.issparse(self.A) else self.A
+        if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(self.b))
                 and np.all(np.isfinite(self.c))):
             raise LpError("non-finite entries in LP data")
 
@@ -85,7 +89,7 @@ def solve_lp(lp):
     optimum above tolerance; y_dual then carries the phase-1 multipliers) or
     'unbounded'.
     """
-    A = lp.A.copy()
+    A = lp.A.toarray() if sparse.issparse(lp.A) else lp.A.copy()
     b = lp.b.copy()
     c = lp.c
     m, n = A.shape
@@ -145,7 +149,7 @@ def solve_lp(lp):
     x[basis[inside]] = T[inside, -1]
     y = -z[n:n + m] * dual_factor
     sol = LpSolution(status="optimal", x=x, y_dual=y, objective=float(c @ x))
-    _check_certificate(lp, sol)
+    check_certificate(lp, sol)
     return sol
 
 
@@ -190,7 +194,9 @@ def _pivot(T, z, basis, i, j):
     basis[i] = j
 
 
-def _check_certificate(lp, sol):
+def check_certificate(lp, sol):
+    """Raise LpError unless sol meets all five optimality conditions on lp
+    within this module's tolerance table."""
     v = sol.certificate_violations(lp)
     limits = {
         "primal_feasibility": FEAS_TOL * (1.0 + float(np.max(np.abs(lp.b), initial=0.0))),
@@ -206,7 +212,8 @@ def _check_certificate(lp, sol):
 
 def dump_lp(lp):
     """Plain-text (c, A, b) dump for external cross-checking; not a stable format."""
+    A = lp.A.toarray() if sparse.issparse(lp.A) else lp.A
     lines = ["c " + " ".join(f"{v:.17g}" for v in lp.c)]
-    for i in range(lp.A.shape[0]):
-        lines.append("A " + " ".join(f"{v:.17g}" for v in lp.A[i]) + f" | {lp.b[i]:.17g}")
+    for i in range(A.shape[0]):
+        lines.append("A " + " ".join(f"{v:.17g}" for v in A[i]) + f" | {lp.b[i]:.17g}")
     return "\n".join(lines)

@@ -232,7 +232,7 @@ def validate(model):
         if len({a.id for a in model.noise}) != len(model.noise):
             report.append("noise atom ids are not unique")
         try:
-            build_transition_tensor(model)
+            transition(model)
         except ModelError as exc:
             report.append(str(exc))
         else:
@@ -389,6 +389,13 @@ def _index(value):
     return value
 
 
+def _number(value):
+    """A JSON number as a float, never a bool or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def load_model(path):
     """Load and validate a FiniteModel from a JSON model file.
 
@@ -420,7 +427,7 @@ def load_model(path):
             raise ModelError(f"field {name!r} must be a list")
 
     try:
-        states = [StatePoint(tuple(float(c) for c in coords), i)
+        states = [StatePoint(tuple(_number(c) for c in coords), i)
                   for i, coords in enumerate(doc["states"])]
     except (TypeError, ValueError) as exc:
         raise ModelError(f"field 'states': {exc}") from exc
@@ -430,7 +437,7 @@ def load_model(path):
         raise ModelError("field 'controls' must be an object")
     if "shared" in ctrl:
         try:
-            shared = [tuple(float(c) for c in u) for u in ctrl["shared"]]
+            shared = [tuple(_number(c) for c in u) for u in ctrl["shared"]]
         except (TypeError, ValueError) as exc:
             raise ModelError(f"field 'controls.shared': {exc}") from exc
         controls = [list(shared) for _ in states]
@@ -438,7 +445,7 @@ def load_model(path):
         if "control_values" not in ctrl:
             raise ModelError("field 'controls.control_values' required with 'per_state'")
         try:
-            cvals = [tuple(float(c) for c in u) for u in ctrl["control_values"]]
+            cvals = [tuple(_number(c) for c in u) for u in ctrl["control_values"]]
             controls = [[cvals[_index(j)] for j in idxs] for idxs in ctrl["per_state"]]
         except IndexError as exc:
             raise ModelError(f"field 'controls.per_state': index out of range ({exc})") from exc
@@ -452,7 +459,7 @@ def load_model(path):
     cost = {}
     for row in doc["cost"]:
         try:
-            key, value = (_index(row["state"]), _index(row["control"])), float(row["value"])
+            key, value = (_index(row["state"]), _index(row["control"])), _number(row["value"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"field 'cost': bad row {row!r} ({exc})") from exc
         if key in cost:
@@ -470,7 +477,7 @@ def load_model(path):
     if "dynamics" in doc:
         for row in doc.get("noise", []):
             try:
-                noise.append(NoiseAtom(_index(row["id"]), float(row["prob"])))
+                noise.append(NoiseAtom(_index(row["id"]), _number(row["prob"])))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ModelError(f"field 'noise': bad row {row!r} ({exc})") from exc
         dynamics = {}
@@ -489,7 +496,7 @@ def load_model(path):
         try:
             for i in range(len(states)):
                 for l in range(len(controls[i])):
-                    rows.append([float(v) for v in tens[i][l]])
+                    rows.append([_number(v) for v in tens[i][l]])
             transition_rows = np.array(rows)
         except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"field 'transition': {exc}") from exc

@@ -11,10 +11,10 @@ grid, so the balance equations are exact:
     augmented       stationary block for gamma, plus
                     xi_1(y') - sum P(y'|y,u) xi(y,u) + gamma_1(y') = 1{y'=y0}
 
-Small instances go through the in-package dense simplex kernel; instances
-whose dense tableau would be unreasonable are handed to scipy's HiGHS behind
-the same result contract.  Dual sign conventions are fixed so the certificate
-satisfies the inequality families
+Every program is solved by scipy's HiGHS on a sparse matrix, and its primal
+and dual are accepted only after lp_core's five optimality conditions hold.
+Dual sign conventions are fixed so the certificate satisfies the inequality
+families
 
     k(y,u) + (psi(y0) - psi(y)) + E[eta(f(y,u,s))] - eta(y) - mu >= 0
     E[psi(f(y,u,s))] - psi(y) >= -theta(y,u)
@@ -31,7 +31,6 @@ from scipy.optimize import linprog
 from . import lp_core
 from .model import transition
 
-DENSE_CELL_LIMIT = 2_000_000
 CERT_TOL = 1e-7
 
 
@@ -112,35 +111,22 @@ class ProgramResult:
 def _solve_equalities(c, rows, cols, vals, b, n_cols, context):
     """min c'x, sum of triplet entries x = b, x >= 0; returns (x, y, objective).
 
-    Routes through the dense kernel when the tableau fits, otherwise through
-    HiGHS on a sparse matrix; both paths return exact-convention duals
-    (c - A'y >= 0 at the optimum).
+    HiGHS solves the LP on a sparse matrix; its primal x and duals y
+    (c - A'y >= 0 at the optimum) must pass lp_core.check_certificate.
     """
-    m = len(b)
-    if m * n_cols <= DENSE_CELL_LIMIT:
-        A = np.zeros((m, n_cols))
-        np.add.at(A, (rows, cols), vals)
-        try:
-            sol = lp_core.solve_lp(lp_core.LinearProgram(c=c, A=A, b=b))
-        except lp_core.LpError as exc:
-            raise SolverError(f"{context}: dense simplex ({m}x{n_cols}) failed: {exc}") from exc
-        if sol.status != "optimal":
-            raise SolverError(f"{context}: LP reported {sol.status} "
-                              f"(phase-1 multipliers {sol.y_dual!r})")
-        return sol.x, sol.y_dual, sol.objective
-    A = sparse.coo_matrix((vals, (rows, cols)), shape=(m, n_cols)).tocsc()
+    A = sparse.coo_matrix((vals, (rows, cols)), shape=(len(b), n_cols)).tocsc()
     res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise SolverError(f"{context}: HiGHS reported {res.message!r}")
-    x, y = res.x, res.eqlin.marginals
-    residual = np.max(np.abs(A @ x - b))
-    gap = abs(c @ x - b @ y)
-    if residual > 1e-7 * (1 + np.max(np.abs(b))) or gap > 1e-6 * (1 + abs(c @ x)):
-        raise SolverError(f"{context}: HiGHS solution failed the certificate "
-                          f"(residual={residual:.3e}, gap={gap:.3e})")
-    return x, y, float(c @ x)
+    sol = lp_core.LpSolution(status="optimal", x=res.x, y_dual=res.eqlin.marginals,
+                             objective=float(c @ res.x))
+    try:
+        lp_core.check_certificate(lp_core.LinearProgram(c=c, A=A, b=b), sol)
+    except lp_core.LpError as exc:
+        raise SolverError(f"{context}: HiGHS ({A.shape[0]}x{n_cols}): {exc}") from exc
+    return sol.x, sol.y_dual, sol.objective
 
 
 def stationary_lp(model):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from occulimits import lp_core
+from scipy.optimize import OptimizeResult
+
+from occulimits import model as model_mod, programs
 from occulimits.cli import main
 from occulimits.model import ModelError, example1_model, load_model, save_model
 from occulimits.suite import random_model
@@ -88,6 +90,9 @@ MALFORMED_DOCS = {
     "duplicate_noise_id": {"noise": [{"id": 0, "prob": 0.5}, {"id": 0, "prob": 0.5}]},
     "ragged_transition_rows": {"noise": None, "dynamics": None,
                                "transition": [[[0.5, 0.5]], [[1.0]]]},
+    "boolean_cost": {"cost": [{"state": 0, "control": 0, "value": True},
+                              {"state": 1, "control": 0, "value": -0.5}]},
+    "boolean_noise_prob": {"noise": [{"id": 0, "prob": True}]},
 }
 
 
@@ -160,10 +165,10 @@ def test_policy_example1_certified(capsys):
 
 
 def test_policy_certification_failure_exit_code(capsys):
-    # at this coarse grid the dense-kernel dual is a degenerate vertex whose
-    # greedy plan strays off the certified support
+    # at this coarse grid the greedy plan of the LP dual strays off the
+    # certified support from y0 = 0.5
     code, out, _ = run(capsys, "policy", "--builtin", "example2", "--m", "5",
-                       "--y0", "-0.5")
+                       "--y0", "0.5")
     assert code == 5
     assert "certified=False" in out
 
@@ -189,14 +194,32 @@ def test_ergodic_thread_cap_is_deterministic(capsys, monkeypatch):
 
 
 def test_dense_simplex_failure_exits_as_solver_error(capsys, monkeypatch):
-    def fail(lp):
-        raise lp_core.LpError("simplex iteration limit exceeded")
+    def fail(*args, **kwargs):
+        return OptimizeResult(status=1, success=False, x=None,
+                              message="HiGHS stopped at its iteration limit")
 
-    monkeypatch.setattr(lp_core, "solve_lp", fail)
+    monkeypatch.setattr(programs, "linprog", fail)
     code, _, err = run(capsys, "bounds", "--builtin", "example2", "--m", "3",
                        "--y0", "-0.5", "--T", "1,10", "--eps", "0.5")
     assert code == 3
     assert "augmented LP" in err and "iteration limit" in err
+
+
+def test_model_file_builds_transition_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = model_mod.build_transition_tensor
+
+    def counted(model):
+        calls.append(model)
+        return build(model)
+
+    monkeypatch.setattr(model_mod, "build_transition_tensor", counted)
+    path = tmp_path / "suite.json"
+    save_model(random_model(4), path)
+    code, _, _ = run(capsys, "bounds", "--model", str(path), "--y0", "0",
+                     "--T", "1,10", "--eps", "0.5")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_missing_model_flags(capsys):

@@ -153,6 +153,33 @@ def test_ordering_and_duality_random(seed):
         assert max(v1, v2) <= 1e-7
 
 
+@pytest.mark.parametrize("seed", [797, 870, 1328, 1908])
+def test_suite_models_once_refused_by_dense_simplex(seed):
+    # the dense simplex failed its certificate on these models' augmented LPs
+    # (797, 870, 1328) and called 1908's stationary LP infeasible
+    m = random_model(seed)
+    stat = stationary_lp(m)
+    assert max(stat.dual.violations(m, 0)) <= 1e-7
+    for y0 in range(m.n_states):
+        res = augmented_lp(m, y0)
+        assert abs(res.optimal_value - res.dual.mu) <= 1e-9
+        assert max(res.dual.violations(m, y0)) <= 1e-7
+    h, _ = discounted_values(m, 1e-4)
+    for y0 in range(m.n_states):
+        assert discounted_stationary_lp(m, 1e-4, y0).optimal_value == \
+            pytest.approx(h.values[y0], abs=1e-9)
+
+
+def test_augmented_solve_is_bitwise_deterministic():
+    m = example2_model(5)
+    for y0 in (m.nearest_state(-0.5), m.nearest_state(0.5)):
+        a, b = augmented_lp(m, y0), augmented_lp(m, y0)
+        for x, y in ((a.gamma.weights, b.gamma.weights), (a.xi.weights, b.xi.weights),
+                     (a.dual.mu, b.dual.mu), (a.dual.psi, b.dual.psi),
+                     (a.dual.eta, b.dual.eta)):
+            assert np.array_equal(x, y)
+
+
 def test_membership_discounted_occupation():
     m = random_model(31)
     plan = random_stationary_plan(m, 1)
