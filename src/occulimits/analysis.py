@@ -77,8 +77,8 @@ def bounds_report(model, y0, Ts, epss, user_slack=None):
     """
     Ts = list(Ts)
     epss = list(epss)
-    if not Ts or any(b <= a for a, b in zip(Ts, Ts[1:])):
-        raise ValueError("Ts must be nonempty and increasing")
+    if not Ts or Ts[0] < 1 or any(b <= a for a, b in zip(Ts, Ts[1:])):
+        raise ValueError("Ts must be nonempty, increasing and at least 1")
     if not epss or any(not (0 < e < 1) for e in epss) or \
             any(b >= a for a, b in zip(epss, epss[1:])):
         raise ValueError("epss must be nonempty, in (0,1) and decreasing")
@@ -138,8 +138,12 @@ def verify_long_run_optimality(model, plan, dual, y0, T0, t_max, tol):
 
         |k(y,u) + (psi(y0) - psi(y)) + E[eta(f(y,u,s))] - eta(y) - mu| <= tol
 
-    and the psi-stationarity |E[psi(y(t))] - psi(y0)| <= tol.
+    and the psi-stationarity |E[psi(y(t))] - psi(y0)| <= tol.  The window
+    must be nonempty: 0 <= T0 <= t_max, else ValueError.
     """
+    if not 0 <= T0 <= t_max:
+        raise ValueError(f"certification window T0={T0}..t_max={t_max} is empty "
+                         f"or starts before 0")
     v1, v2 = dual.violations(model, y0)
     if max(v1, v2) > tol:
         raise CertificateError(f"certificate inequalities violated by "
@@ -150,13 +154,12 @@ def verify_long_run_optimality(model, plan, dual, y0, T0, t_max, tol):
     pointwise = (model.pair_cost + (dual.psi[y0] - dual.psi[s])
                  + tensor.expect(dual.eta) - dual.eta[s] - dual.mu)
     path = measures.propagate(model, plan, y0, t_max)
-    n_stages = len(plan.selector) if plan.kind == "staged" else 1
     worst1 = 0.0
     worst2 = 0.0
     for t in range(T0, t_max + 1):
         expected_psi = float(path.mu[t] @ dual.psi)
         worst2 = max(worst2, abs(expected_psi - dual.psi[y0]))
-        w = plan.pair_weights(model, t % n_stages)
+        w = plan.pair_weights(model, t % plan.n_stages)
         mass = path.mu[t][s] * w
         on = mass > tol
         if on.any():

@@ -108,12 +108,7 @@ def cmd_validate(args):
 def cmd_bounds(args):
     mdl = _build_model(args)
     y0 = _pick_y0(mdl, args)
-    try:
-        report = analysis.bounds_report(mdl, y0, args.T, args.eps,
-                                        user_slack=args.user_slack)
-    except programs.SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+    report = analysis.bounds_report(mdl, y0, args.T, args.eps, user_slack=args.user_slack)
     rows = report.csv_rows()
     header = ["kind", "parameter", "value", "k_star_y0", "d_star_y0", "in_sandwich"]
     _emit(rows, header, report.to_json_dict(), args)
@@ -124,17 +119,15 @@ def cmd_bounds(args):
 
 
 def cmd_ergodic(args):
+    if min(args.T, default=0) < 1:
+        raise CliInputError(f"--T needs horizons of at least 1, got {args.T}")
     if args.builtin == "example1":
         mdl = model_mod.example1_family_model(args.y0_grid)
     else:
         mdl = _build_model(args)
-    try:
-        k_star = programs.stationary_lp(mdl).optimal_value
-        curve, _ = dp.finite_horizon_values(mdl, max(args.T))
-        h_values = [dp.discounted_values(mdl, eps)[0] for eps in args.eps]
-    except programs.SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+    k_star = programs.stationary_lp(mdl).optimal_value
+    curve, _ = dp.finite_horizon_values(mdl, max(args.T))
+    h_values = [dp.discounted_values(mdl, eps)[0] for eps in args.eps]
     rows = []
     for t in args.T:
         best = float(np.min(curve[t - 1].values))
@@ -152,11 +145,7 @@ def cmd_ergodic(args):
 def cmd_policy(args):
     mdl = _build_model(args)
     y0 = _pick_y0(mdl, args)
-    try:
-        aug = programs.augmented_lp(mdl, y0)
-    except programs.SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+    aug = programs.augmented_lp(mdl, y0)
     plan = dp.greedy_feedback_from_eta(mdl, aug.dual.eta)
     try:
         verdict = analysis.verify_long_run_optimality(

@@ -67,14 +67,24 @@ class Plan:
         else:
             raise ValueError(f"unknown plan kind {self.kind!r}")
 
+    @property
+    def n_stages(self):
+        """Number of distinct stages: the selector length of a staged plan, 1
+        for a stationary one."""
+        return len(self.selector) if self.kind == "staged" else 1
+
     def pair_weights(self, model, t=0):
-        """Conditional probability pi_t(u|y) laid out per admissible pair."""
+        """Conditional probability pi_t(u|y) laid out per admissible pair; a
+        stationary plan has the same weights at every stage t."""
         if self.kind == "stationary_randomized":
             return np.concatenate([np.asarray(row, dtype=float) for row in self.selector])
         if self.kind == "stationary_deterministic":
             sel = np.asarray(self.selector)
-        else:
+        elif t < self.n_stages:
             sel = np.asarray(self.selector[t])
+        else:
+            raise ValueError(f"staged plan of length {self.n_stages} is shorter "
+                             f"than the {t + 1} stages asked for")
         w = np.zeros(model.n_pairs)
         w[model.state_pair_start[:-1] + sel] = 1.0
         return w
@@ -169,12 +179,10 @@ def evaluate_plan_average(model, plan, y0, T):
     Computed by distribution propagation: (1/T) sum_t sum_(y,u)
     mu_t(y) pi_t(u|y) k(y,u).
     """
-    if plan.kind == "staged" and len(plan.selector) < T:
-        raise ValueError(f"staged plan of length {len(plan.selector)} is shorter than T={T}")
     path = measures.propagate(model, plan, y0, T)
     total = 0.0
     for t in range(T):
-        w = plan.pair_weights(model, t if plan.kind == "staged" else 0)
+        w = plan.pair_weights(model, t)
         total += float((path.mu[t][model.pair_state] * w) @ model.pair_cost)
     return total / T
 

@@ -40,15 +40,6 @@ class PrgReport:
     period: int | None = None
 
 
-def _stage_pair_weights(model, plan, t):
-    if plan.kind == "staged":
-        if t >= len(plan.selector):
-            raise ValueError(f"staged plan of length {len(plan.selector)} "
-                             f"cannot be evaluated at stage {t}")
-        return plan.pair_weights(model, t)
-    return plan.pair_weights(model, 0)
-
-
 def propagate(model, plan, y0, T):
     """Exact state laws mu_0..mu_T from the point mass at state y0.
 
@@ -59,7 +50,7 @@ def propagate(model, plan, y0, T):
     mu = np.zeros((T + 1, model.n_states))
     mu[0, y0] = 1.0
     for t in range(T):
-        w = _stage_pair_weights(model, plan, t)
+        w = plan.pair_weights(model, t)
         mu[t + 1] = tensor.push(mu[t][model.pair_state] * w)
     return DistributionPath(mu=mu)
 
@@ -69,7 +60,7 @@ def occupation_measure(model, plan, y0, T):
     path = propagate(model, plan, y0, T)
     weights = np.zeros(model.n_pairs)
     for t in range(T):
-        w = _stage_pair_weights(model, plan, t)
+        w = plan.pair_weights(model, t)
         weights += path.mu[t][model.pair_state] * w
     return GMeasure(weights=weights / T)
 
@@ -101,7 +92,7 @@ def discounted_occupation(model, plan, y0, eps, tail_tol):
         mu[y0] = 1.0
         weights = np.zeros(model.n_pairs)
         coeff = eps
-        for t in range(len(plan.selector)):
+        for t in range(plan.n_stages):
             pair_mass = mu[model.pair_state] * plan.pair_weights(model, t)
             weights += coeff * pair_mass
             mu = tensor.push(pair_mass)
@@ -177,12 +168,11 @@ def prg_detect(model, plan, y0, t_max, tol=1e-10):
         raise ValueError(f"t_max={t_max} must be at least 2")
     plan.check_against(model)
     tensor = transition(model)
-    n_stages = len(plan.selector) if plan.kind == "staged" else 1
     laws = np.zeros((t_max + 1, model.n_pairs))
     mu = np.zeros(model.n_states)
     mu[y0] = 1.0
     for t in range(t_max + 1):
-        w = plan.pair_weights(model, t % n_stages)
+        w = plan.pair_weights(model, t % plan.n_stages)
         laws[t] = mu[model.pair_state] * w
         mu = tensor.push(laws[t])
     # earliest valid start per period, via suffix maxima of the lag-diffs

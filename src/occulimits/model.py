@@ -100,9 +100,6 @@ class FiniteModel:
     def pair_index(self, state, local):
         return int(self.state_pair_start[state]) + local
 
-    def pairs_of_state(self, state):
-        return range(int(self.state_pair_start[state]), int(self.state_pair_start[state + 1]))
-
     def state_values(self):
         """First coordinate of every state, as a vector (for 1-d models)."""
         return np.array([s.coords[0] for s in self.states])
@@ -112,6 +109,8 @@ class FiniteModel:
 
     def nearest_state(self, value):
         """Index of the state whose first coordinate is closest to value."""
+        if not math.isfinite(value):
+            raise ValueError(f"state value {value!r} is not finite")
         return int(np.argmin(np.abs(self.state_values() - value)))
 
 
@@ -339,7 +338,8 @@ def example2_model(m, control_step=None):
     if control_step is None:
         control_step = step
     ratio = control_step / step
-    if control_step <= 0 or abs(ratio - round(ratio)) > 1e-9:
+    if not math.isfinite(control_step) or control_step <= 0 or \
+            abs(ratio - round(ratio)) > 1e-9:
         raise ModelError(f"control_step={control_step!r} is not a positive multiple "
                          f"of the grid step {step!r}")
     n_half = 2 ** m

@@ -11,6 +11,10 @@ grid, so the balance equations are exact:
     augmented       stationary block for gamma, plus
                     xi_1(y') - sum P(y'|y,u) xi(y,u) + gamma_1(y') = 1{y'=y0}
 
+With E the pair-to-state marginal block and B = E - decay P^T the balance
+block, the matrices are [B; 1'] (decay 1), B (decay 1-eps) and
+[[B, 0], [1', 0], [E, B]] (decay 1).
+
 Every program is solved by scipy's HiGHS on a sparse matrix, and its primal
 and dual are accepted only after lp_core's five optimality conditions hold.
 Dual sign conventions are fixed so the certificate satisfies the inequality
@@ -108,13 +112,24 @@ class ProgramResult:
         return doc
 
 
-def _solve_equalities(c, rows, cols, vals, b, n_cols, context):
-    """min c'x, sum of triplet entries x = b, x >= 0; returns (x, y, objective).
+def _balance_blocks(model, decay):
+    """The pair-to-state marginal block E (n_states x n_pairs, a 1 at each
+    pair's state) and the balance block B = E - decay P^T, whose rows are
+    "state marginal minus decay times pushed mass"."""
+    n_pairs = model.n_pairs
+    # CSC like P^T: column p holds its single 1 at row pair_state[p]
+    E = sparse.csc_matrix((np.ones(n_pairs), model.pair_state, np.arange(n_pairs + 1)),
+                          shape=(model.n_states, n_pairs))
+    return E, E - decay * transition(model).P.T
 
-    HiGHS solves the LP on a sparse matrix; its primal x and duals y
-    (c - A'y >= 0 at the optimum) must pass lp_core.check_certificate.
+
+def _solve_equalities(c, A, b, context):
+    """min c'x, A x = b, x >= 0 for a sparse A; returns (x, y, objective).
+
+    HiGHS solves the LP; its primal x and duals y (c - A'y >= 0 at the
+    optimum) must pass lp_core.check_certificate.
     """
-    A = sparse.coo_matrix((vals, (rows, cols)), shape=(len(b), n_cols)).tocsc()
+    A = A.tocsc()
     res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
@@ -125,7 +140,7 @@ def _solve_equalities(c, rows, cols, vals, b, n_cols, context):
     try:
         lp_core.check_certificate(lp_core.LinearProgram(c=c, A=A, b=b), sol)
     except lp_core.LpError as exc:
-        raise SolverError(f"{context}: HiGHS ({A.shape[0]}x{n_cols}): {exc}") from exc
+        raise SolverError(f"{context}: HiGHS ({A.shape[0]}x{A.shape[1]}): {exc}") from exc
     return sol.x, sol.y_dual, sol.objective
 
 
@@ -135,15 +150,13 @@ def stationary_lp(model):
     The returned certificate has psi = 0 (the stationary problem's dual only
     involves eta and the scalar mu).
     """
-    n, n_pairs = model.n_states, model.n_pairs
-    kern = transition(model).P.T.tocoo()  # (state_row, pair_col, prob) entries
-    rows = np.concatenate([model.pair_state, kern.row, np.full(n_pairs, n)])
-    cols = np.concatenate([np.arange(n_pairs), kern.col, np.arange(n_pairs)])
-    vals = np.concatenate([np.ones(n_pairs), -kern.data, np.ones(n_pairs)])
+    n = model.n_states
+    _, B = _balance_blocks(model, 1.0)
     b = np.zeros(n + 1)
     b[n] = 1.0
-    x, y, obj = _solve_equalities(model.pair_cost, rows, cols, vals, b,
-                                  n_pairs, "stationary LP")
+    x, y, obj = _solve_equalities(model.pair_cost,
+                                  sparse.vstack([B, np.ones((1, model.n_pairs))]),
+                                  b, "stationary LP")
     cert = DualCertificate(mu=float(y[n]), psi=np.zeros(n), eta=np.array(y[:n]))
     _require_certificate(cert, model, 0, None, "stationary LP")
     return ProgramResult(optimal_value=obj, gamma=GMeasure(x), xi=None, dual=cert)
@@ -153,15 +166,11 @@ def discounted_stationary_lp(model, eps, y0):
     """min int k dgamma over W(eps, y0); the value equals the DP oracle h_eps(y0)."""
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps={eps!r} outside (0, 1)")
-    n, n_pairs = model.n_states, model.n_pairs
-    kern = transition(model).P.T.tocoo()
-    rows = np.concatenate([model.pair_state, kern.row])
-    cols = np.concatenate([np.arange(n_pairs), kern.col])
-    vals = np.concatenate([np.ones(n_pairs), -(1.0 - eps) * kern.data])
-    b = np.zeros(n)
+    _, B = _balance_blocks(model, 1.0 - eps)
+    b = np.zeros(model.n_states)
     b[y0] = eps
-    x, _, obj = _solve_equalities(model.pair_cost, rows, cols, vals, b,
-                                  n_pairs, f"discounted LP (eps={eps}, y0={y0})")
+    x, _, obj = _solve_equalities(model.pair_cost, B, b,
+                                  f"discounted LP (eps={eps}, y0={y0})")
     return ProgramResult(optimal_value=obj, gamma=GMeasure(x), xi=None, dual=None)
 
 
@@ -182,30 +191,14 @@ def augmented_lp(model, y0, theta=None):
                              f"({n_pairs}), got shape {theta_pair.shape}")
         if theta_pair.min(initial=0.0) < 0 or not np.all(np.isfinite(theta_pair)):
             raise ValueError("theta must be nonnegative and bounded")
-    kern = transition(model).P.T.tocoo()
-    arange = np.arange(n_pairs)
-    rows = np.concatenate([
-        model.pair_state, kern.row, np.full(n_pairs, n),     # gamma block
-        n + 1 + model.pair_state, n + 1 + kern.row,          # xi block
-        n + 1 + model.pair_state,                            # gamma marginal in xi block
-    ])
-    cols = np.concatenate([
-        arange, kern.col, arange,
-        n_pairs + arange, n_pairs + kern.col,
-        arange,
-    ])
-    vals = np.concatenate([
-        np.ones(n_pairs), -kern.data, np.ones(n_pairs),
-        np.ones(n_pairs), -kern.data,
-        np.ones(n_pairs),
-    ])
+    E, B = _balance_blocks(model, 1.0)
+    A = sparse.bmat([[B, None], [np.ones((1, n_pairs)), None], [E, B]])
     b = np.zeros(2 * n + 1)
     b[n] = 1.0
     b[n + 1 + y0] = 1.0
     c = np.concatenate([model.pair_cost,
                         np.zeros(n_pairs) if theta_pair is None else theta_pair])
-    x, y, obj = _solve_equalities(c, rows, cols, vals, b, 2 * n_pairs,
-                                  f"augmented LP (y0={y0})")
+    x, y, obj = _solve_equalities(c, A, b, f"augmented LP (y0={y0})")
     eta = np.array(y[:n])
     psi = np.array(y[n + 1:])
     cert = DualCertificate(mu=float(y[n] + psi[y0]), psi=psi, eta=eta)
@@ -227,6 +220,13 @@ def _marginal(model, weights):
     return out
 
 
+def _measure_weights(model, measure, name):
+    w = np.asarray(measure.weights if isinstance(measure, GMeasure) else measure, dtype=float)
+    if w.shape != (model.n_pairs,):
+        raise ValueError(f"{name} has {w.shape} weights, model has {model.n_pairs} pairs")
+    return w
+
+
 def membership_residuals(model, gamma, kind, eps=None, y0=None, xi=None):
     """Max-norm residual of the balance equations defining W, W(eps,y0) or
     Omega(y0); 0 within tolerance means membership.
@@ -234,9 +234,7 @@ def membership_residuals(model, gamma, kind, eps=None, y0=None, xi=None):
     For the probability sets the mass defect |total-1| is included in the
     max.  For Omega both constraint blocks are evaluated (pass xi).
     """
-    w = np.asarray(gamma.weights if isinstance(gamma, GMeasure) else gamma, dtype=float)
-    if w.shape != (model.n_pairs,):
-        raise ValueError(f"measure has {w.shape} weights, model has {model.n_pairs} pairs")
+    w = _measure_weights(model, gamma, "measure")
     tensor = transition(model)
     marg = _marginal(model, w)
     pushed = tensor.push(w)
@@ -252,9 +250,7 @@ def membership_residuals(model, gamma, kind, eps=None, y0=None, xi=None):
     if kind == "Omega":
         if xi is None or y0 is None:
             raise ValueError("Omega needs xi and y0")
-        wx = np.asarray(xi.weights if isinstance(xi, GMeasure) else xi, dtype=float)
-        if wx.shape != (model.n_pairs,):
-            raise ValueError(f"xi has {wx.shape} weights, model has {model.n_pairs} pairs")
+        wx = _measure_weights(model, xi, "xi")
         r2 = _marginal(model, wx) - tensor.push(wx) + marg
         r2[y0] -= 1.0
         return float(max(np.max(np.abs(marg - pushed)), np.max(np.abs(r2)), mass_defect))

@@ -205,6 +205,64 @@ def test_dense_simplex_failure_exits_as_solver_error(capsys, monkeypatch):
     assert "augmented LP" in err and "iteration limit" in err
 
 
+SOLVER_FAILURE_ARGV = {
+    "ergodic": ("ergodic", "--builtin", "example2", "--m", "3", "--T", "1,10", "--eps", "0.5"),
+    "policy": ("policy", "--builtin", "example2", "--m", "3", "--y0", "-0.5"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SOLVER_FAILURE_ARGV))
+def test_solver_failure_exits_3_from_every_command(capsys, monkeypatch, command):
+    def fail(*args, **kwargs):
+        return OptimizeResult(status=1, success=False, x=None,
+                              message="HiGHS stopped at its iteration limit")
+
+    monkeypatch.setattr(programs, "linprog", fail)
+    code, out, err = run(capsys, *SOLVER_FAILURE_ARGV[command])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("solver error:") and "iteration limit" in err
+
+
+def test_bounds_refuses_horizon_below_one(capsys):
+    code, out, err = run(capsys, "bounds", "--builtin", "example1", "--y0", "0.5",
+                         "--T", "0,5", "--eps", "0.5")
+    assert code == 2
+    assert out == "" and err.startswith("input error:")
+
+
+def test_ergodic_refuses_horizon_below_one(capsys):
+    code, out, err = run(capsys, "ergodic", "--builtin", "example1",
+                         "--T", "0,10", "--eps", "0.5")
+    assert code == 2
+    assert out == "" and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("window", [("100", "50"), ("-1", "50")])
+def test_policy_refuses_empty_certification_window(capsys, window):
+    t0, t_max = window
+    code, out, err = run(capsys, "policy", "--builtin", "example2", "--m", "5",
+                         "--y0", "0.5", "--T0", t0, "--t-max", t_max)
+    assert code == 2
+    assert "certified=" not in out
+    assert err.startswith("input error:") and "window" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--y0", "nan"),
+    ("policy", "--y0", "nan"),
+    ("bounds", "--y0", "inf"),
+    ("bounds", "--y0", "0.5", "--control-step", "inf"),
+    ("policy", "--y0", "0.5", "--control-step", "inf"),
+], ids=["bounds_y0_nan", "policy_y0_nan", "bounds_y0_inf",
+        "bounds_control_step_inf", "policy_control_step_inf"])
+def test_builder_refuses_non_finite_input(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--builtin", "example2", "--m", "4",
+                         *argv[1:])
+    assert code == 2
+    assert out == "" and err.startswith("input error:")
+
+
 def test_model_file_builds_transition_once(tmp_path, capsys, monkeypatch):
     calls = []
     build = model_mod.build_transition_tensor

@@ -144,13 +144,18 @@ def test_theta_validation():
 @pytest.mark.parametrize("seed", [8, 9, 10, 11])
 def test_ordering_and_duality_random(seed):
     m = random_model(seed)
-    k_star = stationary_lp(m).optimal_value
+    stat = stationary_lp(m)
+    k_star = stat.optimal_value
+    assert membership_residuals(m, stat.gamma, "W") <= 1e-8
     for y0 in range(m.n_states):
         res = augmented_lp(m, y0)
         assert k_star <= res.optimal_value + 1e-8
         assert res.dual.mu == pytest.approx(res.optimal_value, abs=1e-7)
         v1, v2 = res.dual.violations(m, y0)
         assert max(v1, v2) <= 1e-7
+        assert membership_residuals(m, res.gamma, "Omega", y0=y0, xi=res.xi) <= 1e-8
+        disc = discounted_stationary_lp(m, 0.1, y0)
+        assert membership_residuals(m, disc.gamma, "W_eps", eps=0.1, y0=y0) <= 1e-8
 
 
 @pytest.mark.parametrize("seed", [797, 870, 1328, 1908])
