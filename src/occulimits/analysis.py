@@ -129,6 +129,13 @@ class OptimalityVerdict:
     certificate_violation: float
 
 
+def check_window(T0, t_max):
+    """Refuse an empty certification window T0..t_max with ValueError."""
+    if not 0 <= T0 <= t_max:
+        raise ValueError(f"certification window T0={T0}..t_max={t_max} is empty "
+                         f"or starts before 0")
+
+
 def verify_long_run_optimality(model, plan, dual, y0, T0, t_max, tol):
     """Check the sufficient optimality conditions for a plan along its law.
 
@@ -139,11 +146,11 @@ def verify_long_run_optimality(model, plan, dual, y0, T0, t_max, tol):
         |k(y,u) + (psi(y0) - psi(y)) + E[eta(f(y,u,s))] - eta(y) - mu| <= tol
 
     and the psi-stationarity |E[psi(y(t))] - psi(y0)| <= tol.  The window
-    must be nonempty: 0 <= T0 <= t_max, else ValueError.
+    must be nonempty: 0 <= T0 <= t_max, else ValueError.  A staged plan must
+    cover every stage 0..t_max (Plan.pair_weights raises ValueError for a
+    shorter one); unlike prg_detect, this check does not cycle it.
     """
-    if not 0 <= T0 <= t_max:
-        raise ValueError(f"certification window T0={T0}..t_max={t_max} is empty "
-                         f"or starts before 0")
+    check_window(T0, t_max)
     v1, v2 = dual.violations(model, y0)
     if max(v1, v2) > tol:
         raise CertificateError(f"certificate inequalities violated by "
@@ -159,7 +166,7 @@ def verify_long_run_optimality(model, plan, dual, y0, T0, t_max, tol):
     for t in range(T0, t_max + 1):
         expected_psi = float(path.mu[t] @ dual.psi)
         worst2 = max(worst2, abs(expected_psi - dual.psi[y0]))
-        w = plan.pair_weights(model, t % plan.n_stages)
+        w = plan.pair_weights(model, t)
         mass = path.mu[t][s] * w
         on = mass > tol
         if on.any():

@@ -143,6 +143,7 @@ def cmd_ergodic(args):
 
 
 def cmd_policy(args):
+    analysis.check_window(args.T0, args.t_max)
     mdl = _build_model(args)
     y0 = _pick_y0(mdl, args)
     aug = programs.augmented_lp(mdl, y0)

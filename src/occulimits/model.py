@@ -4,12 +4,13 @@ A model describes the recursion y(t+1) = f(y(t), u(t), s(t)) on a finite state
 list with per-state finite control lists and finite-support i.i.d. noise.  The
 transition law P(y'|y,u) is obtained by summing noise-atom probabilities over
 atoms mapping (y,u) to y'.  Models loaded from files may instead carry the
-transition rows directly (kernel mode).
+transition rows directly (kernel mode).  A model is immutable: its per-pair
+arrays and its law are compiled once, when it is constructed.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -38,51 +39,89 @@ class NoiseAtom:
     prob: float
 
 
-@dataclass
 class FiniteModel:
-    """Finite model of a controlled stochastic recursion.
+    """Immutable finite model of a controlled stochastic recursion.
+
+    The constructor compiles everything once into read-only arrays over the
+    admissible pairs (y, u), numbered state by state, and builds the
+    transition law that transition(model) returns.  Assigning any attribute
+    raises.
 
     Attributes:
-        states: ordered list of StatePoint.
-        controls: per-state ordered list of control value tuples.
-        noise: list of NoiseAtom (empty in kernel mode).
-        dynamics: map (state index, local control index, noise id) -> state
-            index, complete over admissible triples; None in kernel mode.
-        cost: map (state index, local control index) -> cost value; compiled
-            into a per-pair array.
-        transition_rows: per-pair dense probability rows, only in kernel mode.
+        states: tuple of StatePoint.
+        controls: per-state tuples of control value tuples.
+        noise: tuple of NoiseAtom (empty in kernel mode).
         initial_index: optional distinguished initial state (builders set it).
+        pair_state, pair_local: state and local control index of every pair.
+        state_pair_start: first pair of every state, then n_pairs.
+        pair_cost: k(y, u) of every pair.
+
+    FiniteModel(...) takes the dict tables of model files and the suite:
+    dynamics maps (state, local control, noise id) -> next state over exactly
+    the admissible triples (None in kernel mode), cost maps (state, local
+    control) -> k, and transition_rows holds the dense per-pair rows of a
+    kernel-mode model.  The builders enter through from_arrays.
     """
 
-    states: list
-    controls: list
-    noise: list
-    dynamics: dict | None
-    cost: dict
-    transition_rows: np.ndarray | None = None
-    initial_index: int | None = None
+    def __init__(self, states, controls, noise, dynamics, cost,
+                 transition_rows=None, initial_index=None):
+        pairs = [(i, l) for i, cs in enumerate(controls) for l in range(len(cs))]
+        try:
+            pair_cost = [cost[key] for key in pairs]
+        except KeyError as exc:
+            raise ModelError(f"cost missing for (state, control) = {exc.args[0]}") from exc
+        next_idx = kernel = None
+        if transition_rows is not None:
+            rows = np.asarray(transition_rows, dtype=float)
+            if rows.shape != (len(pairs), len(states)):
+                raise ModelError(f"transition rows have shape {rows.shape}, "
+                                 f"expected {(len(pairs), len(states))}")
+            kernel = sparse.csr_matrix(rows)
+        else:
+            next_idx = np.zeros((len(pairs), len(noise)), dtype=np.int64)
+            for p, (i, l) in enumerate(pairs):
+                for a, atom in enumerate(noise):
+                    nxt = dynamics.get((i, l, atom.id))
+                    if nxt is None or not 0 <= nxt < len(states):
+                        what = "missing" if nxt is None else f"image {nxt} outside state list"
+                        raise ModelError(f"dynamics {what} for (state={i}, control={l}, "
+                                         f"noise={atom.id})")
+                    next_idx[p, a] = nxt
+            if len(dynamics) > len(pairs) * len({atom.id for atom in noise}):
+                raise ModelError("dynamics has entries outside the admissible triples")
+        self._compile(states, controls, noise, pair_cost, next_idx, kernel, initial_index)
 
-    # compiled pair arrays, built once in __post_init__
-    pair_state: np.ndarray = field(init=False, repr=False)
-    pair_local: np.ndarray = field(init=False, repr=False)
-    pair_cost: np.ndarray = field(init=False, repr=False)
-    state_pair_start: np.ndarray = field(init=False, repr=False)
+    @classmethod
+    def from_arrays(cls, states, controls, noise, pair_cost, next_idx, initial_index=None):
+        """Model from compiled arrays: the cost of every pair and next_idx, the
+        (n_pairs, n_atoms) state index of every pair's image under every atom."""
+        model = cls.__new__(cls)
+        model._compile(states, controls, noise, pair_cost, next_idx, None, initial_index)
+        return model
 
-    def __post_init__(self):
-        n_states = len(self.states)
-        starts = np.zeros(n_states + 1, dtype=np.int64)
-        for i in range(n_states):
-            starts[i + 1] = starts[i] + len(self.controls[i])
-        self.state_pair_start = starts
-        n_pairs = int(starts[-1])
-        self.pair_state = np.repeat(np.arange(n_states), [len(cs) for cs in self.controls])
-        self.pair_local = np.concatenate(
-            [np.arange(len(cs)) for cs in self.controls]
-        ) if n_pairs else np.zeros(0, dtype=np.int64)
-        cost = np.zeros(n_pairs)
-        for p in range(n_pairs):
-            cost[p] = self.cost[(int(self.pair_state[p]), int(self.pair_local[p]))]
-        self.pair_cost = cost
+    def _compile(self, states, controls, noise, pair_cost, next_idx, kernel, initial_index):
+        sizes = np.array([len(cs) for cs in controls], dtype=np.int64)
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        pair_state = np.repeat(np.arange(len(states)), sizes)
+        fields = {"states": tuple(states), "controls": tuple(map(tuple, controls)),
+                  "noise": tuple(noise), "initial_index": initial_index,
+                  "state_pair_start": starts, "pair_state": pair_state,
+                  "pair_local": np.arange(starts[-1]) - starts[pair_state],
+                  "pair_cost": np.array(pair_cost, dtype=float),
+                  # the law's inputs, read by build_transition_tensor
+                  "_next_idx": None if next_idx is None else np.array(next_idx, dtype=np.int64),
+                  "_kernel": kernel}
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_transition", build_transition_tensor(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FiniteModel is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FiniteModel is immutable: cannot delete {name!r}")
 
     @property
     def n_states(self):
@@ -115,9 +154,9 @@ class FiniteModel:
 
 
 class TransitionTensor:
-    """Transition law P(y'|y,u) of every admissible pair, held as one sparse
-    CSR matrix P of shape (n_pairs, n_states) and read the same way for both
-    model kinds.
+    """Transition law P(y'|y,u) of every admissible pair, held as one
+    read-only sparse CSR matrix P of shape (n_pairs, n_states) and read the
+    same way for both model kinds.
 
     Dynamics models also keep next_idx, the (n_pairs, n_atoms) image of every
     pair under every noise atom; kernel-row models have next_idx None.
@@ -140,13 +179,6 @@ class TransitionTensor:
         """Dense probability row of pair p over states."""
         return self.P[p].toarray().ravel()
 
-    def row_sums(self):
-        return np.asarray(self.P.sum(axis=1)).ravel()
-
-    def min_entry(self):
-        """Smallest entry of P, implicit zeros included."""
-        return float(self.P.min()) if self.P.shape[0] else 0.0
-
     def plan_matrix(self, pair_weights):
         """Sparse (n_states, n_states) law P_pi(y'|y) = sum_u pi(u|y) P(y'|y,u)
         of a stationary plan with per-pair weights pi(u|y)."""
@@ -158,47 +190,25 @@ class TransitionTensor:
 
 
 def build_transition_tensor(model):
-    """Build P(y'|y,u) = sum over noise atoms s with f(y,u,s)=y' of prob(s),
-    or read it from the kernel rows of a kernel-mode model.
-
-    Raises ModelError naming the offending (state, control, noise) triple when
-    the dynamics map leaves the state list.
-    """
-    if model.transition_rows is not None:
-        return TransitionTensor(model, sparse.csr_matrix(
-            np.asarray(model.transition_rows, dtype=float)))
-    n_pairs = model.n_pairs
-    n_atoms = len(model.noise)
-    next_idx = np.zeros((n_pairs, n_atoms), dtype=np.int64)
-    for p in range(n_pairs):
-        s = int(model.pair_state[p])
-        l = int(model.pair_local[p])
-        for a, atom in enumerate(model.noise):
-            key = (s, l, atom.id)
-            if key not in model.dynamics:
-                raise ModelError(f"dynamics missing for (state={s}, control={l}, noise={atom.id})")
-            nxt = model.dynamics[key]
-            if not (0 <= nxt < model.n_states):
-                raise ModelError(
-                    f"dynamics image {nxt} outside state list for "
-                    f"(state={s}, control={l}, noise={atom.id})"
-                )
-            next_idx[p, a] = nxt
-    probs = np.array([atom.prob for atom in model.noise])
-    # atoms sharing an image are summed into one entry
-    P = sparse.csr_matrix((np.tile(probs, n_pairs),
-                           (np.repeat(np.arange(n_pairs), n_atoms), next_idx.ravel())),
-                          shape=(n_pairs, model.n_states))
+    """Build P(y'|y,u) = sum over noise atoms s with f(y,u,s)=y' of prob(s)
+    from the model's image table, or take a kernel-mode model's rows; the
+    model constructor calls this once."""
+    P, next_idx = model._kernel, model._next_idx
+    if P is None:
+        n_pairs, n_atoms = next_idx.shape
+        probs = np.array([atom.prob for atom in model.noise])
+        # atoms sharing an image are summed into one entry
+        P = sparse.csr_matrix((np.tile(probs, n_pairs),
+                               (np.repeat(np.arange(n_pairs), n_atoms), next_idx.ravel())),
+                              shape=(n_pairs, model.n_states))
+    for part in (P.data, P.indices, P.indptr):
+        part.flags.writeable = False
     return TransitionTensor(model, P, next_idx)
 
 
 def transition(model):
-    """Memoized TransitionTensor of a model (built on first use)."""
-    tensor = getattr(model, "_tensor", None)
-    if tensor is None:
-        tensor = build_transition_tensor(model)
-        model._tensor = tensor
-    return tensor
+    """The TransitionTensor of a model, built with the model."""
+    return model._transition
 
 
 def validate(model):
@@ -221,7 +231,8 @@ def validate(model):
     for i, cs in enumerate(model.controls):
         if len(cs) == 0:
             report.append(f"empty U(y) at state {i}")
-    if model.transition_rows is None:
+    tensor = transition(model)
+    if tensor.next_idx is not None:
         total = sum(a.prob for a in model.noise)
         if abs(total - 1.0) > NOISE_NORMALIZATION_TOL:
             report.append(f"noise not normalized (sum={total!r})")
@@ -230,26 +241,14 @@ def validate(model):
                 report.append(f"noise atom {a.id} has probability {a.prob!r} outside (0,1]")
         if len({a.id for a in model.noise}) != len(model.noise):
             report.append("noise atom ids are not unique")
-        try:
-            transition(model)
-        except ModelError as exc:
-            report.append(str(exc))
-        else:
-            if len(model.dynamics) > model.n_pairs * len(model.noise):
-                report.append("dynamics has entries outside the admissible triples")
+    elif not np.all(np.isfinite(tensor.P.data)):
+        report.append("transition rows contain non-finite entries")
     else:
-        rows = np.asarray(model.transition_rows, dtype=float)
-        if rows.shape != (model.n_pairs, model.n_states):
-            report.append(f"transition rows have shape {rows.shape}, "
-                          f"expected {(model.n_pairs, model.n_states)}")
-        elif not np.all(np.isfinite(rows)):
-            report.append("transition rows contain non-finite entries")
-        else:
-            if rows.min(initial=0.0) < 0:
-                report.append("transition rows contain negative entries")
-            bad = np.abs(rows.sum(axis=1) - 1.0) > ROW_SUM_TOL
-            if bad.any():
-                report.append(f"{int(bad.sum())} transition rows do not sum to 1")
+        if tensor.P.data.min(initial=0.0) < 0:
+            report.append("transition rows contain negative entries")
+        bad = np.abs(np.asarray(tensor.P.sum(axis=1)).ravel() - 1.0) > ROW_SUM_TOL
+        if bad.any():
+            report.append(f"{int(bad.sum())} transition rows do not sum to 1")
     if model.n_pairs and not np.all(np.isfinite(model.pair_cost)):
         report.append("cost table has non-finite entries")
     return report
@@ -260,25 +259,22 @@ def validate(model):
 # ---------------------------------------------------------------------------
 
 def _sign_flip_model(values, initial_index=None):
-    """Recursion y(t+1) = y(t)u(t)s(t) on a sign-symmetric value list.
+    """Recursion y(t+1) = y(t)u(t)s(t) on an ascending sign-symmetric value list.
 
     Controls are {-1, +1} at every state, the noise takes s=+1 with
     probability 3/4 and s=-1 with probability 1/4, and the cost is k(y,u) = y.
     The list is closed under the recursion, so no snapping is involved.
     """
-    states = [StatePoint((v,), i) for i, v in enumerate(values)]
-    controls = [[(-1.0,), (1.0,)] for _ in values]
-    noise = [NoiseAtom(0, 0.75), NoiseAtom(1, 0.25)]  # s=+1, s=-1
-    s_vals = {0: 1.0, 1: -1.0}
-    dynamics = {}
-    cost = {}
-    for i, y in enumerate(values):
-        for l, (u,) in enumerate(controls[i]):
-            cost[(i, l)] = y
-            for atom in noise:
-                dynamics[(i, l, atom.id)] = values.index(y * u * s_vals[atom.id])
-    return FiniteModel(states=states, controls=controls, noise=noise,
-                       dynamics=dynamics, cost=cost, initial_index=initial_index)
+    y = np.array(values)
+    pair_state = np.repeat(np.arange(len(values)), 2)
+    # (y u) s for u = -1, +1 per state and s = +1, -1 per atom
+    images = (y[pair_state] * np.tile([-1.0, 1.0], len(values)))[:, None] * [1.0, -1.0]
+    return FiniteModel.from_arrays(
+        states=[StatePoint((v,), i) for i, v in enumerate(values)],
+        controls=[((-1.0,), (1.0,))] * len(values),
+        noise=[NoiseAtom(0, 0.75), NoiseAtom(1, 0.25)],  # s=+1, s=-1
+        pair_cost=y[pair_state], next_idx=np.searchsorted(y, images),
+        initial_index=initial_index)
 
 
 def example1_model(y0):
@@ -304,33 +300,18 @@ def example1_family_model(y0s):
     return _sign_flip_model(sorted({v for m in mags for v in (-m, m)}))
 
 
-def _snap_dyadic(value, step):
-    """Snap to the nearest multiple of step, ties toward 0, preserving sign.
-
-    A strictly positive value never snaps to 0 or below (it floors at +step),
-    and symmetrically for negative values; this keeps the positive and
-    negative orbits of the recursion y(t+1) = u(t)s(t) from crossing through
-    the origin, as in the continuum.
-    """
-    if value == 0.0:
-        return 0.0
-    mag = abs(value) / step
-    k = math.floor(mag + 0.5)
-    if k - mag == 0.5:  # exact tie, round toward 0
-        k -= 1
-    if k == 0:
-        k = 1
-    return math.copysign(k * step, value)
-
-
 def example2_model(m, control_step=None):
     """Dyadic-grid model of y(t+1) = u(t)s(t) with U(y) = [-1,y] / [y,1].
 
     States are the multiples of 2^-m in [-1, 1].  Each state's control grid
     discretizes its admissible interval with spacing control_step (a multiple
     of the grid step) and always contains the interval endpoints and the point
-    y itself.  Noise: s=1 w.p. 1/2, s=1/4 w.p. 1/2.  Cost k(y,u) = y.  Images
-    u*s are snapped to the grid sign-preservingly with ties toward 0.
+    y itself.  Noise: s=1 w.p. 1/2, s=1/4 w.p. 1/2.  Cost k(y,u) = y.
+
+    Images u*s snap to the nearest grid point, ties toward 0, preserving sign:
+    a strictly positive image never snaps to 0 or below (it floors at +step),
+    and symmetrically for negative ones, so the positive and negative orbits
+    of the recursion cannot cross through the origin, as in the continuum.
     """
     if m < 2:
         raise ModelError(f"grid exponent m={m} must be >= 2")
@@ -343,35 +324,34 @@ def example2_model(m, control_step=None):
         raise ModelError(f"control_step={control_step!r} is not a positive multiple "
                          f"of the grid step {step!r}")
     n_half = 2 ** m
-    values = [i * step for i in range(-n_half, n_half + 1)]
-    index_of = {v: i for i, v in enumerate(values)}
-    states = [StatePoint((v,), i) for i, v in enumerate(values)]
-
-    def control_list(y):
-        if y < 0:
-            lo, hi = -1.0, y
-        elif y > 0:
-            lo, hi = y, 1.0
-        else:
-            lo, hi = -1.0, 1.0
-        k_lo = math.ceil(lo / control_step - 1e-12)
-        k_hi = math.floor(hi / control_step + 1e-12)
-        us = {k * control_step for k in range(k_lo, k_hi + 1)}
-        us.update((lo, hi, y))
-        return [(u,) for u in sorted(us)]
-
-    controls = [control_list(v) for v in values]
-    noise = [NoiseAtom(0, 0.5), NoiseAtom(1, 0.5)]  # s=1, s=1/4
-    s_vals = {0: 1.0, 1: 0.25}
-    dynamics = {}
-    cost = {}
-    for i, y in enumerate(values):
-        for l, (u,) in enumerate(controls[i]):
-            cost[(i, l)] = y
-            for atom in noise:
-                dynamics[(i, l, atom.id)] = index_of[_snap_dyadic(u * s_vals[atom.id], step)]
-    return FiniteModel(states=states, controls=controls, noise=noise,
-                       dynamics=dynamics, cost=cost)
+    n_states = 2 * n_half + 1
+    values = np.arange(-n_half, n_half + 1) * step
+    lo = np.where(values > 0, values, -1.0)
+    hi = np.where(values < 0, values, 1.0)
+    # candidate controls: the multiples of control_step in [lo, hi], then
+    # lo, hi and y; sorted and deduplicated within each state
+    k_lo = np.ceil(lo / control_step - 1e-12).astype(np.int64)
+    counts = np.floor(hi / control_step + 1e-12).astype(np.int64) - k_lo + 1
+    owner = np.repeat(np.arange(n_states), counts)
+    k = k_lo[owner] + np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    state = np.concatenate([owner, np.tile(np.arange(n_states), 3)])
+    u = np.concatenate([k * control_step, lo, hi, values])
+    order = np.lexsort((u, state))
+    state, u = state[order], u[order]
+    fresh = np.ones(len(u), dtype=bool)
+    fresh[1:] = (state[1:] != state[:-1]) | (u[1:] != u[:-1])
+    pair_state, u = state[fresh], u[fresh]
+    images = u[:, None] * [1.0, 0.25]  # s=1, s=1/4
+    mag = np.abs(images) / step
+    k = np.floor(mag + 0.5)
+    k -= k - mag == 0.5
+    cuts = np.flatnonzero(np.diff(pair_state)) + 1
+    return FiniteModel.from_arrays(
+        states=[StatePoint((v,), i) for i, v in enumerate(values.tolist())],
+        controls=[list(zip(chunk.tolist())) for chunk in np.split(u, cuts)],
+        noise=[NoiseAtom(0, 0.5), NoiseAtom(1, 0.5)],
+        pair_cost=values[pair_state],
+        next_idx=n_half + np.sign(images) * np.maximum(k, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +370,14 @@ def _index(value):
 
 
 def _number(value):
-    """A JSON number as a float, never a bool or string."""
+    """A JSON number as a float, never a bool, a string or an integer beyond
+    the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def load_model(path):
@@ -408,7 +392,7 @@ def load_model(path):
             doc = json.load(fh)
     except OSError as exc:
         raise ModelError(f"cannot read model file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an over-long integer literal
         raise ModelError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError("top-level value must be an object")
@@ -522,25 +506,24 @@ def load_model(path):
 
 def save_model(model, path):
     """Write a FiniteModel back out in the JSON schema accepted by load_model."""
+    tensor = transition(model)
+    pairs = list(zip(model.pair_state.tolist(), model.pair_local.tolist()))
     doc = {
         "states": [list(sp.coords) for sp in model.states],
         "controls": _controls_doc(model),
-        "cost": [{"state": i, "control": l, "value": model.cost[(i, l)]}
-                 for i in range(model.n_states) for l in range(len(model.controls[i]))],
+        "cost": [{"state": i, "control": l, "value": c}
+                 for (i, l), c in zip(pairs, model.pair_cost.tolist())],
     }
-    if model.transition_rows is not None:
-        tens = []
-        p = 0
-        for i in range(model.n_states):
-            tens.append([list(map(float, model.transition_rows[p + l]))
-                         for l in range(len(model.controls[i]))])
-            p += len(model.controls[i])
-        doc["transition"] = tens
+    if tensor.next_idx is None:
+        rows = iter(tensor.P.toarray().tolist())
+        doc["transition"] = [[next(rows) for _ in cs] for cs in model.controls]
     else:
+        ids = [a.id for a in model.noise]
         doc["noise"] = [{"id": a.id, "prob": a.prob} for a in model.noise]
         doc["dynamics"] = [
-            {"state": s, "control": l, "noise_id": a, "next_state": nxt}
-            for (s, l, a), nxt in sorted(model.dynamics.items())
+            {"state": i, "control": l, "noise_id": a, "next_state": nxt}
+            for (i, l), row in zip(pairs, tensor.next_idx.tolist())
+            for a, nxt in zip(ids, row)
         ]
     if model.initial_index is not None:
         doc["initial_state"] = model.initial_index

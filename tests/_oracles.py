@@ -5,13 +5,97 @@ enumeration for LPs, deterministic-policy enumeration with per-class
 stationary distributions for the stationary LP value, exhaustive
 noise-sequence expansion for short-horizon plan values, value iteration for
 h_eps, and the truncated geometric series for discounted occupations.
+The reference models rebuild the two examples pair by pair through the dict
+tables, as the vectorized builders must reproduce bit for bit.
 """
 
+import math
 from itertools import combinations, product
 
 import numpy as np
 
-from occulimits.model import transition
+from occulimits.model import FiniteModel, NoiseAtom, StatePoint, transition
+
+
+def with_cost(model, pair_cost):
+    """The dynamics model with its per-pair cost replaced."""
+    return FiniteModel.from_arrays(model.states, model.controls, model.noise, pair_cost,
+                                   transition(model).next_idx, model.initial_index)
+
+
+def _reference_sign_flip_model(values, initial_index=None):
+    states = [StatePoint((v,), i) for i, v in enumerate(values)]
+    controls = [[(-1.0,), (1.0,)] for _ in values]
+    noise = [NoiseAtom(0, 0.75), NoiseAtom(1, 0.25)]  # s=+1, s=-1
+    s_vals = {0: 1.0, 1: -1.0}
+    dynamics = {}
+    cost = {}
+    for i, y in enumerate(values):
+        for l, (u,) in enumerate(controls[i]):
+            cost[(i, l)] = y
+            for atom in noise:
+                dynamics[(i, l, atom.id)] = values.index(y * u * s_vals[atom.id])
+    return FiniteModel(states=states, controls=controls, noise=noise,
+                       dynamics=dynamics, cost=cost, initial_index=initial_index)
+
+
+def reference_example1_model(y0):
+    values = [-abs(y0), abs(y0)]
+    return _reference_sign_flip_model(values, initial_index=values.index(y0))
+
+
+def reference_example1_family_model(y0s):
+    mags = sorted({abs(y) for y in y0s})
+    return _reference_sign_flip_model(sorted({v for m in mags for v in (-m, m)}))
+
+
+def _snap_dyadic(value, step):
+    """Nearest multiple of step, ties toward 0, never onto or across 0."""
+    if value == 0.0:
+        return 0.0
+    mag = abs(value) / step
+    k = math.floor(mag + 0.5)
+    if k - mag == 0.5:  # exact tie, round toward 0
+        k -= 1
+    if k == 0:
+        k = 1
+    return math.copysign(k * step, value)
+
+
+def reference_example2_model(m, control_step=None):
+    step = 2.0 ** (-m)
+    if control_step is None:
+        control_step = step
+    n_half = 2 ** m
+    values = [i * step for i in range(-n_half, n_half + 1)]
+    index_of = {v: i for i, v in enumerate(values)}
+    states = [StatePoint((v,), i) for i, v in enumerate(values)]
+
+    def control_list(y):
+        if y < 0:
+            lo, hi = -1.0, y
+        elif y > 0:
+            lo, hi = y, 1.0
+        else:
+            lo, hi = -1.0, 1.0
+        k_lo = math.ceil(lo / control_step - 1e-12)
+        k_hi = math.floor(hi / control_step + 1e-12)
+        us = {k * control_step for k in range(k_lo, k_hi + 1)}
+        us.update((lo, hi, y))
+        return [(u,) for u in sorted(us)]
+
+    controls = [control_list(v) for v in values]
+    noise = [NoiseAtom(0, 0.5), NoiseAtom(1, 0.5)]  # s=1, s=1/4
+    s_vals = {0: 1.0, 1: 0.25}
+    dynamics = {}
+    cost = {}
+    for i, y in enumerate(values):
+        for l, (u,) in enumerate(controls[i]):
+            cost[(i, l)] = y
+            for atom in noise:
+                dynamics[(i, l, atom.id)] = index_of[_snap_dyadic(u * s_vals[atom.id], step)]
+    return FiniteModel(states=states, controls=controls, noise=noise,
+                       dynamics=dynamics, cost=cost)
 
 
 def bfs_enumeration_optimum(c, A, b, feas_tol=1e-9):

@@ -4,10 +4,12 @@ import pytest
 from occulimits.analysis import (CertificateError, abel_window, bounds_report,
                                  cesaro_window, dual_from_expansion,
                                  verify_long_run_optimality)
-from occulimits.dp import Plan
-from occulimits.model import (FiniteModel, example1_model, example2_model)
+from occulimits.dp import Plan, finite_horizon_values
+from occulimits.model import example1_model, example2_model
 from occulimits.programs import DualCertificate, augmented_lp
 from occulimits.suite import random_model
+
+from _oracles import with_cost
 
 
 def test_bounds_report_example1():
@@ -37,10 +39,7 @@ def test_bounds_report_example2_negative():
 
 def test_bounds_report_constant_cost():
     m = random_model(41)
-    for key in m.cost:
-        m.cost[key] = 0.2
-    m = FiniteModel(states=m.states, controls=m.controls, noise=m.noise,
-                    dynamics=m.dynamics, cost=m.cost)
+    m = with_cost(m, np.full(m.n_pairs, 0.2))
     rep = bounds_report(m, 0, [1, 10], [0.5, 0.25])
     assert rep.k_star_y0 == pytest.approx(0.2, abs=1e-8)
     assert rep.d_star_y0 == pytest.approx(0.2, abs=1e-8)
@@ -104,6 +103,17 @@ def test_verify_rejects_invalid_certificate():
         verify_long_run_optimality(m, plan, bad, 1, T0=1, t_max=10, tol=1e-8)
 
 
+@pytest.mark.parametrize("t_max", [3, 10])
+def test_verify_refuses_staged_plan_shorter_than_window(t_max):
+    # the 3-stage plan has no stage t_max: refused, never scored with stage 0's weights
+    m = example1_model(0.5)
+    _, plan = finite_horizon_values(m, 3)
+    dual = augmented_lp(m, m.initial_index).dual
+    with pytest.raises(ValueError, match="shorter"):
+        verify_long_run_optimality(m, plan, dual, m.initial_index,
+                                   T0=1, t_max=t_max, tol=1e-8)
+
+
 def test_dual_from_expansion_example1():
     m = example1_model(0.5)
     out = dual_from_expansion(m, [200, 400])
@@ -123,10 +133,7 @@ def test_dual_from_expansion_example2_step_function():
 
 def test_dual_from_expansion_constant_cost():
     m = random_model(43)
-    for key in m.cost:
-        m.cost[key] = 0.45
-    m = FiniteModel(states=m.states, controls=m.controls, noise=m.noise,
-                    dynamics=m.dynamics, cost=m.cost)
+    m = with_cost(m, np.full(m.n_pairs, 0.45))
     out = dual_from_expansion(m, [64, 128])
     assert np.allclose(out.psi, 0.45, atol=1e-12)
     assert np.allclose(out.eta, 0.0, atol=1e-10)

@@ -1,15 +1,21 @@
+import copy
 import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import OptimizeResult
 
 from occulimits import model as model_mod, programs
 from occulimits.cli import main
-from occulimits.model import ModelError, example1_model, load_model, save_model
+from occulimits.model import (NOISE_NORMALIZATION_TOL, ModelError, example1_model,
+                              load_model, save_model, transition, validate)
 from occulimits.suite import random_model
+
+from _oracles import with_cost
 
 
 def run(capsys, *argv):
@@ -93,7 +99,71 @@ MALFORMED_DOCS = {
     "boolean_cost": {"cost": [{"state": 0, "control": 0, "value": True},
                               {"state": 1, "control": 0, "value": -0.5}]},
     "boolean_noise_prob": {"noise": [{"id": 0, "prob": True}]},
+    "float_overflowing_cost": {"cost": [{"state": 0, "control": 0, "value": 10 ** 400},
+                                        {"state": 1, "control": 0, "value": -0.5}]},
+    "float_overflowing_state": {"states": [[0.0], [-10 ** 400]]},
+    "float_overflowing_noise_prob": {"noise": [{"id": 0, "prob": 10 ** 400}]},
 }
+
+
+def _doc_paths(node, prefix=()):
+    """Every position in a JSON document, as a tuple of keys and indices."""
+    yield prefix
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _doc_paths(child, prefix + (key,))
+
+
+FUZZ_BASES = (_two_state_doc(),
+              _two_state_doc(noise=None, dynamics=None,
+                             transition=[[[0.25, 0.75]], [[1.0, 0.0]]]))
+FUZZ_EDITS = st.one_of(*[st.tuples(st.just(base), st.lists(
+    st.sampled_from(list(_doc_paths(base))), min_size=1, max_size=3)) for base in FUZZ_BASES])
+SCHEMA_KEYS = ("state", "control", "noise_id", "next_state", "value", "id", "prob",
+               "shared", "per_state", "control_values")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.floats() | st.text(max_size=2)
+    | st.integers(-2 ** 1100, 2 ** 1100),  # JSON integers may overflow a float
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=2), inner, max_size=3),
+    max_leaves=6)
+# most edits keep the document near the schema, so valid models come out too
+EDIT_VALUES = st.one_of(st.integers(-1, 3), st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0]),
+                        JSON_VALUES)
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(edits=FUZZ_EDITS, data=st.data())
+def test_load_model_fuzzed_docs(tmp_path_factory, edits, data):
+    base, paths = edits
+    doc = base
+    for path in paths:
+        try:
+            doc = _replaced(doc, path, data.draw(EDIT_VALUES))
+        except (IndexError, KeyError, TypeError):
+            pass  # an earlier edit removed this position
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    try:
+        m = load_model(path)
+    except ModelError:
+        return
+    assert validate(m) == []
+    sums = np.asarray(transition(m).P.sum(axis=1)).ravel()
+    # a dynamics row sums the noise probabilities validate summed, in another order
+    assert np.all(np.abs(sums - 1.0) <= NOISE_NORMALIZATION_TOL + 4 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_DOCS))
@@ -103,6 +173,19 @@ def test_validate_refuses_malformed_model(tmp_path, capsys, case):
     assert load_model(path).n_states == 2
     path.write_text(json.dumps(_two_state_doc(**MALFORMED_DOCS[case])))
     with pytest.raises(ModelError):
+        load_model(path)
+    code, out, err = run(capsys, "validate", "--model", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("invalid:")
+
+
+@pytest.mark.parametrize("text", [b'{"states": [[\xff]]}',
+                                  b'{"states": [[' + b"9" * 5000 + b"]]}"],
+                         ids=["not_utf8", "integer_literal_too_long"])
+def test_validate_refuses_unreadable_text(tmp_path, capsys, text):
+    path = tmp_path / "model.json"
+    path.write_bytes(text)
+    with pytest.raises(ModelError, match="not valid JSON"):
         load_model(path)
     code, out, err = run(capsys, "validate", "--model", str(path))
     assert code == 2
@@ -145,8 +228,7 @@ def test_ergodic_family_deviations_shrink(capsys):
 
 def test_ergodic_constant_cost(tmp_path, capsys):
     m = random_model(3)
-    for key in m.cost:
-        m.cost[key] = 0.1
+    m = with_cost(m, np.full(m.n_pairs, 0.1))
     path = tmp_path / "const.json"
     save_model(m, path)
     code, out, _ = run(capsys, "ergodic", "--model", str(path),
@@ -248,6 +330,17 @@ def test_policy_refuses_empty_certification_window(capsys, window):
     assert err.startswith("input error:") and "window" in err
 
 
+def test_policy_checks_window_before_solving(capsys, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("augmented_lp ran before the window check")
+
+    monkeypatch.setattr(programs, "augmented_lp", solve)
+    code, out, err = run(capsys, "policy", "--builtin", "example2", "--m", "5",
+                         "--y0", "0.5", "--T0", "100", "--t-max", "50")
+    assert code == 2
+    assert out == "" and err.startswith("input error:")
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "--y0", "nan"),
     ("policy", "--y0", "nan"),
@@ -264,6 +357,8 @@ def test_builder_refuses_non_finite_input(capsys, argv):
 
 
 def test_model_file_builds_transition_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "suite.json"
+    save_model(random_model(4), path)
     calls = []
     build = model_mod.build_transition_tensor
 
@@ -272,8 +367,6 @@ def test_model_file_builds_transition_once(tmp_path, capsys, monkeypatch):
         return build(model)
 
     monkeypatch.setattr(model_mod, "build_transition_tensor", counted)
-    path = tmp_path / "suite.json"
-    save_model(random_model(4), path)
     code, _, _ = run(capsys, "bounds", "--model", str(path), "--y0", "0",
                      "--T", "1,10", "--eps", "0.5")
     assert code == 0

@@ -6,20 +6,16 @@ from occulimits import dp
 from occulimits.dp import (Plan, discounted_values, evaluate_plan_average,
                            evaluate_plan_discounted, finite_horizon_values,
                            greedy_feedback_from_eta)
-from occulimits.model import (FiniteModel, NoiseAtom, StatePoint,
-                              example1_model, example2_model, transition)
+from occulimits.model import example1_model, example2_model, transition
 from occulimits.programs import SolverError
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import value_iteration
+from _oracles import value_iteration, with_cost
 
 
 def constant_cost_model(c=0.7):
     m = random_model(11)
-    for key in m.cost:
-        m.cost[key] = c
-    return FiniteModel(states=m.states, controls=m.controls, noise=m.noise,
-                       dynamics=m.dynamics, cost=m.cost)
+    return with_cost(m, np.full(m.n_pairs, c))
 
 
 def test_example1_finite_horizon_closed_form():
@@ -117,7 +113,7 @@ def test_greedy_feedback_zero_eta_is_myopic():
     m = random_model(17)
     plan = greedy_feedback_from_eta(m, np.zeros(m.n_states))
     for i in range(m.n_states):
-        costs = [m.cost[(i, l)] for l in range(len(m.controls[i]))]
+        costs = m.pair_cost[m.state_pair_start[i]:m.state_pair_start[i + 1]]
         assert int(plan.selector[i]) == int(np.argmin(costs))
 
 

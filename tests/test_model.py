@@ -9,6 +9,19 @@ from occulimits.model import (FiniteModel, ModelError, NoiseAtom, StatePoint,
                               load_model, save_model, transition, validate)
 from occulimits.suite import random_model, random_stationary_plan
 
+from _oracles import (reference_example1_family_model, reference_example1_model,
+                      reference_example2_model)
+
+
+def assert_same_arrays(a, b):
+    """Bit-for-bit equal controls, pair costs, images and CSR transition law."""
+    assert a.controls == b.controls
+    ta, tb = transition(a), transition(b)
+    for x, y in ((a.pair_cost, b.pair_cost), (ta.next_idx, tb.next_idx),
+                 (ta.P.indptr, tb.P.indptr), (ta.P.indices, tb.P.indices),
+                 (ta.P.data, tb.P.data)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
 
 def single_state_model():
     return FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[(0.0,)]],
@@ -47,10 +60,10 @@ def test_three_state_rows_match_hand_enumeration():
 
 
 def test_dynamics_out_of_range_names_triple():
-    m = single_state_model()
-    m.dynamics[(0, 0, 0)] = 5
     with pytest.raises(ModelError, match=r"state=0, control=0, noise=0"):
-        build_transition_tensor(m)
+        FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[(0.0,)]],
+                    noise=[NoiseAtom(0, 1.0)], dynamics={(0, 0, 0): 5},
+                    cost={(0, 0): 1.0})
 
 
 def test_validate_example1_clean():
@@ -58,8 +71,9 @@ def test_validate_example1_clean():
 
 
 def test_validate_flags_unnormalized_noise():
-    m = single_state_model()
-    m.noise = [NoiseAtom(0, 0.9)]
+    m = FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[(0.0,)]],
+                    noise=[NoiseAtom(0, 0.9)], dynamics={(0, 0, 0): 0},
+                    cost={(0, 0): 1.0})
     assert any("noise not normalized" in v for v in validate(m))
 
 
@@ -74,8 +88,8 @@ def test_example1_states_and_cost():
     assert [s.coords for s in m.states] == [(-0.5,), (0.5,)]
     assert m.initial_index == 1
     # cost k(y,u) = y at both controls
-    assert m.cost[(0, 0)] == m.cost[(0, 1)] == -0.5
-    assert m.cost[(1, 0)] == m.cost[(1, 1)] == 0.5
+    assert m.pair_cost[m.pair_index(0, 0)] == m.pair_cost[m.pair_index(0, 1)] == -0.5
+    assert m.pair_cost[m.pair_index(1, 0)] == m.pair_cost[m.pair_index(1, 1)] == 0.5
 
     m1 = example1_model(1.0)
     assert [s.coords for s in m1.states] == [(-1.0,), (1.0,)]
@@ -161,9 +175,9 @@ def test_example2_snapping_preserves_sign():
 def test_rows_nonnegative_and_normalized(seed):
     m = random_model(seed)
     tensor = build_transition_tensor(m)
-    sums = tensor.row_sums()
+    sums = np.asarray(tensor.P.sum(axis=1)).ravel()
     assert np.all(np.abs(sums - 1.0) <= 1e-12)
-    assert tensor.min_entry() >= 0.0
+    assert tensor.P.min() >= 0.0
 
 
 def test_load_single_state_file(tmp_path):
@@ -185,8 +199,7 @@ def test_load_example1_roundtrip_matches_builder(tmp_path):
     assert [s.coords for s in loaded.states] == [s.coords for s in built.states]
     assert loaded.controls == built.controls
     assert [(a.id, a.prob) for a in loaded.noise] == [(a.id, a.prob) for a in built.noise]
-    assert loaded.dynamics == built.dynamics
-    assert loaded.cost == built.cost
+    assert_same_arrays(loaded, built)
     assert loaded.initial_index == built.initial_index
 
 
@@ -215,8 +228,9 @@ def test_load_transition_mode(tmp_path):
 def test_plan_matrix_factored_and_kernel_rows_agree(seed):
     m = random_model(seed)
     rows = np.stack([transition(m).row(p) for p in range(m.n_pairs)])
+    cost = dict(zip(zip(m.pair_state.tolist(), m.pair_local.tolist()), m.pair_cost))
     kernel = FiniteModel(states=m.states, controls=m.controls, noise=[],
-                         dynamics=None, cost=m.cost, transition_rows=rows)
+                         dynamics=None, cost=cost, transition_rows=rows)
     w = random_stationary_plan(m, seed, randomized=True).pair_weights(m)
     expected = np.zeros((m.n_states, m.n_states))
     np.add.at(expected, m.pair_state, w[:, None] * rows)
@@ -249,4 +263,58 @@ def test_random_suite_roundtrip(tmp_path):
     loaded = load_model(path)
     assert loaded.n_pairs == m.n_pairs
     assert np.allclose(loaded.pair_cost, m.pair_cost)
-    assert loaded.dynamics == m.dynamics
+    assert_same_arrays(loaded, m)
+
+
+def test_kernel_roundtrip_keeps_rows(tmp_path):
+    rows = np.array([[0.2, 0.8, 0.0], [0.5, 0.25, 0.25], [0.0, 0.0, 1.0]])
+    m = FiniteModel(states=[StatePoint((float(i),), i) for i in range(3)],
+                    controls=[[(0.0,), (1.0,)], [(0.0,)], []], noise=[], dynamics=None,
+                    cost={(0, 0): 0.1, (0, 1): -0.2, (1, 0): 0.3}, transition_rows=rows)
+    path = tmp_path / "kernel.json"
+    save_model(m, path)
+    doc = json.loads(path.read_text())
+    assert doc["transition"] == [rows[:2].tolist(), rows[2:].tolist(), []]
+    assert [row["value"] for row in doc["cost"]] == [0.1, -0.2, 0.3]
+    assert "dynamics" not in doc and "noise" not in doc
+
+
+BUILDER_CASES = {
+    **{f"example2_m{m}_step{m - d}": (example2_model, reference_example2_model,
+                                       (m, 2.0 ** -(m - d)))
+       for m in range(2, 8) for d in (0, 2)},
+    **{f"example1_{y0}": (example1_model, reference_example1_model, (y0,))
+       for y0 in (0.5, -0.25, 1.0)},
+    "example1_family": (example1_family_model, reference_example1_family_model,
+                        ([0.25, 0.5, 1.0],)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILDER_CASES))
+def test_builders_match_dict_reference(case):
+    build, reference, args = BUILDER_CASES[case]
+    built, ref = build(*args), reference(*args)
+    assert [s.coords for s in built.states] == [s.coords for s in ref.states]
+    assert built.initial_index == ref.initial_index
+    assert [(a.id, a.prob) for a in built.noise] == [(a.id, a.prob) for a in ref.noise]
+    assert_same_arrays(built, ref)
+
+
+MODEL_FIELDS = ("states", "controls", "noise", "initial_index", "pair_state",
+                "pair_local", "state_pair_start", "pair_cost", "wibble")
+
+
+@pytest.mark.parametrize("name", MODEL_FIELDS)
+def test_model_fields_cannot_be_assigned(name):
+    m = example1_model(0.5)
+    with pytest.raises(AttributeError):
+        setattr(m, name, None)
+
+
+@pytest.mark.parametrize("part", ["pair_cost", "pair_state", "pair_local",
+                                  "state_pair_start", "P.data", "P.indices", "P.indptr"])
+def test_model_arrays_are_read_only(part):
+    m = random_model(0)
+    owner, attr = (transition(m).P, part[2:]) if part.startswith("P.") else (m, part)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(owner, attr)[0] = 1

@@ -10,15 +10,11 @@ from occulimits.programs import (GMeasure, SolverError, augmented_lp,
                                  membership_residuals, stationary_lp)
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import stationary_average_oracle
+from _oracles import stationary_average_oracle, with_cost
 
 
 def constant_cost(model, c):
-    for key in model.cost:
-        model.cost[key] = c
-    return FiniteModel(states=model.states, controls=model.controls,
-                       noise=model.noise, dynamics=model.dynamics,
-                       cost=model.cost, transition_rows=model.transition_rows)
+    return with_cost(model, np.full(model.n_pairs, c))
 
 
 def test_stationary_example1_class_matches_policy_enumeration():
@@ -211,15 +207,6 @@ def test_membership_dimension_mismatch():
         membership_residuals(m, GMeasure(np.ones(m.n_pairs)), "X")
 
 
-def _with_cost(m, q):
-    cost = {}
-    for p in range(m.n_pairs):
-        cost[(int(m.pair_state[p]), int(m.pair_local[p]))] = float(q[p])
-    return FiniteModel(states=m.states, controls=m.controls, noise=m.noise,
-                       dynamics=m.dynamics, cost=cost,
-                       transition_rows=m.transition_rows)
-
-
 @pytest.mark.parametrize("seed", [2, 6, 17])
 def test_support_function_convergence_of_discounted_sets(seed):
     # the union over initial states of the discounted-stationary sets
@@ -228,7 +215,7 @@ def test_support_function_convergence_of_discounted_sets(seed):
     base = random_model(seed)
     rng = np.random.default_rng(seed + 500)
     for _ in range(3):
-        m = _with_cost(base, rng.uniform(-1, 1, size=base.n_pairs))
+        m = with_cost(base, rng.uniform(-1, 1, size=base.n_pairs))
         k_star = stationary_lp(m).optimal_value
         dev = {}
         for eps in (1e-2, 1e-4):
