@@ -10,7 +10,7 @@ from .dp import (Plan, ValueFunction, discounted_values, evaluate_plan_average,
 from .lp_core import LinearProgram, LpError, LpSolution, dump_lp, solve_lp
 from .measures import (DistributionPath, PrgReport, TestFamily,
                        canonical_test_family, discounted_occupation, hausdorff,
-                       occupation_measure, propagate, prg_detect, rho)
+                       occupation_measure, pair_laws, propagate, prg_detect, rho)
 from .model import (FiniteModel, ModelError, NoiseAtom, StatePoint,
                     TransitionTensor, build_transition_tensor, example1_model,
                     example1_family_model, example2_model, load_model,

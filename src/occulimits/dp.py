@@ -179,12 +179,8 @@ def evaluate_plan_average(model, plan, y0, T):
     Computed by distribution propagation: (1/T) sum_t sum_(y,u)
     mu_t(y) pi_t(u|y) k(y,u).
     """
-    path = measures.propagate(model, plan, y0, T)
-    total = 0.0
-    for t in range(T):
-        w = plan.pair_weights(model, t)
-        total += float((path.mu[t][model.pair_state] * w) @ model.pair_cost)
-    return total / T
+    return sum(float(law @ model.pair_cost)
+               for _, law in measures.pair_laws(model, plan, y0, T)) / T
 
 
 def value_curve_csv_rows(model, curve, parameters=None):
@@ -206,7 +202,7 @@ def value_curve_csv_rows(model, curve, parameters=None):
 def evaluate_plan_discounted(model, plan, y0, eps, tail_tol=1e-12):
     """Normalized expected discounted cost of a plan, via its discounted
     occupational measure (identity between the cost series and the measure
-    integral).  Exact for stationary plans (one linear solve); tail_tol only
-    matters for staged plans, see measures.discounted_occupation."""
+    integral).  Exact for both plan kinds; tail_tol is only validated, see
+    measures.discounted_occupation."""
     gamma_d = measures.discounted_occupation(model, plan, y0, eps, tail_tol)
     return float(gamma_d.weights @ model.pair_cost)

@@ -37,8 +37,6 @@ class LinearProgram:
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    var_names: list | None = None
-    row_names: list | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)

@@ -6,7 +6,7 @@ No sampling anywhere: state laws are propagated through the transition
 tensor, so every measure identity holds to float precision.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -40,28 +40,36 @@ class PrgReport:
     period: int | None = None
 
 
-def propagate(model, plan, y0, T):
-    """Exact state laws mu_0..mu_T from the point mass at state y0.
-
-    mu_{t+1}(y') = sum_y mu_t(y) sum_u pi_t(u|y) P(y'|y,u).
-    """
+def pair_laws(model, plan, y0, T):
+    """Yield (mu_t, L_t), t = 0..T-1: the exact state law from the point mass at
+    y0 and the pair law L_t(y,u) = mu_t(y) pi_t(u|y), with mu_{t+1} = push(L_t)."""
     plan.check_against(model)
     tensor = transition(model)
+    mu = np.zeros(model.n_states)
+    mu[y0] = 1.0
+    for t in range(T):
+        if t:  # pushed on demand, so no law past the last is pushed
+            mu = tensor.push(law)
+        law = mu[model.pair_state] * plan.pair_weights(model, t)
+        yield mu, law
+
+
+def propagate(model, plan, y0, T):
+    """Exact state laws mu_0..mu_T from the point mass at state y0."""
     mu = np.zeros((T + 1, model.n_states))
     mu[0, y0] = 1.0
-    for t in range(T):
-        w = plan.pair_weights(model, t)
-        mu[t + 1] = tensor.push(mu[t][model.pair_state] * w)
+    for t, (mu_t, law) in enumerate(pair_laws(model, plan, y0, T)):
+        mu[t] = mu_t
+    if T:
+        mu[T] = transition(model).push(law)
     return DistributionPath(mu=mu)
 
 
 def occupation_measure(model, plan, y0, T):
     """Expected empirical pair distribution over horizon T (total mass 1)."""
-    path = propagate(model, plan, y0, T)
     weights = np.zeros(model.n_pairs)
-    for t in range(T):
-        w = plan.pair_weights(model, t)
-        weights += path.mu[t][model.pair_state] * w
+    for _, law in pair_laws(model, plan, y0, T):
+        weights += law
     return GMeasure(weights=weights / T)
 
 
@@ -70,33 +78,28 @@ def discounted_occupation(model, plan, y0, eps, tail_tol):
 
     For a stationary plan the discounted state law nu solves
     (I - (1-eps) P_pi^T) nu = eps delta_y0 (one sparse solve) and the pair
-    weights are nu(y) pi(u|y); tail_tol is validated but does not change the
-    result.  Staged plans are summed over their explicit horizon.  The
-    weights are renormalized to total mass 1.
+    weights are nu(y) pi(u|y); a staged plan is summed exactly over its
+    stages.  The weights are renormalized to total mass 1.  tail_tol must be
+    positive but is not read otherwise: neither branch truncates a series.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps={eps!r} outside (0, 1)")
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
-    plan.check_against(model)
-    tensor = transition(model)
-    if plan.kind != "staged":
+    if plan.kind == "staged":
+        weights = np.zeros(model.n_pairs)
+        coeff = eps
+        for _, law in pair_laws(model, plan, y0, plan.n_stages):
+            weights += coeff * law
+            coeff *= 1.0 - eps
+    else:
+        plan.check_against(model)
         w = plan.pair_weights(model)
         rhs = np.zeros(model.n_states)
         rhs[y0] = eps
         nu = spsolve((sparse.identity(model.n_states, format="csr")
-                      - (1.0 - eps) * tensor.plan_matrix(w)).T, rhs)
+                      - (1.0 - eps) * transition(model).plan_matrix(w)).T, rhs)
         weights = nu[model.pair_state] * w
-    else:
-        mu = np.zeros(model.n_states)
-        mu[y0] = 1.0
-        weights = np.zeros(model.n_pairs)
-        coeff = eps
-        for t in range(plan.n_stages):
-            pair_mass = mu[model.pair_state] * plan.pair_weights(model, t)
-            weights += coeff * pair_mass
-            mu = tensor.push(pair_mass)
-            coeff *= 1.0 - eps
     return GMeasure(weights=weights / weights.sum())
 
 
@@ -166,15 +169,12 @@ def prg_detect(model, plan, y0, t_max, tol=1e-10):
     """
     if t_max < 2:
         raise ValueError(f"t_max={t_max} must be at least 2")
-    plan.check_against(model)
-    tensor = transition(model)
+    if plan.kind == "staged":
+        plan = replace(plan, selector=[plan.selector[t % plan.n_stages]
+                                       for t in range(t_max + 1)])
     laws = np.zeros((t_max + 1, model.n_pairs))
-    mu = np.zeros(model.n_states)
-    mu[y0] = 1.0
-    for t in range(t_max + 1):
-        w = plan.pair_weights(model, t % plan.n_stages)
-        laws[t] = mu[model.pair_state] * w
-        mu = tensor.push(laws[t])
+    for t, (_, law) in enumerate(pair_laws(model, plan, y0, t_max + 1)):
+        laws[t] = law
     # earliest valid start per period, via suffix maxima of the lag-diffs
     best = None
     for period in range(1, t_max // 2 + 1):

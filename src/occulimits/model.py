@@ -65,6 +65,7 @@ class FiniteModel:
 
     def __init__(self, states, controls, noise, dynamics, cost,
                  transition_rows=None, initial_index=None):
+        _check_control_lists(states, controls)
         pairs = [(i, l) for i, cs in enumerate(controls) for l in range(len(cs))]
         try:
             pair_cost = [cost[key] for key in pairs]
@@ -95,6 +96,7 @@ class FiniteModel:
     def from_arrays(cls, states, controls, noise, pair_cost, next_idx, initial_index=None):
         """Model from compiled arrays: the cost of every pair and next_idx, the
         (n_pairs, n_atoms) state index of every pair's image under every atom."""
+        _check_control_lists(states, controls)
         model = cls.__new__(cls)
         model._compile(states, controls, noise, pair_cost, next_idx, None, initial_index)
         return model
@@ -151,6 +153,11 @@ class FiniteModel:
         if not math.isfinite(value):
             raise ValueError(f"state value {value!r} is not finite")
         return int(np.argmin(np.abs(self.state_values() - value)))
+
+
+def _check_control_lists(states, controls):
+    if len(controls) != len(states):
+        raise ModelError(f"{len(controls)} control lists for {len(states)} states")
 
 
 class TransitionTensor:
@@ -231,6 +238,11 @@ def validate(model):
     for i, cs in enumerate(model.controls):
         if len(cs) == 0:
             report.append(f"empty U(y) at state {i}")
+    dims = {len(u) for cs in model.controls for u in cs}
+    if len(dims) > 1 or 0 in dims:
+        report.append(f"controls need one positive dimension, have {sorted(dims)}")
+    if not all(math.isfinite(c) for cs in model.controls for u in cs for c in u):
+        report.append("control values are not all finite")
     tensor = transition(model)
     if tensor.next_idx is not None:
         total = sum(a.prob for a in model.noise)

@@ -74,15 +74,17 @@ class DualCertificate:
     psi: np.ndarray
     eta: np.ndarray
 
+    def bellman_slack(self, model, y0):
+        """Family-1 slack k + (psi(y0) - psi(y)) + E[eta(f)] - eta(y) - mu, per pair."""
+        s = model.pair_state
+        return (model.pair_cost + (self.psi[y0] - self.psi[s])
+                + transition(model).expect(self.eta) - self.eta[s] - self.mu)
+
     def violations(self, model, y0, theta=None):
         """Worst violation of each certificate inequality family."""
-        tensor = transition(model)
-        s = model.pair_state
-        slack1 = (model.pair_cost + (self.psi[y0] - self.psi[s])
-                  + tensor.expect(self.eta) - self.eta[s] - self.mu)
         theta_pair = np.zeros(model.n_pairs) if theta is None else np.asarray(theta, dtype=float)
-        slack2 = tensor.expect(self.psi) - self.psi[s] + theta_pair
-        return (float(max(0.0, -slack1.min(initial=0.0))),
+        slack2 = transition(model).expect(self.psi) - self.psi[model.pair_state] + theta_pair
+        return (float(max(0.0, -self.bellman_slack(model, y0).min(initial=0.0))),
                 float(max(0.0, -slack2.min(initial=0.0))))
 
 

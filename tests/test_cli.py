@@ -103,6 +103,13 @@ MALFORMED_DOCS = {
                                         {"state": 1, "control": 0, "value": -0.5}]},
     "float_overflowing_state": {"states": [[0.0], [-10 ** 400]]},
     "float_overflowing_noise_prob": {"noise": [{"id": 0, "prob": 10 ** 400}]},
+    "nan_control": {"controls": {"shared": [[float("nan")]]}},
+    "infinite_control": {"controls": {"shared": [[float("inf")]]}},
+    "ragged_controls": {"controls": {"shared": [[0.0], [1.0, 2.0]]},
+                        "cost": [{"state": i, "control": l, "value": 0.5}
+                                 for i in range(2) for l in range(2)],
+                        "dynamics": [{"state": i, "control": l, "noise_id": 0, "next_state": 0}
+                                     for i in range(2) for l in range(2)]},
 }
 
 
@@ -177,6 +184,14 @@ def test_validate_refuses_malformed_model(tmp_path, capsys, case):
     code, out, err = run(capsys, "validate", "--model", str(path))
     assert code == 2
     assert out == "" and err.startswith("invalid:")
+
+
+def test_bounds_refuses_model_with_non_finite_controls(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_two_state_doc(controls={"shared": [[float("nan")]]})))
+    code, out, err = run(capsys, "bounds", "--model", str(path), "--y0", "0")
+    assert code == 2
+    assert out == "" and err.startswith("input error:") and "not all finite" in err
 
 
 @pytest.mark.parametrize("text", [b'{"states": [[\xff]]}',

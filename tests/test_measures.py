@@ -3,8 +3,8 @@ import pytest
 
 from occulimits.dp import Plan, evaluate_plan_average, finite_horizon_values
 from occulimits.measures import (canonical_test_family, discounted_occupation,
-                                 hausdorff, occupation_measure, prg_detect,
-                                 propagate, rho)
+                                 hausdorff, occupation_measure, pair_laws,
+                                 prg_detect, propagate, rho)
 from occulimits.model import (FiniteModel, NoiseAtom, StatePoint,
                               example1_model, example2_model, transition)
 from occulimits.programs import GMeasure, membership_residuals
@@ -48,6 +48,29 @@ def test_two_state_two_step_hand_law():
     path = propagate(m, plan, 0, 2)
     assert np.allclose(path.mu[1], [0.3, 0.7], atol=1e-15)
     assert np.allclose(path.mu[2], [0.51, 0.49], atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pair_laws_match_the_reference_recursion(seed):
+    m = random_model(seed)
+    _, plan = finite_horizon_values(m, 10)  # ten stages: enough for mu_0..mu_10
+    laws = list(pair_laws(m, plan, 0, 10))
+    assert len(laws) == 10
+    mu = np.zeros(m.n_states)
+    mu[0] = 1.0
+    for t, (mu_t, law) in enumerate(laws):
+        assert np.array_equal(mu_t, mu)
+        assert np.array_equal(law, mu[m.pair_state] * plan.pair_weights(m, t))
+        mu = transition(m).P.T @ law
+    path = propagate(m, plan, 0, 10)
+    assert np.array_equal(path.mu, np.vstack([mu_t for mu_t, _ in laws] + [mu]))
+
+
+def test_pair_laws_check_the_plan_before_any_law():
+    m = example1_model(0.5)
+    laws = pair_laws(m, Plan(kind="stationary_deterministic", selector=np.array([2, 0])), 0, 0)
+    with pytest.raises(ValueError, match="bad deterministic selector"):
+        next(laws)
 
 
 def test_example1_occupation_converges():
@@ -151,6 +174,19 @@ def test_discounted_occupation_matches_truncated_series(randomized):
             assert np.max(np.abs(g.weights - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_staged_discounted_occupation_matches_stationary_solve(seed):
+    # 120 repeats of one stationary selector leave a tail of 0.7^120 < 1e-18,
+    # so the staged sum and the stationary solve must agree
+    m = random_model(seed)
+    plan = random_stationary_plan(m, seed)
+    staged = Plan(kind="staged", selector=[plan.selector] * 120)
+    y0 = seed % m.n_states
+    g = discounted_occupation(m, staged, y0, 0.3, tail_tol=1e-12)
+    ref = discounted_occupation(m, plan, y0, 0.3, tail_tol=1e-12)
+    assert np.max(np.abs(g.weights - ref.weights)) <= 1e-12
+
+
 def test_rho_zero_and_symmetry():
     m = random_model(12)
     fam = canonical_test_family(m)
@@ -249,6 +285,15 @@ def test_prg_staged_plan_cycles():
     plan = Plan(kind="staged", selector=[np.zeros(3, dtype=int)])
     rep = prg_detect(m, plan, 0, t_max=12)
     assert rep.is_prg and rep.T0 == 0 and rep.period == 3
+
+
+def test_prg_two_stage_plan_cycles_example1():
+    # stage 0 plays +1 on the negative state and -1 on the positive one, stage
+    # 1 the opposite; from +0.5 the pair law alternates from t=1 on
+    m = example1_model(0.5)
+    plan = Plan(kind="staged", selector=[np.array([1, 0]), np.array([0, 1])])
+    rep = prg_detect(m, plan, m.nearest_state(0.5), t_max=20)
+    assert rep.is_prg and rep.T0 == 1 and rep.period == 2
 
 
 def test_prg_input_check():

@@ -66,6 +66,30 @@ def test_dynamics_out_of_range_names_triple():
                     cost={(0, 0): 1.0})
 
 
+def test_constructor_refuses_control_lists_not_one_per_state():
+    # one state, two control lists: both entries name both counts
+    with pytest.raises(ModelError, match="2 control lists for 1 states"):
+        FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[(0.0,)], [(1.0,)]],
+                    noise=[NoiseAtom(0, 1.0)], dynamics={(0, 0, 0): 0, (1, 0, 0): 0},
+                    cost={(0, 0): 1.0, (1, 0): 2.0})
+    with pytest.raises(ModelError, match="2 control lists for 1 states"):
+        FiniteModel.from_arrays(states=[StatePoint((0.0,), 0)],
+                                controls=[[(0.0,)], [(1.0,)]], noise=[NoiseAtom(0, 1.0)],
+                                pair_cost=[1.0, 2.0], next_idx=[[0], [0]])
+
+
+@pytest.mark.parametrize("controls, problem", [
+    ([[(float("nan"),)]] * 2, "not all finite"),
+    ([[(float("inf"),)]] * 2, "not all finite"),
+    ([[(0.0,)], [(1.0, 2.0)]], "one positive dimension"),
+    ([[()], [()]], "one positive dimension")])
+def test_validate_flags_bad_control_values(controls, problem):
+    m = FiniteModel(states=[StatePoint((0.0,), 0), StatePoint((1.0,), 1)],
+                    controls=controls, noise=[NoiseAtom(0, 1.0)],
+                    dynamics={(0, 0, 0): 1, (1, 0, 0): 0}, cost={(0, 0): 1.0, (1, 0): 2.0})
+    assert any(problem in v for v in validate(m))
+
+
 def test_validate_example1_clean():
     assert validate(example1_model(0.5)) == []
 
