@@ -60,6 +60,8 @@ class Plan:
                 if abs(row.sum() - 1.0) > 1e-12:
                     raise ValueError(f"plan/model mismatch: row at state {i} sums to {row.sum()!r}")
         elif self.kind == "staged":
+            if len(self.selector) == 0:
+                raise ValueError("plan/model mismatch: a staged plan needs at least one stage")
             for sel in self.selector:
                 sel = np.asarray(sel)
                 if sel.shape != (model.n_states,) or np.any(sel < 0) or np.any(sel >= sizes):

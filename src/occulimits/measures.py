@@ -169,6 +169,7 @@ def prg_detect(model, plan, y0, t_max, tol=1e-10):
     """
     if t_max < 2:
         raise ValueError(f"t_max={t_max} must be at least 2")
+    plan.check_against(model)  # before the cycling divides by the stage count
     if plan.kind == "staged":
         plan = replace(plan, selector=[plan.selector[t % plan.n_stages]
                                        for t in range(t_max + 1)])

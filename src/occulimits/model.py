@@ -42,8 +42,12 @@ class NoiseAtom:
 class FiniteModel:
     """Immutable finite model of a controlled stochastic recursion.
 
-    The constructor compiles everything once into read-only arrays over the
-    admissible pairs (y, u), numbered state by state, and builds the
+    The admissible pairs (y, u) are numbered state by state.  The constructor
+    takes the compiled arrays over them: pair_cost, k(y, u) of every pair, and
+    exactly one of next_idx, the (n_pairs, n_atoms) state index of every
+    pair's image under every noise atom, or kernel, the dense (n_pairs,
+    n_states) transition rows of a kernel-mode model.  It refuses with
+    ModelError any array it cannot use, freezes every array and builds the
     transition law that transition(model) returns.  Assigning any attribute
     raises.
 
@@ -55,64 +59,39 @@ class FiniteModel:
         pair_state, pair_local: state and local control index of every pair.
         state_pair_start: first pair of every state, then n_pairs.
         pair_cost: k(y, u) of every pair.
-
-    FiniteModel(...) takes the dict tables of model files and the suite:
-    dynamics maps (state, local control, noise id) -> next state over exactly
-    the admissible triples (None in kernel mode), cost maps (state, local
-    control) -> k, and transition_rows holds the dense per-pair rows of a
-    kernel-mode model.  The builders enter through from_arrays.
     """
 
-    def __init__(self, states, controls, noise, dynamics, cost,
-                 transition_rows=None, initial_index=None):
-        _check_control_lists(states, controls)
-        pairs = [(i, l) for i, cs in enumerate(controls) for l in range(len(cs))]
-        try:
-            pair_cost = [cost[key] for key in pairs]
-        except KeyError as exc:
-            raise ModelError(f"cost missing for (state, control) = {exc.args[0]}") from exc
-        next_idx = kernel = None
-        if transition_rows is not None:
-            rows = np.asarray(transition_rows, dtype=float)
-            if rows.shape != (len(pairs), len(states)):
-                raise ModelError(f"transition rows have shape {rows.shape}, "
-                                 f"expected {(len(pairs), len(states))}")
-            kernel = sparse.csr_matrix(rows)
-        else:
-            next_idx = np.zeros((len(pairs), len(noise)), dtype=np.int64)
-            for p, (i, l) in enumerate(pairs):
-                for a, atom in enumerate(noise):
-                    nxt = dynamics.get((i, l, atom.id))
-                    if nxt is None or not 0 <= nxt < len(states):
-                        what = "missing" if nxt is None else f"image {nxt} outside state list"
-                        raise ModelError(f"dynamics {what} for (state={i}, control={l}, "
-                                         f"noise={atom.id})")
-                    next_idx[p, a] = nxt
-            if len(dynamics) > len(pairs) * len({atom.id for atom in noise}):
-                raise ModelError("dynamics has entries outside the admissible triples")
-        self._compile(states, controls, noise, pair_cost, next_idx, kernel, initial_index)
-
-    @classmethod
-    def from_arrays(cls, states, controls, noise, pair_cost, next_idx, initial_index=None):
-        """Model from compiled arrays: the cost of every pair and next_idx, the
-        (n_pairs, n_atoms) state index of every pair's image under every atom."""
-        _check_control_lists(states, controls)
-        model = cls.__new__(cls)
-        model._compile(states, controls, noise, pair_cost, next_idx, None, initial_index)
-        return model
-
-    def _compile(self, states, controls, noise, pair_cost, next_idx, kernel, initial_index):
+    def __init__(self, states, controls, noise, pair_cost, next_idx=None, kernel=None,
+                 initial_index=None):
+        n_states = len(states)
+        if len(controls) != n_states:
+            raise ModelError(f"{len(controls)} control lists for {n_states} states")
         sizes = np.array([len(cs) for cs in controls], dtype=np.int64)
         starts = np.concatenate([[0], np.cumsum(sizes)])
-        pair_state = np.repeat(np.arange(len(states)), sizes)
+        pair_state = np.repeat(np.arange(n_states), sizes)
+        n_pairs = int(starts[-1])
+        pair_cost = _checked_array("pair_cost", pair_cost, float, (n_pairs,))
+        if (next_idx is None) == (kernel is None):
+            raise ModelError("exactly one of next_idx and kernel is required")
+        if kernel is not None:
+            kernel = sparse.csr_matrix(_checked_array("kernel", kernel, float,
+                                                      (n_pairs, n_states)))
+        else:
+            next_idx = _checked_array("next_idx", next_idx, None, (n_pairs, len(noise)))
+            if next_idx.dtype.kind not in "iuf" or np.any(next_idx != np.round(next_idx)):
+                raise ModelError("next_idx is not integer-valued")
+            if np.any((next_idx < 0) | (next_idx >= n_states)):
+                raise ModelError(f"next_idx has images outside the {n_states} states")
+            next_idx = next_idx.astype(np.int64)
+        if initial_index is not None and initial_index not in range(n_states):
+            raise ModelError(f"initial_index {initial_index!r} outside the {n_states} states")
         fields = {"states": tuple(states), "controls": tuple(map(tuple, controls)),
                   "noise": tuple(noise), "initial_index": initial_index,
                   "state_pair_start": starts, "pair_state": pair_state,
-                  "pair_local": np.arange(starts[-1]) - starts[pair_state],
-                  "pair_cost": np.array(pair_cost, dtype=float),
+                  "pair_local": np.arange(n_pairs) - starts[pair_state],
+                  "pair_cost": pair_cost,
                   # the law's inputs, read by build_transition_tensor
-                  "_next_idx": None if next_idx is None else np.array(next_idx, dtype=np.int64),
-                  "_kernel": kernel}
+                  "_next_idx": next_idx, "_kernel": kernel}
         for name, value in fields.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -155,9 +134,15 @@ class FiniteModel:
         return int(np.argmin(np.abs(self.state_values() - value)))
 
 
-def _check_control_lists(states, controls):
-    if len(controls) != len(states):
-        raise ModelError(f"{len(controls)} control lists for {len(states)} states")
+def _checked_array(name, value, dtype, shape):
+    """value as a new array of the given shape, else ModelError."""
+    try:
+        array = np.array(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"{name}: {exc}") from exc
+    if array.shape != shape:
+        raise ModelError(f"{name} has shape {array.shape}, expected {shape}")
+    return array
 
 
 class TransitionTensor:
@@ -281,7 +266,7 @@ def _sign_flip_model(values, initial_index=None):
     pair_state = np.repeat(np.arange(len(values)), 2)
     # (y u) s for u = -1, +1 per state and s = +1, -1 per atom
     images = (y[pair_state] * np.tile([-1.0, 1.0], len(values)))[:, None] * [1.0, -1.0]
-    return FiniteModel.from_arrays(
+    return FiniteModel(
         states=[StatePoint((v,), i) for i, v in enumerate(values)],
         controls=[((-1.0,), (1.0,))] * len(values),
         noise=[NoiseAtom(0, 0.75), NoiseAtom(1, 0.25)],  # s=+1, s=-1
@@ -358,7 +343,7 @@ def example2_model(m, control_step=None):
     k = np.floor(mag + 0.5)
     k -= k - mag == 0.5
     cuts = np.flatnonzero(np.diff(pair_state)) + 1
-    return FiniteModel.from_arrays(
+    return FiniteModel(
         states=[StatePoint((v,), i) for i, v in enumerate(values.tolist())],
         controls=[list(zip(chunk.tolist())) for chunk in np.split(u, cuts)],
         noise=[NoiseAtom(0, 0.5), NoiseAtom(1, 0.5)],
@@ -396,8 +381,9 @@ def load_model(path):
     """Load and validate a FiniteModel from a JSON model file.
 
     The file carries either a (dynamics + noise) pair or an explicit dense
-    transition tensor; see README for the schema.  Raises ModelError with the
-    offending field named on any schema violation, and on validation failures.
+    transition tensor; see README for the schema.  Its rows fill the model's
+    arrays directly.  Raises ModelError with the offending field or row named
+    on any schema violation, and on validation failures.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -452,48 +438,59 @@ def load_model(path):
     else:
         raise ModelError("field 'controls' needs either 'shared' or 'per_state'")
 
-    cost = {}
+    pairs = [(i, l) for i, cs in enumerate(controls) for l in range(len(cs))]
+    pair_of = {key: p for p, key in enumerate(pairs)}
+    pair_cost = np.zeros(len(pair_of))
+    seen = set()
     for row in doc["cost"]:
         try:
             key, value = (_index(row["state"]), _index(row["control"])), _number(row["value"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"field 'cost': bad row {row!r} ({exc})") from exc
-        if key in cost:
+        if key in seen:
             raise ModelError(f"field 'cost': duplicate row {row!r}")
-        cost[key] = value
-    n_pairs_expected = {(i, l) for i in range(len(states)) for l in range(len(controls[i]))}
-    if set(cost) != n_pairs_expected:
-        missing = sorted(n_pairs_expected - set(cost))[:3]
-        extra = sorted(set(cost) - n_pairs_expected)[:3]
-        raise ModelError(f"field 'cost': incomplete table (missing {missing}, extra {extra})")
+        if key not in pair_of:
+            raise ModelError(f"field 'cost': row {row!r} outside the admissible pairs")
+        seen.add(key)
+        pair_cost[pair_of[key]] = value
+    if len(seen) < len(pair_of):
+        missing = [key for key in pairs if key not in seen][:3]
+        raise ModelError(f"field 'cost': incomplete table (missing {missing})")
 
-    noise = []
-    dynamics = None
-    transition_rows = None
+    noise, next_idx, kernel = [], None, None
     if "dynamics" in doc:
-        for row in doc.get("noise", []):
+        for row in doc["noise"]:
             try:
                 noise.append(NoiseAtom(_index(row["id"]), _number(row["prob"])))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ModelError(f"field 'noise': bad row {row!r} ({exc})") from exc
-        dynamics = {}
+        column = {atom.id: a for a, atom in enumerate(noise)}
+        if len(column) < len(noise):
+            raise ModelError("noise atom ids are not unique")
+        next_idx = np.full((len(pair_of), len(noise)), -1, dtype=np.int64)
         for row in doc["dynamics"]:
             try:
-                key = (_index(row["state"]), _index(row["control"]), _index(row["noise_id"]))
-                nxt = _index(row["next_state"])
+                i, l, s, nxt = (_index(row[name])
+                                for name in ("state", "control", "noise_id", "next_state"))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ModelError(f"field 'dynamics': bad row {row!r} ({exc})") from exc
-            if key in dynamics:
+            if (i, l) not in pair_of or s not in column:
+                raise ModelError(f"field 'dynamics': row {row!r} outside the admissible triples")
+            if nxt >= len(states):
+                raise ModelError(f"dynamics image {nxt} outside state list for "
+                                 f"(state={i}, control={l}, noise={s})")
+            cell = pair_of[(i, l)], column[s]
+            if next_idx[cell] >= 0:
                 raise ModelError(f"field 'dynamics': duplicate row {row!r}")
-            dynamics[key] = nxt
+            next_idx[cell] = nxt
+        if np.any(next_idx < 0):
+            p, a = np.argwhere(next_idx < 0)[0]
+            i, l = pairs[p]
+            raise ModelError(f"dynamics missing for (state={i}, control={l}, "
+                             f"noise={noise[a].id})")
     else:
-        tens = doc["transition"]
-        rows = []
         try:
-            for i in range(len(states)):
-                for l in range(len(controls[i])):
-                    rows.append([_number(v) for v in tens[i][l]])
-            transition_rows = np.array(rows)
+            kernel = np.array([[_number(v) for v in doc["transition"][i][l]] for i, l in pairs])
         except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"field 'transition': {exc}") from exc
 
@@ -506,10 +503,7 @@ def load_model(path):
         if initial_index >= len(states):
             raise ModelError(f"field 'initial_state': index {initial_index} out of range")
 
-    model = FiniteModel(states=states, controls=controls, noise=noise,
-                        dynamics=dynamics, cost=cost,
-                        transition_rows=transition_rows,
-                        initial_index=initial_index)
+    model = FiniteModel(states, controls, noise, pair_cost, next_idx, kernel, initial_index)
     problems = validate(model)
     if problems:
         raise ModelError("; ".join(problems))

@@ -74,18 +74,24 @@ class DualCertificate:
     psi: np.ndarray
     eta: np.ndarray
 
-    def bellman_slack(self, model, y0):
-        """Family-1 slack k + (psi(y0) - psi(y)) + E[eta(f)] - eta(y) - mu, per pair."""
-        s = model.pair_state
+    def slacks(self, model, y0, theta=None):
+        """Per-pair slack of each certificate inequality family:
+        k + (psi(y0) - psi(y)) + E[eta(f)] - eta(y) - mu and
+        E[psi(f)] - psi(y) + theta(y,u)."""
+        tensor, s = transition(model), model.pair_state
+        theta_pair = np.zeros(model.n_pairs) if theta is None else np.asarray(theta, dtype=float)
         return (model.pair_cost + (self.psi[y0] - self.psi[s])
-                + transition(model).expect(self.eta) - self.eta[s] - self.mu)
+                + tensor.expect(self.eta) - self.eta[s] - self.mu,
+                tensor.expect(self.psi) - self.psi[s] + theta_pair)
 
     def violations(self, model, y0, theta=None):
         """Worst violation of each certificate inequality family."""
-        theta_pair = np.zeros(model.n_pairs) if theta is None else np.asarray(theta, dtype=float)
-        slack2 = transition(model).expect(self.psi) - self.psi[model.pair_state] + theta_pair
-        return (float(max(0.0, -self.bellman_slack(model, y0).min(initial=0.0))),
-                float(max(0.0, -slack2.min(initial=0.0))))
+        return tuple(worst_violation(slack) for slack in self.slacks(model, y0, theta))
+
+
+def worst_violation(slack):
+    """How far the least slack falls below 0 (0 when none does)."""
+    return float(max(0.0, -slack.min(initial=0.0)))
 
 
 @dataclass

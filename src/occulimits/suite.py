@@ -22,18 +22,14 @@ def random_model(seed, max_states=8, max_controls=4, max_atoms=3):
     raw = rng.dirichlet(np.ones(n_atoms))
     probs = ATOM_FLOOR + (1.0 - n_atoms * ATOM_FLOOR) * raw
     noise = [NoiseAtom(a, float(probs[a])) for a in range(n_atoms)]
-    controls = []
-    dynamics = {}
-    cost = {}
+    controls, pair_cost, next_idx = [], [], []
     for i in range(n_states):
         n_c = int(rng.integers(1, max_controls + 1))
         controls.append([(float(l),) for l in range(n_c)])
         for l in range(n_c):
-            cost[(i, l)] = float(rng.uniform(-1.0, 1.0))
-            for a in range(n_atoms):
-                dynamics[(i, l, a)] = int(rng.integers(0, n_states))
-    return FiniteModel(states=states, controls=controls, noise=noise,
-                       dynamics=dynamics, cost=cost)
+            pair_cost.append(float(rng.uniform(-1.0, 1.0)))
+            next_idx.append([int(rng.integers(0, n_states)) for _ in range(n_atoms)])
+    return FiniteModel(states, controls, noise, pair_cost, next_idx)
 
 
 def random_stationary_plan(model, seed, randomized=False):

@@ -5,8 +5,8 @@ enumeration for LPs, deterministic-policy enumeration with per-class
 stationary distributions for the stationary LP value, exhaustive
 noise-sequence expansion for short-horizon plan values, value iteration for
 h_eps, and the truncated geometric series for discounted occupations.
-The reference models rebuild the two examples pair by pair through the dict
-tables, as the vectorized builders must reproduce bit for bit.
+The reference models rebuild the two examples pair by pair with Python
+scalars, as the vectorized builders must reproduce bit for bit.
 """
 
 import math
@@ -19,8 +19,8 @@ from occulimits.model import FiniteModel, NoiseAtom, StatePoint, transition
 
 def with_cost(model, pair_cost):
     """The dynamics model with its per-pair cost replaced."""
-    return FiniteModel.from_arrays(model.states, model.controls, model.noise, pair_cost,
-                                   transition(model).next_idx, model.initial_index)
+    return FiniteModel(model.states, model.controls, model.noise, pair_cost,
+                       transition(model).next_idx, initial_index=model.initial_index)
 
 
 def _reference_sign_flip_model(values, initial_index=None):
@@ -28,15 +28,13 @@ def _reference_sign_flip_model(values, initial_index=None):
     controls = [[(-1.0,), (1.0,)] for _ in values]
     noise = [NoiseAtom(0, 0.75), NoiseAtom(1, 0.25)]  # s=+1, s=-1
     s_vals = {0: 1.0, 1: -1.0}
-    dynamics = {}
-    cost = {}
+    pair_cost, next_idx = [], []
     for i, y in enumerate(values):
         for l, (u,) in enumerate(controls[i]):
-            cost[(i, l)] = y
-            for atom in noise:
-                dynamics[(i, l, atom.id)] = values.index(y * u * s_vals[atom.id])
-    return FiniteModel(states=states, controls=controls, noise=noise,
-                       dynamics=dynamics, cost=cost, initial_index=initial_index)
+            pair_cost.append(y)
+            next_idx.append([values.index(y * u * s_vals[atom.id]) for atom in noise])
+    return FiniteModel(states, controls, noise, pair_cost, next_idx,
+                       initial_index=initial_index)
 
 
 def reference_example1_model(y0):
@@ -87,15 +85,13 @@ def reference_example2_model(m, control_step=None):
     controls = [control_list(v) for v in values]
     noise = [NoiseAtom(0, 0.5), NoiseAtom(1, 0.5)]  # s=1, s=1/4
     s_vals = {0: 1.0, 1: 0.25}
-    dynamics = {}
-    cost = {}
+    pair_cost, next_idx = [], []
     for i, y in enumerate(values):
         for l, (u,) in enumerate(controls[i]):
-            cost[(i, l)] = y
-            for atom in noise:
-                dynamics[(i, l, atom.id)] = index_of[_snap_dyadic(u * s_vals[atom.id], step)]
-    return FiniteModel(states=states, controls=controls, noise=noise,
-                       dynamics=dynamics, cost=cost)
+            pair_cost.append(y)
+            next_idx.append([index_of[_snap_dyadic(u * s_vals[atom.id], step)]
+                             for atom in noise])
+    return FiniteModel(states, controls, noise, pair_cost, next_idx)
 
 
 def bfs_enumeration_optimum(c, A, b, feas_tol=1e-9):

@@ -187,13 +187,12 @@ def test_criterion_5_occupational_membership():
 
 
 def test_criterion_6_brute_force_oracle():
-    dyn = {(0, 0, 0): 0, (0, 0, 1): 1, (0, 1, 0): 1, (0, 1, 1): 1,
-           (1, 0, 0): 1, (1, 0, 1): 0, (1, 1, 0): 0, (1, 1, 1): 0}
-    cost = {(0, 0): 0.5, (0, 1): -0.25, (1, 0): 0.75, (1, 1): -0.5}
+    # pairs (state, control) = (0, 0), (0, 1), (1, 0), (1, 1); one image per atom
     m = FiniteModel(states=[StatePoint((0.0,), 0), StatePoint((1.0,), 1)],
                     controls=[[(0.0,), (1.0,)]] * 2,
                     noise=[NoiseAtom(0, 0.625), NoiseAtom(1, 0.375)],
-                    dynamics=dyn, cost=cost)
+                    pair_cost=[0.5, -0.25, 0.75, -0.5],
+                    next_idx=[[0, 1], [1, 1], [1, 0], [0, 0]])
     curve, _ = finite_horizon_values(m, 3)
     worst = 0.0
     for y0 in range(2):

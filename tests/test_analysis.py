@@ -4,8 +4,8 @@ import pytest
 from occulimits.analysis import (CertificateError, abel_window, bounds_report,
                                  cesaro_window, dual_from_expansion,
                                  verify_long_run_optimality)
-from occulimits.dp import Plan, finite_horizon_values
-from occulimits.model import example1_model, example2_model
+from occulimits.dp import Plan, finite_horizon_values, greedy_feedback_from_eta
+from occulimits.model import TransitionTensor, example1_model, example2_model
 from occulimits.programs import DualCertificate, augmented_lp
 from occulimits.suite import random_model
 
@@ -93,6 +93,20 @@ def test_verify_flipped_plan_fails():
                                          T0=1, t_max=50, tol=1e-8)
     assert not verdict.certified
     assert verdict.pointwise_residual >= 0.25
+
+
+def test_verify_computes_each_slack_once(monkeypatch):
+    # one expect for the family-1 slack, one for the family-2 slack
+    m = example2_model(5)
+    y0 = m.nearest_state(-0.5)
+    aug = augmented_lp(m, y0)
+    plan = greedy_feedback_from_eta(m, aug.dual.eta)
+    calls = []
+    expect = TransitionTensor.expect
+    monkeypatch.setattr(TransitionTensor, "expect",
+                        lambda self, values: calls.append(1) or expect(self, values))
+    verify_long_run_optimality(m, plan, aug.dual, y0, T0=1, t_max=60, tol=1e-8)
+    assert len(calls) == 2
 
 
 def test_verify_rejects_invalid_certificate():

@@ -82,6 +82,9 @@ MALFORMED_DOCS = {
     "no_states": {"states": [], "dynamics": [], "cost": []},
     "ragged_state_coords": {"states": [[0.0], [1.0, 2.0]]},
     "dynamics_not_a_list": {"dynamics": 5},
+    "next_state_outside_states": {"dynamics": [
+        {"state": 0, "control": 0, "noise_id": 0, "next_state": 2},
+        {"state": 1, "control": 0, "noise_id": 0, "next_state": 0}]},
     "duplicate_dynamics_row": {"dynamics": [
         {"state": 0, "control": 0, "noise_id": 0, "next_state": 1},
         {"state": 1, "control": 0, "noise_id": 0, "next_state": 0},

@@ -27,10 +27,9 @@ def test_example1_law_stationary_from_t1():
 
 def test_deterministic_permutation_point_mass_path():
     # 3-cycle under a single atom: point mass stays a point mass
-    dyn = {(i, 0, 0): (i + 1) % 3 for i in range(3)}
     m = FiniteModel(states=[StatePoint((float(i),), i) for i in range(3)],
                     controls=[[(0.0,)]] * 3, noise=[NoiseAtom(0, 1.0)],
-                    dynamics=dyn, cost={(i, 0): 0.0 for i in range(3)})
+                    pair_cost=[0.0] * 3, next_idx=[[1], [2], [0]])
     plan = Plan(kind="stationary_deterministic", selector=np.zeros(3, dtype=int))
     path = propagate(m, plan, 0, 6)
     for t in range(7):
@@ -42,8 +41,8 @@ def test_two_state_two_step_hand_law():
     # mu_1 = (0.3, 0.7); mu_2 = (0.3*0.3 + 0.7*0.6, 0.3*0.7 + 0.7*0.4) = (0.51, 0.49)
     rows = np.array([[0.3, 0.7], [0.6, 0.4]])
     m = FiniteModel(states=[StatePoint((0.0,), 0), StatePoint((1.0,), 1)],
-                    controls=[[(0.0,)], [(0.0,)]], noise=[], dynamics=None,
-                    cost={(0, 0): 0.0, (1, 0): 0.0}, transition_rows=rows)
+                    controls=[[(0.0,)], [(0.0,)]], noise=[], pair_cost=[0.0, 0.0],
+                    kernel=rows)
     plan = Plan(kind="stationary_deterministic", selector=np.zeros(2, dtype=int))
     path = propagate(m, plan, 0, 2)
     assert np.allclose(path.mu[1], [0.3, 0.7], atol=1e-15)
@@ -71,6 +70,15 @@ def test_pair_laws_check_the_plan_before_any_law():
     laws = pair_laws(m, Plan(kind="stationary_deterministic", selector=np.array([2, 0])), 0, 0)
     with pytest.raises(ValueError, match="bad deterministic selector"):
         next(laws)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda m, plan: prg_detect(m, plan, m.initial_index, t_max=10),
+    lambda m, plan: discounted_occupation(m, plan, m.initial_index, 0.1, tail_tol=1e-13)],
+    ids=["prg_detect", "discounted_occupation"])
+def test_empty_staged_plan_is_refused(entry):
+    with pytest.raises(ValueError, match="at least one stage"):
+        entry(example1_model(0.5), Plan(kind="staged", selector=[]))
 
 
 def test_example1_occupation_converges():
@@ -144,8 +152,7 @@ def test_example1_discounted_occupation_value():
 
 def test_absorbing_state_discounted_point_mass():
     m = FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[(0.0,)]],
-                    noise=[NoiseAtom(0, 1.0)], dynamics={(0, 0, 0): 0},
-                    cost={(0, 0): 0.5})
+                    noise=[NoiseAtom(0, 1.0)], pair_cost=[0.5], next_idx=[[0]])
     plan = Plan(kind="stationary_deterministic", selector=np.zeros(1, dtype=int))
     for eps in (0.9, 0.05):
         g = discounted_occupation(m, plan, 0, eps, tail_tol=1e-12)
@@ -205,8 +212,8 @@ def test_rho_point_masses_hand_value():
     # normalized monomial gap is 1 for every pure power of y, 0 otherwise.
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
     m = FiniteModel(states=[StatePoint((0.0,), 0), StatePoint((1.0,), 1)],
-                    controls=[[(0.0,)], [(0.0,)]], noise=[], dynamics=None,
-                    cost={(0, 0): 0.0, (1, 0): 0.0}, transition_rows=rows)
+                    controls=[[(0.0,)], [(0.0,)]], noise=[], pair_cost=[0.0, 0.0],
+                    kernel=rows)
     fam = canonical_test_family(m)
     g_a = GMeasure(np.array([1.0, 0.0]))
     g_b = GMeasure(np.array([0.0, 1.0]))
@@ -257,15 +264,9 @@ def exact_positive_orbit_model(levels=20):
     # it keeps spreading binomially, so no finite period emerges
     values = [0.5 * 0.25 ** j for j in range(levels)]
     states = [StatePoint((v,), i) for i, v in enumerate(values)]
-    dyn = {}
-    cost = {}
-    for i, v in enumerate(values):
-        dyn[(i, 0, 0)] = i
-        dyn[(i, 0, 1)] = min(i + 1, levels - 1)
-        cost[(i, 0)] = v
     return FiniteModel(states=states, controls=[[(v,)] for v in values],
-                       noise=[NoiseAtom(0, 0.5), NoiseAtom(1, 0.5)],
-                       dynamics=dyn, cost=cost)
+                       noise=[NoiseAtom(0, 0.5), NoiseAtom(1, 0.5)], pair_cost=values,
+                       next_idx=[[i, min(i + 1, levels - 1)] for i in range(levels)])
 
 
 def test_prg_not_detected_on_exact_positive_orbit():
@@ -278,10 +279,9 @@ def test_prg_not_detected_on_exact_positive_orbit():
 def test_prg_staged_plan_cycles():
     # deterministic 3-cycle with a single control: the cycled one-stage plan
     # generates a period-3 law from t=0
-    dyn = {(i, 0, 0): (i + 1) % 3 for i in range(3)}
     m = FiniteModel(states=[StatePoint((float(i),), i) for i in range(3)],
                     controls=[[(0.0,)]] * 3, noise=[NoiseAtom(0, 1.0)],
-                    dynamics=dyn, cost={(i, 0): 0.0 for i in range(3)})
+                    pair_cost=[0.0] * 3, next_idx=[[1], [2], [0]])
     plan = Plan(kind="staged", selector=[np.zeros(3, dtype=int)])
     rep = prg_detect(m, plan, 0, t_max=12)
     assert rep.is_prg and rep.T0 == 0 and rep.period == 3

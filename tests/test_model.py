@@ -25,8 +25,7 @@ def assert_same_arrays(a, b):
 
 def single_state_model():
     return FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[(0.0,)]],
-                       noise=[NoiseAtom(0, 1.0)], dynamics={(0, 0, 0): 0},
-                       cost={(0, 0): 1.0})
+                       noise=[NoiseAtom(0, 1.0)], pair_cost=[1.0], next_idx=[[0]])
 
 
 def test_single_state_forced_row():
@@ -46,36 +45,60 @@ def test_example1_transition_row_matches_dynamics():
 
 def test_three_state_rows_match_hand_enumeration():
     # 3 states, one control each, 2 atoms (0.6 / 0.4); images fixed by hand
-    dyn = {(0, 0, 0): 1, (0, 0, 1): 2,
-           (1, 0, 0): 1, (1, 0, 1): 1,
-           (2, 0, 0): 0, (2, 0, 1): 1}
     m = FiniteModel(states=[StatePoint((float(i),), i) for i in range(3)],
                     controls=[[(0.0,)]] * 3,
                     noise=[NoiseAtom(0, 0.6), NoiseAtom(1, 0.4)],
-                    dynamics=dyn, cost={(i, 0): 0.0 for i in range(3)})
+                    pair_cost=[0.0] * 3, next_idx=[[1, 2], [1, 1], [0, 1]])
     tensor = build_transition_tensor(m)
     assert np.allclose(tensor.row(0), [0.0, 0.6, 0.4])
     assert np.allclose(tensor.row(1), [0.0, 1.0, 0.0])
     assert np.allclose(tensor.row(2), [0.6, 0.4, 0.0])
 
 
-def test_dynamics_out_of_range_names_triple():
+def test_dynamics_out_of_range_names_triple(tmp_path):
+    doc = {"states": [[0.0]], "controls": {"shared": [[0.0]]},
+           "noise": [{"id": 0, "prob": 1.0}],
+           "dynamics": [{"state": 0, "control": 0, "noise_id": 0, "next_state": 5}],
+           "cost": [{"state": 0, "control": 0, "value": 1.0}]}
+    path = tmp_path / "image.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(ModelError, match=r"state=0, control=0, noise=0"):
-        FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[(0.0,)]],
-                    noise=[NoiseAtom(0, 1.0)], dynamics={(0, 0, 0): 5},
-                    cost={(0, 0): 1.0})
+        load_model(path)
 
 
 def test_constructor_refuses_control_lists_not_one_per_state():
-    # one state, two control lists: both entries name both counts
+    # one state, two control lists: both law kinds name both counts
     with pytest.raises(ModelError, match="2 control lists for 1 states"):
         FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[(0.0,)], [(1.0,)]],
-                    noise=[NoiseAtom(0, 1.0)], dynamics={(0, 0, 0): 0, (1, 0, 0): 0},
-                    cost={(0, 0): 1.0, (1, 0): 2.0})
+                    noise=[NoiseAtom(0, 1.0)], pair_cost=[1.0, 2.0], next_idx=[[0], [0]])
     with pytest.raises(ModelError, match="2 control lists for 1 states"):
-        FiniteModel.from_arrays(states=[StatePoint((0.0,), 0)],
-                                controls=[[(0.0,)], [(1.0,)]], noise=[NoiseAtom(0, 1.0)],
-                                pair_cost=[1.0, 2.0], next_idx=[[0], [0]])
+        FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[(0.0,)], [(1.0,)]],
+                    noise=[], pair_cost=[1.0, 2.0], kernel=[[1.0], [1.0]])
+
+
+TWO_STATES = {"states": [StatePoint((0.0,), 0), StatePoint((1.0,), 1)],
+              "controls": [[(0.0,)], [(0.0,)]], "noise": [NoiseAtom(0, 1.0)]}
+
+
+@pytest.mark.parametrize("arrays, problem", [
+    ({"pair_cost": [1.0], "next_idx": [[1], [0]]}, "pair_cost has shape"),
+    ({"pair_cost": [1.0, 2.0], "next_idx": [[1]]}, "next_idx has shape"),
+    ({"pair_cost": [1.0, 2.0], "next_idx": [[1, 0], [0, 1]]}, "next_idx has shape"),
+    ({"pair_cost": [1.0, 2.0], "next_idx": [[0.7], [0]]}, "not integer-valued"),
+    ({"pair_cost": [1.0, 2.0], "next_idx": [[-1], [0]]}, "outside the 2 states"),
+    ({"pair_cost": [1.0, 2.0], "next_idx": [[2], [0]]}, "outside the 2 states"),
+    ({"pair_cost": [1.0, 2.0], "next_idx": [[1], [0]], "initial_index": 7},
+     "initial_index 7 outside"),
+    ({"pair_cost": [1.0, 2.0], "next_idx": [[1], [0]], "kernel": [[0.0, 1.0], [1.0, 0.0]]},
+     "exactly one"),
+    ({"pair_cost": [1.0, 2.0]}, "exactly one"),
+    ({"pair_cost": [1.0, 2.0], "kernel": [[0.0, 1.0]]}, "kernel has shape")],
+    ids=["short_pair_cost", "short_next_idx", "wide_next_idx", "fractional_image",
+         "negative_image", "image_too_large", "initial_index_outside", "both_laws",
+         "no_law", "short_kernel"])
+def test_constructor_refuses_unusable_arrays(arrays, problem):
+    with pytest.raises(ModelError, match=problem):
+        FiniteModel(**TWO_STATES, **arrays)
 
 
 @pytest.mark.parametrize("controls, problem", [
@@ -86,7 +109,7 @@ def test_constructor_refuses_control_lists_not_one_per_state():
 def test_validate_flags_bad_control_values(controls, problem):
     m = FiniteModel(states=[StatePoint((0.0,), 0), StatePoint((1.0,), 1)],
                     controls=controls, noise=[NoiseAtom(0, 1.0)],
-                    dynamics={(0, 0, 0): 1, (1, 0, 0): 0}, cost={(0, 0): 1.0, (1, 0): 2.0})
+                    pair_cost=[1.0, 2.0], next_idx=[[1], [0]])
     assert any(problem in v for v in validate(m))
 
 
@@ -96,14 +119,14 @@ def test_validate_example1_clean():
 
 def test_validate_flags_unnormalized_noise():
     m = FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[(0.0,)]],
-                    noise=[NoiseAtom(0, 0.9)], dynamics={(0, 0, 0): 0},
-                    cost={(0, 0): 1.0})
+                    noise=[NoiseAtom(0, 0.9)], pair_cost=[1.0], next_idx=[[0]])
     assert any("noise not normalized" in v for v in validate(m))
 
 
 def test_validate_flags_empty_control_list():
     m = FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[]],
-                    noise=[NoiseAtom(0, 1.0)], dynamics={}, cost={})
+                    noise=[NoiseAtom(0, 1.0)], pair_cost=[],
+                    next_idx=np.zeros((0, 1), dtype=np.int64))
     assert any("empty U(y)" in v for v in validate(m))
 
 
@@ -252,9 +275,8 @@ def test_load_transition_mode(tmp_path):
 def test_plan_matrix_factored_and_kernel_rows_agree(seed):
     m = random_model(seed)
     rows = np.stack([transition(m).row(p) for p in range(m.n_pairs)])
-    cost = dict(zip(zip(m.pair_state.tolist(), m.pair_local.tolist()), m.pair_cost))
     kernel = FiniteModel(states=m.states, controls=m.controls, noise=[],
-                         dynamics=None, cost=cost, transition_rows=rows)
+                         pair_cost=m.pair_cost, kernel=rows)
     w = random_stationary_plan(m, seed, randomized=True).pair_weights(m)
     expected = np.zeros((m.n_states, m.n_states))
     np.add.at(expected, m.pair_state, w[:, None] * rows)
@@ -293,8 +315,8 @@ def test_random_suite_roundtrip(tmp_path):
 def test_kernel_roundtrip_keeps_rows(tmp_path):
     rows = np.array([[0.2, 0.8, 0.0], [0.5, 0.25, 0.25], [0.0, 0.0, 1.0]])
     m = FiniteModel(states=[StatePoint((float(i),), i) for i in range(3)],
-                    controls=[[(0.0,), (1.0,)], [(0.0,)], []], noise=[], dynamics=None,
-                    cost={(0, 0): 0.1, (0, 1): -0.2, (1, 0): 0.3}, transition_rows=rows)
+                    controls=[[(0.0,), (1.0,)], [(0.0,)], []], noise=[],
+                    pair_cost=[0.1, -0.2, 0.3], kernel=rows)
     path = tmp_path / "kernel.json"
     save_model(m, path)
     doc = json.loads(path.read_text())

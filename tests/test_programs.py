@@ -193,8 +193,8 @@ def test_membership_uniform_on_skewed_kernel():
     # hand defect: marginal (.5,.5); pushed (.45+.25, .05+.25) = (.7,.3)
     rows = np.array([[0.9, 0.1], [0.5, 0.5]])
     m = FiniteModel(states=[StatePoint((0.0,), 0), StatePoint((1.0,), 1)],
-                    controls=[[(0.0,)], [(0.0,)]], noise=[], dynamics=None,
-                    cost={(0, 0): 0.0, (1, 0): 0.0}, transition_rows=rows)
+                    controls=[[(0.0,)], [(0.0,)]], noise=[], pair_cost=[0.0, 0.0],
+                    kernel=rows)
     res = membership_residuals(m, GMeasure(np.array([0.5, 0.5])), "W")
     assert res == pytest.approx(0.2, abs=1e-12)
 
