@@ -74,8 +74,11 @@ def bounds_report(model, y0, Ts, epss, user_slack=None):
     slack is 2M(1 + mass(xi*))/T per horizon point and 2M eps (1 + mass(xi*))
     per discount point, padded by 1e-6.  When the duality gap vanishes and a
     user slack is given, the curve endpoints are additionally compared to
-    k*(y0) at that slack.
+    k*(y0) at that slack, which must be finite and nonnegative.
     """
+    model.check_y0(y0)
+    if user_slack is not None and not (math.isfinite(user_slack) and user_slack >= 0):
+        raise ValueError(f"user_slack={user_slack!r} must be finite and nonnegative")
     Ts = list(Ts)
     epss = list(epss)
     if not Ts or Ts[0] < 1 or any(b <= a for a, b in zip(Ts, Ts[1:])):
@@ -130,11 +133,14 @@ class OptimalityVerdict:
     certificate_violation: float
 
 
-def check_window(T0, t_max):
-    """Refuse an empty certification window T0..t_max with ValueError."""
+def check_window(T0, t_max, tol):
+    """Refuse an empty certification window T0..t_max, or a tolerance that is
+    not finite and positive, with ValueError."""
     if not 0 <= T0 <= t_max:
         raise ValueError(f"certification window T0={T0}..t_max={t_max} is empty "
                          f"or starts before 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol={tol!r} must be finite and positive")
 
 
 def verify_long_run_optimality(model, plan, dual, y0, T0, t_max, tol):
@@ -147,11 +153,12 @@ def verify_long_run_optimality(model, plan, dual, y0, T0, t_max, tol):
         |k(y,u) + (psi(y0) - psi(y)) + E[eta(f(y,u,s))] - eta(y) - mu| <= tol
 
     and the psi-stationarity |E[psi(y(t))] - psi(y0)| <= tol.  The window
-    must be nonempty: 0 <= T0 <= t_max, else ValueError.  A staged plan must
-    cover every stage 0..t_max (Plan.pair_weights raises ValueError for a
-    shorter one); unlike prg_detect, this check does not cycle it.
+    must be nonempty, 0 <= T0 <= t_max, and tol finite and positive, else
+    ValueError.  A staged plan must cover every stage 0..t_max
+    (Plan.pair_weights raises ValueError for a shorter one); unlike
+    prg_detect, this check does not cycle it.
     """
-    check_window(T0, t_max)
+    check_window(T0, t_max, tol)
     pointwise, psi_slack = dual.slacks(model, y0)
     v1, v2 = programs.worst_violation(pointwise), programs.worst_violation(psi_slack)
     if max(v1, v2) > tol:

@@ -143,7 +143,8 @@ def cmd_ergodic(args):
 
 
 def cmd_policy(args):
-    analysis.check_window(args.T0, args.t_max)
+    analysis.check_window(args.T0, args.t_max, args.tol)
+    measures.check_prg_horizon(args.prg_t_max)
     mdl = _build_model(args)
     y0 = _pick_y0(mdl, args)
     aug = programs.augmented_lp(mdl, y0)

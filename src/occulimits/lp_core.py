@@ -1,22 +1,23 @@
-"""Dense equality-form LP kernel: min c'x s.t. Ax = b, x >= 0, with duals.
+"""Equality-form linear programs, min c'x s.t. Ax = b, x >= 0, solved by
+HiGHS and returned only under a five-condition optimality certificate.
 
-Two-phase primal simplex on the full tableau.  Rows are equilibrated by their
-max norm, phase 1 drives artificial variables out, and a deterministic
-least-index (Bland) pivot rule is engaged once degeneracy is detected, so
-repeated solves of the same program are bit-for-bit identical.  Artificial
-columns are kept through phase 2 with entry barred; the dual multipliers are
-read off their reduced costs.
+LinearProgram holds the data (c, A, b), A dense or scipy.sparse.  solve_lp
+runs scipy's HiGHS with HIGHS_OPTIONS, and certified_solution turns its
+result into an LpSolution whose primal x and duals y (c - A'y >= 0) must pass
+check_certificate: primal feasibility, nonnegativity, duality gap, dual
+feasibility and complementary slackness, within the tolerance table below.
+programs solves the measure LPs through the same conversion.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import linprog
 
-PIVOT_TOL = 1e-9
-PHASE1_TOL = 1e-8
-DEGENERATE_STREAK = 32
-MAX_ITERATIONS = 200_000
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10}
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 FEAS_TOL = 1e-8        # ||Ax - b||_inf <= FEAS_TOL * (1 + ||b||_inf)
 NEG_X_TOL = 1e-10
@@ -59,7 +60,7 @@ class LpSolution:
 
     x is the primal point, y_dual one multiplier per constraint satisfying
     zero duality gap, nonnegative reduced costs and complementary slackness
-    within the kernel tolerances.
+    within the tolerances of check_certificate.
     """
 
     status: str
@@ -81,115 +82,30 @@ class LpSolution:
 
 
 def solve_lp(lp):
-    """Solve the LP, returning primal optimum and dual multipliers.
+    """Solve the LP with HiGHS, returning primal optimum and dual multipliers.
 
-    Returns an LpSolution with status 'optimal', 'infeasible' (phase-1
-    optimum above tolerance; y_dual then carries the phase-1 multipliers) or
-    'unbounded'.
+    Returns an LpSolution with status 'optimal' (certified), 'infeasible' or
+    'unbounded' (x and y_dual then zero); any other HiGHS status raises
+    LpError.
     """
-    A = lp.A.toarray() if sparse.issparse(lp.A) else lp.A.copy()
-    b = lp.b.copy()
-    c = lp.c
-    m, n = A.shape
+    return certified_solution(lp, linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None),
+                                          method="highs", options=HIGHS_OPTIONS))
 
-    # row equilibration by max norm; dual unscaling factor per row
-    scale = np.maximum(np.max(np.abs(A), axis=1, initial=0.0), np.abs(b))
-    scale[scale == 0.0] = 1.0
-    A /= scale[:, None]
-    b /= scale
-    sign = np.where(b < 0, -1.0, 1.0)
-    A *= sign[:, None]
-    b *= sign
-    dual_factor = sign / scale
 
-    # tableau: original columns, artificial identity, rhs
-    T = np.zeros((m, n + m + 1))
-    T[:, :n] = A
-    T[:, n:n + m] = np.eye(m)
-    T[:, -1] = b
-    basis = np.arange(n, n + m)
-
-    # phase 1: minimize the sum of artificials; artificials never re-enter
-    z = np.concatenate([-T[:, :n].sum(axis=0), np.zeros(m)])
-    obj = float(b.sum())
-    allowed = np.ones(n + m, dtype=bool)
-    allowed[n:] = False
-    z, obj, basis, status = _pivot_loop(T, z, obj, basis, allowed)
-    if status == "unbounded":  # cannot happen in phase 1; defensive
-        raise LpError("phase 1 reported unbounded")
-    if obj > PHASE1_TOL:
-        y = (1.0 - z[n:n + m]) * dual_factor
-        return LpSolution(status="infeasible", x=np.zeros(n),
-                          y_dual=y, objective=float("nan"))
-
-    # pivot basic artificials out where an original column allows it
-    for i in range(m):
-        if basis[i] >= n:
-            cols = np.nonzero(np.abs(T[i, :n]) > PIVOT_TOL)[0]
-            if len(cols):
-                _pivot(T, z, basis, i, int(cols[0]))
-    # rows still led by an artificial are redundant (zeroed over original
-    # columns by the loop above); they stay basic at 0 and never move
-
-    # phase 2
-    cb = np.zeros(m)
-    inside = basis < n
-    cb[inside] = c[basis[inside]]
-    z = np.concatenate([c, np.zeros(m)]) - cb @ T[:, :n + m]
-    obj = float(cb @ T[:, -1])
-    z, obj, basis, status = _pivot_loop(T, z, obj, basis, allowed)
-    if status == "unbounded":
-        return LpSolution(status="unbounded", x=np.zeros(n),
-                          y_dual=np.zeros(m), objective=float("-inf"))
-
-    x = np.zeros(n)
-    inside = basis < n
-    x[basis[inside]] = T[inside, -1]
-    y = -z[n:n + m] * dual_factor
-    sol = LpSolution(status="optimal", x=x, y_dual=y, objective=float(c @ x))
+def certified_solution(lp, res):
+    """The LpSolution of the HiGHS result res for lp; an optimal one only
+    after it passes check_certificate."""
+    status = HIGHS_STATUS.get(res.status)
+    if status is None:
+        raise LpError(f"HiGHS reported {res.message!r}")
+    m, n = lp.A.shape
+    if status != "optimal":
+        return LpSolution(status=status, x=np.zeros(n), y_dual=np.zeros(m),
+                          objective=float("nan" if status == "infeasible" else "-inf"))
+    sol = LpSolution(status=status, x=res.x, y_dual=res.eqlin.marginals,
+                     objective=float(lp.c @ res.x))
     check_certificate(lp, sol)
     return sol
-
-
-def _pivot_loop(T, z, obj, basis, allowed):
-    """Run simplex pivots until optimal or unbounded; returns final state."""
-    bland = False
-    stall = 0
-    for _ in range(MAX_ITERATIONS):
-        eligible = np.where(allowed & (z < -PIVOT_TOL))[0]
-        if len(eligible) == 0:
-            return z, obj, basis, "optimal"
-        if bland:
-            j = int(eligible[0])
-        else:
-            j = int(eligible[np.argmin(z[eligible])])
-        col = T[:, j]
-        pos = np.where(col > PIVOT_TOL)[0]
-        if len(pos) == 0:
-            return z, obj, basis, "unbounded"
-        ratios = T[pos, -1] / col[pos]
-        best = np.min(ratios)
-        ties = pos[np.nonzero(ratios <= best + 1e-12)[0]]
-        # smallest basis label among ties keeps Bland's rule exact
-        i = int(ties[np.argmin(basis[ties])])
-        if best <= 1e-12:
-            stall += 1
-            if stall >= DEGENERATE_STREAK:
-                bland = True
-        else:
-            stall = 0
-        obj += z[j] * T[i, -1] / T[i, j]
-        _pivot(T, z, basis, i, j)
-    raise LpError("simplex iteration limit exceeded")
-
-
-def _pivot(T, z, basis, i, j):
-    T[i, :] /= T[i, j]
-    col = T[:, j].copy()
-    col[i] = 0.0
-    T -= np.outer(col, T[i, :])
-    z -= z[j] * T[i, :-1]
-    basis[i] = j
 
 
 def check_certificate(lp, sol):

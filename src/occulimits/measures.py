@@ -7,6 +7,7 @@ tensor, so every measure identity holds to float precision.
 """
 
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 from scipy import sparse
@@ -44,6 +45,7 @@ def pair_laws(model, plan, y0, T):
     """Yield (mu_t, L_t), t = 0..T-1: the exact state law from the point mass at
     y0 and the pair law L_t(y,u) = mu_t(y) pi_t(u|y), with mu_{t+1} = push(L_t)."""
     plan.check_against(model)
+    model.check_y0(y0)
     tensor = transition(model)
     mu = np.zeros(model.n_states)
     mu[y0] = 1.0
@@ -56,6 +58,7 @@ def pair_laws(model, plan, y0, T):
 
 def propagate(model, plan, y0, T):
     """Exact state laws mu_0..mu_T from the point mass at state y0."""
+    model.check_y0(y0)
     mu = np.zeros((T + 1, model.n_states))
     mu[0, y0] = 1.0
     for t, (mu_t, law) in enumerate(pair_laws(model, plan, y0, T)):
@@ -86,6 +89,7 @@ def discounted_occupation(model, plan, y0, eps, tail_tol):
         raise ValueError(f"eps={eps!r} outside (0, 1)")
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
+    model.check_y0(y0)
     if plan.kind == "staged":
         weights = np.zeros(model.n_pairs)
         coeff = eps
@@ -119,7 +123,8 @@ def canonical_test_family(model, max_degree=3, max_size=32):
     d = d_y + d_u
     tables = []
     for total in range(max_degree + 1):
-        for expo in sorted(_compositions(total, d), reverse=True):
+        for expo in sorted((e for e in product(range(total + 1), repeat=d)
+                            if sum(e) == total), reverse=True):
             vals = np.prod(coords ** np.array(expo), axis=1)
             sup = np.max(np.abs(vals))
             if sup < 1e-300:
@@ -128,16 +133,6 @@ def canonical_test_family(model, max_degree=3, max_size=32):
             if len(tables) == max_size:
                 return TestFamily(tables=tables)
     return TestFamily(tables=tables)
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            out.append((head,) + rest)
-    return out
 
 
 def rho(g1, g2, fam):
@@ -158,6 +153,12 @@ def hausdorff(set_a, set_b, fam):
     return max(d_ab, d_ba)
 
 
+def check_prg_horizon(t_max):
+    """Refuse a periodicity scan horizon below 2 with ValueError."""
+    if t_max < 2:
+        raise ValueError(f"t_max={t_max} must be at least 2")
+
+
 def prg_detect(model, plan, y0, t_max, tol=1e-10):
     """Find the smallest (T0, period) making the joint pair law periodic.
 
@@ -167,8 +168,7 @@ def prg_detect(model, plan, y0, t_max, tol=1e-10):
     On a finite grid the indicator test functions span every q, so this is
     sufficient for periodic-regime generation.  Staged plans are cycled.
     """
-    if t_max < 2:
-        raise ValueError(f"t_max={t_max} must be at least 2")
+    check_prg_horizon(t_max)
     plan.check_against(model)  # before the cycling divides by the stage count
     if plan.kind == "staged":
         plan = replace(plan, selector=[plan.selector[t % plan.n_stages]

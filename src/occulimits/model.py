@@ -127,6 +127,11 @@ class FiniteModel:
     def control_value(self, state, local):
         return self.controls[state][local]
 
+    def check_y0(self, y0):
+        """Refuse an initial state that is not a state index with ValueError."""
+        if not (isinstance(y0, (int, np.integer)) and 0 <= y0 < self.n_states):
+            raise ValueError(f"y0={y0!r} is not an index of the {self.n_states} states")
+
     def nearest_state(self, value):
         """Index of the state whose first coordinate is closest to value."""
         if not math.isfinite(value):

@@ -78,6 +78,7 @@ class DualCertificate:
         """Per-pair slack of each certificate inequality family:
         k + (psi(y0) - psi(y)) + E[eta(f)] - eta(y) - mu and
         E[psi(f)] - psi(y) + theta(y,u)."""
+        model.check_y0(y0)
         tensor, s = transition(model), model.pair_state
         theta_pair = np.zeros(model.n_pairs) if theta is None else np.asarray(theta, dtype=float)
         return (model.pair_cost + (self.psi[y0] - self.psi[s])
@@ -134,19 +135,16 @@ def _balance_blocks(model, decay):
 def _solve_equalities(c, A, b, context):
     """min c'x, A x = b, x >= 0 for a sparse A; returns (x, y, objective).
 
-    HiGHS solves the LP; its primal x and duals y (c - A'y >= 0 at the
-    optimum) must pass lp_core.check_certificate.
+    HiGHS solves the LP, and lp_core.certified_solution accepts its primal x
+    and duals y (c - A'y >= 0 at the optimum) only under the certificate.
     """
     A = A.tocsc()
     res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+                  options=lp_core.HIGHS_OPTIONS)
     if res.status != 0:
         raise SolverError(f"{context}: HiGHS reported {res.message!r}")
-    sol = lp_core.LpSolution(status="optimal", x=res.x, y_dual=res.eqlin.marginals,
-                             objective=float(c @ res.x))
     try:
-        lp_core.check_certificate(lp_core.LinearProgram(c=c, A=A, b=b), sol)
+        sol = lp_core.certified_solution(lp_core.LinearProgram(c=c, A=A, b=b), res)
     except lp_core.LpError as exc:
         raise SolverError(f"{context}: HiGHS ({A.shape[0]}x{A.shape[1]}): {exc}") from exc
     return sol.x, sol.y_dual, sol.objective
@@ -174,6 +172,7 @@ def discounted_stationary_lp(model, eps, y0):
     """min int k dgamma over W(eps, y0); the value equals the DP oracle h_eps(y0)."""
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps={eps!r} outside (0, 1)")
+    model.check_y0(y0)
     _, B = _balance_blocks(model, 1.0 - eps)
     b = np.zeros(model.n_states)
     b[y0] = eps
@@ -190,6 +189,7 @@ def augmented_lp(model, y0, theta=None):
     off as eta (block 1), psi (block 2) and mu (normalization row shifted by
     psi(y0)), and the resulting certificate is verified before returning.
     """
+    model.check_y0(y0)
     n, n_pairs = model.n_states, model.n_pairs
     theta_pair = None
     if theta is not None:
@@ -243,6 +243,8 @@ def membership_residuals(model, gamma, kind, eps=None, y0=None, xi=None):
     max.  For Omega both constraint blocks are evaluated (pass xi).
     """
     w = _measure_weights(model, gamma, "measure")
+    if y0 is not None:
+        model.check_y0(y0)
     tensor = transition(model)
     marg = _marginal(model, w)
     pushed = tensor.push(w)

@@ -5,8 +5,11 @@ from occulimits.analysis import (CertificateError, abel_window, bounds_report,
                                  cesaro_window, dual_from_expansion,
                                  verify_long_run_optimality)
 from occulimits.dp import Plan, finite_horizon_values, greedy_feedback_from_eta
+from occulimits.measures import (discounted_occupation, occupation_measure, pair_laws,
+                                 propagate)
 from occulimits.model import TransitionTensor, example1_model, example2_model
-from occulimits.programs import DualCertificate, augmented_lp
+from occulimits.programs import (DualCertificate, GMeasure, augmented_lp,
+                                 discounted_stationary_lp, membership_residuals)
 from occulimits.suite import random_model
 
 from _oracles import with_cost
@@ -115,6 +118,57 @@ def test_verify_rejects_invalid_certificate():
     plan = Plan(kind="stationary_deterministic", selector=np.array([1, 0]))
     with pytest.raises(CertificateError):
         verify_long_run_optimality(m, plan, bad, 1, T0=1, t_max=10, tol=1e-8)
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, 0.0])
+def test_verify_refuses_vacuous_tolerance(tol):
+    # at tol=inf the flipped plan used to certify against this junk dual,
+    # whose certificate inequalities are violated by 165.5
+    m = example1_model(0.5)
+    junk = DualCertificate(mu=5.0, psi=np.array([3.0, -7.0]), eta=np.array([100.0, -100.0]))
+    flipped = Plan(kind="stationary_deterministic", selector=np.array([0, 1]))
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        verify_long_run_optimality(m, flipped, junk, m.initial_index,
+                                   T0=1, t_max=50, tol=tol)
+
+
+@pytest.mark.parametrize("user_slack", [np.inf, np.nan, -0.5])
+def test_bounds_report_refuses_unusable_user_slack(user_slack):
+    m = example1_model(0.5)
+    with pytest.raises(ValueError, match="user_slack"):
+        bounds_report(m, m.initial_index, [1, 10], [0.5], user_slack=user_slack)
+
+
+def _uniform_plan(m):
+    return Plan(kind="stationary_deterministic", selector=np.zeros(m.n_states, dtype=int))
+
+
+Y0_ENTRY_POINTS = {
+    "pair_laws": lambda m, y0: next(pair_laws(m, _uniform_plan(m), y0, 5)),
+    "propagate": lambda m, y0: propagate(m, _uniform_plan(m), y0, 5),
+    "occupation_measure": lambda m, y0: occupation_measure(m, _uniform_plan(m), y0, 5),
+    "discounted_occupation": lambda m, y0: discounted_occupation(
+        m, _uniform_plan(m), y0, 0.1, tail_tol=1e-12),
+    "discounted_stationary_lp": lambda m, y0: discounted_stationary_lp(m, 0.1, y0),
+    "augmented_lp": augmented_lp,
+    "membership_residuals_W_eps": lambda m, y0: membership_residuals(
+        m, GMeasure(np.full(m.n_pairs, 1.0 / m.n_pairs)), "W_eps", eps=0.1, y0=y0),
+    "membership_residuals_Omega": lambda m, y0: membership_residuals(
+        m, np.zeros(m.n_pairs), "Omega", y0=y0, xi=np.zeros(m.n_pairs)),
+    "slacks": lambda m, y0: DualCertificate(
+        mu=0.0, psi=np.zeros(m.n_states), eta=np.zeros(m.n_states)).slacks(m, y0),
+    "bounds_report": lambda m, y0: bounds_report(m, y0, [1, 10], [0.5]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(Y0_ENTRY_POINTS))
+@pytest.mark.parametrize("y0", [-1, 17, 1.0], ids=["below", "above", "float"])
+def test_out_of_range_y0_is_refused(entry, y0):
+    # -1 used to wrap to the last state, 17 and 1.0 to escape as IndexError
+    m = example2_model(3)
+    assert m.n_states == 17
+    with pytest.raises(ValueError, match=rf"y0={y0} is not an index of the 17 states"):
+        Y0_ENTRY_POINTS[entry](m, y0)
 
 
 @pytest.mark.parametrize("t_max", [3, 10])

@@ -359,6 +359,29 @@ def test_policy_checks_window_before_solving(capsys, monkeypatch):
     assert out == "" and err.startswith("input error:")
 
 
+@pytest.mark.parametrize("flags", [("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1"),
+                                   ("--tol", "0"), ("--prg-t-max", "1")],
+                         ids=["tol_inf", "tol_nan", "tol_negative", "tol_zero",
+                              "prg_t_max_1"])
+def test_policy_checks_tolerance_and_prg_horizon_before_solving(capsys, monkeypatch,
+                                                                 flags):
+    def solve(*args, **kwargs):
+        raise AssertionError("augmented_lp ran before the argument checks")
+
+    monkeypatch.setattr(programs, "augmented_lp", solve)
+    code, out, err = run(capsys, "policy", "--builtin", "example1", "--y0", "0.5", *flags)
+    assert code == 2
+    assert out == "" and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("slack", ["inf", "nan", "-1"])
+def test_bounds_refuses_unusable_user_slack(capsys, slack):
+    code, out, err = run(capsys, "bounds", "--builtin", "example1", "--y0", "0.5",
+                         "--T", "1,10", "--eps", "0.5", "--user-slack", slack)
+    assert code == 2
+    assert out == "" and err.startswith("input error:") and "user_slack" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "--y0", "nan"),
     ("policy", "--y0", "nan"),

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.optimize import OptimizeResult
 
+from occulimits import lp_core, programs
 from occulimits.lp_core import LinearProgram, LpError, dump_lp, solve_lp
+from occulimits.suite import random_model
 
 from _oracles import bfs_enumeration_optimum
 
@@ -112,3 +116,28 @@ def test_dump_contains_all_rows():
     lp = LinearProgram(c=[1.0], A=[[2.0]], b=[3.0])
     text = dump_lp(lp)
     assert "c 1" in text and "| 3" in text
+
+
+def test_solve_lp_is_the_measure_lp_solver():
+    # the stationary LP [B; 1'] x = e_n of suite models, solved both ways
+    for seed in range(10):
+        m = random_model(seed)
+        _, B = programs._balance_blocks(m, 1.0)
+        A = sparse.vstack([B, np.ones((1, m.n_pairs))])
+        b = np.zeros(m.n_states + 1)
+        b[-1] = 1.0
+        sol = solve_lp(LinearProgram(c=m.pair_cost, A=A, b=b))
+        x, y, objective = programs._solve_equalities(m.pair_cost, A, b, "stationary LP")
+        assert sol.status == "optimal"
+        assert np.array_equal(sol.x, x) and np.array_equal(sol.y_dual, y), seed
+        assert sol.objective == objective
+
+
+def test_unrecognised_highs_status_raises(monkeypatch):
+    def stopped(*args, **kwargs):
+        return OptimizeResult(status=1, success=False, x=None,
+                              message="HiGHS stopped at its iteration limit")
+
+    monkeypatch.setattr(lp_core, "linprog", stopped)
+    with pytest.raises(LpError, match="iteration limit"):
+        solve_lp(LinearProgram(c=[1.0], A=[[1.0]], b=[1.0]))

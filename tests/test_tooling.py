@@ -10,6 +10,7 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+from occulimits import programs
 from occulimits.model import transition
 from occulimits.suite import random_model
 
@@ -28,6 +29,29 @@ def test_every_traced_target_exists():
     missing = [span for owner, attr, span in tracing.TARGETS if attr not in vars(owner)]
     assert missing == [], f"perfbench/tracing.py wraps names the library lacks: {missing}"
     assert tracing.is_clean()
+
+
+def test_every_measure_lp_calls_programs_linprog(monkeypatch):
+    # perfbench wraps programs.linprog as its HiGHS span and the CLI tests
+    # patch it, so every measure LP must reach HiGHS through that name
+    calls = []
+    linprog = programs.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(programs, "linprog", counted)
+    m = random_model(3)
+    solves = {"stationary_lp": lambda: programs.stationary_lp(m),
+              "discounted_stationary_lp": lambda: programs.discounted_stationary_lp(m, 0.1, 0),
+              "augmented_lp": lambda: programs.augmented_lp(m, 0)}
+    counts = {}
+    for name, solve in solves.items():
+        calls.clear()
+        solve()
+        counts[name] = len(calls)
+    assert counts == dict.fromkeys(solves, 1)
 
 
 # sha256 of the arrays and reprs below over suite seeds 0..1999
