@@ -46,10 +46,16 @@ class Plan:
 
     def check_against(self, model):
         sizes = [len(cs) for cs in model.controls]
-        if self.kind == "stationary_deterministic":
-            sel = np.asarray(self.selector)
-            if sel.shape != (model.n_states,) or np.any(sel < 0) or np.any(sel >= sizes):
-                raise ValueError("plan/model mismatch: bad deterministic selector")
+        if self.kind in ("stationary_deterministic", "staged"):
+            sels = self.selector if self.kind == "staged" else [self.selector]
+            if len(sels) == 0:
+                raise ValueError("plan/model mismatch: a staged plan needs at least one stage")
+            for sel in map(np.asarray, sels):
+                # integer dtype only: a float or bool selector is not an index
+                if sel.dtype.kind not in "iu" or sel.shape != (model.n_states,) \
+                        or np.any(sel < 0) or np.any(sel >= sizes):
+                    raise ValueError("plan/model mismatch: bad "
+                                     f"{self.kind.removeprefix('stationary_')} selector")
         elif self.kind == "stationary_randomized":
             if len(self.selector) != model.n_states:
                 raise ValueError("plan/model mismatch: one probability row per state required")
@@ -59,13 +65,6 @@ class Plan:
                     raise ValueError(f"plan/model mismatch: bad probability row at state {i}")
                 if abs(row.sum() - 1.0) > 1e-12:
                     raise ValueError(f"plan/model mismatch: row at state {i} sums to {row.sum()!r}")
-        elif self.kind == "staged":
-            if len(self.selector) == 0:
-                raise ValueError("plan/model mismatch: a staged plan needs at least one stage")
-            for sel in self.selector:
-                sel = np.asarray(sel)
-                if sel.shape != (model.n_states,) or np.any(sel < 0) or np.any(sel >= sizes):
-                    raise ValueError("plan/model mismatch: bad staged selector")
         else:
             raise ValueError(f"unknown plan kind {self.kind!r}")
 

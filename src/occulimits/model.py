@@ -25,10 +25,9 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class StatePoint:
-    """A grid point of the state space with its position in the state list."""
+    """A grid point of the state space."""
 
     coords: tuple
-    index: int
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,9 @@ class FiniteModel:
     pair's image under every noise atom, or kernel, the dense (n_pairs,
     n_states) transition rows of a kernel-mode model.  It refuses with
     ModelError any array it cannot use, freezes every array and builds the
-    transition law that transition(model) returns.  Assigning any attribute
-    raises.
+    transition law that transition(model) returns, then refuses with one
+    ModelError every problem that validate lists: a model that exists is
+    valid.  Assigning any attribute raises.
 
     Attributes:
         states: tuple of StatePoint.
@@ -97,6 +97,9 @@ class FiniteModel:
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_transition", build_transition_tensor(self))
+        problems = validate(self)
+        if problems:
+            raise ModelError("; ".join(problems))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FiniteModel is immutable: cannot set {name!r}")
@@ -115,7 +118,7 @@ class FiniteModel:
     @property
     def cost_bound(self):
         """Bound M on |k|, computed from the table rather than user-supplied."""
-        return float(np.max(np.abs(self.pair_cost))) if self.n_pairs else 0.0
+        return float(np.max(np.abs(self.pair_cost)))
 
     def pair_index(self, state, local):
         return int(self.state_pair_start[state]) + local
@@ -209,20 +212,16 @@ def transition(model):
 
 
 def validate(model):
-    """Check every FiniteModel invariant; returns a list of violations (empty = valid)."""
+    """Every violated FiniteModel invariant, one message each.  The
+    constructor refuses a model on which this list is nonempty, so for any
+    constructed model it is []."""
     report = []
     dims = {len(sp.coords) for sp in model.states}
     if not dims:
         report.append("model has no states")
     elif len(dims) > 1 or 0 in dims:
         report.append(f"states need one positive coordinate dimension, have {sorted(dims)}")
-    seen = set()
     for i, sp in enumerate(model.states):
-        if sp.index != i:
-            report.append(f"state {i} carries index {sp.index}")
-        if sp.index in seen:
-            report.append(f"duplicate state index {sp.index}")
-        seen.add(sp.index)
         if not all(math.isfinite(c) for c in sp.coords):
             report.append(f"state {i} has non-finite coordinates")
     for i, cs in enumerate(model.controls):
@@ -251,7 +250,7 @@ def validate(model):
         bad = np.abs(np.asarray(tensor.P.sum(axis=1)).ravel() - 1.0) > ROW_SUM_TOL
         if bad.any():
             report.append(f"{int(bad.sum())} transition rows do not sum to 1")
-    if model.n_pairs and not np.all(np.isfinite(model.pair_cost)):
+    if not np.all(np.isfinite(model.pair_cost)):
         report.append("cost table has non-finite entries")
     return report
 
@@ -272,7 +271,7 @@ def _sign_flip_model(values, initial_index=None):
     # (y u) s for u = -1, +1 per state and s = +1, -1 per atom
     images = (y[pair_state] * np.tile([-1.0, 1.0], len(values)))[:, None] * [1.0, -1.0]
     return FiniteModel(
-        states=[StatePoint((v,), i) for i, v in enumerate(values)],
+        states=[StatePoint((v,)) for v in values],
         controls=[((-1.0,), (1.0,))] * len(values),
         noise=[NoiseAtom(0, 0.75), NoiseAtom(1, 0.25)],  # s=+1, s=-1
         pair_cost=y[pair_state], next_idx=np.searchsorted(y, images),
@@ -320,9 +319,8 @@ def example2_model(m, control_step=None):
     step = 2.0 ** (-m)
     if control_step is None:
         control_step = step
-    ratio = control_step / step
-    if not math.isfinite(control_step) or control_step <= 0 or \
-            abs(ratio - round(ratio)) > 1e-9:
+    if not (math.isfinite(control_step) and control_step > step / 2
+            and abs(math.remainder(control_step, step)) <= 1e-9 * step):
         raise ModelError(f"control_step={control_step!r} is not a positive multiple "
                          f"of the grid step {step!r}")
     n_half = 2 ** m
@@ -330,14 +328,14 @@ def example2_model(m, control_step=None):
     values = np.arange(-n_half, n_half + 1) * step
     lo = np.where(values > 0, values, -1.0)
     hi = np.where(values < 0, values, 1.0)
-    # candidate controls: the multiples of control_step in [lo, hi], then
-    # lo, hi and y; sorted and deduplicated within each state
+    # candidate controls: the multiples of control_step in [lo, hi] (clipped
+    # into it), then lo, hi and y; sorted and deduplicated within each state
     k_lo = np.ceil(lo / control_step - 1e-12).astype(np.int64)
     counts = np.floor(hi / control_step + 1e-12).astype(np.int64) - k_lo + 1
     owner = np.repeat(np.arange(n_states), counts)
     k = k_lo[owner] + np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
     state = np.concatenate([owner, np.tile(np.arange(n_states), 3)])
-    u = np.concatenate([k * control_step, lo, hi, values])
+    u = np.concatenate([np.clip(k * control_step, lo[owner], hi[owner]), lo, hi, values])
     order = np.lexsort((u, state))
     state, u = state[order], u[order]
     fresh = np.ones(len(u), dtype=bool)
@@ -349,7 +347,7 @@ def example2_model(m, control_step=None):
     k -= k - mag == 0.5
     cuts = np.flatnonzero(np.diff(pair_state)) + 1
     return FiniteModel(
-        states=[StatePoint((v,), i) for i, v in enumerate(values.tolist())],
+        states=[StatePoint((v,)) for v in values.tolist()],
         controls=[list(zip(chunk.tolist())) for chunk in np.split(u, cuts)],
         noise=[NoiseAtom(0, 0.5), NoiseAtom(1, 0.5)],
         pair_cost=values[pair_state],
@@ -388,7 +386,8 @@ def load_model(path):
     The file carries either a (dynamics + noise) pair or an explicit dense
     transition tensor; see README for the schema.  Its rows fill the model's
     arrays directly.  Raises ModelError with the offending field or row named
-    on any schema violation, and on validation failures.
+    on any schema violation, and, from the constructor, on any invariant that
+    validate lists.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -414,8 +413,7 @@ def load_model(path):
             raise ModelError(f"field {name!r} must be a list")
 
     try:
-        states = [StatePoint(tuple(_number(c) for c in coords), i)
-                  for i, coords in enumerate(doc["states"])]
+        states = [StatePoint(tuple(_number(c) for c in coords)) for coords in doc["states"]]
     except (TypeError, ValueError) as exc:
         raise ModelError(f"field 'states': {exc}") from exc
 
@@ -508,11 +506,7 @@ def load_model(path):
         if initial_index >= len(states):
             raise ModelError(f"field 'initial_state': index {initial_index} out of range")
 
-    model = FiniteModel(states, controls, noise, pair_cost, next_idx, kernel, initial_index)
-    problems = validate(model)
-    if problems:
-        raise ModelError("; ".join(problems))
-    return model
+    return FiniteModel(states, controls, noise, pair_cost, next_idx, kernel, initial_index)
 
 
 def save_model(model, path):

@@ -79,6 +79,9 @@ class DualCertificate:
         k + (psi(y0) - psi(y)) + E[eta(f)] - eta(y) - mu and
         E[psi(f)] - psi(y) + theta(y,u)."""
         model.check_y0(y0)
+        if np.shape(self.psi) != (model.n_states,) or np.shape(self.eta) != (model.n_states,):
+            raise ValueError(f"psi and eta need shape ({model.n_states},), have "
+                             f"{np.shape(self.psi)} and {np.shape(self.eta)}")
         tensor, s = transition(model), model.pair_state
         theta_pair = np.zeros(model.n_pairs) if theta is None else np.asarray(theta, dtype=float)
         return (model.pair_cost + (self.psi[y0] - self.psi[s])

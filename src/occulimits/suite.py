@@ -18,7 +18,7 @@ def random_model(seed, max_states=8, max_controls=4, max_atoms=3):
     rng = np.random.default_rng(seed)
     n_states = int(rng.integers(2, max_states + 1))
     n_atoms = int(rng.integers(2, max_atoms + 1))
-    states = [StatePoint((float(i),), i) for i in range(n_states)]
+    states = [StatePoint((float(i),)) for i in range(n_states)]
     raw = rng.dirichlet(np.ones(n_atoms))
     probs = ATOM_FLOOR + (1.0 - n_atoms * ATOM_FLOOR) * raw
     noise = [NoiseAtom(a, float(probs[a])) for a in range(n_atoms)]

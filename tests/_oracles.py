@@ -24,7 +24,7 @@ def with_cost(model, pair_cost):
 
 
 def _reference_sign_flip_model(values, initial_index=None):
-    states = [StatePoint((v,), i) for i, v in enumerate(values)]
+    states = [StatePoint((v,)) for v in values]
     controls = [[(-1.0,), (1.0,)] for _ in values]
     noise = [NoiseAtom(0, 0.75), NoiseAtom(1, 0.25)]  # s=+1, s=-1
     s_vals = {0: 1.0, 1: -1.0}
@@ -67,7 +67,7 @@ def reference_example2_model(m, control_step=None):
     n_half = 2 ** m
     values = [i * step for i in range(-n_half, n_half + 1)]
     index_of = {v: i for i, v in enumerate(values)}
-    states = [StatePoint((v,), i) for i, v in enumerate(values)]
+    states = [StatePoint((v,)) for v in values]
 
     def control_list(y):
         if y < 0:

@@ -188,7 +188,7 @@ def test_criterion_5_occupational_membership():
 
 def test_criterion_6_brute_force_oracle():
     # pairs (state, control) = (0, 0), (0, 1), (1, 0), (1, 1); one image per atom
-    m = FiniteModel(states=[StatePoint((0.0,), 0), StatePoint((1.0,), 1)],
+    m = FiniteModel(states=[StatePoint((0.0,)), StatePoint((1.0,))],
                     controls=[[(0.0,), (1.0,)]] * 2,
                     noise=[NoiseAtom(0, 0.625), NoiseAtom(1, 0.375)],
                     pair_cost=[0.5, -0.25, 0.75, -0.5],

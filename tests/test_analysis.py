@@ -132,6 +132,29 @@ def test_verify_refuses_vacuous_tolerance(tol):
                                    T0=1, t_max=50, tol=tol)
 
 
+MISSHAPEN_DUALS = {
+    "eta_column": (np.zeros(2), np.zeros((2, 1))),
+    "psi_one_entry": (np.zeros(1), np.zeros(2)),
+    "psi_three_entries": (np.zeros(3), np.zeros(2)),
+    "eta_one_entry": (np.zeros(2), np.zeros(1)),
+    "eta_three_entries": (np.zeros(2), np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPEN_DUALS))
+def test_certificate_refuses_misshapen_psi_or_eta(case):
+    # a (2, 1) eta used to broadcast into a 4x4 family-1 slack, and a
+    # one-entry psi escaped as a bare IndexError
+    m = example1_model(0.5)
+    psi, eta = MISSHAPEN_DUALS[case]
+    dual = DualCertificate(mu=-0.25, psi=psi, eta=eta)
+    with pytest.raises(ValueError, match=r"psi and eta need shape \(2,\)"):
+        dual.slacks(m, m.initial_index)
+    plan = Plan(kind="stationary_deterministic", selector=np.array([1, 0]))
+    with pytest.raises(ValueError, match=r"psi and eta need shape \(2,\)"):
+        verify_long_run_optimality(m, plan, dual, m.initial_index, T0=1, t_max=10, tol=1e-6)
+
+
 @pytest.mark.parametrize("user_slack", [np.inf, np.nan, -0.5])
 def test_bounds_report_refuses_unusable_user_slack(user_slack):
     m = example1_model(0.5)

@@ -1,7 +1,9 @@
+import contextlib
 import copy
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from scipy.optimize import OptimizeResult
 from occulimits import model as model_mod, programs
 from occulimits.cli import main
 from occulimits.model import (NOISE_NORMALIZATION_TOL, ModelError, example1_model,
-                              load_model, save_model, transition, validate)
+                              example2_model, load_model, save_model, transition,
+                              validate)
 from occulimits.suite import random_model
 
 from _oracles import with_cost
@@ -418,3 +421,104 @@ def test_missing_model_flags(capsys):
     code, _, err = run(capsys, "bounds")
     assert code == 2
     assert "input error" in err
+
+
+def test_ergodic_refuses_empty_y0_grid(capsys):
+    # the zero-state family model used to reach HiGHS, which refused its
+    # cost vector as "Invalid input for linprog"
+    code, out, err = run(capsys, "ergodic", "--builtin", "example1", "--y0-grid=")
+    assert code == 2
+    assert out == "" and err == "input error: model has no states\n"
+
+
+def example2_k_star(m, y0):
+    """Analytic k*(y0) of example 2 at the state --y0 snaps to: 2^-m on the
+    positive orbit, else -(1 + 1/4)/2 (the control -1 at every step)."""
+    grid = example2_model(m)
+    return 2.0 ** -m if grid.state_values()[grid.nearest_state(y0)] > 0 else -0.625
+
+
+@pytest.mark.parametrize("control_step", ["1e300", "1e308"])
+def test_bounds_with_coarse_control_step_reports_analytic_k_star(capsys, control_step):
+    # 1e300 used to put u = 0 into every U(y > 0) and report k*(0.5) = -0.625;
+    # 1e308 escaped as an OverflowError traceback
+    code, _, err = run(capsys, "bounds", "--builtin", "example2", "--m", "2", "--y0", "0.5",
+                       "--T", "1,10", "--eps", "0.5", "--control-step", control_step)
+    assert code == 0
+    assert "k*(y0)=0.25 " in err
+
+
+def test_bounds_refuses_control_step_below_grid_step(capsys):
+    code, out, err = run(capsys, "bounds", "--builtin", "example2", "--m", "2", "--y0", "0.5",
+                         "--T", "1,10", "--eps", "0.5", "--control-step", "1e-300")
+    assert code == 2
+    assert out == "" and err.startswith("input error:") and "positive multiple" in err
+
+
+NAN, INF = float("nan"), float("inf")
+# per flag: a strategy for usable values, and values the CLI must refuse or
+# survive (example 1 refuses y0 = 0; a control step of 1e300 keeps only the
+# interval endpoints and y)
+CLI_FLAGS = {
+    "y0": (st.floats(-1.0, 1.0) | st.sampled_from([0.5, 0.25, -0.5]),
+           [None, NAN, INF, -INF, 1.5, -1.5, 0.0, 1e300]),
+    "control-step": (st.integers(0, 4).map(lambda j: 2.0 ** -j),
+                     [0.0, -0.25, 0.3, 1e-300, 5e-324, 1e300, 1e308, NAN, INF]),
+    "T": (st.lists(st.integers(1, 300), min_size=1, max_size=3, unique=True).map(sorted),
+          [None, [], [0], [-1, 5], [5, 5], [10, 5]]),
+    "eps": (st.lists(st.floats(1e-4, 0.99), min_size=1, max_size=3, unique=True)
+            .map(lambda e: sorted(e, reverse=True)),
+            [[], [0.0], [1.0], [NAN], [0.1, 0.5], [1e-7], [1e-300]]),
+    "user-slack": (st.floats(0.0, 1.0), [NAN, INF, -1.0]),
+    "y0-grid": (st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
+                [[], [0.0], [1.5], [NAN], [-0.5, 0.5]]),
+    "T0": (st.integers(0, 10), [-2, 70]),
+    "t-max": (st.integers(10, 60), [-1, 0, 1]),
+    "tol": (st.floats(1e-9, 1e-2), [0.0, -1.0, NAN, INF, 1e-300, 1e300]),
+    "prg-t-max": (st.integers(2, 40), [-2, 0, 1]),
+}
+COMMAND_FLAGS = {"validate": ("y0", "control-step"),
+                 "bounds": ("y0", "control-step", "T", "eps", "user-slack"),
+                 "ergodic": ("y0", "control-step", "T", "eps", "y0-grid"),
+                 "policy": ("y0", "control-step", "T0", "t-max", "tol", "prg-t-max")}
+
+
+@st.composite
+def cli_argv(draw):
+    """A validate/bounds/ergodic/policy run on example 1, or on example 2
+    with m in 2..4 (larger grids and horizons would cost seconds per run):
+    each flag is left out or usable, except up to two drawn from their
+    refusal lists.  --y0 and --T are left out only as a refusal (the
+    default horizons of ergodic reach 1000)."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command, "--builtin", draw(st.sampled_from(["example1", "example2"]))]
+    if argv[2] == "example2":
+        argv.append(f"--m={draw(st.integers(2, 4))}")
+    junk = draw(st.sets(st.sampled_from(COMMAND_FLAGS[command]), max_size=2))
+    for name in COMMAND_FLAGS[command]:
+        usable, refused = CLI_FLAGS[name]
+        if name in junk:
+            value = draw(st.sampled_from(refused))
+        elif name in ("y0", "T") or draw(st.booleans()):
+            value = draw(usable)
+        else:
+            continue
+        if value is None:
+            continue
+        text = ",".join(map(repr, value)) if isinstance(value, list) else repr(value)
+        argv.append(f"--{name}={text}")
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(argv=cli_argv())
+def test_cli_exit_code_contract_fuzzed(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in {0, 2, 3, 4, 5}, (code, err.getvalue())
+    if code == 0 and argv[0] == "bounds" and argv[2] == "example2":
+        m = int(argv[3].split("=")[1])
+        y0 = float(next(a for a in argv if a.startswith("--y0=")).split("=")[1])
+        k_star_y0 = float(re.search(r"k\*\(y0\)=(\S+)", err.getvalue()).group(1))
+        assert k_star_y0 == pytest.approx(example2_k_star(m, y0), abs=1e-9)

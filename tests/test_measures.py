@@ -27,7 +27,7 @@ def test_example1_law_stationary_from_t1():
 
 def test_deterministic_permutation_point_mass_path():
     # 3-cycle under a single atom: point mass stays a point mass
-    m = FiniteModel(states=[StatePoint((float(i),), i) for i in range(3)],
+    m = FiniteModel(states=[StatePoint((float(i),)) for i in range(3)],
                     controls=[[(0.0,)]] * 3, noise=[NoiseAtom(0, 1.0)],
                     pair_cost=[0.0] * 3, next_idx=[[1], [2], [0]])
     plan = Plan(kind="stationary_deterministic", selector=np.zeros(3, dtype=int))
@@ -40,7 +40,7 @@ def test_two_state_two_step_hand_law():
     # single control per state, P(.|0) = (0.3, 0.7), P(.|1) = (0.6, 0.4)
     # mu_1 = (0.3, 0.7); mu_2 = (0.3*0.3 + 0.7*0.6, 0.3*0.7 + 0.7*0.4) = (0.51, 0.49)
     rows = np.array([[0.3, 0.7], [0.6, 0.4]])
-    m = FiniteModel(states=[StatePoint((0.0,), 0), StatePoint((1.0,), 1)],
+    m = FiniteModel(states=[StatePoint((0.0,)), StatePoint((1.0,))],
                     controls=[[(0.0,)], [(0.0,)]], noise=[], pair_cost=[0.0, 0.0],
                     kernel=rows)
     plan = Plan(kind="stationary_deterministic", selector=np.zeros(2, dtype=int))
@@ -70,6 +70,21 @@ def test_pair_laws_check_the_plan_before_any_law():
     laws = pair_laws(m, Plan(kind="stationary_deterministic", selector=np.array([2, 0])), 0, 0)
     with pytest.raises(ValueError, match="bad deterministic selector"):
         next(laws)
+
+
+@pytest.mark.parametrize("kind", ["stationary_deterministic", "staged"])
+@pytest.mark.parametrize("selector", [[0.5, 0], [1.0, 0.0], [True, False]],
+                         ids=["fractional", "integral_floats", "booleans"])
+def test_plan_refuses_non_integer_selector(kind, selector):
+    # a float selector used to pass the check and fail in pair_weights as a
+    # bare IndexError; booleans were read as the indices 1 and 0
+    m = example1_model(0.5)
+    sel = np.array(selector)
+    plan = Plan(kind=kind, selector=sel if kind != "staged" else [sel] * 5)
+    with pytest.raises(ValueError, match="plan/model mismatch"):
+        plan.check_against(m)
+    with pytest.raises(ValueError, match="plan/model mismatch"):
+        evaluate_plan_average(m, plan, m.initial_index, 5)
 
 
 @pytest.mark.parametrize("entry", [
@@ -151,7 +166,7 @@ def test_example1_discounted_occupation_value():
 
 
 def test_absorbing_state_discounted_point_mass():
-    m = FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[(0.0,)]],
+    m = FiniteModel(states=[StatePoint((0.0,))], controls=[[(0.0,)]],
                     noise=[NoiseAtom(0, 1.0)], pair_cost=[0.5], next_idx=[[0]])
     plan = Plan(kind="stationary_deterministic", selector=np.zeros(1, dtype=int))
     for eps in (0.9, 0.05):
@@ -211,7 +226,7 @@ def test_rho_point_masses_hand_value():
     # Point masses at pair a=(y=0, u=0) and b=(y=1, u=0) on a 2-state model:
     # normalized monomial gap is 1 for every pure power of y, 0 otherwise.
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    m = FiniteModel(states=[StatePoint((0.0,), 0), StatePoint((1.0,), 1)],
+    m = FiniteModel(states=[StatePoint((0.0,)), StatePoint((1.0,))],
                     controls=[[(0.0,)], [(0.0,)]], noise=[], pair_cost=[0.0, 0.0],
                     kernel=rows)
     fam = canonical_test_family(m)
@@ -263,7 +278,7 @@ def exact_positive_orbit_model(levels=20):
     # states 0.5 * 4^-j with u = y the only control; the orbit never snaps,
     # it keeps spreading binomially, so no finite period emerges
     values = [0.5 * 0.25 ** j for j in range(levels)]
-    states = [StatePoint((v,), i) for i, v in enumerate(values)]
+    states = [StatePoint((v,)) for v in values]
     return FiniteModel(states=states, controls=[[(v,)] for v in values],
                        noise=[NoiseAtom(0, 0.5), NoiseAtom(1, 0.5)], pair_cost=values,
                        next_idx=[[i, min(i + 1, levels - 1)] for i in range(levels)])
@@ -279,7 +294,7 @@ def test_prg_not_detected_on_exact_positive_orbit():
 def test_prg_staged_plan_cycles():
     # deterministic 3-cycle with a single control: the cycled one-stage plan
     # generates a period-3 law from t=0
-    m = FiniteModel(states=[StatePoint((float(i),), i) for i in range(3)],
+    m = FiniteModel(states=[StatePoint((float(i),)) for i in range(3)],
                     controls=[[(0.0,)]] * 3, noise=[NoiseAtom(0, 1.0)],
                     pair_cost=[0.0] * 3, next_idx=[[1], [2], [0]])
     plan = Plan(kind="staged", selector=[np.zeros(3, dtype=int)])

@@ -1,9 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from occulimits.model import (FiniteModel, ModelError, NoiseAtom, StatePoint,
+from occulimits.dp import finite_horizon_values
+from occulimits.model import (NOISE_NORMALIZATION_TOL, ROW_SUM_TOL, FiniteModel,
+                              ModelError, NoiseAtom, StatePoint,
                               build_transition_tensor, example1_model,
                               example1_family_model, example2_model,
                               load_model, save_model, transition, validate)
@@ -24,7 +28,7 @@ def assert_same_arrays(a, b):
 
 
 def single_state_model():
-    return FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[(0.0,)]],
+    return FiniteModel(states=[StatePoint((0.0,))], controls=[[(0.0,)]],
                        noise=[NoiseAtom(0, 1.0)], pair_cost=[1.0], next_idx=[[0]])
 
 
@@ -45,7 +49,7 @@ def test_example1_transition_row_matches_dynamics():
 
 def test_three_state_rows_match_hand_enumeration():
     # 3 states, one control each, 2 atoms (0.6 / 0.4); images fixed by hand
-    m = FiniteModel(states=[StatePoint((float(i),), i) for i in range(3)],
+    m = FiniteModel(states=[StatePoint((float(i),)) for i in range(3)],
                     controls=[[(0.0,)]] * 3,
                     noise=[NoiseAtom(0, 0.6), NoiseAtom(1, 0.4)],
                     pair_cost=[0.0] * 3, next_idx=[[1, 2], [1, 1], [0, 1]])
@@ -69,14 +73,14 @@ def test_dynamics_out_of_range_names_triple(tmp_path):
 def test_constructor_refuses_control_lists_not_one_per_state():
     # one state, two control lists: both law kinds name both counts
     with pytest.raises(ModelError, match="2 control lists for 1 states"):
-        FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[(0.0,)], [(1.0,)]],
+        FiniteModel(states=[StatePoint((0.0,))], controls=[[(0.0,)], [(1.0,)]],
                     noise=[NoiseAtom(0, 1.0)], pair_cost=[1.0, 2.0], next_idx=[[0], [0]])
     with pytest.raises(ModelError, match="2 control lists for 1 states"):
-        FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[(0.0,)], [(1.0,)]],
+        FiniteModel(states=[StatePoint((0.0,))], controls=[[(0.0,)], [(1.0,)]],
                     noise=[], pair_cost=[1.0, 2.0], kernel=[[1.0], [1.0]])
 
 
-TWO_STATES = {"states": [StatePoint((0.0,), 0), StatePoint((1.0,), 1)],
+TWO_STATES = {"states": [StatePoint((0.0,)), StatePoint((1.0,))],
               "controls": [[(0.0,)], [(0.0,)]], "noise": [NoiseAtom(0, 1.0)]}
 
 
@@ -107,10 +111,11 @@ def test_constructor_refuses_unusable_arrays(arrays, problem):
     ([[(0.0,)], [(1.0, 2.0)]], "one positive dimension"),
     ([[()], [()]], "one positive dimension")])
 def test_validate_flags_bad_control_values(controls, problem):
-    m = FiniteModel(states=[StatePoint((0.0,), 0), StatePoint((1.0,), 1)],
+    # the constructor refuses every problem validate lists
+    with pytest.raises(ModelError, match=problem):
+        FiniteModel(states=[StatePoint((0.0,)), StatePoint((1.0,))],
                     controls=controls, noise=[NoiseAtom(0, 1.0)],
                     pair_cost=[1.0, 2.0], next_idx=[[1], [0]])
-    assert any(problem in v for v in validate(m))
 
 
 def test_validate_example1_clean():
@@ -118,16 +123,112 @@ def test_validate_example1_clean():
 
 
 def test_validate_flags_unnormalized_noise():
-    m = FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[(0.0,)]],
+    with pytest.raises(ModelError, match="noise not normalized"):
+        FiniteModel(states=[StatePoint((0.0,))], controls=[[(0.0,)]],
                     noise=[NoiseAtom(0, 0.9)], pair_cost=[1.0], next_idx=[[0]])
-    assert any("noise not normalized" in v for v in validate(m))
 
 
 def test_validate_flags_empty_control_list():
-    m = FiniteModel(states=[StatePoint((0.0,), 0)], controls=[[]],
+    with pytest.raises(ModelError, match=re.escape("empty U(y)")):
+        FiniteModel(states=[StatePoint((0.0,))], controls=[[]],
                     noise=[NoiseAtom(0, 1.0)], pair_cost=[],
                     next_idx=np.zeros((0, 1), dtype=np.int64))
-    assert any("empty U(y)" in v for v in validate(m))
+
+
+NAN, INF = float("nan"), float("inf")
+REFUSED_MODELS = {
+    "no_states": ({"states": [], "controls": [], "noise": [NoiseAtom(0, 1.0)],
+                   "pair_cost": [], "next_idx": np.zeros((0, 1), dtype=np.int64)},
+                  "model has no states"),
+    "nan_cost": ({**TWO_STATES, "pair_cost": [NAN, 1.0], "next_idx": [[1], [0]]},
+                 "cost table has non-finite entries"),
+    "infinite_cost": ({**TWO_STATES, "pair_cost": [1.0, -INF], "next_idx": [[1], [0]]},
+                      "cost table has non-finite entries"),
+    "nan_state": ({**TWO_STATES, "states": [StatePoint((0.0,)), StatePoint((NAN,))],
+                   "pair_cost": [1.0, 2.0], "next_idx": [[1], [0]]},
+                  "state 1 has non-finite coordinates"),
+    "short_kernel_row": ({**TWO_STATES, "noise": [], "pair_cost": [1.0, 2.0],
+                          "kernel": [[0.9, 0.0], [0.0, 1.0]]},
+                         "1 transition rows do not sum to 1"),
+    "two_problems": ({**TWO_STATES, "noise": [NoiseAtom(0, 0.9)],
+                      "pair_cost": [NAN, 1.0], "next_idx": [[1], [0]]},
+                     r"noise not normalized \(sum=0.9\); cost table has non-finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_MODELS))
+def test_constructor_refuses_every_problem_validate_lists(case):
+    # each of these models used to be built and then answered: a NaN cost
+    # gave a NaN v_T, a zero-state model went on to the LP solver
+    arrays, problem = REFUSED_MODELS[case]
+    with pytest.raises(ModelError, match=problem):
+        FiniteModel(**arrays)
+
+
+SPOILERS = ("no_states", "empty_control_list", "nan_control", "infinite_control",
+            "ragged_control", "nan_cost", "infinite_cost", "no_noise", "law_sums_to_0.9",
+            "nan_law", "infinite_law", "negative_law", "image_outside")
+
+
+@st.composite
+def model_arrays(draw):
+    """Constructor arguments of a small dynamics- or kernel-mode model: a
+    valid one, then up to two drawn defects from SPOILERS."""
+    spoil = set(draw(st.lists(st.sampled_from(SPOILERS), max_size=2)))
+    n_states = 0 if "no_states" in spoil else draw(st.integers(1, 3))
+    controls = [draw(st.lists(st.tuples(st.floats(-2.0, 2.0)), min_size=1, max_size=3))
+                for _ in range(n_states)]
+    if n_states:
+        i = draw(st.integers(0, n_states - 1))
+        for name, bad in (("nan_control", (NAN,)), ("infinite_control", (INF,)),
+                          ("ragged_control", (0.0, 1.0))):
+            if name in spoil:
+                controls[i][0] = bad
+        if "empty_control_list" in spoil:
+            controls[i] = []
+    n_pairs = sum(map(len, controls))
+    # |cost| stays far below the float range: k + (T-1) E[v] overflows near it
+    pair_cost = draw(st.lists(st.floats(-1e6, 1e6), min_size=n_pairs, max_size=n_pairs))
+    if n_pairs and spoil & {"nan_cost", "infinite_cost"}:
+        pair_cost[draw(st.integers(0, n_pairs - 1))] = NAN if "nan_cost" in spoil else -INF
+    kernel_mode = draw(st.booleans())
+    shape = ((n_pairs, n_states) if kernel_mode
+             else (1, 0 if "no_noise" in spoil else draw(st.integers(1, 3))))
+    law = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=shape[0] * shape[1],
+                                 max_size=shape[0] * shape[1]))).reshape(shape)
+    law /= law.sum(axis=1, keepdims=True)
+    if law.size:
+        row = draw(st.integers(0, shape[0] - 1))
+        for name, scale in (("law_sums_to_0.9", 0.9), ("nan_law", NAN),
+                            ("infinite_law", INF), ("negative_law", -1.0)):
+            if name in spoil:
+                law[row] *= scale
+    arrays = {"states": [StatePoint((float(i),)) for i in range(n_states)],
+              "controls": controls, "pair_cost": pair_cost}
+    if kernel_mode:
+        return {**arrays, "noise": [], "kernel": law}
+    images = np.array(draw(st.lists(st.integers(0, max(n_states - 1, 0)),
+                                    min_size=n_pairs * shape[1], max_size=n_pairs * shape[1])))
+    if images.size and "image_outside" in spoil:
+        images[0] = n_states
+    return {**arrays, "noise": [NoiseAtom(a, float(q)) for a, q in enumerate(law[0])],
+            "next_idx": images.reshape(n_pairs, shape[1])}
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(arrays=model_arrays())
+def test_constructed_models_are_valid_finite_models(arrays):
+    try:
+        m = FiniteModel(**arrays)
+    except ModelError:
+        return
+    assert validate(m) == []
+    curve, _ = finite_horizon_values(m, 3)
+    assert all(np.all(np.isfinite(vf.values)) for vf in curve)
+    sums = np.asarray(transition(m).P.sum(axis=1)).ravel()
+    # a dynamics row sums the noise probabilities validate summed, in another order
+    tol = max(NOISE_NORMALIZATION_TOL, ROW_SUM_TOL) + 4 * np.finfo(float).eps
+    assert np.all(np.abs(sums - 1.0) <= tol)
 
 
 def test_example1_states_and_cost():
@@ -194,6 +295,24 @@ def test_example2_m8_images():
 def test_example2_rejects_small_m():
     with pytest.raises(ModelError):
         example2_model(1)
+
+
+@pytest.mark.parametrize("control_step", [1e300, 1e308])
+def test_example2_controls_stay_in_their_interval(control_step):
+    # at 1e300 the absolute -1e-12 in the lowest multiple used to put u = 0
+    # into [y, 1] for every y > 0; at 1e308 the multiple check overflowed
+    m = example2_model(2, control_step)
+    for y, cs in zip(m.state_values(), m.controls):
+        lo, hi = (y if y > 0 else -1.0), (y if y < 0 else 1.0)
+        assert all(lo <= u <= hi for (u,) in cs) and {lo, hi, y} <= {u for (u,) in cs}
+
+
+@pytest.mark.parametrize("control_step", [1e-300, 5e-324])
+def test_example2_refuses_control_step_below_grid_step(control_step):
+    # 1e-300 used to pass as a "multiple" (its ratio rounds to 0), overflow
+    # the integer counts and put -9.2e-282 into U(0.5)
+    with pytest.raises(ModelError, match="not a positive multiple"):
+        example2_model(2, control_step)
 
 
 def test_example2_snapping_total_and_y_admissible():
@@ -313,15 +432,15 @@ def test_random_suite_roundtrip(tmp_path):
 
 
 def test_kernel_roundtrip_keeps_rows(tmp_path):
-    rows = np.array([[0.2, 0.8, 0.0], [0.5, 0.25, 0.25], [0.0, 0.0, 1.0]])
-    m = FiniteModel(states=[StatePoint((float(i),), i) for i in range(3)],
-                    controls=[[(0.0,), (1.0,)], [(0.0,)], []], noise=[],
-                    pair_cost=[0.1, -0.2, 0.3], kernel=rows)
+    rows = np.array([[0.2, 0.8, 0.0], [0.5, 0.25, 0.25], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    m = FiniteModel(states=[StatePoint((float(i),)) for i in range(3)],
+                    controls=[[(0.0,), (1.0,)], [(0.0,)], [(1.0,)]], noise=[],
+                    pair_cost=[0.1, -0.2, 0.3, 0.4], kernel=rows)
     path = tmp_path / "kernel.json"
     save_model(m, path)
     doc = json.loads(path.read_text())
-    assert doc["transition"] == [rows[:2].tolist(), rows[2:].tolist(), []]
-    assert [row["value"] for row in doc["cost"]] == [0.1, -0.2, 0.3]
+    assert doc["transition"] == [rows[:2].tolist(), rows[2:3].tolist(), rows[3:].tolist()]
+    assert [row["value"] for row in doc["cost"]] == [0.1, -0.2, 0.3, 0.4]
     assert "dynamics" not in doc and "noise" not in doc
 
 

@@ -192,7 +192,7 @@ def test_membership_discounted_occupation():
 def test_membership_uniform_on_skewed_kernel():
     # hand defect: marginal (.5,.5); pushed (.45+.25, .05+.25) = (.7,.3)
     rows = np.array([[0.9, 0.1], [0.5, 0.5]])
-    m = FiniteModel(states=[StatePoint((0.0,), 0), StatePoint((1.0,), 1)],
+    m = FiniteModel(states=[StatePoint((0.0,)), StatePoint((1.0,))],
                     controls=[[(0.0,)], [(0.0,)]], noise=[], pair_cost=[0.0, 0.0],
                     kernel=rows)
     res = membership_residuals(m, GMeasure(np.array([0.5, 0.5])), "W")
