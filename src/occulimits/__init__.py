@@ -8,11 +8,11 @@ from .dp import (Plan, ValueFunction, discounted_values, evaluate_plan_average,
                  evaluate_plan_discounted, finite_horizon_values,
                  greedy_feedback_from_eta, value_curve_csv_rows)
 from .lp_core import LinearProgram, LpError, LpSolution, dump_lp, solve_lp
-from .measures import (DistributionPath, PrgReport, TestFamily,
-                       canonical_test_family, discounted_occupation, hausdorff,
-                       occupation_measure, pair_laws, propagate, prg_detect, rho)
-from .model import (FiniteModel, ModelError, NoiseAtom, StatePoint,
-                    TransitionTensor, build_transition_tensor, example1_model,
+from .measures import (PrgReport, canonical_test_family, discounted_occupation,
+                       hausdorff, occupation_measure, pair_laws, propagate,
+                       prg_detect, rho)
+from .model import (FiniteModel, ModelError, TransitionTensor,
+                    build_transition_tensor, example1_model,
                     example1_family_model, example2_model, load_model,
                     save_model, transition, validate)
 from .programs import (DualCertificate, GMeasure, ProgramResult, SolverError,

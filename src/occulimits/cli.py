@@ -156,10 +156,9 @@ def cmd_policy(args):
     prg = measures.prg_detect(mdl, plan, y0, t_max=args.prg_t_max)
     print(f"k*(y0)={_fmt(aug.optimal_value)} d*(y0)={_fmt(aug.dual.mu)}")
     print("state -> feedback control")
-    for i in range(mdl.n_states):
-        u = mdl.control_value(i, int(plan.selector[i]))
-        coords = ",".join(_fmt(c) for c in mdl.states[i].coords)
-        print(f"  ({coords}) -> ({','.join(_fmt(c) for c in u)})")
+    chosen = mdl.pair_control[mdl.state_pair_start[:-1] + plan.selector]
+    for y, u in zip(mdl.states.tolist(), chosen.tolist()):
+        print(f"  ({','.join(map(_fmt, y))}) -> ({','.join(map(_fmt, u))})")
     print(f"certified={certified} residuals=({_fmt(residuals[0])}, {_fmt(residuals[1])})")
     if prg.is_prg:
         print(f"prg=yes T0={prg.T0} period={prg.period}")

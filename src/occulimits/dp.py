@@ -45,7 +45,7 @@ class Plan:
     selector: object
 
     def check_against(self, model):
-        sizes = [len(cs) for cs in model.controls]
+        sizes = np.diff(model.state_pair_start)
         if self.kind in ("stationary_deterministic", "staged"):
             sels = self.selector if self.kind == "staged" else [self.selector]
             if len(sels) == 0:
@@ -105,6 +105,8 @@ def finite_horizon_values(model, T):
 
     Returns the whole curve v_1..v_T (one ValueFunction per horizon) and the
     staged argmin plan, whose forward evaluation reproduces v_T exactly.
+    Raises SolverError naming the first horizon whose value is not finite:
+    with costs near the float range, T v_T overflows before it is divided.
     """
     if T < 1:
         raise ValueError(f"T={T} must be >= 1")
@@ -113,12 +115,16 @@ def finite_horizon_values(model, T):
     v_prev = np.zeros(model.n_states)
     curve = []
     argmins = []
-    for tau in range(1, T + 1):
-        q = k + (tau - 1) * tensor.expect(v_prev)
-        vmin, sel = _group_min(model, q)
-        v_prev = vmin / tau
-        curve.append(ValueFunction(values=v_prev))
-        argmins.append(sel)
+    with np.errstate(over="ignore"):
+        for tau in range(1, T + 1):
+            q = k + (tau - 1) * tensor.expect(v_prev)
+            vmin, sel = _group_min(model, q)
+            v_prev = vmin / tau
+            if not np.isfinite(v_prev).all():
+                raise SolverError(f"finite-horizon recursion overflowed: v_{tau} is not "
+                                  "finite (costs too close to the float range)")
+            curve.append(ValueFunction(values=v_prev))
+            argmins.append(sel)
     plan = Plan(kind="staged", selector=list(reversed(argmins)))
     return curve, plan
 
@@ -192,12 +198,9 @@ def value_curve_csv_rows(model, curve, parameters=None):
     """
     if parameters is None:
         parameters = range(1, len(curve) + 1)
-    rows = []
-    for param, vf in zip(parameters, curve):
-        for i, sp in enumerate(model.states):
-            label = ",".join(repr(c) for c in sp.coords)
-            rows.append((param, label, float(vf.values[i])))
-    return rows
+    labels = [",".join(map(repr, coords)) for coords in model.states.tolist()]
+    return [(param, label, value) for param, vf in zip(parameters, curve)
+            for label, value in zip(labels, vf.values.tolist())]
 
 
 def evaluate_plan_discounted(model, plan, y0, eps, tail_tol=1e-12):

@@ -18,23 +18,6 @@ from .programs import GMeasure
 
 
 @dataclass
-class DistributionPath:
-    """State laws mu[t], t = 0..T, under a plan started from a point mass."""
-
-    mu: np.ndarray  # (T+1, n_states)
-
-
-@dataclass
-class TestFamily:
-    """Ordered value tables over admissible pairs, each with sup-norm <= 1."""
-
-    tables: list
-
-    def __len__(self):
-        return len(self.tables)
-
-
-@dataclass
 class PrgReport:
     is_prg: bool
     T0: int | None = None
@@ -57,7 +40,8 @@ def pair_laws(model, plan, y0, T):
 
 
 def propagate(model, plan, y0, T):
-    """Exact state laws mu_0..mu_T from the point mass at state y0."""
+    """Exact state laws mu_0..mu_T from the point mass at state y0, as the
+    rows of a (T+1, n_states) array."""
     model.check_y0(y0)
     mu = np.zeros((T + 1, model.n_states))
     mu[0, y0] = 1.0
@@ -65,7 +49,7 @@ def propagate(model, plan, y0, T):
         mu[t] = mu_t
     if T:
         mu[T] = transition(model).push(law)
-    return DistributionPath(mu=mu)
+    return mu
 
 
 def occupation_measure(model, plan, y0, T):
@@ -110,17 +94,13 @@ def discounted_occupation(model, plan, y0, eps, tail_tol):
 def canonical_test_family(model, max_degree=3, max_size=32):
     """Tensor-product monomials in (y, u) of total degree <= max_degree.
 
-    Enumerated in graded lexicographic order, each table normalized by its
-    sup-norm over the admissible pairs; identically-zero monomials are
-    skipped.  Truncated at max_size functions.
+    Returns the ordered list of value tables over the admissible pairs,
+    enumerated in graded lexicographic order, each normalized to sup-norm 1
+    over the pairs; identically-zero monomials are skipped.  Truncated at
+    max_size functions.
     """
-    d_y = len(model.states[0].coords)
-    d_u = len(model.controls[0][0])
-    y_table = np.array([model.states[int(s)].coords for s in model.pair_state])
-    u_table = np.array([model.control_value(int(model.pair_state[p]), int(model.pair_local[p]))
-                        for p in range(model.n_pairs)])
-    coords = np.hstack([y_table, u_table])  # (n_pairs, d_y + d_u)
-    d = d_y + d_u
+    coords = np.hstack([model.states[model.pair_state], model.pair_control])
+    d = coords.shape[1]
     tables = []
     for total in range(max_degree + 1):
         for expo in sorted((e for e in product(range(total + 1), repeat=d)
@@ -131,8 +111,8 @@ def canonical_test_family(model, max_degree=3, max_size=32):
                 continue
             tables.append(vals / sup)
             if len(tables) == max_size:
-                return TestFamily(tables=tables)
-    return TestFamily(tables=tables)
+                return tables
+    return tables
 
 
 def rho(g1, g2, fam):
@@ -141,7 +121,7 @@ def rho(g1, g2, fam):
         raise ValueError("empty test family")
     diff = np.asarray(g1.weights) - np.asarray(g2.weights)
     return float(sum(abs(float(q @ diff)) / 2.0 ** (j + 1)
-                     for j, q in enumerate(fam.tables)))
+                     for j, q in enumerate(fam)))
 
 
 def hausdorff(set_a, set_b, fam):

@@ -10,7 +10,6 @@ arrays and its law are compiled once, when it is constructed.
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -23,38 +22,26 @@ class ModelError(ValueError):
     """Raised for malformed model files or invalid builder parameters."""
 
 
-@dataclass(frozen=True)
-class StatePoint:
-    """A grid point of the state space."""
-
-    coords: tuple
-
-
-@dataclass(frozen=True)
-class NoiseAtom:
-    """One atom of the finite-support noise distribution."""
-
-    id: int
-    prob: float
-
-
 class FiniteModel:
     """Immutable finite model of a controlled stochastic recursion.
 
-    The admissible pairs (y, u) are numbered state by state.  The constructor
-    takes the compiled arrays over them: pair_cost, k(y, u) of every pair, and
-    exactly one of next_idx, the (n_pairs, n_atoms) state index of every
-    pair's image under every noise atom, or kernel, the dense (n_pairs,
-    n_states) transition rows of a kernel-mode model.  It refuses with
-    ModelError any array it cannot use, freezes every array and builds the
-    transition law that transition(model) returns, then refuses with one
-    ModelError every problem that validate lists: a model that exists is
-    valid.  Assigning any attribute raises.
+    states is the (n_states, d_y) list of grid points and controls gives
+    every state's control list as an (n_c, d_u) array-like; a 1-D value
+    holds scalar points.  The admissible pairs (y, u) are numbered state by
+    state.  noise holds the probability of every noise atom (empty in kernel
+    mode).  The constructor takes the compiled arrays over the pairs:
+    pair_cost, k(y, u) of every pair, and exactly one of next_idx, the
+    (n_pairs, n_atoms) state index of every pair's image under every noise
+    atom, or kernel, the dense (n_pairs, n_states) transition rows of a
+    kernel-mode model.  It refuses with ModelError any array it cannot use,
+    freezes every array and builds the transition law that transition(model)
+    returns, then refuses with one ModelError every problem that validate
+    lists: a model that exists is valid.  Assigning any attribute raises.
 
-    Attributes:
-        states: tuple of StatePoint.
-        controls: per-state tuples of control value tuples.
-        noise: tuple of NoiseAtom (empty in kernel mode).
+    Attributes (every array read-only):
+        states: (n_states, d_y) state coordinates.
+        pair_control: (n_pairs, d_u) control value of every pair.
+        noise: (n_atoms,) atom probabilities (empty in kernel mode).
         initial_index: optional distinguished initial state (builders set it).
         pair_state, pair_local: state and local control index of every pair.
         state_pair_start: first pair of every state, then n_pairs.
@@ -63,14 +50,21 @@ class FiniteModel:
 
     def __init__(self, states, controls, noise, pair_cost, next_idx=None, kernel=None,
                  initial_index=None):
+        states = _points("states", states)
         n_states = len(states)
         if len(controls) != n_states:
             raise ModelError(f"{len(controls)} control lists for {n_states} states")
-        sizes = np.array([len(cs) for cs in controls], dtype=np.int64)
+        blocks = [_points("controls", cs) for cs in controls]
+        filled = [b for b in blocks if len(b)]
+        dims = sorted({b.shape[1] for b in filled})
+        if len(dims) > 1 or 0 in dims:
+            raise ModelError(f"controls need one positive dimension, have {dims}")
+        sizes = np.array([len(b) for b in blocks], dtype=np.int64)
         starts = np.concatenate([[0], np.cumsum(sizes)])
         pair_state = np.repeat(np.arange(n_states), sizes)
         n_pairs = int(starts[-1])
         pair_cost = _checked_array("pair_cost", pair_cost, float, (n_pairs,))
+        noise = _checked_array("noise", noise, float, (len(noise),))
         if (next_idx is None) == (kernel is None):
             raise ModelError("exactly one of next_idx and kernel is required")
         if kernel is not None:
@@ -85,8 +79,9 @@ class FiniteModel:
             next_idx = next_idx.astype(np.int64)
         if initial_index is not None and initial_index not in range(n_states):
             raise ModelError(f"initial_index {initial_index!r} outside the {n_states} states")
-        fields = {"states": tuple(states), "controls": tuple(map(tuple, controls)),
-                  "noise": tuple(noise), "initial_index": initial_index,
+        fields = {"states": states,
+                  "pair_control": np.concatenate(filled) if filled else np.zeros((0, 1)),
+                  "noise": noise, "initial_index": initial_index,
                   "state_pair_start": starts, "pair_state": pair_state,
                   "pair_local": np.arange(n_pairs) - starts[pair_state],
                   "pair_cost": pair_cost,
@@ -123,13 +118,6 @@ class FiniteModel:
     def pair_index(self, state, local):
         return int(self.state_pair_start[state]) + local
 
-    def state_values(self):
-        """First coordinate of every state, as a vector (for 1-d models)."""
-        return np.array([s.coords[0] for s in self.states])
-
-    def control_value(self, state, local):
-        return self.controls[state][local]
-
     def check_y0(self, y0):
         """Refuse an initial state that is not a state index with ValueError."""
         if not (isinstance(y0, (int, np.integer)) and 0 <= y0 < self.n_states):
@@ -139,7 +127,7 @@ class FiniteModel:
         """Index of the state whose first coordinate is closest to value."""
         if not math.isfinite(value):
             raise ValueError(f"state value {value!r} is not finite")
-        return int(np.argmin(np.abs(self.state_values() - value)))
+        return int(np.argmin(np.abs(self.states[:, 0] - value)))
 
 
 def _checked_array(name, value, dtype, shape):
@@ -148,8 +136,19 @@ def _checked_array(name, value, dtype, shape):
         array = np.array(value, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise ModelError(f"{name}: {exc}") from exc
-    if array.shape != shape:
+    if shape is not None and array.shape != shape:
         raise ModelError(f"{name} has shape {array.shape}, expected {shape}")
+    return array
+
+
+def _points(name, value):
+    """value as a new float array with one row per point, a 1-D value
+    holding scalar points, else ModelError."""
+    array = _checked_array(name, value, float, None)
+    if array.ndim == 1:
+        return array[:, None]
+    if array.ndim != 2:
+        raise ModelError(f"{name} has shape {array.shape}, expected one row per point")
     return array
 
 
@@ -196,9 +195,8 @@ def build_transition_tensor(model):
     P, next_idx = model._kernel, model._next_idx
     if P is None:
         n_pairs, n_atoms = next_idx.shape
-        probs = np.array([atom.prob for atom in model.noise])
         # atoms sharing an image are summed into one entry
-        P = sparse.csr_matrix((np.tile(probs, n_pairs),
+        P = sparse.csr_matrix((np.tile(model.noise, n_pairs),
                                (np.repeat(np.arange(n_pairs), n_atoms), next_idx.ravel())),
                               shape=(n_pairs, model.n_states))
     for part in (P.data, P.indices, P.indptr):
@@ -212,36 +210,30 @@ def transition(model):
 
 
 def validate(model):
-    """Every violated FiniteModel invariant, one message each.  The
-    constructor refuses a model on which this list is nonempty, so for any
-    constructed model it is []."""
+    """Every violated FiniteModel invariant, one message each, checked on the
+    model's arrays.  Input those arrays cannot hold (ragged rows, controls of
+    several dimensions) is refused by the constructor before this runs, and
+    the constructor refuses a model on which this list is nonempty, so for
+    any constructed model it is []."""
     report = []
-    dims = {len(sp.coords) for sp in model.states}
-    if not dims:
+    if model.n_states == 0:
         report.append("model has no states")
-    elif len(dims) > 1 or 0 in dims:
-        report.append(f"states need one positive coordinate dimension, have {sorted(dims)}")
-    for i, sp in enumerate(model.states):
-        if not all(math.isfinite(c) for c in sp.coords):
-            report.append(f"state {i} has non-finite coordinates")
-    for i, cs in enumerate(model.controls):
-        if len(cs) == 0:
-            report.append(f"empty U(y) at state {i}")
-    dims = {len(u) for cs in model.controls for u in cs}
-    if len(dims) > 1 or 0 in dims:
-        report.append(f"controls need one positive dimension, have {sorted(dims)}")
-    if not all(math.isfinite(c) for cs in model.controls for u in cs for c in u):
+    elif model.states.shape[1] == 0:
+        report.append("states need one positive coordinate dimension, have [0]")
+    for i in np.flatnonzero(~np.isfinite(model.states).all(axis=1)):
+        report.append(f"state {i} has non-finite coordinates")
+    for i in np.flatnonzero(np.diff(model.state_pair_start) == 0):
+        report.append(f"empty U(y) at state {i}")
+    if not np.isfinite(model.pair_control).all():
         report.append("control values are not all finite")
     tensor = transition(model)
     if tensor.next_idx is not None:
-        total = sum(a.prob for a in model.noise)
+        total = sum(model.noise.tolist())  # left to right; numpy pairs the terms
         if abs(total - 1.0) > NOISE_NORMALIZATION_TOL:
             report.append(f"noise not normalized (sum={total!r})")
-        for a in model.noise:
-            if not (0.0 < a.prob <= 1.0):
-                report.append(f"noise atom {a.id} has probability {a.prob!r} outside (0,1]")
-        if len({a.id for a in model.noise}) != len(model.noise):
-            report.append("noise atom ids are not unique")
+        for a in np.flatnonzero(~((model.noise > 0.0) & (model.noise <= 1.0))):
+            report.append(f"noise atom {a} has probability {model.noise[a].item()!r} "
+                          "outside (0,1]")
     elif not np.all(np.isfinite(tensor.P.data)):
         report.append("transition rows contain non-finite entries")
     else:
@@ -271,9 +263,8 @@ def _sign_flip_model(values, initial_index=None):
     # (y u) s for u = -1, +1 per state and s = +1, -1 per atom
     images = (y[pair_state] * np.tile([-1.0, 1.0], len(values)))[:, None] * [1.0, -1.0]
     return FiniteModel(
-        states=[StatePoint((v,)) for v in values],
-        controls=[((-1.0,), (1.0,))] * len(values),
-        noise=[NoiseAtom(0, 0.75), NoiseAtom(1, 0.25)],  # s=+1, s=-1
+        states=y, controls=[[-1.0, 1.0]] * len(values),
+        noise=[0.75, 0.25],  # s=+1, s=-1
         pair_cost=y[pair_state], next_idx=np.searchsorted(y, images),
         initial_index=initial_index)
 
@@ -347,9 +338,7 @@ def example2_model(m, control_step=None):
     k -= k - mag == 0.5
     cuts = np.flatnonzero(np.diff(pair_state)) + 1
     return FiniteModel(
-        states=[StatePoint((v,)) for v in values.tolist()],
-        controls=[list(zip(chunk.tolist())) for chunk in np.split(u, cuts)],
-        noise=[NoiseAtom(0, 0.5), NoiseAtom(1, 0.5)],
+        states=values, controls=np.split(u, cuts), noise=[0.5, 0.5],  # s=1, s=1/4
         pair_cost=values[pair_state],
         next_idx=n_half + np.sign(images) * np.maximum(k, 1))
 
@@ -385,8 +374,10 @@ def load_model(path):
 
     The file carries either a (dynamics + noise) pair or an explicit dense
     transition tensor; see README for the schema.  Its rows fill the model's
-    arrays directly.  Raises ModelError with the offending field or row named
-    on any schema violation, and, from the constructor, on any invariant that
+    arrays directly.  Noise ids live only in the file: each distinct id names
+    one atom, that is one column of next_idx, in the order the atoms are
+    listed.  Raises ModelError with the offending field or row named on any
+    schema violation, and, from the constructor, on any invariant that
     validate lists.
     """
     try:
@@ -413,7 +404,7 @@ def load_model(path):
             raise ModelError(f"field {name!r} must be a list")
 
     try:
-        states = [StatePoint(tuple(_number(c) for c in coords)) for coords in doc["states"]]
+        states = [[_number(c) for c in coords] for coords in doc["states"]]
     except (TypeError, ValueError) as exc:
         raise ModelError(f"field 'states': {exc}") from exc
 
@@ -425,7 +416,7 @@ def load_model(path):
             shared = [tuple(_number(c) for c in u) for u in ctrl["shared"]]
         except (TypeError, ValueError) as exc:
             raise ModelError(f"field 'controls.shared': {exc}") from exc
-        controls = [list(shared) for _ in states]
+        controls = [shared] * len(states)
     elif "per_state" in ctrl:
         if "control_values" not in ctrl:
             raise ModelError("field 'controls.control_values' required with 'per_state'")
@@ -460,15 +451,17 @@ def load_model(path):
         missing = [key for key in pairs if key not in seen][:3]
         raise ModelError(f"field 'cost': incomplete table (missing {missing})")
 
-    noise, next_idx, kernel = [], None, None
+    ids, noise, next_idx, kernel = [], [], None, None
     if "dynamics" in doc:
         for row in doc["noise"]:
             try:
-                noise.append(NoiseAtom(_index(row["id"]), _number(row["prob"])))
+                atom = _index(row["id"]), _number(row["prob"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ModelError(f"field 'noise': bad row {row!r} ({exc})") from exc
-        column = {atom.id: a for a, atom in enumerate(noise)}
-        if len(column) < len(noise):
+            ids.append(atom[0])
+            noise.append(atom[1])
+        column = {atom_id: a for a, atom_id in enumerate(ids)}
+        if len(column) < len(ids):
             raise ModelError("noise atom ids are not unique")
         next_idx = np.full((len(pair_of), len(noise)), -1, dtype=np.int64)
         for row in doc["dynamics"]:
@@ -490,7 +483,7 @@ def load_model(path):
             p, a = np.argwhere(next_idx < 0)[0]
             i, l = pairs[p]
             raise ModelError(f"dynamics missing for (state={i}, control={l}, "
-                             f"noise={noise[a].id})")
+                             f"noise={ids[a]})")
     else:
         try:
             kernel = np.array([[_number(v) for v in doc["transition"][i][l]] for i, l in pairs])
@@ -510,25 +503,26 @@ def load_model(path):
 
 
 def save_model(model, path):
-    """Write a FiniteModel back out in the JSON schema accepted by load_model."""
+    """Write a FiniteModel out in the JSON schema accepted by load_model.  The
+    noise atoms get the ids 0..n_atoms-1 in their order; the ids a loaded
+    file carried are not kept."""
     tensor = transition(model)
     pairs = list(zip(model.pair_state.tolist(), model.pair_local.tolist()))
     doc = {
-        "states": [list(sp.coords) for sp in model.states],
+        "states": model.states.tolist(),
         "controls": _controls_doc(model),
         "cost": [{"state": i, "control": l, "value": c}
                  for (i, l), c in zip(pairs, model.pair_cost.tolist())],
     }
     if tensor.next_idx is None:
-        rows = iter(tensor.P.toarray().tolist())
-        doc["transition"] = [[next(rows) for _ in cs] for cs in model.controls]
+        rows, starts = tensor.P.toarray().tolist(), model.state_pair_start.tolist()
+        doc["transition"] = [rows[a:b] for a, b in zip(starts, starts[1:])]
     else:
-        ids = [a.id for a in model.noise]
-        doc["noise"] = [{"id": a.id, "prob": a.prob} for a in model.noise]
+        doc["noise"] = [{"id": a, "prob": p} for a, p in enumerate(model.noise.tolist())]
         doc["dynamics"] = [
             {"state": i, "control": l, "noise_id": a, "next_state": nxt}
             for (i, l), row in zip(pairs, tensor.next_idx.tolist())
-            for a, nxt in zip(ids, row)
+            for a, nxt in enumerate(row)
         ]
     if model.initial_index is not None:
         doc["initial_state"] = model.initial_index
@@ -537,15 +531,11 @@ def save_model(model, path):
 
 
 def _controls_doc(model):
-    cvals = []
-    seen = {}
-    per_state = []
-    for cs in model.controls:
-        idxs = []
-        for u in cs:
-            if u not in seen:
-                seen[u] = len(cvals)
-                cvals.append(list(u))
-            idxs.append(seen[u])
-        per_state.append(idxs)
-    return {"per_state": per_state, "control_values": cvals}
+    """The per_state controls field: every distinct control value once, in
+    order of first appearance, and each state's controls as indices into it."""
+    _, first, inverse = np.unique(model.pair_control, axis=0, return_index=True,
+                                  return_inverse=True)
+    index = np.argsort(np.argsort(first))[inverse.ravel()]
+    per_state = np.split(index, model.state_pair_start[1:-1])
+    return {"per_state": [idxs.tolist() for idxs in per_state],
+            "control_values": model.pair_control[np.sort(first)].tolist()}

@@ -59,11 +59,10 @@ class GMeasure:
         return np.nonzero(self.weights > tol)[0]
 
     def to_json_entries(self, model, tol=1e-12):
-        return [{"state": list(model.states[int(model.pair_state[p])].coords),
-                 "control": list(model.control_value(int(model.pair_state[p]),
-                                                     int(model.pair_local[p]))),
-                 "weight": float(self.weights[p])}
-                for p in self.support(tol)]
+        p = self.support(tol)
+        return [{"state": y, "control": u, "weight": w}
+                for y, u, w in zip(model.states[model.pair_state[p]].tolist(),
+                                   model.pair_control[p].tolist(), self.weights[p].tolist())]
 
 
 @dataclass

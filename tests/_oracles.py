@@ -14,25 +14,30 @@ from itertools import combinations, product
 
 import numpy as np
 
-from occulimits.model import FiniteModel, NoiseAtom, StatePoint, transition
+from occulimits.model import FiniteModel, transition
+
+
+def state_controls(model):
+    """The model's control values split per state, as the constructor takes them."""
+    return np.split(model.pair_control, model.state_pair_start[1:-1])
 
 
 def with_cost(model, pair_cost):
     """The dynamics model with its per-pair cost replaced."""
-    return FiniteModel(model.states, model.controls, model.noise, pair_cost,
+    return FiniteModel(model.states, state_controls(model), model.noise, pair_cost,
                        transition(model).next_idx, initial_index=model.initial_index)
 
 
 def _reference_sign_flip_model(values, initial_index=None):
-    states = [StatePoint((v,)) for v in values]
+    states = [(v,) for v in values]
     controls = [[(-1.0,), (1.0,)] for _ in values]
-    noise = [NoiseAtom(0, 0.75), NoiseAtom(1, 0.25)]  # s=+1, s=-1
-    s_vals = {0: 1.0, 1: -1.0}
+    noise = [0.75, 0.25]  # s=+1, s=-1
+    s_vals = [1.0, -1.0]
     pair_cost, next_idx = [], []
     for i, y in enumerate(values):
         for l, (u,) in enumerate(controls[i]):
             pair_cost.append(y)
-            next_idx.append([values.index(y * u * s_vals[atom.id]) for atom in noise])
+            next_idx.append([values.index(y * u * s) for s in s_vals])
     return FiniteModel(states, controls, noise, pair_cost, next_idx,
                        initial_index=initial_index)
 
@@ -67,7 +72,7 @@ def reference_example2_model(m, control_step=None):
     n_half = 2 ** m
     values = [i * step for i in range(-n_half, n_half + 1)]
     index_of = {v: i for i, v in enumerate(values)}
-    states = [StatePoint((v,)) for v in values]
+    states = [(v,) for v in values]
 
     def control_list(y):
         if y < 0:
@@ -83,14 +88,13 @@ def reference_example2_model(m, control_step=None):
         return [(u,) for u in sorted(us)]
 
     controls = [control_list(v) for v in values]
-    noise = [NoiseAtom(0, 0.5), NoiseAtom(1, 0.5)]  # s=1, s=1/4
-    s_vals = {0: 1.0, 1: 0.25}
+    noise = [0.5, 0.5]  # s=1, s=1/4
+    s_vals = [1.0, 0.25]
     pair_cost, next_idx = [], []
     for i, y in enumerate(values):
         for l, (u,) in enumerate(controls[i]):
             pair_cost.append(y)
-            next_idx.append([index_of[_snap_dyadic(u * s_vals[atom.id], step)]
-                             for atom in noise])
+            next_idx.append([index_of[_snap_dyadic(u * s, step)] for s in s_vals])
     return FiniteModel(states, controls, noise, pair_cost, next_idx)
 
 
@@ -149,7 +153,7 @@ def stationary_average_oracle(model):
     tensor = transition(model)
     rows = np.stack([tensor.row(p) for p in range(model.n_pairs)])
     best = np.inf
-    for choice in product(*[range(len(cs)) for cs in model.controls]):
+    for choice in product(*map(range, np.diff(model.state_pair_start))):
         pairs = [model.pair_index(i, l) for i, l in enumerate(choice)]
         P = rows[pairs]
         costs = model.pair_cost[pairs]
@@ -163,8 +167,8 @@ def brute_force_finite_horizon(model, y0, T):
     by expanding every noise sequence."""
     tensor = transition(model)
     n_atoms = len(model.noise)
-    probs = [a.prob for a in model.noise]
-    sels = list(product(*[range(len(cs)) for cs in model.controls]))
+    probs = model.noise.tolist()
+    sels = list(product(*map(range, np.diff(model.state_pair_start))))
     best = np.inf
     for stages in product(sels, repeat=T):
         total = 0.0

@@ -13,8 +13,7 @@ from occulimits.dp import (Plan, discounted_values, evaluate_plan_average,
                            finite_horizon_values, greedy_feedback_from_eta)
 from occulimits.lp_core import LinearProgram, solve_lp
 from occulimits.measures import discounted_occupation, occupation_measure
-from occulimits.model import (FiniteModel, NoiseAtom, StatePoint,
-                              example1_model, example1_family_model,
+from occulimits.model import (FiniteModel, example1_model, example1_family_model,
                               example2_model)
 from occulimits.programs import (augmented_lp, discounted_stationary_lp,
                                  membership_residuals, stationary_lp)
@@ -170,7 +169,8 @@ def test_criterion_5_occupational_membership():
         m = models[(3 * j) % len(models)]
         T = int(rng.integers(1, 150))
         if j % 3 == 2:
-            sel = [np.array([int(rng.integers(0, len(cs))) for cs in m.controls])
+            sel = [np.array([int(rng.integers(0, n_c))
+                             for n_c in np.diff(m.state_pair_start).tolist()])
                    for _ in range(T)]
             plan = Plan(kind="staged", selector=sel)
         else:
@@ -188,9 +188,7 @@ def test_criterion_5_occupational_membership():
 
 def test_criterion_6_brute_force_oracle():
     # pairs (state, control) = (0, 0), (0, 1), (1, 0), (1, 1); one image per atom
-    m = FiniteModel(states=[StatePoint((0.0,)), StatePoint((1.0,))],
-                    controls=[[(0.0,), (1.0,)]] * 2,
-                    noise=[NoiseAtom(0, 0.625), NoiseAtom(1, 0.375)],
+    m = FiniteModel(states=[0.0, 1.0], controls=[[0.0, 1.0]] * 2, noise=[0.625, 0.375],
                     pair_cost=[0.5, -0.25, 0.75, -0.5],
                     next_idx=[[0, 1], [1, 1], [1, 0], [0, 0]])
     curve, _ = finite_horizon_values(m, 3)

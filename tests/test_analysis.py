@@ -12,7 +12,7 @@ from occulimits.programs import (DualCertificate, GMeasure, augmented_lp,
                                  discounted_stationary_lp, membership_residuals)
 from occulimits.suite import random_model
 
-from _oracles import with_cost
+from _oracles import state_controls, with_cost
 
 
 def test_bounds_report_example1():
@@ -60,8 +60,8 @@ def test_bounds_report_input_validation():
 
 def test_verify_example1_closed_form_dual():
     m = example1_model(0.5)
-    dual = DualCertificate(mu=-0.25, psi=-np.abs(m.state_values()) / 2,
-                           eta=m.state_values() + np.abs(m.state_values()) / 2)
+    dual = DualCertificate(mu=-0.25, psi=-np.abs(m.states[:, 0]) / 2,
+                           eta=m.states[:, 0] + np.abs(m.states[:, 0]) / 2)
     plan = Plan(kind="stationary_deterministic", selector=np.array([1, 0]))
     verdict = verify_long_run_optimality(m, plan, dual, m.initial_index,
                                          T0=1, t_max=50, tol=1e-9)
@@ -72,13 +72,13 @@ def test_verify_example1_closed_form_dual():
 
 def test_verify_example2_closed_form_dual_grid_tolerance():
     m = example2_model(8)
-    vals = m.state_values()
+    vals = m.states[:, 0]
     psi = np.where(vals <= 0, -5.0 / 8.0, 0.0)
     eta = np.where(vals <= 0, vals + 5.0 / 8.0, 8.0 / 3.0 * vals)
     dual = DualCertificate(mu=-5.0 / 8.0, psi=psi, eta=eta)
     sel = []
-    for i, v in enumerate(vals):
-        us = [u[0] for u in m.controls[i]]
+    for v, cs in zip(vals, state_controls(m)):
+        us = cs[:, 0].tolist()
         sel.append(us.index(-1.0) if v <= 0 else us.index(v))
     plan = Plan(kind="stationary_deterministic", selector=np.array(sel))
     verdict = verify_long_run_optimality(m, plan, dual, m.nearest_state(-0.5),
@@ -208,7 +208,7 @@ def test_verify_refuses_staged_plan_shorter_than_window(t_max):
 def test_dual_from_expansion_example1():
     m = example1_model(0.5)
     out = dual_from_expansion(m, [200, 400])
-    vals = m.state_values()
+    vals = m.states[:, 0]
     assert np.allclose(out.psi, -np.abs(vals) / 2, atol=1e-9)
     assert np.allclose(out.eta, vals + np.abs(vals) / 2, atol=1e-9)
     assert out.residual <= 1e-9
@@ -217,7 +217,7 @@ def test_dual_from_expansion_example1():
 def test_dual_from_expansion_example2_step_function():
     m = example2_model(8)
     out = dual_from_expansion(m, [1000, 2000])
-    vals = m.state_values()
+    vals = m.states[:, 0]
     target = np.where(vals <= 0, -5.0 / 8.0, 0.0)
     assert np.max(np.abs(out.psi - target)) <= 0.02
 

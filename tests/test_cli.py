@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,22 @@ def test_bounds_refuses_model_with_non_finite_controls(tmp_path, capsys):
     code, out, err = run(capsys, "bounds", "--model", str(path), "--y0", "0")
     assert code == 2
     assert out == "" and err.startswith("input error:") and "not all finite" in err
+
+
+def test_overflowing_values_exit_as_solver_error(tmp_path, capsys):
+    # k = 1e308 is a finite cost, but 2 v_2 = k + E[v_1] overflows: bounds
+    # used to go on with v_2 = inf and a RuntimeWarning
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_two_state_doc(
+        cost=[{"state": i, "control": 0, "value": 1e308} for i in range(2)])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "bounds", "--model", str(path), "--y0", "0")
+        assert code == 3 and out == ""
+        assert err == ("solver error: finite-horizon recursion overflowed: v_2 is not "
+                       "finite (costs too close to the float range)\n")
+        code, out, err = run(capsys, "ergodic", "--model", str(path))
+        assert code == 3 and out == "" and err.startswith("solver error:")
 
 
 @pytest.mark.parametrize("text", [b'{"states": [[\xff]]}',
@@ -435,7 +452,7 @@ def example2_k_star(m, y0):
     """Analytic k*(y0) of example 2 at the state --y0 snaps to: 2^-m on the
     positive orbit, else -(1 + 1/4)/2 (the control -1 at every step)."""
     grid = example2_model(m)
-    return 2.0 ** -m if grid.state_values()[grid.nearest_state(y0)] > 0 else -0.625
+    return 2.0 ** -m if grid.states[grid.nearest_state(y0), 0] > 0 else -0.625
 
 
 @pytest.mark.parametrize("control_step", ["1e300", "1e308"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
@@ -6,7 +8,7 @@ from occulimits import dp
 from occulimits.dp import (Plan, discounted_values, evaluate_plan_average,
                            evaluate_plan_discounted, finite_horizon_values,
                            greedy_feedback_from_eta)
-from occulimits.model import example1_model, example2_model, transition
+from occulimits.model import FiniteModel, example1_model, example2_model, transition
 from occulimits.programs import SolverError
 from occulimits.suite import random_model, random_stationary_plan
 
@@ -31,6 +33,19 @@ def test_example2_v1_is_cost():
     m = example2_model(8)
     curve, _ = finite_horizon_values(m, 1)
     assert curve[0].values[m.nearest_state(0.5)] == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("cost", [1e308, -1e308])
+def test_finite_horizon_overflow_is_refused(cost):
+    # v_2 = k is finite, but 2 v_2 = k + E[v_1] overflows before it is
+    # divided; it used to come back as inf with only a RuntimeWarning
+    m = FiniteModel(states=[0.0], controls=[[0.0]], noise=[1.0], pair_cost=[cost],
+                    next_idx=[[0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert finite_horizon_values(m, 1)[0][0].values.tolist() == [cost]
+        with pytest.raises(SolverError, match="v_2 is not finite"):
+            finite_horizon_values(m, 3)
 
 
 def test_constant_cost_vT_constant():
@@ -90,23 +105,23 @@ def test_greedy_plan_achieves_h():
 
 def test_greedy_feedback_closed_form_eta_example1():
     m = example1_model(0.5)
-    vals = m.state_values()
+    vals = m.states[:, 0]
     eta = vals + np.abs(vals) / 2.0
     plan = greedy_feedback_from_eta(m, eta)
     # +1 on the negative state, -1 on the positive state
-    assert m.control_value(0, int(plan.selector[0])) == (1.0,)
-    assert m.control_value(1, int(plan.selector[1])) == (-1.0,)
+    assert m.pair_control[m.pair_index(0, int(plan.selector[0]))].tolist() == [1.0]
+    assert m.pair_control[m.pair_index(1, int(plan.selector[1]))].tolist() == [-1.0]
 
 
 def test_greedy_feedback_closed_form_eta_example2():
     m = example2_model(8)
-    vals = m.state_values()
+    vals = m.states[:, 0]
     eta = np.where(vals <= 0, vals + 5.0 / 8.0, 8.0 / 3.0 * vals)
     plan = greedy_feedback_from_eta(m, eta)
     i = m.nearest_state(-0.5)
     j = m.nearest_state(0.5)
-    assert m.control_value(i, int(plan.selector[i])) == (-1.0,)
-    assert m.control_value(j, int(plan.selector[j])) == (0.5,)
+    assert m.pair_control[m.pair_index(i, int(plan.selector[i]))].tolist() == [-1.0]
+    assert m.pair_control[m.pair_index(j, int(plan.selector[j]))].tolist() == [0.5]
 
 
 def test_greedy_feedback_zero_eta_is_myopic():

@@ -5,12 +5,11 @@ from occulimits.dp import Plan, evaluate_plan_average, finite_horizon_values
 from occulimits.measures import (canonical_test_family, discounted_occupation,
                                  hausdorff, occupation_measure, pair_laws,
                                  prg_detect, propagate, rho)
-from occulimits.model import (FiniteModel, NoiseAtom, StatePoint,
-                              example1_model, example2_model, transition)
+from occulimits.model import FiniteModel, example1_model, example2_model, transition
 from occulimits.programs import GMeasure, membership_residuals
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import truncated_discounted_occupation
+from _oracles import state_controls, truncated_discounted_occupation
 
 
 def example1_optimal_plan(m):
@@ -22,31 +21,29 @@ def test_example1_law_stationary_from_t1():
     m = example1_model(0.5)
     path = propagate(m, example1_optimal_plan(m), m.initial_index, 30)
     for t in range(1, 31):
-        assert np.allclose(path.mu[t], [0.75, 0.25], atol=1e-14)
+        assert np.allclose(path[t], [0.75, 0.25], atol=1e-14)
 
 
 def test_deterministic_permutation_point_mass_path():
     # 3-cycle under a single atom: point mass stays a point mass
-    m = FiniteModel(states=[StatePoint((float(i),)) for i in range(3)],
-                    controls=[[(0.0,)]] * 3, noise=[NoiseAtom(0, 1.0)],
+    m = FiniteModel(states=[0.0, 1.0, 2.0], controls=[[0.0]] * 3, noise=[1.0],
                     pair_cost=[0.0] * 3, next_idx=[[1], [2], [0]])
     plan = Plan(kind="stationary_deterministic", selector=np.zeros(3, dtype=int))
     path = propagate(m, plan, 0, 6)
     for t in range(7):
-        assert np.allclose(path.mu[t], np.roll([1.0, 0.0, 0.0], t % 3))
+        assert np.allclose(path[t], np.roll([1.0, 0.0, 0.0], t % 3))
 
 
 def test_two_state_two_step_hand_law():
     # single control per state, P(.|0) = (0.3, 0.7), P(.|1) = (0.6, 0.4)
     # mu_1 = (0.3, 0.7); mu_2 = (0.3*0.3 + 0.7*0.6, 0.3*0.7 + 0.7*0.4) = (0.51, 0.49)
     rows = np.array([[0.3, 0.7], [0.6, 0.4]])
-    m = FiniteModel(states=[StatePoint((0.0,)), StatePoint((1.0,))],
-                    controls=[[(0.0,)], [(0.0,)]], noise=[], pair_cost=[0.0, 0.0],
-                    kernel=rows)
+    m = FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0]], noise=[],
+                    pair_cost=[0.0, 0.0], kernel=rows)
     plan = Plan(kind="stationary_deterministic", selector=np.zeros(2, dtype=int))
     path = propagate(m, plan, 0, 2)
-    assert np.allclose(path.mu[1], [0.3, 0.7], atol=1e-15)
-    assert np.allclose(path.mu[2], [0.51, 0.49], atol=1e-15)
+    assert np.allclose(path[1], [0.3, 0.7], atol=1e-15)
+    assert np.allclose(path[2], [0.51, 0.49], atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -62,7 +59,7 @@ def test_pair_laws_match_the_reference_recursion(seed):
         assert np.array_equal(law, mu[m.pair_state] * plan.pair_weights(m, t))
         mu = transition(m).P.T @ law
     path = propagate(m, plan, 0, 10)
-    assert np.array_equal(path.mu, np.vstack([mu_t for mu_t, _ in laws] + [mu]))
+    assert np.array_equal(path, np.vstack([mu_t for mu_t, _ in laws] + [mu]))
 
 
 def test_pair_laws_check_the_plan_before_any_law():
@@ -136,7 +133,7 @@ def test_time_average_identity_for_test_functions(seed):
     rng = np.random.default_rng(seed)
     for _ in range(4):
         q = rng.uniform(-1, 1, size=m.n_pairs)
-        direct = sum(float((path.mu[t][m.pair_state] * plan.pair_weights(m)) @ q)
+        direct = sum(float((path[t][m.pair_state] * plan.pair_weights(m)) @ q)
                      for t in range(T)) / T
         assert gamma.integrate(q) == pytest.approx(direct, abs=1e-12)
 
@@ -153,7 +150,7 @@ def test_occupation_residual_telescopes(seed):
     marg = np.zeros(m.n_states)
     np.add.at(marg, m.pair_state, gamma.weights)
     defect = marg - tensor.push(gamma.weights)
-    assert np.max(np.abs(defect - (path.mu[0] - path.mu[T]) / T)) <= 1e-12
+    assert np.max(np.abs(defect - (path[0] - path[T]) / T)) <= 1e-12
     assert membership_residuals(m, gamma, "W") <= 2 * m.cost_bound / T + 1e-12
 
 
@@ -166,8 +163,8 @@ def test_example1_discounted_occupation_value():
 
 
 def test_absorbing_state_discounted_point_mass():
-    m = FiniteModel(states=[StatePoint((0.0,))], controls=[[(0.0,)]],
-                    noise=[NoiseAtom(0, 1.0)], pair_cost=[0.5], next_idx=[[0]])
+    m = FiniteModel(states=[0.0], controls=[[0.0]], noise=[1.0], pair_cost=[0.5],
+                    next_idx=[[0]])
     plan = Plan(kind="stationary_deterministic", selector=np.zeros(1, dtype=int))
     for eps in (0.9, 0.05):
         g = discounted_occupation(m, plan, 0, eps, tail_tol=1e-12)
@@ -226,9 +223,8 @@ def test_rho_point_masses_hand_value():
     # Point masses at pair a=(y=0, u=0) and b=(y=1, u=0) on a 2-state model:
     # normalized monomial gap is 1 for every pure power of y, 0 otherwise.
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    m = FiniteModel(states=[StatePoint((0.0,)), StatePoint((1.0,))],
-                    controls=[[(0.0,)], [(0.0,)]], noise=[], pair_cost=[0.0, 0.0],
-                    kernel=rows)
+    m = FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0]], noise=[],
+                    pair_cost=[0.0, 0.0], kernel=rows)
     fam = canonical_test_family(m)
     g_a = GMeasure(np.array([1.0, 0.0]))
     g_b = GMeasure(np.array([0.0, 1.0]))
@@ -264,10 +260,9 @@ def test_prg_example1():
 
 def test_prg_example2_negative_start():
     m = example2_model(6)
-    vals = m.state_values()
     sel = []
-    for i, v in enumerate(vals):
-        us = [u[0] for u in m.controls[i]]
+    for v, cs in zip(m.states[:, 0], state_controls(m)):
+        us = cs[:, 0].tolist()
         sel.append(us.index(-1.0) if v <= 0 else us.index(v))
     plan = Plan(kind="stationary_deterministic", selector=np.array(sel))
     rep = prg_detect(m, plan, m.nearest_state(-0.5), t_max=20)
@@ -278,9 +273,8 @@ def exact_positive_orbit_model(levels=20):
     # states 0.5 * 4^-j with u = y the only control; the orbit never snaps,
     # it keeps spreading binomially, so no finite period emerges
     values = [0.5 * 0.25 ** j for j in range(levels)]
-    states = [StatePoint((v,)) for v in values]
-    return FiniteModel(states=states, controls=[[(v,)] for v in values],
-                       noise=[NoiseAtom(0, 0.5), NoiseAtom(1, 0.5)], pair_cost=values,
+    return FiniteModel(states=values, controls=[[v] for v in values],
+                       noise=[0.5, 0.5], pair_cost=values,
                        next_idx=[[i, min(i + 1, levels - 1)] for i in range(levels)])
 
 
@@ -294,8 +288,7 @@ def test_prg_not_detected_on_exact_positive_orbit():
 def test_prg_staged_plan_cycles():
     # deterministic 3-cycle with a single control: the cycled one-stage plan
     # generates a period-3 law from t=0
-    m = FiniteModel(states=[StatePoint((float(i),)) for i in range(3)],
-                    controls=[[(0.0,)]] * 3, noise=[NoiseAtom(0, 1.0)],
+    m = FiniteModel(states=[0.0, 1.0, 2.0], controls=[[0.0]] * 3, noise=[1.0],
                     pair_cost=[0.0] * 3, next_idx=[[1], [2], [0]])
     plan = Plan(kind="staged", selector=[np.zeros(3, dtype=int)])
     rep = prg_detect(m, plan, 0, t_max=12)
@@ -321,5 +314,5 @@ def test_family_sup_norm_bound():
     m = random_model(15)
     fam = canonical_test_family(m)
     assert 1 <= len(fam) <= 32
-    for q in fam.tables:
+    for q in fam:
         assert np.max(np.abs(q)) <= 1.0 + 1e-12

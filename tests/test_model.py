@@ -7,29 +7,30 @@ from hypothesis import given, settings, strategies as st
 
 from occulimits.dp import finite_horizon_values
 from occulimits.model import (NOISE_NORMALIZATION_TOL, ROW_SUM_TOL, FiniteModel,
-                              ModelError, NoiseAtom, StatePoint,
-                              build_transition_tensor, example1_model,
+                              ModelError, build_transition_tensor, example1_model,
                               example1_family_model, example2_model,
                               load_model, save_model, transition, validate)
 from occulimits.suite import random_model, random_stationary_plan
 
 from _oracles import (reference_example1_family_model, reference_example1_model,
-                      reference_example2_model)
+                      reference_example2_model, state_controls)
 
 
 def assert_same_arrays(a, b):
-    """Bit-for-bit equal controls, pair costs, images and CSR transition law."""
-    assert a.controls == b.controls
+    """Bit-for-bit equal states, controls, noise, pair costs, images and CSR
+    transition law."""
     ta, tb = transition(a), transition(b)
-    for x, y in ((a.pair_cost, b.pair_cost), (ta.next_idx, tb.next_idx),
+    for x, y in ((a.states, b.states), (a.pair_control, b.pair_control),
+                 (a.state_pair_start, b.state_pair_start), (a.noise, b.noise),
+                 (a.pair_cost, b.pair_cost), (ta.next_idx, tb.next_idx),
                  (ta.P.indptr, tb.P.indptr), (ta.P.indices, tb.P.indices),
                  (ta.P.data, tb.P.data)):
         assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def single_state_model():
-    return FiniteModel(states=[StatePoint((0.0,))], controls=[[(0.0,)]],
-                       noise=[NoiseAtom(0, 1.0)], pair_cost=[1.0], next_idx=[[0]])
+    return FiniteModel(states=[[0.0]], controls=[[0.0]], noise=[1.0], pair_cost=[1.0],
+                       next_idx=[[0]])
 
 
 def test_single_state_forced_row():
@@ -49,9 +50,7 @@ def test_example1_transition_row_matches_dynamics():
 
 def test_three_state_rows_match_hand_enumeration():
     # 3 states, one control each, 2 atoms (0.6 / 0.4); images fixed by hand
-    m = FiniteModel(states=[StatePoint((float(i),)) for i in range(3)],
-                    controls=[[(0.0,)]] * 3,
-                    noise=[NoiseAtom(0, 0.6), NoiseAtom(1, 0.4)],
+    m = FiniteModel(states=[0.0, 1.0, 2.0], controls=[[0.0]] * 3, noise=[0.6, 0.4],
                     pair_cost=[0.0] * 3, next_idx=[[1, 2], [1, 1], [0, 1]])
     tensor = build_transition_tensor(m)
     assert np.allclose(tensor.row(0), [0.0, 0.6, 0.4])
@@ -73,15 +72,14 @@ def test_dynamics_out_of_range_names_triple(tmp_path):
 def test_constructor_refuses_control_lists_not_one_per_state():
     # one state, two control lists: both law kinds name both counts
     with pytest.raises(ModelError, match="2 control lists for 1 states"):
-        FiniteModel(states=[StatePoint((0.0,))], controls=[[(0.0,)], [(1.0,)]],
-                    noise=[NoiseAtom(0, 1.0)], pair_cost=[1.0, 2.0], next_idx=[[0], [0]])
+        FiniteModel(states=[[0.0]], controls=[[0.0], [1.0]],
+                    noise=[1.0], pair_cost=[1.0, 2.0], next_idx=[[0], [0]])
     with pytest.raises(ModelError, match="2 control lists for 1 states"):
-        FiniteModel(states=[StatePoint((0.0,))], controls=[[(0.0,)], [(1.0,)]],
+        FiniteModel(states=[[0.0]], controls=[[0.0], [1.0]],
                     noise=[], pair_cost=[1.0, 2.0], kernel=[[1.0], [1.0]])
 
 
-TWO_STATES = {"states": [StatePoint((0.0,)), StatePoint((1.0,))],
-              "controls": [[(0.0,)], [(0.0,)]], "noise": [NoiseAtom(0, 1.0)]}
+TWO_STATES = {"states": [[0.0], [1.0]], "controls": [[(0.0,)], [(0.0,)]], "noise": [1.0]}
 
 
 @pytest.mark.parametrize("arrays, problem", [
@@ -96,13 +94,22 @@ TWO_STATES = {"states": [StatePoint((0.0,)), StatePoint((1.0,))],
     ({"pair_cost": [1.0, 2.0], "next_idx": [[1], [0]], "kernel": [[0.0, 1.0], [1.0, 0.0]]},
      "exactly one"),
     ({"pair_cost": [1.0, 2.0]}, "exactly one"),
-    ({"pair_cost": [1.0, 2.0], "kernel": [[0.0, 1.0]]}, "kernel has shape")],
+    ({"pair_cost": [1.0, 2.0], "kernel": [[0.0, 1.0]]}, "kernel has shape"),
+    ({"pair_cost": [1.0, 2.0], "next_idx": [[1], [0]], "states": [[[0.0]], [[1.0]]]},
+     r"states has shape \(2, 1, 1\)"),
+    ({"pair_cost": [1.0, 2.0], "next_idx": [[1], [0]], "states": [[0.0], [1.0, 2.0]]},
+     "states: "),
+    ({"pair_cost": [1.0, 2.0], "next_idx": [[1], [0]], "controls": [[[[0.0]]], [[[0.0]]]]},
+     r"controls has shape \(1, 1, 1\)"),
+    ({"pair_cost": [1.0, 2.0], "next_idx": [[1], [0]], "noise": [[1.0]]},
+     r"noise has shape \(1, 1\)")],
     ids=["short_pair_cost", "short_next_idx", "wide_next_idx", "fractional_image",
          "negative_image", "image_too_large", "initial_index_outside", "both_laws",
-         "no_law", "short_kernel"])
+         "no_law", "short_kernel", "nested_states", "ragged_states", "nested_controls",
+         "noise_matrix"])
 def test_constructor_refuses_unusable_arrays(arrays, problem):
     with pytest.raises(ModelError, match=problem):
-        FiniteModel(**TWO_STATES, **arrays)
+        FiniteModel(**{**TWO_STATES, **arrays})
 
 
 @pytest.mark.parametrize("controls, problem", [
@@ -113,8 +120,7 @@ def test_constructor_refuses_unusable_arrays(arrays, problem):
 def test_validate_flags_bad_control_values(controls, problem):
     # the constructor refuses every problem validate lists
     with pytest.raises(ModelError, match=problem):
-        FiniteModel(states=[StatePoint((0.0,)), StatePoint((1.0,))],
-                    controls=controls, noise=[NoiseAtom(0, 1.0)],
+        FiniteModel(states=[[0.0], [1.0]], controls=controls, noise=[1.0],
                     pair_cost=[1.0, 2.0], next_idx=[[1], [0]])
 
 
@@ -124,33 +130,32 @@ def test_validate_example1_clean():
 
 def test_validate_flags_unnormalized_noise():
     with pytest.raises(ModelError, match="noise not normalized"):
-        FiniteModel(states=[StatePoint((0.0,))], controls=[[(0.0,)]],
-                    noise=[NoiseAtom(0, 0.9)], pair_cost=[1.0], next_idx=[[0]])
+        FiniteModel(states=[[0.0]], controls=[[0.0]], noise=[0.9], pair_cost=[1.0],
+                    next_idx=[[0]])
 
 
 def test_validate_flags_empty_control_list():
     with pytest.raises(ModelError, match=re.escape("empty U(y)")):
-        FiniteModel(states=[StatePoint((0.0,))], controls=[[]],
-                    noise=[NoiseAtom(0, 1.0)], pair_cost=[],
+        FiniteModel(states=[[0.0]], controls=[[]], noise=[1.0], pair_cost=[],
                     next_idx=np.zeros((0, 1), dtype=np.int64))
 
 
 NAN, INF = float("nan"), float("inf")
 REFUSED_MODELS = {
-    "no_states": ({"states": [], "controls": [], "noise": [NoiseAtom(0, 1.0)],
+    "no_states": ({"states": [], "controls": [], "noise": [1.0],
                    "pair_cost": [], "next_idx": np.zeros((0, 1), dtype=np.int64)},
                   "model has no states"),
     "nan_cost": ({**TWO_STATES, "pair_cost": [NAN, 1.0], "next_idx": [[1], [0]]},
                  "cost table has non-finite entries"),
     "infinite_cost": ({**TWO_STATES, "pair_cost": [1.0, -INF], "next_idx": [[1], [0]]},
                       "cost table has non-finite entries"),
-    "nan_state": ({**TWO_STATES, "states": [StatePoint((0.0,)), StatePoint((NAN,))],
+    "nan_state": ({**TWO_STATES, "states": [[0.0], [NAN]],
                    "pair_cost": [1.0, 2.0], "next_idx": [[1], [0]]},
                   "state 1 has non-finite coordinates"),
     "short_kernel_row": ({**TWO_STATES, "noise": [], "pair_cost": [1.0, 2.0],
                           "kernel": [[0.9, 0.0], [0.0, 1.0]]},
                          "1 transition rows do not sum to 1"),
-    "two_problems": ({**TWO_STATES, "noise": [NoiseAtom(0, 0.9)],
+    "two_problems": ({**TWO_STATES, "noise": [0.9],
                       "pair_cost": [NAN, 1.0], "next_idx": [[1], [0]]},
                      r"noise not normalized \(sum=0.9\); cost table has non-finite"),
 }
@@ -203,7 +208,7 @@ def model_arrays(draw):
                             ("infinite_law", INF), ("negative_law", -1.0)):
             if name in spoil:
                 law[row] *= scale
-    arrays = {"states": [StatePoint((float(i),)) for i in range(n_states)],
+    arrays = {"states": [(float(i),) for i in range(n_states)],
               "controls": controls, "pair_cost": pair_cost}
     if kernel_mode:
         return {**arrays, "noise": [], "kernel": law}
@@ -211,7 +216,7 @@ def model_arrays(draw):
                                     min_size=n_pairs * shape[1], max_size=n_pairs * shape[1])))
     if images.size and "image_outside" in spoil:
         images[0] = n_states
-    return {**arrays, "noise": [NoiseAtom(a, float(q)) for a, q in enumerate(law[0])],
+    return {**arrays, "noise": law[0],
             "next_idx": images.reshape(n_pairs, shape[1])}
 
 
@@ -233,18 +238,18 @@ def test_constructed_models_are_valid_finite_models(arrays):
 
 def test_example1_states_and_cost():
     m = example1_model(0.5)
-    assert [s.coords for s in m.states] == [(-0.5,), (0.5,)]
+    assert m.states.tolist() == [[-0.5], [0.5]]
     assert m.initial_index == 1
     # cost k(y,u) = y at both controls
     assert m.pair_cost[m.pair_index(0, 0)] == m.pair_cost[m.pair_index(0, 1)] == -0.5
     assert m.pair_cost[m.pair_index(1, 0)] == m.pair_cost[m.pair_index(1, 1)] == 0.5
 
     m1 = example1_model(1.0)
-    assert [s.coords for s in m1.states] == [(-1.0,), (1.0,)]
+    assert m1.states.tolist() == [[-1.0], [1.0]]
 
     mneg = example1_model(-0.25)
     assert mneg.initial_index == 0
-    assert mneg.states[0].coords == (-0.25,)
+    assert mneg.states[0].tolist() == [-0.25]
 
 
 @pytest.mark.parametrize("bad", [1.5, -2.0, 0.0])
@@ -260,12 +265,12 @@ def test_example1_images_stay_in_class(y0):
     targets = {(-abs(y0),), (abs(y0),)}
     for p in range(m.n_pairs):
         for a in range(2):
-            assert m.states[int(tensor.next_idx[p, a])].coords in targets
+            assert tuple(m.states[int(tensor.next_idx[p, a])]) in targets
 
 
 def test_example1_family_contains_k_star_class():
     fam = example1_family_model([0.25, 0.5, 1.0])
-    vals = sorted(s.coords[0] for s in fam.states)
+    vals = sorted(fam.states[:, 0].tolist())
     assert vals == [-1.0, -0.5, -0.25, 0.25, 0.5, 1.0]
     assert validate(fam) == []
 
@@ -273,22 +278,22 @@ def test_example1_family_contains_k_star_class():
 def test_example2_m2_controls_at_half():
     m = example2_model(2, control_step=0.25)
     i = m.nearest_state(0.5)
-    assert [u[0] for u in m.controls[i]] == [0.5, 0.75, 1.0]
+    assert state_controls(m)[i][:, 0].tolist() == [0.5, 0.75, 1.0]
 
 
 def test_example2_m8_images():
     m = example2_model(8)
     tensor = transition(m)
     i = m.nearest_state(-0.5)
-    local = [u[0] for u in m.controls[i]].index(-1.0)
+    local = state_controls(m)[i][:, 0].tolist().index(-1.0)
     p = m.pair_index(i, local)
-    images = {m.states[int(tensor.next_idx[p, a])].coords[0] for a in range(2)}
+    images = {m.states[int(tensor.next_idx[p, a]), 0] for a in range(2)}
     assert images == {-1.0, -0.25}
 
     j = m.nearest_state(0.5)
-    local = [u[0] for u in m.controls[j]].index(0.5)
+    local = state_controls(m)[j][:, 0].tolist().index(0.5)
     p = m.pair_index(j, local)
-    images = {m.states[int(tensor.next_idx[p, a])].coords[0] for a in range(2)}
+    images = {m.states[int(tensor.next_idx[p, a]), 0] for a in range(2)}
     assert images == {0.5, 0.125}
 
 
@@ -302,7 +307,7 @@ def test_example2_controls_stay_in_their_interval(control_step):
     # at 1e300 the absolute -1e-12 in the lowest multiple used to put u = 0
     # into [y, 1] for every y > 0; at 1e308 the multiple check overflowed
     m = example2_model(2, control_step)
-    for y, cs in zip(m.state_values(), m.controls):
+    for y, cs in zip(m.states[:, 0], state_controls(m)):
         lo, hi = (y if y > 0 else -1.0), (y if y < 0 else 1.0)
         assert all(lo <= u <= hi for (u,) in cs) and {lo, hi, y} <= {u for (u,) in cs}
 
@@ -319,14 +324,14 @@ def test_example2_snapping_total_and_y_admissible():
     m = example2_model(4)
     tensor = transition(m)
     assert tensor.next_idx.min() >= 0 and tensor.next_idx.max() < m.n_states
-    for i, sp in enumerate(m.states):
-        assert sp.coords in m.controls[i]
+    for y, cs in zip(m.states, state_controls(m)):
+        assert (cs == y).all(axis=1).any()
 
 
 def test_example2_snapping_preserves_sign():
     m = example2_model(5)
     tensor = transition(m)
-    vals = m.state_values()
+    vals = m.states[:, 0]
     for p in range(m.n_pairs):
         y = vals[int(m.pair_state[p])]
         for a in range(2):
@@ -362,9 +367,6 @@ def test_load_example1_roundtrip_matches_builder(tmp_path):
     path = tmp_path / "ex1.json"
     save_model(built, path)
     loaded = load_model(path)
-    assert [s.coords for s in loaded.states] == [s.coords for s in built.states]
-    assert loaded.controls == built.controls
-    assert [(a.id, a.prob) for a in loaded.noise] == [(a.id, a.prob) for a in built.noise]
     assert_same_arrays(loaded, built)
     assert loaded.initial_index == built.initial_index
 
@@ -394,7 +396,7 @@ def test_load_transition_mode(tmp_path):
 def test_plan_matrix_factored_and_kernel_rows_agree(seed):
     m = random_model(seed)
     rows = np.stack([transition(m).row(p) for p in range(m.n_pairs)])
-    kernel = FiniteModel(states=m.states, controls=m.controls, noise=[],
+    kernel = FiniteModel(states=m.states, controls=state_controls(m), noise=[],
                          pair_cost=m.pair_cost, kernel=rows)
     w = random_stationary_plan(m, seed, randomized=True).pair_weights(m)
     expected = np.zeros((m.n_states, m.n_states))
@@ -431,10 +433,32 @@ def test_random_suite_roundtrip(tmp_path):
     assert_same_arrays(loaded, m)
 
 
+def test_noise_ids_live_only_in_files(tmp_path):
+    # ids 7 and 3 name the two atoms; the model keeps their probabilities in
+    # file order, and save_model numbers them 0 and 1 in that order
+    doc = {"states": [[0.0], [1.0]], "controls": {"shared": [[0.0]]},
+           "noise": [{"id": 7, "prob": 0.25}, {"id": 3, "prob": 0.75}],
+           "dynamics": [{"state": i, "control": 0, "noise_id": s, "next_state": nxt}
+                        for i, images in enumerate(([1, 0], [0, 0]))
+                        for s, nxt in zip((7, 3), images)],
+           "cost": [{"state": i, "control": 0, "value": 0.5} for i in range(2)]}
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(doc))
+    m = load_model(path)
+    assert m.noise.tolist() == [0.25, 0.75]
+    assert transition(m).next_idx.tolist() == [[1, 0], [0, 0]]
+    saved = tmp_path / "saved.json"
+    save_model(m, saved)
+    written = json.loads(saved.read_text())
+    assert [row["id"] for row in written["noise"]] == [0, 1]
+    assert [row["prob"] for row in written["noise"]] == [0.25, 0.75]
+    assert {row["noise_id"] for row in written["dynamics"]} == {0, 1}
+    assert_same_arrays(load_model(saved), m)
+
+
 def test_kernel_roundtrip_keeps_rows(tmp_path):
     rows = np.array([[0.2, 0.8, 0.0], [0.5, 0.25, 0.25], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    m = FiniteModel(states=[StatePoint((float(i),)) for i in range(3)],
-                    controls=[[(0.0,), (1.0,)], [(0.0,)], [(1.0,)]], noise=[],
+    m = FiniteModel(states=[0.0, 1.0, 2.0], controls=[[0.0, 1.0], [0.0], [1.0]], noise=[],
                     pair_cost=[0.1, -0.2, 0.3, 0.4], kernel=rows)
     path = tmp_path / "kernel.json"
     save_model(m, path)
@@ -459,14 +483,12 @@ BUILDER_CASES = {
 def test_builders_match_dict_reference(case):
     build, reference, args = BUILDER_CASES[case]
     built, ref = build(*args), reference(*args)
-    assert [s.coords for s in built.states] == [s.coords for s in ref.states]
     assert built.initial_index == ref.initial_index
-    assert [(a.id, a.prob) for a in built.noise] == [(a.id, a.prob) for a in ref.noise]
     assert_same_arrays(built, ref)
 
 
 MODEL_FIELDS = ("states", "controls", "noise", "initial_index", "pair_state",
-                "pair_local", "state_pair_start", "pair_cost", "wibble")
+                "pair_local", "state_pair_start", "pair_cost", "wibble", "pair_control")
 
 
 @pytest.mark.parametrize("name", MODEL_FIELDS)
@@ -477,7 +499,8 @@ def test_model_fields_cannot_be_assigned(name):
 
 
 @pytest.mark.parametrize("part", ["pair_cost", "pair_state", "pair_local",
-                                  "state_pair_start", "P.data", "P.indices", "P.indptr"])
+                                  "state_pair_start", "P.data", "P.indices", "P.indptr",
+                                  "states", "pair_control", "noise"])
 def test_model_arrays_are_read_only(part):
     m = random_model(0)
     owner, attr = (transition(m).P, part[2:]) if part.startswith("P.") else (m, part)

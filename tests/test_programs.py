@@ -3,14 +3,14 @@ import pytest
 
 from occulimits.dp import discounted_values
 from occulimits.measures import discounted_occupation
-from occulimits.model import (FiniteModel, StatePoint, example1_model,
-                              example1_family_model, example2_model)
+from occulimits.model import (FiniteModel, example1_model, example1_family_model,
+                              example2_model)
 from occulimits.programs import (GMeasure, SolverError, augmented_lp,
                                  discounted_stationary_lp,
                                  membership_residuals, stationary_lp)
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import stationary_average_oracle, with_cost
+from _oracles import stationary_average_oracle, state_controls, with_cost
 
 
 def constant_cost(model, c):
@@ -96,7 +96,7 @@ def test_augmented_example2_negative_start():
     half = [(m.nearest_state(-1.0), -1.0), (m.nearest_state(-0.25), -1.0)]
     covered = 0.0
     for state, u in half:
-        us = [c[0] for c in m.controls[state]]
+        us = state_controls(m)[state][:, 0].tolist()
         p = m.pair_index(state, us.index(u))
         assert w[p] == pytest.approx(0.5, abs=1e-8)
         covered += w[p]
@@ -109,7 +109,7 @@ def test_augmented_example2_positive_start():
     res = augmented_lp(m, i)
     assert abs(res.optimal_value) <= 0.02
     support = res.gamma.support(tol=1e-9)
-    states = {float(m.states[int(m.pair_state[p])].coords[0]) for p in support}
+    states = set(m.states[m.pair_state[support], 0].tolist())
     assert all(abs(s) <= 2.0 ** -7 for s in states)
 
 
@@ -192,9 +192,8 @@ def test_membership_discounted_occupation():
 def test_membership_uniform_on_skewed_kernel():
     # hand defect: marginal (.5,.5); pushed (.45+.25, .05+.25) = (.7,.3)
     rows = np.array([[0.9, 0.1], [0.5, 0.5]])
-    m = FiniteModel(states=[StatePoint((0.0,)), StatePoint((1.0,))],
-                    controls=[[(0.0,)], [(0.0,)]], noise=[], pair_cost=[0.0, 0.0],
-                    kernel=rows)
+    m = FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0]], noise=[],
+                    pair_cost=[0.0, 0.0], kernel=rows)
     res = membership_residuals(m, GMeasure(np.array([0.5, 0.5])), "W")
     assert res == pytest.approx(0.2, abs=1e-12)
 
