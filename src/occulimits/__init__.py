@@ -4,9 +4,11 @@ values in finite controlled stochastic recursions."""
 from .analysis import (BoundsReport, CertificateError, OptimalityVerdict,
                        abel_window, bounds_report, cesaro_window,
                        dual_from_expansion, verify_long_run_optimality)
-from .dp import (Plan, ValueFunction, discounted_values, evaluate_plan_average,
-                 evaluate_plan_discounted, finite_horizon_values,
-                 greedy_feedback_from_eta, value_curve_csv_rows)
+from .dp import (AverageCost, ClosedClasses, Plan, ValueFunction,
+                 average_cost_policy_iteration, discounted_values,
+                 evaluate_plan_average, evaluate_plan_discounted,
+                 finite_horizon_values, greedy_feedback_from_eta,
+                 value_curve_csv_rows)
 from .lp_core import LinearProgram, LpError, LpSolution, dump_lp, solve_lp
 from .measures import (PrgReport, canonical_test_family, discounted_occupation,
                        hausdorff, occupation_measure, pair_laws, propagate,

@@ -1,6 +1,7 @@
 """Dynamic-programming oracles: finite-horizon average values v_T, discounted
-values h_eps, greedy plan extraction from a potential, and exact plan
-evaluation.
+values h_eps, the optimal gain g* and a bias h of the average-cost problem
+by multichain policy iteration, greedy plan extraction from a potential, and
+exact plan evaluation.
 
 All argmins break ties by lowest control index, so every run is
 deterministic.
@@ -10,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu, spsolve
 
 from . import measures
 from .model import transition
@@ -168,6 +170,170 @@ def discounted_values(model, eps, tol=DEFAULT_TOL):
         raise SolverError(f"policy iteration (eps={eps}): Bellman residual "
                           f"{residual:.3e} exceeds tol*eps={tol * eps:.3e}")
     return ValueFunction(values=h), Plan(kind="stationary_deterministic", selector=best)
+
+
+def _factor(matrix):
+    """Sparse LU factors of a square matrix; SolverError when it is singular."""
+    try:
+        return splu(sparse.csc_matrix(matrix))
+    except RuntimeError as exc:
+        raise SolverError(f"policy evaluation: {exc}") from exc
+
+
+class ClosedClasses:
+    """The closed classes of a stationary plan's law P_pi and the two sparse
+    factorizations that its evaluation and its limiting law share.
+
+    A closed class is a strongly connected component of P_pi's graph that no
+    edge leaves.  Its states are recurrent; every other state is transient.
+    rec and tra list the recurrent and the transient states in increasing
+    order, and label[y] is the class of a recurrent state, -1 on a transient
+    one.
+    The recurrent matrix is I - P_pi over the recurrent states with the
+    column of each class's lowest state, its reference, replaced by the
+    class indicator; the transient matrix is I - Q, with Q = P_pi over the
+    transient states.
+    """
+
+    def __init__(self, p_pi):
+        p_pi = sparse.csr_matrix(p_pi)
+        p_pi.eliminate_zeros()
+        n_comp, comp = connected_components(p_pi, directed=True, connection="strong")
+        rows, cols = p_pi.nonzero()
+        leaving = comp[rows] != comp[cols]
+        is_open = np.zeros(n_comp, dtype=bool)
+        is_open[comp[rows[leaving]]] = True
+        self.rec = np.flatnonzero(~is_open[comp])
+        self.tra = np.flatnonzero(is_open[comp])
+        # _ref[j]: position in rec of the reference of the class of rec[j]
+        _, first, inverse = np.unique(comp[self.rec], return_index=True,
+                                      return_inverse=True)
+        self._ref = first[inverse]
+        self.label = np.full(p_pi.shape[0], -1)
+        self.label[self.rec] = inverse
+        n_rec = len(self.rec)
+        self._is_ref = self._ref == np.arange(n_rec)
+        indicator = sparse.csr_matrix((np.ones(n_rec), (np.arange(n_rec), self._ref)),
+                                      shape=(n_rec, n_rec))
+        self._lu_rec = _factor((sparse.identity(n_rec) - p_pi[self.rec][:, self.rec])
+                               @ sparse.diags(1.0 - self._is_ref) + indicator)
+        self._p_tr = p_pi[self.tra][:, self.rec]
+        self._lu_tra = _factor(sparse.identity(len(self.tra))
+                               - p_pi[self.tra][:, self.tra]) if len(self.tra) else None
+
+    def evaluate(self, r):
+        """Gain g and bias h of the per-state cost r: g = P_pi g and
+        g + h = r + P_pi h, with h = 0 at each class's reference.  One solve
+        over the recurrent states carries each class's gain in its
+        reference's column; two (I - Q) solves give the transient states."""
+        g, h = np.zeros(len(r)), np.zeros(len(r))
+        x = self._lu_rec.solve(r[self.rec])
+        g[self.rec] = x[self._ref]
+        h[self.rec] = np.where(self._is_ref, 0.0, x)
+        if self._lu_tra is not None:
+            g[self.tra] = self._lu_tra.solve(self._p_tr @ g[self.rec])
+            h[self.tra] = self._lu_tra.solve(r[self.tra] - g[self.tra]
+                                             + self._p_tr @ h[self.rec])
+        return g, h
+
+    def _rec_row_solve(self, rhs, class_mass):
+        """The row vector x over the recurrent states with x (I - P_pi) = rhs
+        off the references and total mass class_mass on every class."""
+        rhs = np.array(rhs, dtype=float)
+        rhs[self._is_ref] = class_mass
+        return self._lu_rec.solve(rhs, trans="T")
+
+    def stationary_laws(self):
+        """Per-state vector holding the stationary law of every closed class
+        on its states (each sums to 1) and 0 on transient states."""
+        pi = np.zeros(len(self.label))
+        pi[self.rec] = self._rec_row_solve(np.zeros(len(self.rec)), 1.0)
+        return pi
+
+    def limiting_row(self, y0):
+        """P*(y0, .), the limiting law of the chain started at y0, and the
+        least nonnegative deviation w with w (I - P_pi) = e_y0 - P*(y0, .).
+
+        On transient states w is the expected number of visits, e_y0 (I -
+        Q)^-1.  On each closed class w solves its balance equations, plus the
+        least multiple of the class's stationary law that keeps w >= 0; the
+        least entry of w on every class y0 reaches is 0.
+        """
+        n = len(self.label)
+        start = np.zeros(n)
+        start[y0] = 1.0
+        w = np.zeros(n)
+        inflow = start[self.rec]
+        if self._lu_tra is not None:
+            w[self.tra] = self._lu_tra.solve(start[self.tra], trans="T")
+            inflow = inflow + self._p_tr.T @ w[self.tra]
+        pi = self.stationary_laws()[self.rec]
+        classes = self.label[self.rec]
+        p_rec = pi * np.bincount(classes, weights=inflow)[classes]
+        w_rec = self._rec_row_solve(inflow - p_rec, 0.0)
+        shift = np.full(self.label.max() + 1, -np.inf)
+        np.maximum.at(shift, classes, -w_rec / pi)
+        w[self.rec] = np.maximum(w_rec + shift[classes] * pi, 0.0)
+        p_star = np.zeros(n)
+        p_star[self.rec] = p_rec
+        return p_star, w
+
+
+@dataclass
+class AverageCost:
+    """Solution of the average-cost problem by policy iteration: the optimal
+    gain g*(y) and a bias h of every state, an optimal stationary plan, the
+    closed classes of that plan's law and the number of evaluation rounds."""
+
+    gain: np.ndarray
+    bias: np.ndarray
+    plan: Plan
+    chain: ClosedClasses
+    rounds: int
+
+
+def average_cost_policy_iteration(model):
+    """Multichain Howard policy iteration (Puterman section 9.2) for
+    g*(y) = min over plans of the long-run average expected cost from y.
+
+    Starts from the greedy plan for k.  Each round evaluates the plan through
+    ClosedClasses.evaluate and then improves it in two phases: a state first
+    switches to the control of least E[g(f(y,u,s))]; only when no state can,
+    it switches, among the controls whose E g is within the margin of that
+    least value, to the control of least k + E[h(f(y,u,s))].  A control is
+    replaced only when the new one is better by IMPROVEMENT_TOL (relative),
+    with lowest-index ties, so float noise cannot make plans cycle.  When no
+    state switches, g is the optimal gain g* and (g, h) solve the multichain
+    optimality equations.  Raises SolverError at the iteration cap, when an
+    evaluation matrix is singular or when a gain or bias is not finite.
+    """
+    tensor = transition(model)
+    k = model.pair_cost
+    starts = model.state_pair_start[:-1]
+    _, sel = _group_min(model, k)
+    for rounds in range(1, PI_ITERATION_CAP + 1):
+        plan = Plan("stationary_deterministic", sel)
+        pairs = starts + sel
+        chain = ClosedClasses(tensor.plan_matrix(plan.pair_weights(model)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, h = chain.evaluate(k[pairs])
+        if not (np.isfinite(g).all() and np.isfinite(h).all()):
+            raise SolverError("policy evaluation: the gain or bias is not finite "
+                              "(costs too close to the float range)")
+        eg = tensor.expect(g)
+        g_min, best = _group_min(model, eg)
+        margin = IMPROVEMENT_TOL * (1.0 + np.abs(g))
+        improve = g_min < eg[pairs] - margin
+        if not improve.any():
+            tight = eg <= (g_min + margin)[model.pair_state]
+            q = np.where(tight, k + tensor.expect(h), np.inf)
+            q_min, best = _group_min(model, q)
+            improve = q_min < q[pairs] - IMPROVEMENT_TOL * (1.0 + np.abs(h))
+            if not improve.any():
+                return AverageCost(gain=g, bias=h, plan=plan, chain=chain, rounds=rounds)
+        sel = np.where(improve, best, sel)
+    raise SolverError(f"average-cost policy iteration hit its cap of "
+                      f"{PI_ITERATION_CAP} improvement rounds")
 
 
 def greedy_feedback_from_eta(model, eta):

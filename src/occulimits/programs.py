@@ -15,10 +15,14 @@ With E the pair-to-state marginal block and B = E - decay P^T the balance
 block, the matrices are [B; 1'] (decay 1), B (decay 1-eps) and
 [[B, 0], [1', 0], [E, B]] (decay 1).
 
-Every program is solved by scipy's HiGHS on a sparse matrix, and its primal
-and dual are accepted only after lp_core's five optimality conditions hold.
-Dual sign conventions are fixed so the certificate satisfies the inequality
-families
+The stationary and augmented programs (without theta) are answered from
+dp.average_cost_policy_iteration: their primal and dual are built from the
+optimal gain g, a bias h and an optimal plan.  Otherwise, and whenever the
+built pair fails its check, scipy's HiGHS solves the program on the sparse
+matrix.  Either way the primal and dual are accepted only after lp_core's
+five optimality conditions hold on the assembled (c, A, b), and
+ProgramResult.method records which path answered.  Dual sign conventions
+are fixed so the certificate satisfies the inequality families
 
     k(y,u) + (psi(y0) - psi(y)) + E[eta(f(y,u,s))] - eta(y) - mu >= 0
     E[psi(f(y,u,s))] - psi(y) >= -theta(y,u)
@@ -26,6 +30,7 @@ families
 literally; the certificate is re-checked post-solve rather than trusted.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +41,8 @@ from . import lp_core
 from .model import transition
 
 CERT_TOL = 1e-7
+# HiGHS reads a cost of this magnitude or more as infinite (its infinite_cost)
+HIGHS_INFINITE_COST = 1e20
 
 
 class SolverError(RuntimeError):
@@ -97,20 +104,24 @@ def worst_violation(slack):
     return float(max(0.0, -slack.min(initial=0.0)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProgramResult:
-    """Solved measure program: value, optimizers and dual objects."""
+    """Solved measure program: value, optimizers and dual objects, and the
+    method that produced them: "constructed" from policy iteration or
+    "highs"."""
 
     optimal_value: float
     gamma: GMeasure
     xi: GMeasure | None
     dual: DualCertificate | None
+    method: str
     status: str = "optimal"
 
     def to_json_dict(self, model):
         doc = {
             "value": self.optimal_value,
             "status": self.status,
+            "method": self.method,
             "gamma": self.gamma.to_json_entries(model),
         }
         if self.xi is not None:
@@ -139,7 +150,14 @@ def _solve_equalities(c, A, b, context):
 
     HiGHS solves the LP, and lp_core.certified_solution accepts its primal x
     and duals y (c - A'y >= 0 at the optimum) only under the certificate.
+    HiGHS reads a cost of magnitude HIGHS_INFINITE_COST or more as infinite,
+    so such a cost is refused before the solve.
     """
+    cost = float(np.max(np.abs(c), initial=0.0))
+    if cost >= HIGHS_INFINITE_COST:
+        raise SolverError(f"{context}: a cost of magnitude {cost:.3g} is at or above "
+                          f"HiGHS's infinite_cost ({HIGHS_INFINITE_COST:g}), which HiGHS "
+                          "reads as infinite")
     A = A.tocsc()
     res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
                   options=lp_core.HIGHS_OPTIONS)
@@ -152,22 +170,99 @@ def _solve_equalities(c, A, b, context):
     return sol.x, sol.y_dual, sol.objective
 
 
+def _solve(c, A, b, context, dual, construct=None):
+    """Primal x, checked dual and method of the measure LP min c'x, A x = b,
+    x >= 0.  dual(y) turns the duals y into the program's DualCertificate
+    (or None), raising SolverError when it fails its check.
+
+    construct() builds (x, y) from policy iteration.  That pair is used, as
+    "constructed", only when it is finite, passes lp_core.check_certificate
+    on the same (c, A, b) and passes dual(y), all without a float overflow
+    or invalid operation, which could hide a violation behind a NaN.
+    Otherwise, and when construct is None, HiGHS solves the LP as "highs".
+    """
+    if construct is not None:
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                x, y = construct()
+                if np.isfinite(x).all() and np.isfinite(y).all():
+                    lp_core.check_certificate(
+                        lp_core.LinearProgram(c=c, A=A.tocsc(), b=b),
+                        lp_core.LpSolution("optimal", x, y, float(c @ x)))
+                    return x, dual(y), "constructed"
+        except (SolverError, lp_core.LpError, FloatingPointError):
+            pass
+    x, y, _ = _solve_equalities(c, A, b, context)
+    return x, dual(y), "highs"
+
+
+def _policy_iteration(model):
+    from . import dp  # dp imports SolverError from this module
+    return dp.average_cost_policy_iteration(model)
+
+
+def _pi_dual(model, sol):
+    """The gain g and eta = h + M g of a policy-iteration solution.
+
+    On the pairs where E g = g(y), PI's second phase gives k + E h - h - g
+    >= 0 up to its margin, and E g >= g(y) on every pair, so for M above the
+    least value >= 0 that makes k + E h - h - g + M (E g - g) >= 0 on every
+    pair, (g(y0), g, eta) satisfies both certificate families (Denardo &
+    Fox).  M is the power of two above that least value plus 1: M g is then
+    exact, and family 1 is strict wherever E g > g(y).  At the least value
+    the binding pair would tie with the optimal control in
+    dp.greedy_feedback_from_eta, whose lowest-index rule could then pick a
+    control that leaves the optimal gain (example 2 from y0 = 0).
+    """
+    g, h, s = sol.gain, sol.bias, model.pair_state
+    tensor = transition(model)
+    rest = model.pair_cost + tensor.expect(h) - h[s] - g[s]
+    rise = tensor.expect(g) - g[s]
+    short = (rest < 0) & (rise > 0)
+    least = float(np.max(-rest[short] / rise[short], initial=0.0))
+    return g, h + np.ldexp(1.0, math.frexp(1.0 + least)[1]) * g
+
+
+def _plan_pairs(model, sol):
+    return model.state_pair_start[:-1] + sol.plan.selector
+
+
 def stationary_lp(model):
     """min int k dgamma over the stationary set W; returns k* and a dual.
 
     The returned certificate has psi = 0 (the stationary problem's dual only
-    involves eta and the scalar mu).
+    involves eta and the scalar mu).  It is built from policy iteration when
+    it passes the certificate, else HiGHS solves the LP.  The built one has
+    mu = k*, the least gain of a recurrent state, eta = h + M g as in
+    augmented_lp, and gamma the stationary law of a closed class of the
+    optimal plan whose gain is k*.  Family 1 holds on every pair:
+    k + E eta - eta - mu >= k + E h - h - g + M (E g - g) >= 0, as g >= k*.
     """
     n = model.n_states
     _, B = _balance_blocks(model, 1.0)
+    A = sparse.vstack([B, np.ones((1, model.n_pairs))])
     b = np.zeros(n + 1)
     b[n] = 1.0
-    x, y, obj = _solve_equalities(model.pair_cost,
-                                  sparse.vstack([B, np.ones((1, model.n_pairs))]),
-                                  b, "stationary LP")
-    cert = DualCertificate(mu=float(y[n]), psi=np.zeros(n), eta=np.array(y[:n]))
-    _require_certificate(cert, model, 0, None, "stationary LP")
-    return ProgramResult(optimal_value=obj, gamma=GMeasure(x), xi=None, dual=cert)
+
+    def construct():
+        sol = _policy_iteration(model)
+        g, eta = _pi_dual(model, sol)
+        chain = sol.chain
+        # over recurrent states only: a transient g can round below its class's
+        best = chain.rec[np.argmin(g[chain.rec])]
+        x = np.zeros(model.n_pairs)
+        x[_plan_pairs(model, sol)] = np.where(chain.label == chain.label[best],
+                                              chain.stationary_laws(), 0.0)
+        return x, np.append(eta, g[best])
+
+    def dual(y):
+        return _require_certificate(
+            DualCertificate(mu=float(y[n]), psi=np.zeros(n), eta=np.array(y[:n])),
+            model, 0, None, "stationary LP")
+
+    x, cert, method = _solve(model.pair_cost, A, b, "stationary LP", dual, construct)
+    return ProgramResult(optimal_value=float(model.pair_cost @ x), gamma=GMeasure(x),
+                         xi=None, dual=cert, method=method)
 
 
 def discounted_stationary_lp(model, eps, y0):
@@ -178,9 +273,10 @@ def discounted_stationary_lp(model, eps, y0):
     _, B = _balance_blocks(model, 1.0 - eps)
     b = np.zeros(model.n_states)
     b[y0] = eps
-    x, _, obj = _solve_equalities(model.pair_cost, B, b,
-                                  f"discounted LP (eps={eps}, y0={y0})")
-    return ProgramResult(optimal_value=obj, gamma=GMeasure(x), xi=None, dual=None)
+    x, _, method = _solve(model.pair_cost, B, b, f"discounted LP (eps={eps}, y0={y0})",
+                          lambda y: None)
+    return ProgramResult(optimal_value=float(model.pair_cost @ x), gamma=GMeasure(x),
+                         xi=None, dual=None, method=method)
 
 
 def augmented_lp(model, y0, theta=None):
@@ -190,6 +286,13 @@ def augmented_lp(model, y0, theta=None):
     deviation measure xi at the initial state.  The dual multipliers are read
     off as eta (block 1), psi (block 2) and mu (normalization row shifted by
     psi(y0)), and the resulting certificate is verified before returning.
+
+    Without theta the solution is first built from policy iteration's
+    optimal plan: gamma is its limiting law P*(y0, .), xi the least
+    nonnegative deviation w with w (I - P_pi) = e_y0 - P*(y0, .) (see
+    dp.ClosedClasses.limiting_row), and the certificate is (mu, psi, eta) =
+    (g(y0), g, h + M g).  HiGHS solves the LP when that pair misses the
+    certificate, and whenever theta is given.
     """
     model.check_y0(y0)
     n, n_pairs = model.n_states, model.n_pairs
@@ -208,13 +311,28 @@ def augmented_lp(model, y0, theta=None):
     b[n + 1 + y0] = 1.0
     c = np.concatenate([model.pair_cost,
                         np.zeros(n_pairs) if theta_pair is None else theta_pair])
-    x, y, obj = _solve_equalities(c, A, b, f"augmented LP (y0={y0})")
-    eta = np.array(y[:n])
-    psi = np.array(y[n + 1:])
-    cert = DualCertificate(mu=float(y[n] + psi[y0]), psi=psi, eta=eta)
-    _require_certificate(cert, model, y0, theta_pair, f"augmented LP (y0={y0})")
-    return ProgramResult(optimal_value=obj, gamma=GMeasure(x[:n_pairs]),
-                         xi=GMeasure(x[n_pairs:]), dual=cert)
+    context = f"augmented LP (y0={y0})"
+
+    def construct():
+        sol = _policy_iteration(model)
+        g, eta = _pi_dual(model, sol)
+        p_star, w = sol.chain.limiting_row(y0)
+        pairs = _plan_pairs(model, sol)
+        x = np.zeros(2 * n_pairs)
+        x[pairs] = p_star
+        x[n_pairs + pairs] = w
+        return x, np.concatenate([eta, [0.0], g])
+
+    def dual(y):
+        psi = np.array(y[n + 1:])
+        return _require_certificate(
+            DualCertificate(mu=float(y[n] + psi[y0]), psi=psi, eta=np.array(y[:n])),
+            model, y0, theta_pair, context)
+
+    x, cert, method = _solve(c, A, b, context, dual,
+                             construct if theta_pair is None else None)
+    return ProgramResult(optimal_value=float(c @ x), gamma=GMeasure(x[:n_pairs]),
+                         xi=GMeasure(x[n_pairs:]), dual=cert, method=method)
 
 
 def _require_certificate(cert, model, y0, theta_pair, context):
@@ -222,6 +340,7 @@ def _require_certificate(cert, model, y0, theta_pair, context):
     if max(v1, v2) > CERT_TOL:
         raise SolverError(f"{context}: dual certificate violated "
                           f"(families {v1:.3e}, {v2:.3e})")
+    return cert
 
 
 def _marginal(model, weights):

@@ -3,8 +3,9 @@
 These deliberately avoid the library's solution paths: basic-feasible-point
 enumeration for LPs, deterministic-policy enumeration with per-class
 stationary distributions for the stationary LP value, exhaustive
-noise-sequence expansion for short-horizon plan values, value iteration for
-h_eps, and the truncated geometric series for discounted occupations.
+noise-sequence expansion for short-horizon plan values, plan enumeration
+for the optimal gain, value iteration for h_eps, and the truncated
+geometric series for discounted occupations.
 The reference models rebuild the two examples pair by pair with Python
 scalars, as the vectorized builders must reproduce bit for bit.
 """
@@ -15,6 +16,13 @@ from itertools import combinations, product
 import numpy as np
 
 from occulimits.model import FiniteModel, transition
+from occulimits.programs import SolverError
+
+
+def no_policy_iteration(model):
+    """Stand-in for dp.average_cost_policy_iteration that fails, so that
+    every measure LP is solved by HiGHS."""
+    raise SolverError("policy iteration switched off")
 
 
 def state_controls(model):
@@ -159,6 +167,25 @@ def stationary_average_oracle(model):
         costs = model.pair_cost[pairs]
         for members in _recurrent_classes(P):
             best = min(best, _class_average(P, costs, members))
+    return best
+
+
+def optimal_gain_oracle(model):
+    """g*(y) for every state: the least gain P* k_pi(y) over deterministic
+    stationary plans, one of which is optimal from every state at once.  P*
+    is the limit of the lazy chain ((I + P) / 2)^t, which has P's invariant
+    laws and absorption probabilities; 60 squarings take t = 2^60, each
+    renormalized, since squaring would double a row sum's rounding error."""
+    tensor = transition(model)
+    rows = np.stack([tensor.row(p) for p in range(model.n_pairs)])
+    best = np.full(model.n_states, np.inf)
+    for choice in product(*map(range, np.diff(model.state_pair_start))):
+        pairs = [model.pair_index(i, l) for i, l in enumerate(choice)]
+        lazy = (np.eye(model.n_states) + rows[pairs]) / 2.0
+        for _ in range(60):
+            lazy = lazy @ lazy
+            lazy /= lazy.sum(axis=1, keepdims=True)
+        best = np.minimum(best, lazy @ model.pair_cost[pairs])
     return best
 
 

@@ -7,7 +7,8 @@ from occulimits.analysis import (CertificateError, abel_window, bounds_report,
 from occulimits.dp import Plan, finite_horizon_values, greedy_feedback_from_eta
 from occulimits.measures import (discounted_occupation, occupation_measure, pair_laws,
                                  propagate)
-from occulimits.model import TransitionTensor, example1_model, example2_model
+from occulimits.model import (FiniteModel, TransitionTensor, example1_model,
+                              example2_model)
 from occulimits.programs import (DualCertificate, GMeasure, augmented_lp,
                                  discounted_stationary_lp, membership_residuals)
 from occulimits.suite import random_model
@@ -110,6 +111,38 @@ def test_verify_computes_each_slack_once(monkeypatch):
                         lambda self, values: calls.append(1) or expect(self, values))
     verify_long_run_optimality(m, plan, aug.dual, y0, T0=1, t_max=60, tol=1e-8)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("m_exp", [4, 5])
+def test_greedy_plan_of_the_built_dual_certifies_on_every_state(m_exp):
+    # with an LP-vertex dual, 15 of 33 and 31 of 65 states failed here; the
+    # dual built from policy iteration certifies all, y0 = 0 included
+    m = example2_model(m_exp)
+    failed = []
+    for y0 in range(m.n_states):
+        aug = augmented_lp(m, y0)
+        plan = greedy_feedback_from_eta(m, aug.dual.eta)
+        verdict = verify_long_run_optimality(m, plan, aug.dual, y0, T0=1, t_max=50,
+                                             tol=1e-6)
+        if not verdict.certified:
+            failed.append(y0)
+    assert failed == []
+
+
+def test_greedy_plan_avoids_a_tie_that_leaves_the_optimal_gain():
+    # from state 0, control 0 pays -10 and moves to the absorbing state 2
+    # (gain 1); control 1 moves to the absorbing state 1 (gain 0).  At the
+    # least M that makes family 1 hold, eta ties both controls and the
+    # lowest index picks control 0
+    m = FiniteModel(states=[0.0, 1.0, 2.0], controls=[[0.0, 1.0], [0.0], [0.0]],
+                    noise=[1.0], pair_cost=[-10.0, 0.0, 0.0, 1.0],
+                    next_idx=[[2], [1], [1], [2]])
+    aug = augmented_lp(m, 0)
+    assert aug.optimal_value == 0.0
+    plan = greedy_feedback_from_eta(m, aug.dual.eta)
+    assert plan.selector.tolist() == [1, 0, 0]
+    assert verify_long_run_optimality(m, plan, aug.dual, 0, T0=1, t_max=10,
+                                      tol=1e-9).certified
 
 
 def test_verify_rejects_invalid_certificate():

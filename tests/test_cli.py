@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import OptimizeResult
 
-from occulimits import model as model_mod, programs
+from occulimits import dp, model as model_mod, programs
 from occulimits.cli import main
+from occulimits.dp import Plan
 from occulimits.model import (NOISE_NORMALIZATION_TOL, ModelError, example1_model,
                               example2_model, load_model, save_model, transition,
                               validate)
 from occulimits.suite import random_model
 
-from _oracles import with_cost
+from _oracles import no_policy_iteration, with_cost
 
 
 def run(capsys, *argv):
@@ -74,6 +75,15 @@ def _two_state_doc(**changes):
                     {"state": 1, "control": 0, "value": -0.5}]}
     doc.update(changes)
     return {key: value for key, value in doc.items() if value is not None}
+
+
+# costs +-1e20 on a two-state chain that stays put w.p. 1/4 and moves w.p. 3/4
+HIGHS_INFINITE_COST_DOC = {
+    "noise": [{"id": 0, "prob": 0.25}, {"id": 1, "prob": 0.75}],
+    "dynamics": [{"state": y, "control": 0, "noise_id": s, "next_state": (y + s) % 2}
+                 for y in range(2) for s in range(2)],
+    "cost": [{"state": 0, "control": 0, "value": 1e20},
+             {"state": 1, "control": 0, "value": -1e20}]}
 
 
 MALFORMED_DOCS = {
@@ -217,6 +227,18 @@ def test_overflowing_values_exit_as_solver_error(tmp_path, capsys):
         assert code == 3 and out == "" and err.startswith("solver error:")
 
 
+def test_cost_at_highs_infinity_exits_as_solver_error(tmp_path, capsys):
+    # HiGHS reads a cost of 1e20 as infinite and used to fail with
+    # "HiGHS Status 15: Unknown"; on this stochastic model the construction
+    # from policy iteration misses its certificate, so the LP reaches HiGHS
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_two_state_doc(**HIGHS_INFINITE_COST_DOC)))
+    code, out, err = run(capsys, "ergodic", "--model", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("solver error: stationary LP: a cost of magnitude 1e+20 ")
+    assert "infinite_cost" in err
+
+
 @pytest.mark.parametrize("text", [b'{"states": [[\xff]]}',
                                   b'{"states": [[' + b"9" * 5000 + b"]]}"],
                          ids=["not_utf8", "integer_literal_too_long"])
@@ -284,13 +306,25 @@ def test_policy_example1_certified(capsys):
     assert "(-0.5) -> (1)" in out and "(0.5) -> (-1)" in out
 
 
-def test_policy_certification_failure_exit_code(capsys):
-    # at this coarse grid the greedy plan of the LP dual strays off the
-    # certified support from y0 = 0.5
-    code, out, _ = run(capsys, "policy", "--builtin", "example2", "--m", "5",
-                       "--y0", "0.5")
+def test_policy_certification_failure_exit_code(capsys, monkeypatch):
+    # a plan that is not optimal fails certification: criterion 7's flipped
+    # plan on example 1 strays off the certified support from y0 = 0.5
+    def flipped(model, eta):
+        return Plan(kind="stationary_deterministic", selector=np.array([0, 1]))
+
+    monkeypatch.setattr(dp, "greedy_feedback_from_eta", flipped)
+    code, out, _ = run(capsys, "policy", "--builtin", "example1", "--y0", "0.5")
     assert code == 5
     assert "certified=False" in out
+
+
+def test_policy_example2_coarse_grid_certified(capsys):
+    # exited 5 while the dual came from an LP vertex: the greedy plan of that
+    # dual strayed off the certified support from y0 = 0.5
+    code, out, _ = run(capsys, "policy", "--builtin", "example2", "--m", "5",
+                       "--y0", "0.5")
+    assert code == 0
+    assert "certified=True residuals=(0, 0)" in out
 
 
 def test_ergodic_random_model_hits_acceptance_thresholds(tmp_path, capsys):
@@ -318,6 +352,7 @@ def test_dense_simplex_failure_exits_as_solver_error(capsys, monkeypatch):
         return OptimizeResult(status=1, success=False, x=None,
                               message="HiGHS stopped at its iteration limit")
 
+    monkeypatch.setattr(dp, "average_cost_policy_iteration", no_policy_iteration)
     monkeypatch.setattr(programs, "linprog", fail)
     code, _, err = run(capsys, "bounds", "--builtin", "example2", "--m", "3",
                        "--y0", "-0.5", "--T", "1,10", "--eps", "0.5")
@@ -337,6 +372,7 @@ def test_solver_failure_exits_3_from_every_command(capsys, monkeypatch, command)
         return OptimizeResult(status=1, success=False, x=None,
                               message="HiGHS stopped at its iteration limit")
 
+    monkeypatch.setattr(dp, "average_cost_policy_iteration", no_policy_iteration)
     monkeypatch.setattr(programs, "linprog", fail)
     code, out, err = run(capsys, *SOLVER_FAILURE_ARGV[command])
     assert code == 3

@@ -5,14 +5,15 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 from occulimits import dp
-from occulimits.dp import (Plan, discounted_values, evaluate_plan_average,
+from occulimits.dp import (ClosedClasses, Plan, average_cost_policy_iteration,
+                           discounted_values, evaluate_plan_average,
                            evaluate_plan_discounted, finite_horizon_values,
                            greedy_feedback_from_eta)
 from occulimits.model import FiniteModel, example1_model, example2_model, transition
 from occulimits.programs import SolverError
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import value_iteration, with_cost
+from _oracles import optimal_gain_oracle, value_iteration, with_cost
 
 
 def constant_cost_model(c=0.7):
@@ -228,3 +229,90 @@ def test_policy_iteration_cap_raises_solver_error(monkeypatch):
     monkeypatch.setattr(dp, "PI_ITERATION_CAP", 0)
     with pytest.raises(SolverError, match="cap"):
         discounted_values(random_model(13), 0.1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_average_cost_gain_matches_plan_enumeration(seed):
+    m = random_model(seed, max_states=4, max_controls=3)
+    sol = average_cost_policy_iteration(m)
+    assert np.max(np.abs(sol.gain - optimal_gain_oracle(m))) <= 1e-9
+
+
+def test_average_cost_solves_the_optimality_equations():
+    # at termination: E g >= g on every pair, with equality on the plan's
+    # pairs; among the pairs with E g = g, k + E h >= g + h, with equality on
+    # the plan's; h = 0 at each closed class's lowest state
+    worst_rounds = 0
+    for seed in range(50):
+        m = random_model(seed)
+        sol = average_cost_policy_iteration(m)
+        tensor, s = transition(m), m.pair_state
+        pairs = m.state_pair_start[:-1] + sol.plan.selector
+        g, h = sol.gain, sol.bias
+        rise = tensor.expect(g) - g[s]
+        rest = m.pair_cost + tensor.expect(h) - h[s] - g[s]
+        assert rise.min() >= -1e-12
+        assert np.max(np.abs(rise[pairs])) <= 1e-12
+        assert rest[rise <= 1e-12].min() >= -1e-12
+        assert np.max(np.abs(rest[pairs])) <= 1e-12
+        chain = sol.chain
+        refs = [chain.rec[chain.label[chain.rec] == c][0] for c in range(chain.label.max() + 1)]
+        assert np.all(h[refs] == 0.0)
+        worst_rounds = max(worst_rounds, sol.rounds)
+    assert worst_rounds <= 4
+
+
+@pytest.mark.parametrize("m_exp", [3, 5, 7])
+def test_average_cost_example2_gain_is_analytic(m_exp):
+    m = example2_model(m_exp)
+    sol = average_cost_policy_iteration(m)
+    expected = np.where(m.states[:, 0] > 0, 2.0 ** -m_exp, -0.625)
+    assert np.array_equal(sol.gain, expected)
+
+
+def test_average_cost_is_bitwise_deterministic():
+    m = example2_model(5)
+    a, b = average_cost_policy_iteration(m), average_cost_policy_iteration(m)
+    assert np.array_equal(a.gain, b.gain) and np.array_equal(a.bias, b.bias)
+    assert np.array_equal(a.plan.selector, b.plan.selector)
+
+
+def test_closed_classes_of_a_hand_chain():
+    # 0 -> {1, 3} (transient); {1, 2} cycles; 3 absorbs; 4 -> 4 or 0
+    P = np.array([[0.0, 0.5, 0.0, 0.5, 0.0],
+                  [0.0, 0.0, 1.0, 0.0, 0.0],
+                  [0.0, 1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0, 0.0],
+                  [0.5, 0.0, 0.0, 0.0, 0.5]])
+    chain = ClosedClasses(P)
+    assert chain.rec.tolist() == [1, 2, 3] and chain.tra.tolist() == [0, 4]
+    assert chain.label[[0, 4]].tolist() == [-1, -1]
+    assert chain.label[1] == chain.label[2] != chain.label[3]
+    assert np.allclose(chain.stationary_laws(), [0, 0.5, 0.5, 1, 0], atol=1e-15)
+    g, h = chain.evaluate(np.array([4.0, 1.0, 3.0, -1.0, 0.0]))
+    assert np.allclose(g, [0.5, 2.0, 2.0, -1.0, 0.5], atol=1e-14)
+    assert np.allclose(g + h, [4.0, 1.0, 3.0, -1.0, 0.0] + P @ h, atol=1e-14)
+    assert h[1] == 0.0 and h[3] == 0.0
+    for y0, p_star in ((4, [0, 0.25, 0.25, 0.5, 0]), (2, [0, 0.5, 0.5, 0, 0])):
+        got, w = chain.limiting_row(y0)
+        assert np.allclose(got, p_star, atol=1e-15)
+        start = np.eye(5)[y0]
+        assert np.allclose(w @ (np.eye(5) - P), start - got, atol=1e-14)
+        assert w.min() == 0.0
+        assert all(w[chain.label == c].min() == 0.0 for c in set(chain.label[got > 0]))
+
+
+def test_average_cost_cap_raises_solver_error(monkeypatch):
+    monkeypatch.setattr(dp, "PI_ITERATION_CAP", 0)
+    with pytest.raises(SolverError, match="cap"):
+        average_cost_policy_iteration(random_model(13))
+
+
+def test_average_cost_refuses_non_finite_values():
+    # |k| = 1e308 is finite, but the bias k(0) - k(1) overflows
+    m = FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0]], noise=[1.0],
+                    pair_cost=[1e308, -1e308], next_idx=[[1], [0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="not finite"):
+            average_cost_policy_iteration(m)

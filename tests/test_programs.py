@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from occulimits import dp
+from occulimits.analysis import bounds_report
 from occulimits.dp import discounted_values
 from occulimits.measures import discounted_occupation
 from occulimits.model import (FiniteModel, example1_model, example1_family_model,
@@ -10,7 +14,8 @@ from occulimits.programs import (GMeasure, SolverError, augmented_lp,
                                  membership_residuals, stationary_lp)
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import stationary_average_oracle, state_controls, with_cost
+from _oracles import (no_policy_iteration, stationary_average_oracle, state_controls,
+                      with_cost)
 
 
 def constant_cost(model, c):
@@ -173,12 +178,16 @@ def test_suite_models_once_refused_by_dense_simplex(seed):
 
 def test_augmented_solve_is_bitwise_deterministic():
     m = example2_model(5)
-    for y0 in (m.nearest_state(-0.5), m.nearest_state(0.5)):
+    for y0 in range(m.n_states):
         a, b = augmented_lp(m, y0), augmented_lp(m, y0)
+        assert a.method == "constructed"
         for x, y in ((a.gamma.weights, b.gamma.weights), (a.xi.weights, b.xi.weights),
                      (a.dual.mu, b.dual.mu), (a.dual.psi, b.dual.psi),
                      (a.dual.eta, b.dual.eta)):
             assert np.array_equal(x, y)
+    a, b = stationary_lp(m), stationary_lp(m)
+    assert np.array_equal(a.gamma.weights, b.gamma.weights)
+    assert a.dual.mu == b.dual.mu and np.array_equal(a.dual.eta, b.dual.eta)
 
 
 def test_membership_discounted_occupation():
@@ -242,7 +251,100 @@ def test_concurrent_solves_match_sequential():
 def test_program_result_json():
     m = example1_model(0.5)
     doc = augmented_lp(m, m.initial_index).to_json_dict(m)
-    assert doc["status"] == "optimal"
+    assert doc["status"] == "optimal" and doc["method"] == "constructed"
     assert {"state", "control", "weight"} <= set(doc["gamma"][0])
     assert set(doc["dual"]) == {"mu", "psi", "eta"}
     assert len(doc["dual"]["psi"]) == m.n_states
+
+
+def _example_cases():
+    """(name, model, initial states): suite seeds 0-49 and example 1 at
+    every state, example 2 at every state for m = 4 and 5 and at criterion
+    2's six points for m = 8 and for m = 10 with control step 2^-7."""
+    for seed in range(50):
+        m = random_model(seed)
+        yield f"suite {seed}", m, range(m.n_states)
+    for y0 in (0.25, 0.5, 1.0):
+        m = example1_model(y0)
+        yield f"example1 {y0}", m, range(m.n_states)
+    for m_exp in (4, 5):
+        m = example2_model(m_exp)
+        yield f"example2 m={m_exp}", m, range(m.n_states)
+    for m_exp, step in ((8, None), (10, 2.0 ** -7)):
+        m = example2_model(m_exp, step)
+        yield f"example2 m={m_exp}", m, [m.nearest_state(y) for y in
+                                         (-1.0, -0.5, -2.0 ** -8, 2.0 ** -8, 0.5, 1.0)]
+
+
+def test_no_measure_lp_falls_back_to_highs():
+    fallbacks = []
+    for name, m, y0s in _example_cases():
+        results = [stationary_lp(m)] + [augmented_lp(m, y0) for y0 in y0s]
+        fallbacks += [name for r in results if r.method != "constructed"]
+    assert fallbacks == []
+
+
+def test_constructed_values_match_highs(monkeypatch):
+    # the HiGHS references: augmented_lp with a zero theta, and
+    # stationary_lp with policy iteration switched off
+    worst = 0.0
+    for name, m, y0s in _example_cases():
+        if m.n_states > 65:
+            continue
+        for y0 in y0s:
+            got = augmented_lp(m, y0)
+            ref = augmented_lp(m, y0, theta=np.zeros(m.n_pairs))
+            assert (got.method, ref.method) == ("constructed", "highs")
+            worst = max(worst, abs(got.optimal_value - ref.optimal_value),
+                        abs(got.dual.mu - ref.dual.mu))
+        got = stationary_lp(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(dp, "average_cost_policy_iteration", no_policy_iteration)
+            ref = stationary_lp(m)
+        assert (got.method, ref.method) == ("constructed", "highs")
+        worst = max(worst, abs(got.optimal_value - ref.optimal_value),
+                    abs(got.dual.mu - ref.dual.mu))
+    assert worst <= 1e-8
+
+
+def test_bounds_on_every_example2_m5_state():
+    m = example2_model(5)
+    for y0 in range(m.n_states):
+        report = bounds_report(m, y0, [1, 16, 128], [0.5, 0.1])
+        k_star = 2.0 ** -5 if m.states[y0, 0] > 0 else -0.625
+        assert report.sandwich_ok and report.strong_duality, y0
+        assert report.k_star_y0 == k_star and report.k_star == -0.625, y0
+
+
+def test_non_finite_policy_iteration_falls_back(monkeypatch):
+    solve = dp.average_cost_policy_iteration
+
+    def spoiled(model):
+        sol = solve(model)
+        return dataclasses.replace(sol, bias=np.full(model.n_states, np.nan))
+
+    m = random_model(8)
+    want = augmented_lp(m, 0)
+    monkeypatch.setattr(dp, "average_cost_policy_iteration", spoiled)
+    got = augmented_lp(m, 0)
+    assert got.method == "highs"
+    assert got.optimal_value == pytest.approx(want.optimal_value, abs=1e-9)
+    assert stationary_lp(m).method == "highs"
+
+
+def test_cost_at_highs_infinity_is_refused_by_name():
+    # HiGHS reads |c| >= 1e20 as infinite and used to stop with "HiGHS
+    # Status 15: Unknown"; this model's construction misses its certificate
+    m = FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0]], noise=[0.25, 0.75],
+                    pair_cost=[1e20, -1e20], next_idx=[[0, 1], [1, 0]])
+    with pytest.raises(SolverError, match=r"stationary LP: a cost of magnitude 1e\+20 is "
+                                          r"at or above HiGHS's infinite_cost \(1e\+20\)"):
+        stationary_lp(m)
+
+
+def test_program_result_method_is_read_only():
+    m = example1_model(0.5)
+    res = augmented_lp(m, m.initial_index)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.method = "highs"
+    assert discounted_stationary_lp(m, 0.1, 0).to_json_dict(m)["method"] == "highs"

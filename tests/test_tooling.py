@@ -10,9 +10,13 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
-from occulimits import programs
+import numpy as np
+
+from occulimits import cli, dp, programs
 from occulimits.model import FiniteModel, example2_model, transition
 from occulimits.suite import random_model
+
+from _oracles import no_policy_iteration
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -45,7 +49,9 @@ def test_lp_size_reads_the_model():
 
 def test_every_measure_lp_calls_programs_linprog(monkeypatch):
     # perfbench wraps programs.linprog as its HiGHS span and the CLI tests
-    # patch it, so every measure LP must reach HiGHS through that name
+    # patch it, so every HiGHS solve of a measure LP must go through that
+    # name: none when the solution is constructed from policy iteration, one
+    # for the discounted LP, for a theta and for a forced fallback
     calls = []
     linprog = programs.linprog
 
@@ -57,13 +63,40 @@ def test_every_measure_lp_calls_programs_linprog(monkeypatch):
     m = random_model(3)
     solves = {"stationary_lp": lambda: programs.stationary_lp(m),
               "discounted_stationary_lp": lambda: programs.discounted_stationary_lp(m, 0.1, 0),
-              "augmented_lp": lambda: programs.augmented_lp(m, 0)}
-    counts = {}
-    for name, solve in solves.items():
-        calls.clear()
-        solve()
-        counts[name] = len(calls)
-    assert counts == dict.fromkeys(solves, 1)
+              "augmented_lp": lambda: programs.augmented_lp(m, 0),
+              "augmented_lp_theta": lambda: programs.augmented_lp(
+                  m, 0, theta=np.zeros(m.n_pairs))}
+
+    def counts():
+        out = {}
+        for name, solve in solves.items():
+            calls.clear()
+            solve()
+            out[name] = len(calls)
+        return out
+
+    assert counts() == {"stationary_lp": 0, "discounted_stationary_lp": 1,
+                        "augmented_lp": 0, "augmented_lp_theta": 1}
+    monkeypatch.setattr(dp, "average_cost_policy_iteration", no_policy_iteration)
+    assert counts() == dict.fromkeys(solves, 1)
+
+
+def test_bounds_at_m7_makes_no_lp_call(tmp_path, monkeypatch):
+    # the README's heaviest command answers both LPs by construction; a
+    # regression to HiGHS on this path shows up here as a linprog call
+    calls = []
+    linprog = programs.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(programs, "linprog", counted)
+    out = tmp_path / "bounds.json"
+    code = cli.main(["bounds", "--builtin", "example2", "--m", "7", "--y0", "0.3",
+                     "--T", "1,16,128", "--eps", "0.5,0.1", "--format", "json",
+                     "--output", str(out)])
+    assert code == 0 and calls == []
 
 
 # sha256 of the arrays below over suite seeds 0..1999
