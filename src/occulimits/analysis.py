@@ -72,9 +72,10 @@ def bounds_report(model, y0, Ts, epss, user_slack=None):
     sandwich d*(y0) - slack <= value <= k*(y0) + slack.
 
     slack is 2M(1 + mass(xi*))/T per horizon point and 2M eps (1 + mass(xi*))
-    per discount point, padded by 1e-6.  When the duality gap vanishes and a
-    user slack is given, the curve endpoints are additionally compared to
-    k*(y0) at that slack, which must be finite and nonnegative.
+    per discount point, padded by 1e-6.  Both LPs are built from one policy
+    iteration solve (programs.average_cost_solution).  When the duality gap
+    vanishes and a user slack is given, the curve endpoints are additionally
+    compared to k*(y0) at that slack, which must be finite and nonnegative.
     """
     model.check_y0(y0)
     if user_slack is not None and not (math.isfinite(user_slack) and user_slack >= 0):
@@ -83,9 +84,10 @@ def bounds_report(model, y0, Ts, epss, user_slack=None):
     epss = list(epss)
     if not Ts or Ts[0] < 1 or any(b <= a for a, b in zip(Ts, Ts[1:])):
         raise ValueError("Ts must be nonempty, increasing and at least 1")
-    if not epss or any(not (0 < e < 1) for e in epss) or \
-            any(b >= a for a, b in zip(epss, epss[1:])):
-        raise ValueError("epss must be nonempty, in (0,1) and decreasing")
+    if not epss or any(b >= a for a, b in zip(epss, epss[1:])):
+        raise ValueError("epss must be nonempty and decreasing")
+    for eps in epss:
+        programs.check_eps(eps)
     curve, _ = dp.finite_horizon_values(model, Ts[-1])
     vT_curve = [(t, float(curve[t - 1].values[y0])) for t in Ts]
     heps_curve = []
@@ -93,8 +95,9 @@ def bounds_report(model, y0, Ts, epss, user_slack=None):
         h, _ = dp.discounted_values(model, eps)
         heps_curve.append((eps, float(h.values[y0])))
 
-    aug = programs.augmented_lp(model, y0)
-    stat = programs.stationary_lp(model)
+    solution = programs.average_cost_solution(model)
+    aug = programs.augmented_lp(model, y0, solution=solution)
+    stat = programs.stationary_lp(model, solution=solution)
     k_star_y0 = aug.optimal_value
     d_star_y0 = aug.dual.mu
     xi_mass = aug.xi.total_mass
@@ -160,10 +163,12 @@ def verify_long_run_optimality(model, plan, dual, y0, T0, t_max, tol):
     """
     check_window(T0, t_max, tol)
     pointwise, psi_slack = dual.slacks(model, y0)
-    v1, v2 = programs.worst_violation(pointwise), programs.worst_violation(psi_slack)
-    if max(v1, v2) > tol:
+    # np.maximum, unlike max, keeps a NaN violation, which then fails the check
+    violation = float(np.maximum(programs.worst_violation(pointwise),
+                                 programs.worst_violation(psi_slack)))
+    if not violation <= tol:
         raise CertificateError(f"certificate inequalities violated by "
-                               f"{max(v1, v2):.3e} (> tol {tol:g})")
+                               f"{violation:.3e} (> tol {tol:g})")
     worst1 = worst2 = 0.0
     for mu, law in islice(measures.pair_laws(model, plan, y0, t_max + 1), T0, None):
         worst2 = max(worst2, abs(float(mu @ dual.psi) - dual.psi[y0]))
@@ -171,7 +176,7 @@ def verify_long_run_optimality(model, plan, dual, y0, T0, t_max, tol):
     certified = worst1 <= tol and worst2 <= tol
     return OptimalityVerdict(certified=certified, pointwise_residual=worst1,
                              stationarity_residual=worst2,
-                             certificate_violation=max(v1, v2))
+                             certificate_violation=violation)
 
 
 @dataclass
@@ -216,8 +221,7 @@ def abel_window(g, M, eps, delta):
     (-ln(1-eps)))) and moves upward; existence is guaranteed, so exceeding
     the search cap raises RuntimeError.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps={eps!r} outside (0, 1)")
+    programs.check_eps(eps)
     if delta <= 0 or M < 0:
         raise ValueError("delta must be positive and M nonnegative")
     n_terms = max(1, math.ceil((math.log(ABEL_TAIL) - math.log(max(M, 1e-300)))

@@ -7,6 +7,7 @@ All argmins break ties by lowest control index, so every run is
 deterministic.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 from . import measures
 from .model import transition
-from .programs import SolverError
+from .programs import SolverError, check_eps
 
 DEFAULT_TOL = 1e-10
 PI_ITERATION_CAP = 1000
@@ -39,8 +40,9 @@ class Plan:
     kind 'stationary_deterministic': selector is an int array with the chosen
     local control index per state.  kind 'stationary_randomized': selector is
     a per-state list of probability rows over that state's control list.
-    kind 'staged': selector is a list of per-stage deterministic selectors,
-    indexed by stage t = 0..T-1.
+    kind 'staged': selector is a sequence (a list, or the StagedSelectors of
+    finite_horizon_values) of per-stage deterministic selectors, indexed by
+    stage t = 0..T-1.
     """
 
     kind: str
@@ -106,29 +108,59 @@ def finite_horizon_values(model, T):
     """Backward recursion T v_T(y) = min_u {k(y,u) + (T-1) E[v_{T-1}(f(y,u,s))]}.
 
     Returns the whole curve v_1..v_T (one ValueFunction per horizon) and the
-    staged argmin plan, whose forward evaluation reproduces v_T exactly.
-    Raises SolverError naming the first horizon whose value is not finite:
-    with costs near the float range, T v_T overflows before it is divided.
+    staged argmin plan, whose forward evaluation reproduces v_T exactly.  The
+    recursion keeps values only; the plan's stage selectors (a
+    StagedSelectors) are computed from the curve the first time they are
+    read.  Raises SolverError naming the first horizon whose value is not
+    finite: with costs near the float range, T v_T overflows before it is
+    divided.
     """
     if T < 1:
         raise ValueError(f"T={T} must be >= 1")
     tensor = transition(model)
     k = model.pair_cost
+    starts = model.state_pair_start[:-1]
     v_prev = np.zeros(model.n_states)
     curve = []
-    argmins = []
     with np.errstate(over="ignore"):
         for tau in range(1, T + 1):
-            q = k + (tau - 1) * tensor.expect(v_prev)
-            vmin, sel = _group_min(model, q)
-            v_prev = vmin / tau
+            v_prev = np.minimum.reduceat(k + (tau - 1) * tensor.expect(v_prev), starts) / tau
             if not np.isfinite(v_prev).all():
                 raise SolverError(f"finite-horizon recursion overflowed: v_{tau} is not "
                                   "finite (costs too close to the float range)")
             curve.append(ValueFunction(values=v_prev))
-            argmins.append(sel)
-    plan = Plan(kind="staged", selector=list(reversed(argmins)))
-    return curve, plan
+    return curve, Plan(kind="staged", selector=StagedSelectors(model, curve))
+
+
+class StagedSelectors(Sequence):
+    """The stage selectors of finite_horizon_values's plan, read-only.
+
+    Stage t (t = 0..T-1, negative t counted from the end) acts with tau =
+    T - t stages to go, so its selector is the lowest-index argmin of
+    q = k + (tau-1) E[v_{tau-1}], with v_0 = 0.  It is computed from the
+    stored curve with the recursion's own arithmetic the first time it is
+    read, and kept, so it is the selector the recursion would have stored.
+    """
+
+    def __init__(self, model, curve):
+        self._model = model
+        self._curve = curve
+        self._sels = [None] * len(curve)
+
+    def __len__(self):
+        return len(self._sels)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[i] for i in range(len(self))[t]]
+        t = range(len(self))[t]  # an int in 0..T-1, else IndexError or TypeError
+        if self._sels[t] is None:
+            tau = len(self) - t
+            v = self._curve[tau - 2].values if tau > 1 else np.zeros(self._model.n_states)
+            with np.errstate(over="ignore"):
+                q = self._model.pair_cost + (tau - 1) * transition(self._model).expect(v)
+            self._sels[t] = _group_min(self._model, q)[1]
+        return self._sels[t]
 
 
 def discounted_values(model, eps, tol=DEFAULT_TOL):
@@ -142,8 +174,7 @@ def discounted_values(model, eps, tol=DEFAULT_TOL):
     by tol through the (1-eps) contraction.  Raises SolverError when the
     certificate fails or the iteration cap is hit.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps={eps!r} outside (0, 1)")
+    check_eps(eps)
     if tol <= 0:
         raise ValueError("tol must be positive")
     tensor = transition(model)

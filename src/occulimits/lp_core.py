@@ -69,14 +69,15 @@ class LpSolution:
     objective: float
 
     def certificate_violations(self, lp):
-        """Max violation of each optimality condition, for auditing."""
+        """Max violation of each optimality condition, for auditing (NaN
+        where a residual is NaN)."""
         r = lp.A @ self.x - lp.b
         reduced = lp.c - lp.A.T @ self.y_dual
         return {
             "primal_feasibility": float(np.max(np.abs(r), initial=0.0)),
-            "nonnegativity": float(max(0.0, -np.min(self.x, initial=0.0))),
+            "nonnegativity": float(np.maximum(0.0, -np.min(self.x, initial=0.0))),
             "duality_gap": float(abs(lp.c @ self.x - lp.b @ self.y_dual)),
-            "dual_feasibility": float(max(0.0, -np.min(reduced, initial=0.0))),
+            "dual_feasibility": float(np.maximum(0.0, -np.min(reduced, initial=0.0))),
             "slackness": float(np.max(np.abs(self.x * reduced), initial=0.0)),
         }
 
@@ -110,7 +111,7 @@ def certified_solution(lp, res):
 
 def check_certificate(lp, sol):
     """Raise LpError unless sol meets all five optimality conditions on lp
-    within this module's tolerance table."""
+    within this module's tolerance table; a NaN residual meets none."""
     v = sol.certificate_violations(lp)
     limits = {
         "primal_feasibility": FEAS_TOL * (1.0 + float(np.max(np.abs(lp.b), initial=0.0))),
@@ -119,7 +120,7 @@ def check_certificate(lp, sol):
         "dual_feasibility": REDUCED_COST_TOL,
         "slackness": SLACKNESS_TOL,
     }
-    bad = {k: v[k] for k in v if v[k] > limits[k]}
+    bad = {k: v[k] for k in v if not v[k] <= limits[k]}
     if bad:
         raise LpError(f"optimality certificate failed: {bad}")
 

@@ -14,7 +14,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from .model import transition
-from .programs import GMeasure
+from .programs import GMeasure, check_eps
 
 
 @dataclass
@@ -69,8 +69,7 @@ def discounted_occupation(model, plan, y0, eps, tail_tol):
     stages.  The weights are renormalized to total mass 1.  tail_tol must be
     positive but is not read otherwise: neither branch truncates a series.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps={eps!r} outside (0, 1)")
+    check_eps(eps)
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
     model.check_y0(y0)

@@ -16,8 +16,9 @@ block, the matrices are [B; 1'] (decay 1), B (decay 1-eps) and
 [[B, 0], [1', 0], [E, B]] (decay 1).
 
 The stationary and augmented programs (without theta) are answered from
-dp.average_cost_policy_iteration: their primal and dual are built from the
-optimal gain g, a bias h and an optimal plan.  Otherwise, and whenever the
+dp.average_cost_policy_iteration, which a caller that needs both may run
+once and pass to each as solution: their primal and dual are built from
+the optimal gain g, a bias h and an optimal plan.  Otherwise, and whenever the
 built pair fails its check, scipy's HiGHS solves the program on the sparse
 matrix.  Either way the primal and dual are accepted only after lp_core's
 five optimality conditions hold on the assembled (c, A, b), and
@@ -100,8 +101,16 @@ class DualCertificate:
 
 
 def worst_violation(slack):
-    """How far the least slack falls below 0 (0 when none does)."""
-    return float(max(0.0, -slack.min(initial=0.0)))
+    """How far the least slack falls below 0 (0 when none does, NaN when a
+    slack is NaN, so that no check passes it)."""
+    return float(np.maximum(0.0, -slack.min(initial=0.0)))
+
+
+def check_eps(eps):
+    """Refuse with ValueError a discount eps outside (0, 1), or one so small
+    that 1 - eps rounds to 1 and the discounted problem loses its discount."""
+    if not 0.0 < 1.0 - eps < 1.0:
+        raise ValueError(f"eps={eps!r} outside (0, 1), or 1 - eps rounds to 1")
 
 
 @dataclass(frozen=True)
@@ -134,15 +143,31 @@ class ProgramResult:
         return doc
 
 
-def _balance_blocks(model, decay):
-    """The pair-to-state marginal block E (n_states x n_pairs, a 1 at each
-    pair's state) and the balance block B = E - decay P^T, whose rows are
-    "state marginal minus decay times pushed mass"."""
-    n_pairs = model.n_pairs
+def _lp_matrix(model, kind, decay=1.0):
+    """The constraint matrix of a measure LP in CSC: B for kind
+    "discounted", [B; 1'] for "stationary" and [[B, 0], [1', 0], [E, B]]
+    for "augmented".
+
+    E is the pair-to-state marginal block (a 1 at each pair's state) and
+    B = E - decay P^T the balance block, whose rows are "state marginal
+    minus decay times pushed mass".  Every block is CSC, so scipy stacks
+    their compressed arrays directly, without a COO detour.
+    """
+    n, n_pairs = model.n_states, model.n_pairs
+    col_ptr = np.arange(n_pairs + 1)
     # CSC like P^T: column p holds its single 1 at row pair_state[p]
-    E = sparse.csc_matrix((np.ones(n_pairs), model.pair_state, np.arange(n_pairs + 1)),
-                          shape=(model.n_states, n_pairs))
-    return E, E - decay * transition(model).P.T
+    E = sparse.csc_matrix((np.ones(n_pairs), model.pair_state, col_ptr), shape=(n, n_pairs))
+    B = E - decay * transition(model).P.T
+    if kind == "discounted":
+        return B
+    ones = sparse.csc_matrix((np.ones(n_pairs), np.zeros(n_pairs, dtype=np.int32), col_ptr),
+                             shape=(1, n_pairs))
+    if kind == "stationary":
+        return sparse.vstack([B, ones], format="csc")
+    # [B; 1'; E] beside B moved down n + 1 rows, under the empty blocks
+    return sparse.hstack([sparse.vstack([B, ones, E], format="csc"),
+                          sparse.csc_matrix((B.data, B.indices + (n + 1), B.indptr),
+                                            shape=(2 * n + 1, n_pairs))], format="csc")
 
 
 def _solve_equalities(c, A, b, context):
@@ -196,9 +221,31 @@ def _solve(c, A, b, context, dual, construct=None):
     return x, dual(y), "highs"
 
 
-def _policy_iteration(model):
+def average_cost_solution(model):
+    """dp.average_cost_policy_iteration(model), run without a float
+    overflow, invalid operation or division by zero, which could hide a
+    violation behind a NaN; None when it fails, so that stationary_lp and
+    augmented_lp fall back to HiGHS."""
     from . import dp  # dp imports SolverError from this module
-    return dp.average_cost_policy_iteration(model)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return dp.average_cost_policy_iteration(model)
+    except (SolverError, FloatingPointError):
+        return None
+
+
+def _solution(model, solution):
+    """The policy-iteration result a measure LP builds from: solution after
+    a check that its arrays fit the model (ValueError otherwise), or, when
+    it is None, average_cost_solution(model)."""
+    if solution is None:
+        return average_cost_solution(model)
+    arrays = (solution.gain, solution.bias, solution.chain.label)
+    if any(np.shape(a) != (model.n_states,) for a in arrays) \
+            or solution.plan.kind != "stationary_deterministic":
+        raise ValueError(f"solution does not fit a model with {model.n_states} states")
+    solution.plan.check_against(model)
+    return solution
 
 
 def _pi_dual(model, sol):
@@ -227,7 +274,7 @@ def _plan_pairs(model, sol):
     return model.state_pair_start[:-1] + sol.plan.selector
 
 
-def stationary_lp(model):
+def stationary_lp(model, solution=None):
     """min int k dgamma over the stationary set W; returns k* and a dual.
 
     The returned certificate has psi = 0 (the stationary problem's dual only
@@ -237,15 +284,19 @@ def stationary_lp(model):
     augmented_lp, and gamma the stationary law of a closed class of the
     optimal plan whose gain is k*.  Family 1 holds on every pair:
     k + E eta - eta - mu >= k + E h - h - g + M (E g - g) >= 0, as g >= k*.
+
+    solution is the model's dp.average_cost_policy_iteration result, for a
+    caller that also passes it to augmented_lp; None runs it here (see
+    average_cost_solution).  One whose arrays do not fit the model raises
+    ValueError; one that fails the certificate leaves the LP to HiGHS.
     """
     n = model.n_states
-    _, B = _balance_blocks(model, 1.0)
-    A = sparse.vstack([B, np.ones((1, model.n_pairs))])
+    sol = _solution(model, solution)
+    A = _lp_matrix(model, "stationary")
     b = np.zeros(n + 1)
     b[n] = 1.0
 
     def construct():
-        sol = _policy_iteration(model)
         g, eta = _pi_dual(model, sol)
         chain = sol.chain
         # over recurrent states only: a transient g can round below its class's
@@ -260,26 +311,26 @@ def stationary_lp(model):
             DualCertificate(mu=float(y[n]), psi=np.zeros(n), eta=np.array(y[:n])),
             model, 0, None, "stationary LP")
 
-    x, cert, method = _solve(model.pair_cost, A, b, "stationary LP", dual, construct)
+    x, cert, method = _solve(model.pair_cost, A, b, "stationary LP", dual,
+                             None if sol is None else construct)
     return ProgramResult(optimal_value=float(model.pair_cost @ x), gamma=GMeasure(x),
                          xi=None, dual=cert, method=method)
 
 
 def discounted_stationary_lp(model, eps, y0):
     """min int k dgamma over W(eps, y0); the value equals the DP oracle h_eps(y0)."""
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps={eps!r} outside (0, 1)")
+    check_eps(eps)
     model.check_y0(y0)
-    _, B = _balance_blocks(model, 1.0 - eps)
     b = np.zeros(model.n_states)
     b[y0] = eps
-    x, _, method = _solve(model.pair_cost, B, b, f"discounted LP (eps={eps}, y0={y0})",
+    x, _, method = _solve(model.pair_cost, _lp_matrix(model, "discounted", 1.0 - eps), b,
+                          f"discounted LP (eps={eps}, y0={y0})",
                           lambda y: None)
     return ProgramResult(optimal_value=float(model.pair_cost @ x), gamma=GMeasure(x),
                          xi=None, dual=None, method=method)
 
 
-def augmented_lp(model, y0, theta=None):
+def augmented_lp(model, y0, theta=None, solution=None):
     """Two-layer LP over Omega(y0): min int k dgamma (+ int theta dxi).
 
     Block 1 is gamma-stationarity with normalization, block 2 anchors the
@@ -292,7 +343,8 @@ def augmented_lp(model, y0, theta=None):
     nonnegative deviation w with w (I - P_pi) = e_y0 - P*(y0, .) (see
     dp.ClosedClasses.limiting_row), and the certificate is (mu, psi, eta) =
     (g(y0), g, h + M g).  HiGHS solves the LP when that pair misses the
-    certificate, and whenever theta is given.
+    certificate, and whenever theta is given.  solution is as in
+    stationary_lp; with a theta it is not used.
     """
     model.check_y0(y0)
     n, n_pairs = model.n_states, model.n_pairs
@@ -304,8 +356,8 @@ def augmented_lp(model, y0, theta=None):
                              f"({n_pairs}), got shape {theta_pair.shape}")
         if theta_pair.min(initial=0.0) < 0 or not np.all(np.isfinite(theta_pair)):
             raise ValueError("theta must be nonnegative and bounded")
-    E, B = _balance_blocks(model, 1.0)
-    A = sparse.bmat([[B, None], [np.ones((1, n_pairs)), None], [E, B]])
+    sol = None if theta_pair is not None else _solution(model, solution)
+    A = _lp_matrix(model, "augmented")
     b = np.zeros(2 * n + 1)
     b[n] = 1.0
     b[n + 1 + y0] = 1.0
@@ -314,7 +366,6 @@ def augmented_lp(model, y0, theta=None):
     context = f"augmented LP (y0={y0})"
 
     def construct():
-        sol = _policy_iteration(model)
         g, eta = _pi_dual(model, sol)
         p_star, w = sol.chain.limiting_row(y0)
         pairs = _plan_pairs(model, sol)
@@ -330,14 +381,14 @@ def augmented_lp(model, y0, theta=None):
             model, y0, theta_pair, context)
 
     x, cert, method = _solve(c, A, b, context, dual,
-                             construct if theta_pair is None else None)
+                             None if sol is None else construct)
     return ProgramResult(optimal_value=float(c @ x), gamma=GMeasure(x[:n_pairs]),
                          xi=GMeasure(x[n_pairs:]), dual=cert, method=method)
 
 
 def _require_certificate(cert, model, y0, theta_pair, context):
     v1, v2 = cert.violations(model, y0, theta_pair)
-    if max(v1, v2) > CERT_TOL:
+    if not (v1 <= CERT_TOL and v2 <= CERT_TOL):
         raise SolverError(f"{context}: dual certificate violated "
                           f"(families {v1:.3e}, {v2:.3e})")
     return cert

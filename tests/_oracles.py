@@ -4,8 +4,9 @@ These deliberately avoid the library's solution paths: basic-feasible-point
 enumeration for LPs, deterministic-policy enumeration with per-class
 stationary distributions for the stationary LP value, exhaustive
 noise-sequence expansion for short-horizon plan values, plan enumeration
-for the optimal gain, value iteration for h_eps, and the truncated
-geometric series for discounted occupations.
+for the optimal gain, value iteration for h_eps, the truncated
+geometric series for discounted occupations, and the backward recursion
+that stores every stage's argmin as it goes.
 The reference models rebuild the two examples pair by pair with Python
 scalars, as the vectorized builders must reproduce bit for bit.
 """
@@ -187,6 +188,26 @@ def optimal_gain_oracle(model):
             lazy /= lazy.sum(axis=1, keepdims=True)
         best = np.minimum(best, lazy @ model.pair_cost[pairs])
     return best
+
+
+def eager_finite_horizon_values(model, T):
+    """The backward recursion that stores each stage's argmin as it goes,
+    as dp.finite_horizon_values did before its plan was computed on first
+    read: the values v_1..v_T and the stage selectors, stage 0 (T stages to
+    go) first, with lowest-index ties."""
+    tensor = transition(model)
+    starts = model.state_pair_start[:-1]
+    v = np.zeros(model.n_states)
+    values, argmins = [], []
+    with np.errstate(over="ignore"):
+        for tau in range(1, T + 1):
+            q = model.pair_cost + (tau - 1) * tensor.expect(v)
+            vmin = np.minimum.reduceat(q, starts)
+            cand = np.where(q <= vmin[model.pair_state], model.pair_local, model.n_pairs + 1)
+            argmins.append(np.minimum.reduceat(cand, starts).astype(np.int64))
+            v = vmin / tau
+            values.append(v)
+    return values, argmins[::-1]
 
 
 def brute_force_finite_horizon(model, y0, T):

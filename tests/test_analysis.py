@@ -153,6 +153,21 @@ def test_verify_rejects_invalid_certificate():
         verify_long_run_optimality(m, plan, bad, 1, T0=1, t_max=10, tol=1e-8)
 
 
+def test_nan_certificate_fails_its_check():
+    # max(0.0, nan) is 0.0, so a NaN mu used to report no violation at all
+    m = example1_model(0.5)
+    good = augmented_lp(m, m.initial_index).dual
+    nan_mu = DualCertificate(mu=np.nan, psi=good.psi, eta=good.eta)
+    v1, v2 = nan_mu.violations(m, m.initial_index)
+    assert np.isnan(v1) and v2 == 0.0
+    plan = greedy_feedback_from_eta(m, good.eta)
+    assert verify_long_run_optimality(m, plan, good, m.initial_index, T0=1, t_max=10,
+                                      tol=1e-8).certified
+    with pytest.raises(CertificateError):
+        verify_long_run_optimality(m, plan, nan_mu, m.initial_index, T0=1, t_max=10,
+                                   tol=1e-8)
+
+
 @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, 0.0])
 def test_verify_refuses_vacuous_tolerance(tol):
     # at tol=inf the flipped plan used to certify against this junk dual,

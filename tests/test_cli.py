@@ -387,6 +387,18 @@ def test_bounds_refuses_horizon_below_one(capsys):
     assert out == "" and err.startswith("input error:")
 
 
+@pytest.mark.parametrize("command", ["bounds", "ergodic"])
+def test_eps_too_small_for_a_discount_exits_as_input_error(capsys, command):
+    # 1 - 1e-17 rounds to 1: the discounted solve met a singular matrix, leaked
+    # scipy's MatrixRankWarning and exited 3 with "Bellman residual nan"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--builtin", "example1", "--y0", "0.5",
+                             "--eps", "1e-17")
+    assert code == 2
+    assert out == "" and err.startswith("input error:") and "1e-17" in err
+
+
 def test_ergodic_refuses_horizon_below_one(capsys):
     code, out, err = run(capsys, "ergodic", "--builtin", "example1",
                          "--T", "0,10", "--eps", "0.5")

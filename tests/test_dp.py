@@ -5,15 +5,17 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 from occulimits import dp
-from occulimits.dp import (ClosedClasses, Plan, average_cost_policy_iteration,
+from occulimits.dp import (ClosedClasses, Plan, StagedSelectors, average_cost_policy_iteration,
                            discounted_values, evaluate_plan_average,
                            evaluate_plan_discounted, finite_horizon_values,
                            greedy_feedback_from_eta)
+from occulimits.measures import prg_detect
 from occulimits.model import FiniteModel, example1_model, example2_model, transition
 from occulimits.programs import SolverError
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import optimal_gain_oracle, value_iteration, with_cost
+from _oracles import (eager_finite_horizon_values, optimal_gain_oracle, value_iteration,
+                      with_cost)
 
 
 def constant_cost_model(c=0.7):
@@ -140,6 +142,53 @@ def test_staged_plan_reproduces_vT():
     for y0 in range(m.n_states):
         val = evaluate_plan_average(m, plan, y0, T)
         assert val == pytest.approx(curve[-1].values[y0], abs=1e-12)
+
+
+def _recursion_cases():
+    yield from (random_model(seed) for seed in range(50))
+    yield example1_model(0.5)
+    yield from (example2_model(m) for m in (4, 5, 7))
+
+
+def test_staged_plan_read_on_first_use_matches_the_eager_recursion():
+    # the curve comes from a values-only recursion and each selector from
+    # the stored curve when first read; both must equal, bit for bit, what
+    # the recursion that stored every argmin gave
+    T = 30
+    for m in _recursion_cases():
+        curve, plan = finite_horizon_values(m, T)
+        values, sels = eager_finite_horizon_values(m, T)
+        assert [vf.values.tobytes() for vf in curve] == [v.tobytes() for v in values]
+        lazy = plan.selector
+        assert isinstance(lazy, StagedSelectors) and len(lazy) == T == plan.n_stages
+        # read out of order first: the last stage, then negative indices
+        assert np.array_equal(lazy[T - 1], sels[T - 1])
+        assert all(np.array_equal(lazy[-i], sels[-i]) for i in range(1, T + 1))
+        assert [s.tobytes() for s in lazy] == [s.tobytes() for s in sels]
+        assert all(a.dtype == b.dtype for a, b in zip(lazy, sels))
+        assert all(np.array_equal(a, b) for a, b in zip(lazy[::-7], sels[::-7]))
+
+
+def test_staged_selectors_index_like_a_list():
+    m = random_model(4)
+    _, plan = finite_horizon_values(m, 5)
+    lazy = plan.selector
+    assert lazy[-5] is lazy[0] and lazy[4] is lazy[-1]
+    for bad in (5, -6):
+        with pytest.raises(IndexError):
+            lazy[bad]
+    with pytest.raises(TypeError):
+        lazy[1.0]
+    with pytest.raises(TypeError):
+        lazy[0] = lazy[1]
+
+
+def test_prg_detect_cycles_the_plan_read_on_first_use():
+    for m, y0 in ((example1_model(0.5), 1), (random_model(7), 0), (example2_model(4), 3)):
+        _, plan = finite_horizon_values(m, 6)
+        _, sels = eager_finite_horizon_values(m, 6)
+        eager = Plan(kind="staged", selector=sels)
+        assert prg_detect(m, plan, y0, t_max=30) == prg_detect(m, eager, y0, t_max=30)
 
 
 def test_example1_constant_plans_hand_expectation():

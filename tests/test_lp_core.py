@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 from scipy.optimize import OptimizeResult
 
 from occulimits import lp_core, programs
@@ -112,6 +111,17 @@ def test_degenerate_lp_terminates():
     assert sol.objective == pytest.approx(0.0, abs=1e-10)
 
 
+def test_nan_dual_fails_the_certificate():
+    # min x, x = 1: the optimum x = 1 with dual y = 1 passes; a NaN dual made
+    # every comparison against a limit False and passed too
+    lp = LinearProgram(c=[1.0], A=[[1.0]], b=[1.0])
+    lp_core.check_certificate(lp, lp_core.LpSolution("optimal", np.array([1.0]),
+                                                     np.array([1.0]), 1.0))
+    with pytest.raises(LpError, match="duality_gap"):
+        lp_core.check_certificate(lp, lp_core.LpSolution("optimal", np.array([1.0]),
+                                                         np.array([np.nan]), 1.0))
+
+
 def test_dump_contains_all_rows():
     lp = LinearProgram(c=[1.0], A=[[2.0]], b=[3.0])
     text = dump_lp(lp)
@@ -122,8 +132,7 @@ def test_solve_lp_is_the_measure_lp_solver():
     # the stationary LP [B; 1'] x = e_n of suite models, solved both ways
     for seed in range(10):
         m = random_model(seed)
-        _, B = programs._balance_blocks(m, 1.0)
-        A = sparse.vstack([B, np.ones((1, m.n_pairs))])
+        A = programs._lp_matrix(m, "stationary")
         b = np.zeros(m.n_states + 1)
         b[-1] = 1.0
         sol = solve_lp(LinearProgram(c=m.pair_cost, A=A, b=b))

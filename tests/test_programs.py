@@ -2,13 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from occulimits import dp
+from occulimits import dp, programs
 from occulimits.analysis import bounds_report
 from occulimits.dp import discounted_values
 from occulimits.measures import discounted_occupation
 from occulimits.model import (FiniteModel, example1_model, example1_family_model,
-                              example2_model)
+                              example2_model, transition)
 from occulimits.programs import (GMeasure, SolverError, augmented_lp,
                                  discounted_stationary_lp,
                                  membership_residuals, stationary_lp)
@@ -330,6 +331,76 @@ def test_non_finite_policy_iteration_falls_back(monkeypatch):
     assert got.method == "highs"
     assert got.optimal_value == pytest.approx(want.optimal_value, abs=1e-9)
     assert stationary_lp(m).method == "highs"
+
+
+def test_a_shared_solution_gives_the_same_results():
+    m = random_model(5)
+    solution = dp.average_cost_policy_iteration(m)
+    for fresh, shared in ((stationary_lp(m), stationary_lp(m, solution=solution)),
+                          (augmented_lp(m, 1), augmented_lp(m, 1, solution=solution))):
+        assert shared.method == fresh.method == "constructed"
+        assert shared.optimal_value == fresh.optimal_value
+        assert np.array_equal(shared.gamma.weights, fresh.gamma.weights)
+        assert np.array_equal(shared.dual.eta, fresh.dual.eta)
+
+
+def test_a_solution_of_another_model_is_refused():
+    m, other = random_model(5), example1_model(0.5)
+    assert m.n_states != other.n_states
+    wrong = dp.average_cost_policy_iteration(other)
+    with pytest.raises(ValueError, match="does not fit"):
+        stationary_lp(m, solution=wrong)
+    with pytest.raises(ValueError, match="does not fit"):
+        augmented_lp(m, 0, solution=wrong)
+    right = dp.average_cost_policy_iteration(m)
+    staged = dataclasses.replace(right, plan=dp.Plan("staged", [right.plan.selector]))
+    with pytest.raises(ValueError, match="does not fit"):
+        stationary_lp(m, solution=staged)
+    too_big = dataclasses.replace(right, plan=dp.Plan("stationary_deterministic",
+                                                      right.plan.selector + 99))
+    with pytest.raises(ValueError, match="plan/model mismatch"):
+        augmented_lp(m, 0, solution=too_big)
+
+
+def test_a_spoiled_solution_falls_back_to_highs():
+    m = random_model(8)
+    solution = dp.average_cost_policy_iteration(m)
+    spoiled = dataclasses.replace(solution, bias=np.full(m.n_states, np.nan))
+    want = augmented_lp(m, 0, solution=solution)
+    got = augmented_lp(m, 0, solution=spoiled)
+    assert (want.method, got.method) == ("constructed", "highs")
+    assert got.optimal_value == pytest.approx(want.optimal_value, abs=1e-9)
+    assert stationary_lp(m, solution=spoiled).method == "highs"
+
+
+def _block_matrix(model, kind, decay=1.0):
+    """The measure LP matrices as scipy.sparse block arithmetic builds them."""
+    n_pairs = model.n_pairs
+    E = sparse.csc_matrix((np.ones(n_pairs), model.pair_state, np.arange(n_pairs + 1)),
+                          shape=(model.n_states, n_pairs))
+    B = E - decay * transition(model).P.T
+    ones = np.ones((1, n_pairs))
+    return {"discounted": B,
+            "stationary": sparse.vstack([B, ones]),
+            "augmented": sparse.bmat([[B, None], [ones, None], [E, B]])}[kind].tocsc()
+
+
+def test_lp_matrices_equal_the_block_construction():
+    models = [random_model(seed) for seed in range(50)]
+    models += [example1_model(0.5), example1_family_model([0.25, 0.5, 1.0])]
+    models += [example2_model(m) for m in (3, 5, 7)]
+    # a certain self-loop: its balance entry 1 - 1 cancels and is dropped
+    models.append(FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0, 1.0]], noise=[],
+                              pair_cost=[1.0, 2.0, 3.0],
+                              kernel=[[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
+    for m in models:
+        for kind, decay in (("stationary", 1.0), ("augmented", 1.0), ("discounted", 0.9),
+                            ("discounted", 1.0 - 1e-3)):
+            got, want = programs._lp_matrix(m, kind, decay), _block_matrix(m, kind, decay)
+            assert type(got) is type(want) and got.shape == want.shape
+            assert got.has_canonical_format
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), (kind, part)
 
 
 def test_cost_at_highs_infinity_is_refused_by_name():

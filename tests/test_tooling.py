@@ -99,6 +99,22 @@ def test_bounds_at_m7_makes_no_lp_call(tmp_path, monkeypatch):
     assert code == 0 and calls == []
 
 
+def test_bounds_solves_policy_iteration_once(tmp_path, monkeypatch):
+    # bounds needs k*(y0) and k*; both LPs are built from one solve
+    calls = []
+    solve = dp.average_cost_policy_iteration
+
+    def counted(model):
+        calls.append(1)
+        return solve(model)
+
+    monkeypatch.setattr(dp, "average_cost_policy_iteration", counted)
+    code = cli.main(["bounds", "--builtin", "example2", "--m", "5", "--y0", "0.3",
+                     "--T", "1,16,128", "--eps", "0.5,0.1", "--format", "json",
+                     "--output", str(tmp_path / "bounds.json")])
+    assert code == 0 and len(calls) == 1
+
+
 # sha256 of the arrays below over suite seeds 0..1999
 SUITE_DIGEST = "b52f1cadc352239db855ad287a536c76ad8eab8cb7bda9be7d46f352e4b0eed3"
 
