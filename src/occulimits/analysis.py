@@ -72,10 +72,11 @@ def bounds_report(model, y0, Ts, epss, user_slack=None):
     sandwich d*(y0) - slack <= value <= k*(y0) + slack.
 
     slack is 2M(1 + mass(xi*))/T per horizon point and 2M eps (1 + mass(xi*))
-    per discount point, padded by 1e-6.  Both LPs are built from one policy
-    iteration solve (programs.average_cost_solution).  When the duality gap
-    vanishes and a user slack is given, the curve endpoints are additionally
-    compared to k*(y0) at that slack, which must be finite and nonnegative.
+    per discount point, padded by 1e-6.  The two LPs share the model's one
+    policy iteration solve (programs.average_cost_solution).  When the
+    duality gap vanishes and a user slack is given, the curve endpoints are
+    additionally compared to k*(y0) at that slack, which must be finite and
+    nonnegative.
     """
     model.check_y0(y0)
     if user_slack is not None and not (math.isfinite(user_slack) and user_slack >= 0):
@@ -87,7 +88,7 @@ def bounds_report(model, y0, Ts, epss, user_slack=None):
     if not epss or any(b >= a for a, b in zip(epss, epss[1:])):
         raise ValueError("epss must be nonempty and decreasing")
     for eps in epss:
-        programs.check_eps(eps)
+        measures.check_eps(eps)
     curve, _ = dp.finite_horizon_values(model, Ts[-1])
     vT_curve = [(t, float(curve[t - 1].values[y0])) for t in Ts]
     heps_curve = []
@@ -95,9 +96,8 @@ def bounds_report(model, y0, Ts, epss, user_slack=None):
         h, _ = dp.discounted_values(model, eps)
         heps_curve.append((eps, float(h.values[y0])))
 
-    solution = programs.average_cost_solution(model)
-    aug = programs.augmented_lp(model, y0, solution=solution)
-    stat = programs.stationary_lp(model, solution=solution)
+    aug = programs.augmented_lp(model, y0)
+    stat = programs.stationary_lp(model)
     k_star_y0 = aug.optimal_value
     d_star_y0 = aug.dual.mu
     xi_mass = aug.xi.total_mass
@@ -221,7 +221,7 @@ def abel_window(g, M, eps, delta):
     (-ln(1-eps)))) and moves upward; existence is guaranteed, so exceeding
     the search cap raises RuntimeError.
     """
-    programs.check_eps(eps)
+    measures.check_eps(eps)
     if delta <= 0 or M < 0:
         raise ValueError("delta must be positive and M nonnegative")
     n_terms = max(1, math.ceil((math.log(ABEL_TAIL) - math.log(max(M, 1e-300)))

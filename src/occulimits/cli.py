@@ -65,17 +65,17 @@ def _pick_y0(mdl, args):
 
 
 def _emit(rows, header, doc, args):
-    """Write csv rows or a json document per --format/--output."""
-    if args.format == "json":
-        text = json.dumps(doc, indent=2)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        return
-    target = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
+    """Write csv rows or a json document per --format/--output; an --output
+    that cannot be opened is an input error."""
     try:
+        target = open(args.output, "w", newline="", encoding="utf-8") if args.output \
+            else sys.stdout
+    except OSError as exc:
+        raise CliInputError(f"cannot write --output: {exc}") from exc
+    try:
+        if args.format == "json":
+            target.write(json.dumps(doc, indent=2) + "\n")
+            return
         writer = csv.writer(target)
         writer.writerow(header)
         for row in rows:
@@ -116,7 +116,7 @@ def cmd_bounds(args):
 def cmd_ergodic(args):
     if min(args.T, default=0) < 1:
         raise CliInputError(f"--T needs horizons of at least 1, got {args.T}")
-    if args.builtin == "example1":
+    if args.builtin == "example1" and not args.model:
         mdl = model_mod.example1_family_model(args.y0_grid)
     else:
         mdl = _build_model(args)

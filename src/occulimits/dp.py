@@ -17,13 +17,16 @@ from scipy.sparse.linalg import splu, spsolve
 
 from . import measures
 from .model import transition
-from .programs import SolverError, check_eps
 
 DEFAULT_TOL = 1e-10
 PI_ITERATION_CAP = 1000
 # a control is replaced only when the new one is better by more than this
 # relative margin, so float noise in the solve cannot make plans cycle
 IMPROVEMENT_TOL = 1e-13
+
+
+class SolverError(RuntimeError):
+    """LP or DP solver failure, or an infeasible/unbounded measure program."""
 
 
 @dataclass
@@ -174,7 +177,7 @@ def discounted_values(model, eps, tol=DEFAULT_TOL):
     by tol through the (1-eps) contraction.  Raises SolverError when the
     certificate fails or the iteration cap is hit.
     """
-    check_eps(eps)
+    measures.check_eps(eps)
     if tol <= 0:
         raise ValueError("tol must be positive")
     tensor = transition(model)

@@ -14,7 +14,36 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from .model import transition
-from .programs import GMeasure, check_eps
+
+
+def check_eps(eps):
+    """Refuse with ValueError a discount eps outside (0, 1), or one so small
+    that 1 - eps rounds to 1 and the discounted problem loses its discount."""
+    if not 0.0 < 1.0 - eps < 1.0:
+        raise ValueError(f"eps={eps!r} outside (0, 1), or 1 - eps rounds to 1")
+
+
+@dataclass
+class GMeasure:
+    """Nonnegative measure on the graph G, one weight per admissible pair."""
+
+    weights: np.ndarray
+
+    @property
+    def total_mass(self):
+        return float(np.sum(self.weights))
+
+    def integrate(self, table):
+        return float(np.asarray(table) @ self.weights)
+
+    def support(self, tol=1e-12):
+        return np.nonzero(self.weights > tol)[0]
+
+    def to_json_entries(self, model, tol=1e-12):
+        p = self.support(tol)
+        return [{"state": y, "control": u, "weight": w}
+                for y, u, w in zip(model.states[model.pair_state[p]].tolist(),
+                                   model.pair_control[p].tolist(), self.weights[p].tolist())]
 
 
 @dataclass

@@ -16,14 +16,14 @@ block, the matrices are [B; 1'] (decay 1), B (decay 1-eps) and
 [[B, 0], [1', 0], [E, B]] (decay 1).
 
 The stationary and augmented programs (without theta) are answered from
-dp.average_cost_policy_iteration, which a caller that needs both may run
-once and pass to each as solution: their primal and dual are built from
-the optimal gain g, a bias h and an optimal plan.  Otherwise, and whenever the
-built pair fails its check, scipy's HiGHS solves the program on the sparse
-matrix.  Either way the primal and dual are accepted only after lp_core's
-five optimality conditions hold on the assembled (c, A, b), and
-ProgramResult.method records which path answered.  Dual sign conventions
-are fixed so the certificate satisfies the inequality families
+dp.average_cost_policy_iteration, run once per model (average_cost_solution):
+their primal and dual are built from the optimal gain g, a bias h and an
+optimal plan.  Otherwise, and whenever the built pair fails its check,
+scipy's HiGHS solves the program on the sparse matrix.  Either way the
+primal and dual are accepted only after lp_core's five optimality
+conditions hold on the assembled (c, A, b), and ProgramResult.method
+records which path answered.  Dual sign conventions are fixed so the
+certificate satisfies the inequality families
 
     k(y,u) + (psi(y0) - psi(y)) + E[eta(f(y,u,s))] - eta(y) - mu >= 0
     E[psi(f(y,u,s))] - psi(y) >= -theta(y,u)
@@ -32,45 +32,21 @@ literally; the certificate is re-checked post-solve rather than trusted.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from . import lp_core
+from . import dp, lp_core
+from .dp import SolverError
+from .measures import GMeasure, check_eps
 from .model import transition
 
 CERT_TOL = 1e-7
 # HiGHS reads a cost of this magnitude or more as infinite (its infinite_cost)
 HIGHS_INFINITE_COST = 1e20
-
-
-class SolverError(RuntimeError):
-    """LP backend failure or an infeasible/unbounded measure program."""
-
-
-@dataclass
-class GMeasure:
-    """Nonnegative measure on the graph G, one weight per admissible pair."""
-
-    weights: np.ndarray
-
-    @property
-    def total_mass(self):
-        return float(np.sum(self.weights))
-
-    def integrate(self, table):
-        return float(np.asarray(table) @ self.weights)
-
-    def support(self, tol=1e-12):
-        return np.nonzero(self.weights > tol)[0]
-
-    def to_json_entries(self, model, tol=1e-12):
-        p = self.support(tol)
-        return [{"state": y, "control": u, "weight": w}
-                for y, u, w in zip(model.states[model.pair_state[p]].tolist(),
-                                   model.pair_control[p].tolist(), self.weights[p].tolist())]
 
 
 @dataclass
@@ -104,13 +80,6 @@ def worst_violation(slack):
     """How far the least slack falls below 0 (0 when none does, NaN when a
     slack is NaN, so that no check passes it)."""
     return float(np.maximum(0.0, -slack.min(initial=0.0)))
-
-
-def check_eps(eps):
-    """Refuse with ValueError a discount eps outside (0, 1), or one so small
-    that 1 - eps rounds to 1 and the discounted problem loses its discount."""
-    if not 0.0 < 1.0 - eps < 1.0:
-        raise ValueError(f"eps={eps!r} outside (0, 1), or 1 - eps rounds to 1")
 
 
 @dataclass(frozen=True)
@@ -221,31 +190,29 @@ def _solve(c, A, b, context, dual, construct=None):
     return x, dual(y), "highs"
 
 
+_AVERAGE_COST = weakref.WeakKeyDictionary()
+
+
 def average_cost_solution(model):
-    """dp.average_cost_policy_iteration(model), run without a float
-    overflow, invalid operation or division by zero, which could hide a
-    violation behind a NaN; None when it fails, so that stationary_lp and
-    augmented_lp fall back to HiGHS."""
-    from . import dp  # dp imports SolverError from this module
+    """dp.average_cost_policy_iteration(model), run once per model without a
+    float overflow, invalid operation or division by zero, which could hide
+    a violation behind a NaN; None when it fails, so that stationary_lp and
+    augmented_lp fall back to HiGHS.  The result, None included, is kept
+    while the model lives (it holds no reference to the model) with its
+    arrays read-only, so every caller of a model reads the same solve."""
+    if model in _AVERAGE_COST:
+        return _AVERAGE_COST[model]
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return dp.average_cost_policy_iteration(model)
+            sol = dp.average_cost_policy_iteration(model)
     except (SolverError, FloatingPointError):
-        return None
-
-
-def _solution(model, solution):
-    """The policy-iteration result a measure LP builds from: solution after
-    a check that its arrays fit the model (ValueError otherwise), or, when
-    it is None, average_cost_solution(model)."""
-    if solution is None:
-        return average_cost_solution(model)
-    arrays = (solution.gain, solution.bias, solution.chain.label)
-    if any(np.shape(a) != (model.n_states,) for a in arrays) \
-            or solution.plan.kind != "stationary_deterministic":
-        raise ValueError(f"solution does not fit a model with {model.n_states} states")
-    solution.plan.check_against(model)
-    return solution
+        sol = None
+    else:
+        for value in (sol.plan.selector, *vars(sol).values(), *vars(sol.chain).values()):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    _AVERAGE_COST[model] = sol
+    return sol
 
 
 def _pi_dual(model, sol):
@@ -274,7 +241,7 @@ def _plan_pairs(model, sol):
     return model.state_pair_start[:-1] + sol.plan.selector
 
 
-def stationary_lp(model, solution=None):
+def stationary_lp(model):
     """min int k dgamma over the stationary set W; returns k* and a dual.
 
     The returned certificate has psi = 0 (the stationary problem's dual only
@@ -284,14 +251,11 @@ def stationary_lp(model, solution=None):
     augmented_lp, and gamma the stationary law of a closed class of the
     optimal plan whose gain is k*.  Family 1 holds on every pair:
     k + E eta - eta - mu >= k + E h - h - g + M (E g - g) >= 0, as g >= k*.
-
-    solution is the model's dp.average_cost_policy_iteration result, for a
-    caller that also passes it to augmented_lp; None runs it here (see
-    average_cost_solution).  One whose arrays do not fit the model raises
-    ValueError; one that fails the certificate leaves the LP to HiGHS.
+    Policy iteration runs once per model (average_cost_solution), so
+    augmented_lp on the same model reuses this solve.
     """
     n = model.n_states
-    sol = _solution(model, solution)
+    sol = average_cost_solution(model)
     A = _lp_matrix(model, "stationary")
     b = np.zeros(n + 1)
     b[n] = 1.0
@@ -330,7 +294,7 @@ def discounted_stationary_lp(model, eps, y0):
                          xi=None, dual=None, method=method)
 
 
-def augmented_lp(model, y0, theta=None, solution=None):
+def augmented_lp(model, y0, theta=None):
     """Two-layer LP over Omega(y0): min int k dgamma (+ int theta dxi).
 
     Block 1 is gamma-stationarity with normalization, block 2 anchors the
@@ -343,8 +307,9 @@ def augmented_lp(model, y0, theta=None, solution=None):
     nonnegative deviation w with w (I - P_pi) = e_y0 - P*(y0, .) (see
     dp.ClosedClasses.limiting_row), and the certificate is (mu, psi, eta) =
     (g(y0), g, h + M g).  HiGHS solves the LP when that pair misses the
-    certificate, and whenever theta is given.  solution is as in
-    stationary_lp; with a theta it is not used.
+    certificate, and whenever theta is given.  Policy iteration runs once
+    per model (average_cost_solution), shared with stationary_lp and every
+    y0; with a theta it is not run.
     """
     model.check_y0(y0)
     n, n_pairs = model.n_states, model.n_pairs
@@ -356,7 +321,7 @@ def augmented_lp(model, y0, theta=None, solution=None):
                              f"({n_pairs}), got shape {theta_pair.shape}")
         if theta_pair.min(initial=0.0) < 0 or not np.all(np.isfinite(theta_pair)):
             raise ValueError("theta must be nonnegative and bounded")
-    sol = None if theta_pair is not None else _solution(model, solution)
+    sol = None if theta_pair is not None else average_cost_solution(model)
     A = _lp_matrix(model, "augmented")
     b = np.zeros(2 * n + 1)
     b[n] = 1.0

@@ -37,6 +37,12 @@ def with_cost(model, pair_cost):
                        transition(model).next_idx, initial_index=model.initial_index)
 
 
+def rebuilt(model):
+    """A new dynamics model equal to model, on which policy iteration, which
+    the measure LPs run once per model, has not run yet."""
+    return with_cost(model, model.pair_cost)
+
+
 def _reference_sign_flip_model(values, initial_index=None):
     states = [(v,) for v in values]
     controls = [[(-1.0,), (1.0,)] for _ in values]

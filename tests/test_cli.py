@@ -488,6 +488,30 @@ def test_missing_model_flags(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("command", ["bounds", "ergodic"])
+def test_model_file_and_builtin_together_are_refused(tmp_path, capsys, command):
+    # ergodic used to build the example-1 family and ignore the file
+    path = tmp_path / "six.json"
+    save_model(random_model(5), path)
+    code, out, err = run(capsys, command, "--builtin", "example1", "--y0", "0.5",
+                         "--model", str(path), "--T", "1,10", "--eps", "0.5")
+    assert code == 2
+    assert out == "" and err == "input error: exactly one of --model or --builtin is required\n"
+
+
+@pytest.mark.parametrize("command", ["bounds", "ergodic"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_unwritable_output_exits_as_input_error(tmp_path, capsys, command, fmt):
+    # it used to escape as a FileNotFoundError traceback
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run(capsys, command, "--builtin", "example1", "--y0", "0.5",
+                         "--T", "1,10", "--eps", "0.5", "--format", fmt,
+                         "--output", str(target))
+    assert code == 2
+    assert out == "" and err.startswith("input error: cannot write --output:")
+    assert str(target) in err and not target.parent.exists()
+
+
 def test_ergodic_refuses_empty_y0_grid(capsys):
     # the zero-state family model used to reach HiGHS, which refused its
     # cost vector as "Invalid input for linprog"

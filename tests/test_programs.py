@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from occulimits.programs import (GMeasure, SolverError, augmented_lp,
                                  membership_residuals, stationary_lp)
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import (no_policy_iteration, stationary_average_oracle, state_controls,
-                      with_cost)
+from _oracles import (no_policy_iteration, rebuilt, stationary_average_oracle,
+                      state_controls, with_cost)
 
 
 def constant_cost(model, c):
@@ -287,7 +289,7 @@ def test_no_measure_lp_falls_back_to_highs():
 
 def test_constructed_values_match_highs(monkeypatch):
     # the HiGHS references: augmented_lp with a zero theta, and
-    # stationary_lp with policy iteration switched off
+    # stationary_lp with policy iteration switched off on a rebuilt model
     worst = 0.0
     for name, m, y0s in _example_cases():
         if m.n_states > 65:
@@ -301,7 +303,7 @@ def test_constructed_values_match_highs(monkeypatch):
         got = stationary_lp(m)
         with monkeypatch.context() as patch:
             patch.setattr(dp, "average_cost_policy_iteration", no_policy_iteration)
-            ref = stationary_lp(m)
+            ref = stationary_lp(rebuilt(m))
         assert (got.method, ref.method) == ("constructed", "highs")
         worst = max(worst, abs(got.optimal_value - ref.optimal_value),
                     abs(got.dual.mu - ref.dual.mu))
@@ -317,60 +319,114 @@ def test_bounds_on_every_example2_m5_state():
         assert report.k_star_y0 == k_star and report.k_star == -0.625, y0
 
 
+_POLICY_ITERATION = dp.average_cost_policy_iteration
+
+
+def _counted_policy_iteration(monkeypatch, solve):
+    """Patch dp.average_cost_policy_iteration with solve; returns the list
+    that gets one entry per call."""
+    calls = []
+
+    def counted(model):
+        calls.append(1)
+        return solve(model)
+
+    monkeypatch.setattr(dp, "average_cost_policy_iteration", counted)
+    return calls
+
+
+def _nan_bias(model):
+    return dataclasses.replace(_POLICY_ITERATION(model), bias=np.full(model.n_states, np.nan))
+
+
+def _gain_one_too_high(model):
+    sol = _POLICY_ITERATION(model)
+    return dataclasses.replace(sol, gain=sol.gain + 1.0)
+
+
 def test_non_finite_policy_iteration_falls_back(monkeypatch):
-    solve = dp.average_cost_policy_iteration
-
-    def spoiled(model):
-        sol = solve(model)
-        return dataclasses.replace(sol, bias=np.full(model.n_states, np.nan))
-
     m = random_model(8)
     want = augmented_lp(m, 0)
-    monkeypatch.setattr(dp, "average_cost_policy_iteration", spoiled)
-    got = augmented_lp(m, 0)
+    _counted_policy_iteration(monkeypatch, _nan_bias)
+    fresh = rebuilt(m)  # m keeps its first solve
+    got = augmented_lp(fresh, 0)
     assert got.method == "highs"
     assert got.optimal_value == pytest.approx(want.optimal_value, abs=1e-9)
-    assert stationary_lp(m).method == "highs"
+    assert stationary_lp(fresh).method == "highs"
 
 
-def test_a_shared_solution_gives_the_same_results():
+def test_a_shared_solution_gives_the_same_results(monkeypatch):
+    # a second call on a model reads its kept solve, a rebuilt model solves
+    # afresh, and all give the same bits
+    calls = _counted_policy_iteration(monkeypatch, _POLICY_ITERATION)
     m = random_model(5)
-    solution = dp.average_cost_policy_iteration(m)
-    for fresh, shared in ((stationary_lp(m), stationary_lp(m, solution=solution)),
-                          (augmented_lp(m, 1), augmented_lp(m, 1, solution=solution))):
-        assert shared.method == fresh.method == "constructed"
-        assert shared.optimal_value == fresh.optimal_value
-        assert np.array_equal(shared.gamma.weights, fresh.gamma.weights)
-        assert np.array_equal(shared.dual.eta, fresh.dual.eta)
+    for first, kept, fresh in ((stationary_lp(m), stationary_lp(m), stationary_lp(rebuilt(m))),
+                               (augmented_lp(m, 1), augmented_lp(m, 1),
+                                augmented_lp(rebuilt(m), 1))):
+        for other in (kept, fresh):
+            assert other.method == first.method == "constructed"
+            assert other.optimal_value == first.optimal_value
+            assert np.array_equal(other.gamma.weights, first.gamma.weights)
+            assert np.array_equal(other.dual.eta, first.dual.eta)
+    assert len(calls) == 3
 
 
-def test_a_solution_of_another_model_is_refused():
-    m, other = random_model(5), example1_model(0.5)
-    assert m.n_states != other.n_states
-    wrong = dp.average_cost_policy_iteration(other)
-    with pytest.raises(ValueError, match="does not fit"):
-        stationary_lp(m, solution=wrong)
-    with pytest.raises(ValueError, match="does not fit"):
-        augmented_lp(m, 0, solution=wrong)
-    right = dp.average_cost_policy_iteration(m)
-    staged = dataclasses.replace(right, plan=dp.Plan("staged", [right.plan.selector]))
-    with pytest.raises(ValueError, match="does not fit"):
-        stationary_lp(m, solution=staged)
-    too_big = dataclasses.replace(right, plan=dp.Plan("stationary_deterministic",
-                                                      right.plan.selector + 99))
-    with pytest.raises(ValueError, match="plan/model mismatch"):
-        augmented_lp(m, 0, solution=too_big)
-
-
-def test_a_spoiled_solution_falls_back_to_highs():
+def test_a_spoiled_solution_falls_back_to_highs(monkeypatch):
+    # a NaN bias fails the finiteness check, a finite gain one too high the
+    # duality gap of the certificate
     m = random_model(8)
-    solution = dp.average_cost_policy_iteration(m)
-    spoiled = dataclasses.replace(solution, bias=np.full(m.n_states, np.nan))
-    want = augmented_lp(m, 0, solution=solution)
-    got = augmented_lp(m, 0, solution=spoiled)
-    assert (want.method, got.method) == ("constructed", "highs")
-    assert got.optimal_value == pytest.approx(want.optimal_value, abs=1e-9)
-    assert stationary_lp(m, solution=spoiled).method == "highs"
+    want = augmented_lp(m, 0)
+    for spoil in (_nan_bias, _gain_one_too_high):
+        calls = _counted_policy_iteration(monkeypatch, spoil)
+        fresh = rebuilt(m)
+        got = augmented_lp(fresh, 0)
+        assert (want.method, got.method) == ("constructed", "highs"), spoil
+        assert got.optimal_value == pytest.approx(want.optimal_value, abs=1e-9)
+        assert stationary_lp(fresh).method == "highs"
+        assert len(calls) == 1
+
+
+def test_policy_iteration_runs_once_per_model(monkeypatch):
+    calls = _counted_policy_iteration(monkeypatch, _POLICY_ITERATION)
+    m = random_model(8)
+    results = [stationary_lp(m)] + [augmented_lp(m, y0) for y0 in range(m.n_states)]
+    assert [r.method for r in results] == ["constructed"] * len(results)
+    assert len(calls) == 1
+    augmented_lp(m, 0, theta=np.zeros(m.n_pairs))
+    bounds_report(m, 0, [1, 10], [0.5])
+    assert len(calls) == 1
+
+
+def test_a_failing_policy_iteration_runs_once(monkeypatch):
+    calls = _counted_policy_iteration(monkeypatch, no_policy_iteration)
+    m = random_model(5)
+    results = [stationary_lp(m)] + [augmented_lp(m, y0) for y0 in range(m.n_states)]
+    assert [r.method for r in results] == ["highs"] * len(results)
+    assert len(calls) == 1
+
+
+def test_the_kept_solution_does_not_keep_its_model_alive():
+    m = random_model(5)
+    stationary_lp(m)
+    sol = programs.average_cost_solution(m)
+    model_ref, sol_ref = weakref.ref(m), weakref.ref(sol)
+    del m, sol
+    gc.collect()
+    assert model_ref() is None and sol_ref() is None
+
+
+def test_the_kept_solution_is_read_only():
+    m = random_model(5)
+    sol = programs.average_cost_solution(m)
+    assert programs.average_cost_solution(m) is sol
+    chain = sol.chain
+    for name, a in (("gain", sol.gain), ("bias", sol.bias), ("selector", sol.plan.selector),
+                    ("label", chain.label), ("rec", chain.rec), ("tra", chain.tra)):
+        assert not a.flags.writeable, name
+    with pytest.raises(ValueError, match="read-only"):
+        sol.gain[0] = 0.0
+    # the constructions read it without writing
+    assert stationary_lp(m).method == augmented_lp(m, 0).method == "constructed"
 
 
 def _block_matrix(model, kind, decay=1.0):

@@ -6,12 +6,18 @@ must fail here rather than only in a traced benchmark run.  Tests and notes
 name seeded suite models by their seed, so the suite's models are pinned by
 digest."""
 
+import ast
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+import occulimits
 from occulimits import cli, dp, programs
 from occulimits.model import FiniteModel, example2_model, transition
 from occulimits.suite import random_model
@@ -19,6 +25,7 @@ from occulimits.suite import random_model
 from _oracles import no_policy_iteration
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PACKAGE = Path(occulimits.__file__).resolve().parent
 
 
 def _load_tracing():
@@ -60,25 +67,25 @@ def test_every_measure_lp_calls_programs_linprog(monkeypatch):
         return linprog(*args, **kwargs)
 
     monkeypatch.setattr(programs, "linprog", counted)
-    m = random_model(3)
-    solves = {"stationary_lp": lambda: programs.stationary_lp(m),
-              "discounted_stationary_lp": lambda: programs.discounted_stationary_lp(m, 0.1, 0),
-              "augmented_lp": lambda: programs.augmented_lp(m, 0),
-              "augmented_lp_theta": lambda: programs.augmented_lp(
+    solves = {"stationary_lp": lambda m: programs.stationary_lp(m),
+              "discounted_stationary_lp": lambda m: programs.discounted_stationary_lp(m, 0.1, 0),
+              "augmented_lp": lambda m: programs.augmented_lp(m, 0),
+              "augmented_lp_theta": lambda m: programs.augmented_lp(
                   m, 0, theta=np.zeros(m.n_pairs))}
 
-    def counts():
+    def counts(m):
         out = {}
         for name, solve in solves.items():
             calls.clear()
-            solve()
+            solve(m)
             out[name] = len(calls)
         return out
 
-    assert counts() == {"stationary_lp": 0, "discounted_stationary_lp": 1,
-                        "augmented_lp": 0, "augmented_lp_theta": 1}
+    assert counts(random_model(3)) == {"stationary_lp": 0, "discounted_stationary_lp": 1,
+                                       "augmented_lp": 0, "augmented_lp_theta": 1}
+    # policy iteration runs once per model, so the forced fallback needs a new one
     monkeypatch.setattr(dp, "average_cost_policy_iteration", no_policy_iteration)
-    assert counts() == dict.fromkeys(solves, 1)
+    assert counts(random_model(3)) == dict.fromkeys(solves, 1)
 
 
 def test_bounds_at_m7_makes_no_lp_call(tmp_path, monkeypatch):
@@ -113,6 +120,54 @@ def test_bounds_solves_policy_iteration_once(tmp_path, monkeypatch):
                      "--T", "1,16,128", "--eps", "0.5,0.1", "--format", "json",
                      "--output", str(tmp_path / "bounds.json")])
     assert code == 0 and len(calls) == 1
+
+
+def test_no_function_imports_from_the_package():
+    # an import inside a function hides a module cycle until the function
+    # first runs; every intra-package import belongs at module level
+    inside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] if node.level == 0 else ["occulimits"]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(name.split(".")[0] == "occulimits" for name in names):
+                    inside.append(f"{path.stem}.{func.name}")
+    assert inside == []
+
+
+# imports one module of the package first: the package's __init__, which
+# would import its own choice of modules first, is replaced by a bare package
+IMPORT_FIRST = """import importlib, sys, types
+package = types.ModuleType("occulimits")
+package.__path__ = [sys.argv[1]]
+sys.modules["occulimits"] = package
+importlib.import_module("occulimits." + sys.argv[2])"""
+
+
+def _import_first(path):
+    if path.stem == "__init__":
+        argv = ["-c", "import occulimits"]
+    else:
+        argv = ["-c", IMPORT_FIRST, str(PACKAGE), path.stem]
+    run = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), timeout=120)
+    return path.stem, run.returncode, run.stderr.strip().splitlines()[-1:]
+
+
+def test_every_module_imports_first():
+    # a module cycle fails only for the module a fresh interpreter imports
+    # first, so each module is imported first in an interpreter of its own
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = list(pool.map(_import_first, sorted(PACKAGE.glob("*.py"))))
+    assert len(runs) > 1
+    assert [(name, err) for name, code, err in runs if code != 0] == []
 
 
 # sha256 of the arrays below over suite seeds 0..1999
