@@ -195,13 +195,17 @@ def dual_from_expansion(model, Ts):
         | inf over pairs of {k(y,u) - v(y) + E[eta(f(y,u,s))] - eta(y)} |
 
     A small residual certifies (psi, eta) = (v, eta_T) as a near-optimal dual
-    pair.  Uses the two largest horizons in Ts.
+    pair.  Uses the two largest horizons in Ts, which must differ; a
+    horizon below 1 is refused.
     """
     Ts = sorted(Ts)
     if len(Ts) < 2:
         raise ValueError("need at least two horizons")
-    curve, _ = dp.finite_horizon_values(model, Ts[-1])
+    measures.check_horizon(Ts[0])
     t1, t2 = Ts[-2], Ts[-1]
+    if t1 == t2:
+        raise ValueError(f"the two largest horizons are both {t2}; they must differ")
+    curve, _ = dp.finite_horizon_values(model, t2)
     v1 = curve[t1 - 1].values
     v2 = curve[t2 - 1].values
     v = (t2 * v2 - t1 * v1) / (t2 - t1)

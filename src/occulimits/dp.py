@@ -118,8 +118,7 @@ def finite_horizon_values(model, T):
     finite: with costs near the float range, T v_T overflows before it is
     divided.
     """
-    if T < 1:
-        raise ValueError(f"T={T} must be >= 1")
+    measures.check_horizon(T)
     tensor = transition(model)
     k = model.pair_cost
     starts = model.state_pair_start[:-1]
@@ -386,6 +385,7 @@ def evaluate_plan_average(model, plan, y0, T):
     Computed by distribution propagation: (1/T) sum_t sum_(y,u)
     mu_t(y) pi_t(u|y) k(y,u).
     """
+    measures.check_horizon(T)
     return sum(float(law @ model.pair_cost)
                for _, law in measures.pair_laws(model, plan, y0, T)) / T
 

@@ -23,6 +23,12 @@ def check_eps(eps):
         raise ValueError(f"eps={eps!r} outside (0, 1), or 1 - eps rounds to 1")
 
 
+def check_horizon(T, least=1):
+    """Refuse with ValueError a horizon T below least."""
+    if T < least:
+        raise ValueError(f"T={T} must be >= {least}")
+
+
 @dataclass
 class GMeasure:
     """Nonnegative measure on the graph G, one weight per admissible pair."""
@@ -71,6 +77,7 @@ def pair_laws(model, plan, y0, T):
 def propagate(model, plan, y0, T):
     """Exact state laws mu_0..mu_T from the point mass at state y0, as the
     rows of a (T+1, n_states) array."""
+    check_horizon(T, 0)
     model.check_y0(y0)
     mu = np.zeros((T + 1, model.n_states))
     mu[0, y0] = 1.0
@@ -83,6 +90,7 @@ def propagate(model, plan, y0, T):
 
 def occupation_measure(model, plan, y0, T):
     """Expected empirical pair distribution over horizon T (total mass 1)."""
+    check_horizon(T)
     weights = np.zeros(model.n_pairs)
     for _, law in pair_laws(model, plan, y0, T):
         weights += law

@@ -18,17 +18,19 @@ block, the matrices are [B; 1'] (decay 1), B (decay 1-eps) and
 The stationary and augmented programs (without theta) are answered from
 dp.average_cost_policy_iteration, run once per model (average_cost_solution):
 their primal and dual are built from the optimal gain g, a bias h and an
-optimal plan.  Otherwise, and whenever the built pair fails its check,
-scipy's HiGHS solves the program on the sparse matrix.  Either way the
-primal and dual are accepted only after lp_core's five optimality
-conditions hold on the assembled (c, A, b), and ProgramResult.method
-records which path answered.  Dual sign conventions are fixed so the
-certificate satisfies the inequality families
+optimal plan.  Otherwise, and whenever the built pair fails lp_core's five
+optimality conditions on the assembled (c, A, b), scipy's HiGHS solves the
+program on the sparse matrix under the same conditions; _solve is the one
+function that answers a measure LP, and ProgramResult.method records which
+path answered.  Dual sign conventions are fixed so the certificate
+(mu, psi, eta), read off the duals, satisfies the inequality families
 
     k(y,u) + (psi(y0) - psi(y)) + E[eta(f(y,u,s))] - eta(y) - mu >= 0
     E[psi(f(y,u,s))] - psi(y) >= -theta(y,u)
 
-literally; the certificate is re-checked post-solve rather than trusted.
+literally.  It is checked once, after whichever path answered, and a
+failure raises SolverError: the families are reduced costs of the LP's
+columns, which lp_core holds to a tighter bound, so no other path can mend it.
 """
 
 import math
@@ -93,12 +95,10 @@ class ProgramResult:
     xi: GMeasure | None
     dual: DualCertificate | None
     method: str
-    status: str = "optimal"
 
     def to_json_dict(self, model):
         doc = {
             "value": self.optimal_value,
-            "status": self.status,
             "method": self.method,
             "gamma": self.gamma.to_json_entries(model),
         }
@@ -139,55 +139,44 @@ def _lp_matrix(model, kind, decay=1.0):
                                             shape=(2 * n + 1, n_pairs))], format="csc")
 
 
-def _solve_equalities(c, A, b, context):
-    """min c'x, A x = b, x >= 0 for a sparse A; returns (x, y, objective).
+def _solve(lp, context, construct=None):
+    """Primal x, duals y (c - A'y >= 0 at the optimum) and method of the
+    measure LP lp, an lp_core.LinearProgram min c'x, A x = b, x >= 0 with a
+    sparse A; the caller reads its dual certificate off y and checks it.
 
-    HiGHS solves the LP, and lp_core.certified_solution accepts its primal x
-    and duals y (c - A'y >= 0 at the optimum) only under the certificate.
-    HiGHS reads a cost of magnitude HIGHS_INFINITE_COST or more as infinite,
-    so such a cost is refused before the solve.
-    """
-    cost = float(np.max(np.abs(c), initial=0.0))
-    if cost >= HIGHS_INFINITE_COST:
-        raise SolverError(f"{context}: a cost of magnitude {cost:.3g} is at or above "
-                          f"HiGHS's infinite_cost ({HIGHS_INFINITE_COST:g}), which HiGHS "
-                          "reads as infinite")
-    A = A.tocsc()
-    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
-                  options=lp_core.HIGHS_OPTIONS)
-    if res.status != 0:
-        raise SolverError(f"{context}: HiGHS reported {res.message!r}")
-    try:
-        sol = lp_core.certified_solution(lp_core.LinearProgram(c=c, A=A, b=b), res)
-    except lp_core.LpError as exc:
-        raise SolverError(f"{context}: HiGHS ({A.shape[0]}x{A.shape[1]}): {exc}") from exc
-    return sol.x, sol.y_dual, sol.objective
-
-
-def _solve(c, A, b, context, dual, construct=None):
-    """Primal x, checked dual and method of the measure LP min c'x, A x = b,
-    x >= 0.  dual(y) turns the duals y into the program's DualCertificate
-    (or None), raising SolverError when it fails its check.
-
-    construct() builds (x, y) from policy iteration.  That pair is used, as
-    "constructed", only when it is finite, passes lp_core.check_certificate
-    on the same (c, A, b) and passes dual(y), all without a float overflow
-    or invalid operation, which could hide a violation behind a NaN.
-    Otherwise, and when construct is None, HiGHS solves the LP as "highs".
+    construct() builds (x, y) from policy iteration.  That pair is returned,
+    as "constructed", only when it is finite and passes
+    lp_core.check_certificate on lp, both without a float overflow or
+    invalid operation, which could hide a violation behind a NaN.
+    Otherwise, and when construct is None, HiGHS solves lp as "highs", and
+    lp_core.certified_solution accepts its pair only under the same check.
+    HiGHS reads a cost of magnitude HIGHS_INFINITE_COST or more as
+    infinite, so such a cost is refused before the solve.
     """
     if construct is not None:
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 x, y = construct()
                 if np.isfinite(x).all() and np.isfinite(y).all():
-                    lp_core.check_certificate(
-                        lp_core.LinearProgram(c=c, A=A.tocsc(), b=b),
-                        lp_core.LpSolution("optimal", x, y, float(c @ x)))
-                    return x, dual(y), "constructed"
+                    lp_core.check_certificate(lp, lp_core.LpSolution("optimal", x, y,
+                                                                     float(lp.c @ x)))
+                    return x, y, "constructed"
         except (SolverError, lp_core.LpError, FloatingPointError):
             pass
-    x, y, _ = _solve_equalities(c, A, b, context)
-    return x, dual(y), "highs"
+    cost = float(np.max(np.abs(lp.c), initial=0.0))
+    if cost >= HIGHS_INFINITE_COST:
+        raise SolverError(f"{context}: a cost of magnitude {cost:.3g} is at or above "
+                          f"HiGHS's infinite_cost ({HIGHS_INFINITE_COST:g}), which HiGHS "
+                          "reads as infinite")
+    res = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs",
+                  options=lp_core.HIGHS_OPTIONS)
+    if res.status != 0:
+        raise SolverError(f"{context}: HiGHS reported {res.message!r}")
+    try:
+        sol = lp_core.certified_solution(lp, res)
+    except lp_core.LpError as exc:
+        raise SolverError(f"{context}: HiGHS ({lp.A.shape[0]}x{lp.A.shape[1]}): {exc}") from exc
+    return sol.x, sol.y_dual, "highs"
 
 
 _AVERAGE_COST = weakref.WeakKeyDictionary()
@@ -246,7 +235,7 @@ def stationary_lp(model):
 
     The returned certificate has psi = 0 (the stationary problem's dual only
     involves eta and the scalar mu).  It is built from policy iteration when
-    it passes the certificate, else HiGHS solves the LP.  The built one has
+    it passes the LP certificate, else HiGHS solves the LP.  The built one has
     mu = k*, the least gain of a recurrent state, eta = h + M g as in
     augmented_lp, and gamma the stationary law of a closed class of the
     optimal plan whose gain is k*.  Family 1 holds on every pair:
@@ -256,9 +245,9 @@ def stationary_lp(model):
     """
     n = model.n_states
     sol = average_cost_solution(model)
-    A = _lp_matrix(model, "stationary")
     b = np.zeros(n + 1)
     b[n] = 1.0
+    lp = lp_core.LinearProgram(c=model.pair_cost, A=_lp_matrix(model, "stationary"), b=b)
 
     def construct():
         g, eta = _pi_dual(model, sol)
@@ -270,13 +259,10 @@ def stationary_lp(model):
                                               chain.stationary_laws(), 0.0)
         return x, np.append(eta, g[best])
 
-    def dual(y):
-        return _require_certificate(
-            DualCertificate(mu=float(y[n]), psi=np.zeros(n), eta=np.array(y[:n])),
-            model, 0, None, "stationary LP")
-
-    x, cert, method = _solve(model.pair_cost, A, b, "stationary LP", dual,
-                             None if sol is None else construct)
+    x, y, method = _solve(lp, "stationary LP", None if sol is None else construct)
+    cert = _require_certificate(
+        DualCertificate(mu=float(y[n]), psi=np.zeros(n), eta=np.array(y[:n])),
+        model, 0, None, "stationary LP")
     return ProgramResult(optimal_value=float(model.pair_cost @ x), gamma=GMeasure(x),
                          xi=None, dual=cert, method=method)
 
@@ -287,9 +273,9 @@ def discounted_stationary_lp(model, eps, y0):
     model.check_y0(y0)
     b = np.zeros(model.n_states)
     b[y0] = eps
-    x, _, method = _solve(model.pair_cost, _lp_matrix(model, "discounted", 1.0 - eps), b,
-                          f"discounted LP (eps={eps}, y0={y0})",
-                          lambda y: None)
+    lp = lp_core.LinearProgram(c=model.pair_cost,
+                               A=_lp_matrix(model, "discounted", 1.0 - eps), b=b)
+    x, _, method = _solve(lp, f"discounted LP (eps={eps}, y0={y0})")
     return ProgramResult(optimal_value=float(model.pair_cost @ x), gamma=GMeasure(x),
                          xi=None, dual=None, method=method)
 
@@ -306,7 +292,7 @@ def augmented_lp(model, y0, theta=None):
     optimal plan: gamma is its limiting law P*(y0, .), xi the least
     nonnegative deviation w with w (I - P_pi) = e_y0 - P*(y0, .) (see
     dp.ClosedClasses.limiting_row), and the certificate is (mu, psi, eta) =
-    (g(y0), g, h + M g).  HiGHS solves the LP when that pair misses the
+    (g(y0), g, h + M g).  HiGHS solves the LP when that pair misses the LP
     certificate, and whenever theta is given.  Policy iteration runs once
     per model (average_cost_solution), shared with stationary_lp and every
     y0; with a theta it is not run.
@@ -322,12 +308,12 @@ def augmented_lp(model, y0, theta=None):
         if theta_pair.min(initial=0.0) < 0 or not np.all(np.isfinite(theta_pair)):
             raise ValueError("theta must be nonnegative and bounded")
     sol = None if theta_pair is not None else average_cost_solution(model)
-    A = _lp_matrix(model, "augmented")
     b = np.zeros(2 * n + 1)
     b[n] = 1.0
     b[n + 1 + y0] = 1.0
     c = np.concatenate([model.pair_cost,
                         np.zeros(n_pairs) if theta_pair is None else theta_pair])
+    lp = lp_core.LinearProgram(c=c, A=_lp_matrix(model, "augmented"), b=b)
     context = f"augmented LP (y0={y0})"
 
     def construct():
@@ -339,14 +325,11 @@ def augmented_lp(model, y0, theta=None):
         x[n_pairs + pairs] = w
         return x, np.concatenate([eta, [0.0], g])
 
-    def dual(y):
-        psi = np.array(y[n + 1:])
-        return _require_certificate(
-            DualCertificate(mu=float(y[n] + psi[y0]), psi=psi, eta=np.array(y[:n])),
-            model, y0, theta_pair, context)
-
-    x, cert, method = _solve(c, A, b, context, dual,
-                             None if sol is None else construct)
+    x, y, method = _solve(lp, context, None if sol is None else construct)
+    psi = np.array(y[n + 1:])
+    cert = _require_certificate(
+        DualCertificate(mu=float(y[n] + psi[y0]), psi=psi, eta=np.array(y[:n])),
+        model, y0, theta_pair, context)
     return ProgramResult(optimal_value=float(c @ x), gamma=GMeasure(x[:n_pairs]),
                          xi=GMeasure(x[n_pairs:]), dual=cert, method=method)
 
@@ -391,6 +374,7 @@ def membership_residuals(model, gamma, kind, eps=None, y0=None, xi=None):
     if kind == "W_eps":
         if eps is None or y0 is None:
             raise ValueError("W_eps needs eps and y0")
+        check_eps(eps)
         r = marg - (1.0 - eps) * pushed
         r[y0] -= eps
         return float(max(np.max(np.abs(r)), mass_defect))

@@ -279,6 +279,13 @@ def test_dual_from_expansion_constant_cost():
     assert out.residual <= 1e-10
 
 
+@pytest.mark.parametrize("Ts", [[0, 5], [-3, 5], [10, 10], [4, 10, 10]])
+def test_dual_from_expansion_refuses_unusable_horizons(Ts):
+    # [0, 5] used to read v_5 as v_0, [10, 10] to divide by zero
+    with pytest.raises(ValueError, match="must be >= 1|must differ"):
+        dual_from_expansion(example2_model(3), Ts)
+
+
 def test_abel_window_constant_sequence():
     T = abel_window(lambda t: 0.4, M=1.0, eps=0.1, delta=0.5)
     assert T >= 1

@@ -135,11 +135,12 @@ def test_solve_lp_is_the_measure_lp_solver():
         A = programs._lp_matrix(m, "stationary")
         b = np.zeros(m.n_states + 1)
         b[-1] = 1.0
-        sol = solve_lp(LinearProgram(c=m.pair_cost, A=A, b=b))
-        x, y, objective = programs._solve_equalities(m.pair_cost, A, b, "stationary LP")
-        assert sol.status == "optimal"
+        lp = LinearProgram(c=m.pair_cost, A=A, b=b)
+        sol = solve_lp(lp)
+        x, y, method = programs._solve(lp, "stationary LP")
+        assert sol.status == "optimal" and method == "highs"
         assert np.array_equal(sol.x, x) and np.array_equal(sol.y_dual, y), seed
-        assert sol.objective == objective
+        assert sol.objective == float(lp.c @ x)
 
 
 def test_unrecognised_highs_status_raises(monkeypatch):

@@ -111,6 +111,25 @@ def test_occupation_T1_point_mass():
     assert gamma.total_mass == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("T", [0, -1])
+def test_plan_evaluators_refuse_a_horizon_below_1(T):
+    # T=0 used to give NaN weights and a bare ZeroDivisionError
+    m = example1_model(0.5)
+    plan = example1_optimal_plan(m)
+    with pytest.raises(ValueError, match=f"T={T} must be >= 1"):
+        occupation_measure(m, plan, m.initial_index, T)
+    with pytest.raises(ValueError, match=f"T={T} must be >= 1"):
+        evaluate_plan_average(m, plan, m.initial_index, T)
+
+
+def test_propagate_refuses_a_negative_horizon():
+    m = example1_model(0.5)
+    plan = example1_optimal_plan(m)
+    assert propagate(m, plan, m.initial_index, 0).shape == (1, m.n_states)
+    with pytest.raises(ValueError, match="T=-1 must be >= 0"):
+        propagate(m, plan, m.initial_index, -1)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_occupation_integral_equals_plan_average(seed):
     m = random_model(seed)

@@ -210,6 +210,16 @@ def test_membership_uniform_on_skewed_kernel():
     assert res == pytest.approx(0.2, abs=1e-12)
 
 
+@pytest.mark.parametrize("eps", [1.5, 0.0, -0.2])
+def test_membership_refuses_a_bad_eps(eps):
+    # these eps used to give residuals 1.4, 0.1 and 0.3 instead of an error
+    m = example2_model(3)
+    g = discounted_occupation(m, random_stationary_plan(m, 0), 2, 0.1, tail_tol=1e-13)
+    assert membership_residuals(m, g, "W_eps", eps=0.1, y0=2) <= 1e-9
+    with pytest.raises(ValueError, match="outside"):
+        membership_residuals(m, g, "W_eps", eps=eps, y0=2)
+
+
 def test_membership_dimension_mismatch():
     m = example1_model(0.5)
     with pytest.raises(ValueError, match="weights"):
@@ -254,7 +264,7 @@ def test_concurrent_solves_match_sequential():
 def test_program_result_json():
     m = example1_model(0.5)
     doc = augmented_lp(m, m.initial_index).to_json_dict(m)
-    assert doc["status"] == "optimal" and doc["method"] == "constructed"
+    assert doc["method"] == "constructed"
     assert {"state", "control", "weight"} <= set(doc["gamma"][0])
     assert set(doc["dual"]) == {"mu", "psi", "eta"}
     assert len(doc["dual"]["psi"]) == m.n_states
@@ -475,3 +485,26 @@ def test_program_result_method_is_read_only():
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.method = "highs"
     assert discounted_stationary_lp(m, 0.1, 0).to_json_dict(m)["method"] == "highs"
+
+
+def test_a_failing_dual_check_raises_without_highs(monkeypatch):
+    # the constructed pair passes the LP certificate, so only the dual check
+    # fails; HiGHS would read its certificate off the same reduced costs
+    calls = []
+    linprog = programs.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    def violated(self, model, y0, theta=None):
+        return np.full(model.n_pairs, -1.0), np.zeros(model.n_pairs)
+
+    m = random_model(8)
+    monkeypatch.setattr(programs, "linprog", counted)
+    monkeypatch.setattr(programs.DualCertificate, "slacks", violated)
+    with pytest.raises(SolverError, match=r"stationary LP: dual certificate violated"):
+        stationary_lp(m)
+    with pytest.raises(SolverError, match=r"augmented LP \(y0=0\): dual certificate violated"):
+        augmented_lp(m, 0)
+    assert calls == []

@@ -88,6 +88,17 @@ def test_every_measure_lp_calls_programs_linprog(monkeypatch):
     assert counts(random_model(3)) == dict.fromkeys(solves, 1)
 
 
+def test_one_function_of_programs_calls_linprog():
+    # every measure LP reaches HiGHS through programs._solve, the one place
+    # that refuses an infinite cost and certifies the HiGHS pair
+    tree = ast.parse((PACKAGE / "programs.py").read_text(encoding="utf-8"))
+    callers = [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "linprog"]
+    assert callers == ["_solve"]
+
+
 def test_bounds_at_m7_makes_no_lp_call(tmp_path, monkeypatch):
     # the README's heaviest command answers both LPs by construction; a
     # regression to HiGHS on this path shows up here as a linprog call
