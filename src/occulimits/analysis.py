@@ -142,8 +142,7 @@ def check_window(T0, t_max, tol):
     if not 0 <= T0 <= t_max:
         raise ValueError(f"certification window T0={T0}..t_max={t_max} is empty "
                          f"or starts before 0")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol={tol!r} must be finite and positive")
+    measures.check_positive("tol", tol)
 
 
 def verify_long_run_optimality(model, plan, dual, y0, T0, t_max, tol):
@@ -223,11 +222,13 @@ def abel_window(g, M, eps, delta):
     g is a callable oracle for a sequence bounded by M.  The search starts at
     the guaranteed lower bound ceil(delta / ((4M + 4|sigma| + delta)
     (-ln(1-eps)))) and moves upward; existence is guaranteed, so exceeding
-    the search cap raises RuntimeError.
+    the search cap raises RuntimeError.  delta must be finite and positive,
+    and M finite and nonnegative.
     """
     measures.check_eps(eps)
-    if delta <= 0 or M < 0:
-        raise ValueError("delta must be positive and M nonnegative")
+    measures.check_positive("delta", delta)
+    if not (math.isfinite(M) and M >= 0):
+        raise ValueError(f"M={M!r} must be finite and nonnegative")
     n_terms = max(1, math.ceil((math.log(ABEL_TAIL) - math.log(max(M, 1e-300)))
                                / math.log1p(-eps)))
     values = {}
@@ -257,13 +258,13 @@ def cesaro_window(g, T, delta):
         (1/S) sum_{t<S} g(T* + t) <= sigma + delta  for all S <= T - T*,
 
     with sigma the average of the first T terms.  Exhaustive scan; existence
-    is guaranteed.
+    is guaranteed for an integer T >= 1 and a finite positive delta.
     """
+    measures.check_horizon(T)
+    measures.check_positive("delta", delta)
     seq = np.asarray(list(g), dtype=float)
     if len(seq) < T:
         raise ValueError(f"sequence of length {len(seq)} is shorter than T={T}")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     prefix = np.concatenate([[0.0], np.cumsum(seq[:T])])
     sigma = prefix[T] / T
     for t_star in range(T):

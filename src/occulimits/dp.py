@@ -169,16 +169,16 @@ def discounted_values(model, eps, tol=DEFAULT_TOL):
     """Howard policy iteration for h(y) = min_u {eps k(y,u) + (1-eps) E[h(f(y,u,s))]}.
 
     Starts from the greedy plan for eps*k and evaluates each plan pi with one
-    sparse solve of (I - (1-eps) P_pi) h = eps k_pi; a state switches control
-    only on strict improvement.  Returns h and the greedy stationary plan of
-    the final h, after certifying the Bellman residual
-    max_y |min_u q(y,u) - h(y)| <= tol*eps, which bounds the fixed-point error
-    by tol through the (1-eps) contraction.  Raises SolverError when the
-    certificate fails or the iteration cap is hit.
+    sparse solve of (I - (1-eps) P_pi) h = eps k_pi, where P_pi is the plan's
+    rows of P; a state switches control only on strict improvement.  Returns
+    h and the greedy stationary plan of the final h, after certifying the
+    Bellman residual max_y |min_u q(y,u) - h(y)| <= tol*eps (tol finite and
+    positive), which bounds the fixed-point error by tol through the (1-eps)
+    contraction.  Raises SolverError when the certificate fails or the
+    iteration cap is hit.
     """
     measures.check_eps(eps)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    measures.check_positive("tol", tol)
     tensor = transition(model)
     k_eps = eps * model.pair_cost
     decay = 1.0 - eps
@@ -187,8 +187,7 @@ def discounted_values(model, eps, tol=DEFAULT_TOL):
     _, sel = _group_min(model, k_eps)
     for _ in range(PI_ITERATION_CAP):
         pairs = starts + sel
-        p_pi = tensor.plan_matrix(Plan("stationary_deterministic", sel).pair_weights(model))
-        h = spsolve(eye - decay * p_pi, k_eps[pairs])
+        h = spsolve(eye - decay * tensor.P[pairs], k_eps[pairs])
         q = k_eps + decay * tensor.expect(h)
         vmin, best = _group_min(model, q)
         improve = vmin < q[pairs] - IMPROVEMENT_TOL * (1.0 + np.abs(h))
@@ -329,25 +328,25 @@ def average_cost_policy_iteration(model):
     """Multichain Howard policy iteration (Puterman section 9.2) for
     g*(y) = min over plans of the long-run average expected cost from y.
 
-    Starts from the greedy plan for k.  Each round evaluates the plan through
-    ClosedClasses.evaluate and then improves it in two phases: a state first
-    switches to the control of least E[g(f(y,u,s))]; only when no state can,
-    it switches, among the controls whose E g is within the margin of that
-    least value, to the control of least k + E[h(f(y,u,s))].  A control is
-    replaced only when the new one is better by IMPROVEMENT_TOL (relative),
-    with lowest-index ties, so float noise cannot make plans cycle.  When no
-    state switches, g is the optimal gain g* and (g, h) solve the multichain
-    optimality equations.  Raises SolverError at the iteration cap, when an
-    evaluation matrix is singular or when a gain or bias is not finite.
+    Starts from the greedy plan for k.  Each round evaluates the plan, whose
+    law is its rows of P, through ClosedClasses.evaluate and then improves it
+    in two phases: a state first switches to the control of least
+    E[g(f(y,u,s))]; only when no state can, it switches, among the controls
+    whose E g is within the margin of that least value, to the control of
+    least k + E[h(f(y,u,s))].  A control is replaced only when the new one is
+    better by IMPROVEMENT_TOL (relative), with lowest-index ties, so float
+    noise cannot make plans cycle.  When no state switches, g is the optimal
+    gain g* and (g, h) solve the multichain optimality equations.  Raises
+    SolverError at the iteration cap, when an evaluation matrix is singular
+    or when a gain or bias is not finite.
     """
     tensor = transition(model)
     k = model.pair_cost
     starts = model.state_pair_start[:-1]
     _, sel = _group_min(model, k)
     for rounds in range(1, PI_ITERATION_CAP + 1):
-        plan = Plan("stationary_deterministic", sel)
         pairs = starts + sel
-        chain = ClosedClasses(tensor.plan_matrix(plan.pair_weights(model)))
+        chain = ClosedClasses(tensor.P[pairs])
         with np.errstate(over="ignore", invalid="ignore"):
             g, h = chain.evaluate(k[pairs])
         if not (np.isfinite(g).all() and np.isfinite(h).all()):
@@ -363,7 +362,8 @@ def average_cost_policy_iteration(model):
             q_min, best = _group_min(model, q)
             improve = q_min < q[pairs] - IMPROVEMENT_TOL * (1.0 + np.abs(h))
             if not improve.any():
-                return AverageCost(gain=g, bias=h, plan=plan, chain=chain, rounds=rounds)
+                return AverageCost(gain=g, bias=h, plan=Plan("stationary_deterministic", sel),
+                                   chain=chain, rounds=rounds)
         sel = np.where(improve, best, sel)
     raise SolverError(f"average-cost policy iteration hit its cap of "
                       f"{PI_ITERATION_CAP} improvement rounds")

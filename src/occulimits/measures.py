@@ -6,6 +6,7 @@ No sampling anywhere: state laws are propagated through the transition
 tensor, so every measure identity holds to float precision.
 """
 
+import math
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -23,10 +24,18 @@ def check_eps(eps):
         raise ValueError(f"eps={eps!r} outside (0, 1), or 1 - eps rounds to 1")
 
 
-def check_horizon(T, least=1):
-    """Refuse with ValueError a horizon T below least."""
+def check_horizon(T, least=1, name="T"):
+    """Refuse with ValueError a horizon that is not an integer >= least."""
+    if not np.issubdtype(type(T), np.integer):
+        raise ValueError(f"{name}={T!r} is not an integer horizon")
     if T < least:
-        raise ValueError(f"T={T} must be >= {least}")
+        raise ValueError(f"{name}={T} must be >= {least}")
+
+
+def check_positive(name, value):
+    """Refuse with ValueError a value that is not a finite positive number."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name}={value!r} must be finite and positive")
 
 
 @dataclass
@@ -102,13 +111,14 @@ def discounted_occupation(model, plan, y0, eps, tail_tol):
 
     For a stationary plan the discounted state law nu solves
     (I - (1-eps) P_pi^T) nu = eps delta_y0 (one sparse solve) and the pair
-    weights are nu(y) pi(u|y); a staged plan is summed exactly over its
-    stages.  The weights are renormalized to total mass 1.  tail_tol must be
-    positive but is not read otherwise: neither branch truncates a series.
+    weights are nu(y) pi(u|y), with P_pi the plan's rows of P, or their
+    pi-weighted sums per state for a randomized plan.  A staged plan is summed
+    exactly over its stages.  The weights are renormalized to total mass 1.
+    tail_tol must be finite and positive but is not read otherwise: neither
+    branch truncates a series.
     """
     check_eps(eps)
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be positive")
+    check_positive("tail_tol", tail_tol)
     model.check_y0(y0)
     if plan.kind == "staged":
         weights = np.zeros(model.n_pairs)
@@ -119,10 +129,14 @@ def discounted_occupation(model, plan, y0, eps, tail_tol):
     else:
         plan.check_against(model)
         w = plan.pair_weights(model)
+        P = transition(model).P
+        if plan.kind == "stationary_deterministic":
+            p_pi = P[model.state_pair_start[:-1] + plan.selector]
+        else:
+            p_pi = sparse.csr_matrix((w, np.arange(model.n_pairs), model.state_pair_start)) @ P
         rhs = np.zeros(model.n_states)
         rhs[y0] = eps
-        nu = spsolve((sparse.identity(model.n_states, format="csr")
-                      - (1.0 - eps) * transition(model).plan_matrix(w)).T, rhs)
+        nu = spsolve((sparse.identity(model.n_states, format="csr") - (1.0 - eps) * p_pi).T, rhs)
         weights = nu[model.pair_state] * w
     return GMeasure(weights=weights / weights.sum())
 
@@ -169,12 +183,6 @@ def hausdorff(set_a, set_b, fam):
     return max(d_ab, d_ba)
 
 
-def check_prg_horizon(t_max):
-    """Refuse a periodicity scan horizon below 2 with ValueError."""
-    if t_max < 2:
-        raise ValueError(f"t_max={t_max} must be at least 2")
-
-
 def prg_detect(model, plan, y0, t_max, tol=1e-10):
     """Find the smallest (T0, period) making the joint pair law periodic.
 
@@ -182,9 +190,11 @@ def prg_detect(model, plan, y0, t_max, tol=1e-10):
     smallest (T0, period) with T0 + 2*period <= t_max such that
     ||L_{t+period} - L_t||_inf <= tol for every T0 <= t <= t_max - period.
     On a finite grid the indicator test functions span every q, so this is
-    sufficient for periodic-regime generation.  Staged plans are cycled.
+    sufficient for periodic-regime generation.  Staged plans are cycled.  The
+    scan horizon t_max must be an integer >= 2 and tol finite and positive.
     """
-    check_prg_horizon(t_max)
+    check_horizon(t_max, 2, "t_max")
+    check_positive("tol", tol)
     plan.check_against(model)  # before the cycling divides by the stage count
     if plan.kind == "staged":
         plan = replace(plan, selector=[plan.selector[t % plan.n_stages]

@@ -120,7 +120,7 @@ class FiniteModel:
 
     def check_y0(self, y0):
         """Refuse an initial state that is not a state index with ValueError."""
-        if not (isinstance(y0, (int, np.integer)) and 0 <= y0 < self.n_states):
+        if not (np.issubdtype(type(y0), np.integer) and 0 <= y0 < self.n_states):
             raise ValueError(f"y0={y0!r} is not an index of the {self.n_states} states")
 
     def nearest_state(self, value):
@@ -158,11 +158,12 @@ class TransitionTensor:
     same way for both model kinds.
 
     Dynamics models also keep next_idx, the (n_pairs, n_atoms) image of every
-    pair under every noise atom; kernel-row models have next_idx None.
+    pair under every noise atom; kernel-row models have next_idx None.  A
+    deterministic stationary plan's law P_pi is the plan's rows of P.
     """
 
     def __init__(self, model, P, next_idx=None):
-        self.model = model
+        self.model = model  # unread; dropping this cycle trades op time for peak RSS
         self.P = P
         self.next_idx = next_idx
 
@@ -173,19 +174,6 @@ class TransitionTensor:
     def push(self, pair_mass):
         """Forward image: sum_(y,u) mass(y,u) P(.|y,u), a vector over states."""
         return self.P.T @ np.asarray(pair_mass, dtype=float)
-
-    def row(self, p):
-        """Dense probability row of pair p over states."""
-        return self.P[p].toarray().ravel()
-
-    def plan_matrix(self, pair_weights):
-        """Sparse (n_states, n_states) law P_pi(y'|y) = sum_u pi(u|y) P(y'|y,u)
-        of a stationary plan with per-pair weights pi(u|y)."""
-        w = np.asarray(pair_weights, dtype=float)
-        on = np.flatnonzero(w)
-        to_state = sparse.csr_matrix((w[on], (self.model.pair_state[on], np.arange(len(on)))),
-                                     shape=(self.model.n_states, len(on)))
-        return to_state @ self.P[on]
 
 
 def build_transition_tensor(model):

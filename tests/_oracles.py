@@ -5,8 +5,9 @@ enumeration for LPs, deterministic-policy enumeration with per-class
 stationary distributions for the stationary LP value, exhaustive
 noise-sequence expansion for short-horizon plan values, plan enumeration
 for the optimal gain, value iteration for h_eps, the truncated
-geometric series for discounted occupations, and the backward recursion
-that stores every stage's argmin as it goes.
+geometric series for discounted occupations, the backward recursion
+that stores every stage's argmin as it goes, and a stationary plan's law
+as a sparse product of pair weights and transition rows.
 The reference models rebuild the two examples pair by pair with Python
 scalars, as the vectorized builders must reproduce bit for bit.
 """
@@ -15,6 +16,7 @@ import math
 from itertools import combinations, product
 
 import numpy as np
+from scipy import sparse
 
 from occulimits.model import FiniteModel, transition
 from occulimits.programs import SolverError
@@ -165,8 +167,7 @@ def _class_average(P, costs, members):
 def stationary_average_oracle(model):
     """min over deterministic stationary policies and their recurrent classes
     of the long-run average cost; equals the stationary LP value."""
-    tensor = transition(model)
-    rows = np.stack([tensor.row(p) for p in range(model.n_pairs)])
+    rows = transition(model).P.toarray()
     best = np.inf
     for choice in product(*map(range, np.diff(model.state_pair_start))):
         pairs = [model.pair_index(i, l) for i, l in enumerate(choice)]
@@ -183,8 +184,7 @@ def optimal_gain_oracle(model):
     is the limit of the lazy chain ((I + P) / 2)^t, which has P's invariant
     laws and absorption probabilities; 60 squarings take t = 2^60, each
     renormalized, since squaring would double a row sum's rounding error."""
-    tensor = transition(model)
-    rows = np.stack([tensor.row(p) for p in range(model.n_pairs)])
+    rows = transition(model).P.toarray()
     best = np.full(model.n_states, np.inf)
     for choice in product(*map(range, np.diff(model.state_pair_start))):
         pairs = [model.pair_index(i, l) for i, l in enumerate(choice)]
@@ -261,6 +261,18 @@ def value_iteration(model, eps, tol=1e-10, max_sweeps=5_000_000):
     vmin = np.minimum.reduceat(q, starts)
     cand = np.where(q <= vmin[model.pair_state], model.pair_local, model.n_pairs + 1)
     return h, np.minimum.reduceat(cand, starts)
+
+
+def plan_law(model, pair_weights):
+    """Sparse (n_states, n_states) law P_pi(y'|y) = sum_u pi(u|y) P(y'|y,u)
+    of a stationary plan with per-pair weights pi(u|y), as the product of
+    the state-by-pair weight matrix and the rows of the pairs it weights.
+    The product leaves each row's column indices unsorted."""
+    w = np.asarray(pair_weights, dtype=float)
+    on = np.flatnonzero(w)
+    to_state = sparse.csr_matrix((w[on], (model.pair_state[on], np.arange(len(on)))),
+                                 shape=(model.n_states, len(on)))
+    return to_state @ transition(model).P[on]
 
 
 def truncated_discounted_occupation(model, plan, y0, eps, tail_tol):

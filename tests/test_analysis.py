@@ -233,9 +233,10 @@ Y0_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(Y0_ENTRY_POINTS))
-@pytest.mark.parametrize("y0", [-1, 17, 1.0], ids=["below", "above", "float"])
+@pytest.mark.parametrize("y0", [-1, 17, 1.0, True], ids=["below", "above", "float", "bool"])
 def test_out_of_range_y0_is_refused(entry, y0):
-    # -1 used to wrap to the last state, 17 and 1.0 to escape as IndexError
+    # -1 used to wrap to the last state, 17 and 1.0 to escape as IndexError,
+    # True to be read as state 1
     m = example2_model(3)
     assert m.n_states == 17
     with pytest.raises(ValueError, match=rf"y0={y0} is not an index of the 17 states"):
@@ -317,6 +318,29 @@ def test_cesaro_window_hand_pattern():
     # T*=1 passes: every window average from index 1 is <= 0 <= sigma + delta
     g = [2.0, -2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     assert cesaro_window(g, T=8, delta=0.5) == 1
+
+
+@pytest.mark.parametrize("T,delta,problem", [
+    (0, 0.5, "T=0 must be >= 1"), (-2, 0.5, "T=-2 must be >= 1"),
+    (2.5, 0.5, "T=2.5 is not an integer"), (4, float("nan"), "delta=nan must be finite"),
+    (4, float("inf"), "delta=inf must be finite"), (4, 0.0, "delta=0.0 must be finite")],
+    ids=["T0", "T-2", "T2.5", "delta_nan", "delta_inf", "delta0"])
+def test_cesaro_window_refuses_unusable_parameters(T, delta, problem):
+    # T=0 used to divide 0/0, T=-2 and delta=nan to raise "the lemma promises one"
+    with pytest.raises(ValueError, match=problem):
+        cesaro_window([1.0] * 8, T=T, delta=delta)
+
+
+@pytest.mark.parametrize("M,delta,problem", [
+    (float("inf"), 0.5, "M=inf must be finite"), (float("nan"), 0.5, "M=nan must be finite"),
+    (-1.0, 0.5, "M=-1.0 must be finite"), (1.0, float("inf"), "delta=inf must be finite"),
+    (1.0, float("nan"), "delta=nan must be finite"), (1.0, 0.0, "delta=0.0 must be finite")],
+    ids=["M_inf", "M_nan", "M-1", "delta_inf", "delta_nan", "delta0"])
+def test_abel_window_refuses_unusable_parameters(M, delta, problem):
+    # M=inf used to escape as OverflowError, M=nan and delta=inf as
+    # "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=problem):
+        abel_window(lambda t: 0.0, M=M, eps=0.1, delta=delta)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 19, 33])

@@ -253,6 +253,10 @@ def test_discounted_values_input_checks():
         discounted_values(m, 0.5, tol=0.0)
     with pytest.raises(ValueError):
         finite_horizon_values(m, 0)
+    # inf used to certify with a vacuous Bellman bound, nan to raise SolverError
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=rf"tol={tol!r} must be finite and positive"):
+            discounted_values(m, 0.5, tol=tol)
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.1, 1e-2, 1e-3])

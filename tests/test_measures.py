@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from occulimits.dp import Plan, evaluate_plan_average, finite_horizon_values
-from occulimits.measures import (canonical_test_family, discounted_occupation,
+from occulimits.measures import (canonical_test_family, check_horizon, discounted_occupation,
                                  hausdorff, occupation_measure, pair_laws,
                                  prg_detect, propagate, rho)
 from occulimits.model import FiniteModel, example1_model, example2_model, transition
 from occulimits.programs import GMeasure, membership_residuals
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import state_controls, truncated_discounted_occupation
+from _oracles import plan_law, state_controls, truncated_discounted_occupation
 
 
 def example1_optimal_plan(m):
@@ -122,6 +124,17 @@ def test_plan_evaluators_refuse_a_horizon_below_1(T):
         evaluate_plan_average(m, plan, m.initial_index, T)
 
 
+@pytest.mark.parametrize("T", [float("nan"), 2.5, 3.0, True])
+def test_a_horizon_that_is_not_an_integer_is_refused(T):
+    # nan used to pass the check, 2.5 to fail later with a TypeError from range
+    m = example1_model(0.5)
+    plan = example1_optimal_plan(m)
+    with pytest.raises(ValueError, match=rf"T={T!r} is not an integer horizon"):
+        check_horizon(T)
+    with pytest.raises(ValueError, match=rf"T={T!r} is not an integer horizon"):
+        occupation_measure(m, plan, m.initial_index, T)
+
+
 def test_propagate_refuses_a_negative_horizon():
     m = example1_model(0.5)
     plan = example1_optimal_plan(m)
@@ -225,6 +238,50 @@ def test_staged_discounted_occupation_matches_stationary_solve(seed):
     assert np.max(np.abs(g.weights - ref.weights)) <= 1e-12
 
 
+def _law_model(name):
+    if name == "example1":
+        return example1_model(0.5)
+    if name == "example2":
+        return example2_model(4)
+    if name == "kernel":
+        m = random_model(5)
+        return FiniteModel(m.states, state_controls(m), [], m.pair_cost,
+                           kernel=transition(m).P.toarray())
+    return random_model(int(name))
+
+
+def _canonical(law):
+    law = law.copy()
+    law.sort_indices()
+    return law.indptr, law.indices, law.data
+
+
+@pytest.mark.parametrize("name", [*map(str, range(50)), "example1", "example2", "kernel"])
+def test_plan_law_by_row_selection_matches_the_product(name):
+    # the sparse product leaves column indices unsorted, so both sides are
+    # compared with sorted indices; indptr, indices and data must be equal
+    m = _law_model(name)
+    P = transition(m).P
+    starts = m.state_pair_start[:-1]
+    for seed, randomized in ((0, False), (1, True), (2, True)):
+        plan = random_stationary_plan(m, seed, randomized)
+        w = plan.pair_weights(m)
+        if randomized:
+            law = sparse.csr_matrix((w, np.arange(m.n_pairs), m.state_pair_start)) @ P
+        else:
+            law = P[starts + plan.selector]
+        for got, want in zip(_canonical(law), _canonical(plan_law(m, w))):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # the discounted occupation equals the solve on the product, bit for bit
+        rhs = np.zeros(m.n_states)
+        rhs[0] = 0.3
+        nu = spsolve((sparse.identity(m.n_states, format="csr")
+                      - 0.7 * plan_law(m, w)).T, rhs)
+        ref = nu[m.pair_state] * w
+        got = discounted_occupation(m, plan, 0, 0.3, tail_tol=1e-12).weights
+        assert np.array_equal(got, ref / ref.sum())
+
+
 def test_rho_zero_and_symmetry():
     m = random_model(12)
     fam = canonical_test_family(m)
@@ -325,8 +382,22 @@ def test_prg_two_stage_plan_cycles_example1():
 
 def test_prg_input_check():
     m = example1_model(0.5)
+    plan = example1_optimal_plan(m)
     with pytest.raises(ValueError):
-        prg_detect(m, example1_optimal_plan(m), 0, t_max=1)
+        prg_detect(m, plan, 0, t_max=1)
+    # a float t_max used to fail in range(); tol nan and -1 reported "not detected"
+    for t_max in (float("nan"), 10.0):
+        with pytest.raises(ValueError, match=rf"t_max={t_max!r} is not an integer"):
+            prg_detect(m, plan, 0, t_max=t_max)
+    for tol in (float("nan"), -1.0, 0.0, float("inf")):
+        with pytest.raises(ValueError, match=rf"tol={tol!r} must be finite and positive"):
+            prg_detect(m, plan, 0, t_max=10, tol=tol)
+
+
+def test_discounted_occupation_refuses_a_tail_tol_that_is_not_finite():
+    m = example1_model(0.5)
+    with pytest.raises(ValueError, match=r"tail_tol=nan must be finite and positive"):
+        discounted_occupation(m, example1_optimal_plan(m), 0, 0.1, tail_tol=float("nan"))
 
 
 def test_family_sup_norm_bound():

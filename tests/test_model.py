@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occulimits.dp import finite_horizon_values
+from occulimits.measures import discounted_occupation
 from occulimits.model import (NOISE_NORMALIZATION_TOL, ROW_SUM_TOL, FiniteModel,
                               ModelError, build_transition_tensor, example1_model,
                               example1_family_model, example2_model,
                               load_model, save_model, transition, validate)
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import (reference_example1_family_model, reference_example1_model,
+from _oracles import (plan_law, reference_example1_family_model, reference_example1_model,
                       reference_example2_model, state_controls)
 
 
@@ -35,7 +36,7 @@ def single_state_model():
 
 def test_single_state_forced_row():
     tensor = build_transition_tensor(single_state_model())
-    assert np.allclose(tensor.row(0), [1.0])
+    assert np.allclose(tensor.P.toarray(), [[1.0]])
 
 
 def test_example1_transition_row_matches_dynamics():
@@ -43,7 +44,7 @@ def test_example1_transition_row_matches_dynamics():
     tensor = build_transition_tensor(m)
     # state +0.5 (index 1), control -1 (local 0): images 0.5*(-1)*s
     p = m.pair_index(1, 0)
-    row = tensor.row(p)
+    row = tensor.P[p].toarray().ravel()
     assert row[m.nearest_state(-0.5)] == pytest.approx(0.75, abs=1e-15)
     assert row[m.nearest_state(0.5)] == pytest.approx(0.25, abs=1e-15)
 
@@ -53,9 +54,9 @@ def test_three_state_rows_match_hand_enumeration():
     m = FiniteModel(states=[0.0, 1.0, 2.0], controls=[[0.0]] * 3, noise=[0.6, 0.4],
                     pair_cost=[0.0] * 3, next_idx=[[1, 2], [1, 1], [0, 1]])
     tensor = build_transition_tensor(m)
-    assert np.allclose(tensor.row(0), [0.0, 0.6, 0.4])
-    assert np.allclose(tensor.row(1), [0.0, 1.0, 0.0])
-    assert np.allclose(tensor.row(2), [0.6, 0.4, 0.0])
+    assert np.allclose(tensor.P.toarray(), [[0.0, 0.6, 0.4],
+                                            [0.0, 1.0, 0.0],
+                                            [0.6, 0.4, 0.0]])
 
 
 def test_dynamics_out_of_range_names_triple(tmp_path):
@@ -388,28 +389,31 @@ def test_load_transition_mode(tmp_path):
     path.write_text(json.dumps(doc))
     m = load_model(path)
     tensor = transition(m)
-    assert np.allclose(tensor.row(0), [0.3, 0.7])
+    assert np.allclose(tensor.P[0].toarray(), [[0.3, 0.7]])
     assert np.allclose(tensor.push(np.array([1.0, 0.0])), [0.3, 0.7])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_plan_matrix_factored_and_kernel_rows_agree(seed):
+    # a randomized plan's law, and the discounted occupation that solves with it
     m = random_model(seed)
-    rows = np.stack([transition(m).row(p) for p in range(m.n_pairs)])
+    rows = transition(m).P.toarray()
     kernel = FiniteModel(states=m.states, controls=state_controls(m), noise=[],
                          pair_cost=m.pair_cost, kernel=rows)
-    w = random_stationary_plan(m, seed, randomized=True).pair_weights(m)
+    plan = random_stationary_plan(m, seed, randomized=True)
+    w = plan.pair_weights(m)
     expected = np.zeros((m.n_states, m.n_states))
     np.add.at(expected, m.pair_state, w[:, None] * rows)
     for mdl in (m, kernel):
-        assert np.allclose(transition(mdl).plan_matrix(w).toarray(), expected,
-                           rtol=0, atol=1e-15)
+        assert np.allclose(plan_law(mdl, w).toarray(), expected, rtol=0, atol=1e-15)
+    assert np.allclose(discounted_occupation(m, plan, 0, 0.3, 1e-12).weights,
+                       discounted_occupation(kernel, plan, 0, 0.3, 1e-12).weights,
+                       rtol=0, atol=1e-15)
     values = np.random.default_rng(seed).normal(size=m.n_states)
     dyn, ker = transition(m), transition(kernel)
     assert np.allclose(dyn.expect(values), ker.expect(values), rtol=0, atol=1e-15)
     assert np.allclose(dyn.push(w), ker.push(w), rtol=0, atol=1e-15)
-    for p in range(m.n_pairs):
-        assert np.allclose(dyn.row(p), ker.row(p), rtol=0, atol=1e-15)
+    assert np.allclose(dyn.P.toarray(), ker.P.toarray(), rtol=0, atol=1e-15)
 
 
 def test_load_rejects_bad_noise_sum(tmp_path):
