@@ -126,12 +126,23 @@ def finite_horizon_values(model, T):
     curve = []
     with np.errstate(over="ignore"):
         for tau in range(1, T + 1):
-            v_prev = np.minimum.reduceat(k + (tau - 1) * tensor.expect(v_prev), starts) / tau
+            v_prev = np.minimum.reduceat(_stage_costs(tensor, k, v_prev, tau), starts)
+            v_prev /= tau
             if not np.isfinite(v_prev).all():
                 raise SolverError(f"finite-horizon recursion overflowed: v_{tau} is not "
                                   "finite (costs too close to the float range)")
             curve.append(ValueFunction(values=v_prev))
     return curve, Plan(kind="staged", selector=StagedSelectors(model, curve))
+
+
+def _stage_costs(tensor, k, v, tau):
+    """q = k + (tau-1) E[v], the stage costs with tau stages to go, built in
+    one buffer; finite_horizon_values and StagedSelectors share it, so a
+    selector sees the recursion's q bit for bit."""
+    q = tensor.expect(v)
+    q *= tau - 1
+    q += k
+    return q
 
 
 class StagedSelectors(Sequence):
@@ -160,7 +171,7 @@ class StagedSelectors(Sequence):
             tau = len(self) - t
             v = self._curve[tau - 2].values if tau > 1 else np.zeros(self._model.n_states)
             with np.errstate(over="ignore"):
-                q = self._model.pair_cost + (tau - 1) * transition(self._model).expect(v)
+                q = _stage_costs(transition(self._model), self._model.pair_cost, v, tau)
             self._sels[t] = _group_min(self._model, q)[1]
         return self._sels[t]
 

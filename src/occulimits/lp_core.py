@@ -1,12 +1,15 @@
 """Equality-form linear programs, min c'x s.t. Ax = b, x >= 0, solved by
 HiGHS and returned only under a five-condition optimality certificate.
 
-LinearProgram holds the data (c, A, b), A dense or scipy.sparse.  solve_lp
-runs scipy's HiGHS with HIGHS_OPTIONS, and certified_solution turns its
+LinearProgram holds the data (c, A, b), A dense, scipy.sparse or a
+scipy.sparse.linalg.LinearOperator.  solve_lp runs scipy's HiGHS with
+HIGHS_OPTIONS on a dense or sparse A, and certified_solution turns its
 result into an LpSolution whose primal x and duals y (c - A'y >= 0) must pass
 check_certificate: primal feasibility, nonnegativity, duality gap, dual
 feasibility and complementary slackness, within the tolerance table below.
-programs solves the measure LPs through the same conversion.
+The check reads A only through the products A x and A'y, so an operator
+A is checked, never solved.  programs checks the measure LPs on such an
+operator and assembles their matrix only for HiGHS.
 """
 
 from dataclasses import dataclass
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.sparse.linalg import LinearOperator
 
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10}
@@ -32,8 +36,13 @@ class LpError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """min c'x subject to A x = b, x >= 0; A is a dense array or a scipy.sparse
-    matrix, which is kept sparse."""
+    """min c'x subject to A x = b, x >= 0; A is a dense array, a scipy.sparse
+    matrix, which is kept sparse, or a LinearOperator.
+
+    An operator gives A x and A'y without its entries: check_certificate
+    reads it, solve_lp and dump_lp refuse it, and its entries are not
+    checked for finiteness here, so its maker vouches for them.
+    """
 
     c: np.ndarray
     A: np.ndarray
@@ -41,14 +50,18 @@ class LinearProgram:
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
-        self.A = (self.A.astype(float, copy=False) if sparse.issparse(self.A)
-                  else np.asarray(self.A, dtype=float))
+        if sparse.issparse(self.A):
+            self.A = self.A.astype(float, copy=False)
+            entries = self.A.data
+        elif isinstance(self.A, LinearOperator):
+            entries = ()
+        else:
+            self.A = entries = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         m, n = self.A.shape
         if self.c.shape != (n,) or self.b.shape != (m,):
             raise LpError(f"inconsistent dimensions: A is {m}x{n}, "
                           f"c has {self.c.shape}, b has {self.b.shape}")
-        entries = self.A.data if sparse.issparse(self.A) else self.A
         if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(self.b))
                 and np.all(np.isfinite(self.c))):
             raise LpError("non-finite entries in LP data")
@@ -87,10 +100,20 @@ def solve_lp(lp):
 
     Returns an LpSolution with status 'optimal' (certified), 'infeasible' or
     'unbounded' (x and y_dual then zero); any other HiGHS status raises
-    LpError.
+    LpError, and so does an lp whose A is a LinearOperator.
     """
-    return certified_solution(lp, linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None),
-                                          method="highs", options=HIGHS_OPTIONS))
+    return certified_solution(lp, linprog(lp.c, A_eq=_matrix(lp, "solve_lp"), b_eq=lp.b,
+                                          bounds=(0, None), method="highs",
+                                          options=HIGHS_OPTIONS))
+
+
+def _matrix(lp, caller):
+    """lp.A, refused with LpError when it is a LinearOperator, whose entries
+    caller would need."""
+    if isinstance(lp.A, LinearOperator):
+        raise LpError(f"{caller} needs the entries of A, and this LinearProgram's A is "
+                      "a LinearOperator, which only check_certificate can read")
+    return lp.A
 
 
 def certified_solution(lp, res):
@@ -127,7 +150,8 @@ def check_certificate(lp, sol):
 
 def dump_lp(lp):
     """Plain-text (c, A, b) dump for external cross-checking; not a stable format."""
-    A = lp.A.toarray() if sparse.issparse(lp.A) else lp.A
+    A = _matrix(lp, "dump_lp")
+    A = A.toarray() if sparse.issparse(A) else A
     lines = ["c " + " ".join(f"{v:.17g}" for v in lp.c)]
     for i in range(A.shape[0]):
         lines.append("A " + " ".join(f"{v:.17g}" for v in A[i]) + f" | {lp.b[i]:.17g}")

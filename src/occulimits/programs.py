@@ -13,17 +13,21 @@ grid, so the balance equations are exact:
 
 With E the pair-to-state marginal block and B = E - decay P^T the balance
 block, the matrices are [B; 1'] (decay 1), B (decay 1-eps) and
-[[B, 0], [1', 0], [E, B]] (decay 1).
+[[B, 0], [1', 0], [E, B]] (decay 1).  Each program's A is a matrix-free
+_MeasureOperator, whose products A x and A'y are per-state sums of pair
+weights (np.bincount) and the model's push and expect; _lp_matrix
+assembles the sparse matrix only when HiGHS runs.
 
 The stationary and augmented programs (without theta) are answered from
 dp.average_cost_policy_iteration, run once per model (average_cost_solution):
 their primal and dual are built from the optimal gain g, a bias h and an
 optimal plan.  Otherwise, and whenever the built pair fails lp_core's five
-optimality conditions on the assembled (c, A, b), scipy's HiGHS solves the
-program on the sparse matrix under the same conditions; _solve is the one
-function that answers a measure LP, and ProgramResult.method records which
-path answered.  Dual sign conventions are fixed so the certificate
-(mu, psi, eta), read off the duals, satisfies the inequality families
+optimality conditions on the operator, scipy's HiGHS solves the program on
+the assembled matrix, and its pair must pass the same conditions on the
+same operator; _solve is the one function that answers a measure LP, and
+ProgramResult.method records which path answered.  Dual sign conventions
+are fixed so the certificate (mu, psi, eta), read off the duals, satisfies
+the inequality families
 
     k(y,u) + (psi(y0) - psi(y)) + E[eta(f(y,u,s))] - eta(y) - mu >= 0
     E[psi(f(y,u,s))] - psi(y) >= -theta(y,u)
@@ -40,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.sparse.linalg import LinearOperator
 
 from . import dp, lp_core
 from .dp import SolverError
@@ -62,13 +67,14 @@ class DualCertificate:
     def slacks(self, model, y0, theta=None):
         """Per-pair slack of each certificate inequality family:
         k + (psi(y0) - psi(y)) + E[eta(f)] - eta(y) - mu and
-        E[psi(f)] - psi(y) + theta(y,u)."""
+        E[psi(f)] - psi(y) + theta(y,u).  A theta is refused as
+        augmented_lp refuses it."""
         model.check_y0(y0)
         if np.shape(self.psi) != (model.n_states,) or np.shape(self.eta) != (model.n_states,):
             raise ValueError(f"psi and eta need shape ({model.n_states},), have "
                              f"{np.shape(self.psi)} and {np.shape(self.eta)}")
         tensor, s = transition(model), model.pair_state
-        theta_pair = np.zeros(model.n_pairs) if theta is None else np.asarray(theta, dtype=float)
+        theta_pair = np.zeros(model.n_pairs) if theta is None else _check_theta(model, theta)
         return (model.pair_cost + (self.psi[y0] - self.psi[s])
                 + tensor.expect(self.eta) - self.eta[s] - self.mu,
                 tensor.expect(self.psi) - self.psi[s] + theta_pair)
@@ -76,6 +82,18 @@ class DualCertificate:
     def violations(self, model, y0, theta=None):
         """Worst violation of each certificate inequality family."""
         return tuple(worst_violation(slack) for slack in self.slacks(model, y0, theta))
+
+
+def _check_theta(model, theta):
+    """theta as a float array over the model's pairs; ValueError unless it
+    has shape (n_pairs,) and is finite and nonnegative."""
+    theta_pair = np.asarray(theta, dtype=float)
+    if theta_pair.shape != (model.n_pairs,):
+        raise ValueError(f"theta must have one entry per admissible pair "
+                         f"({model.n_pairs}), got shape {theta_pair.shape}")
+    if theta_pair.min(initial=0.0) < 0 or not np.all(np.isfinite(theta_pair)):
+        raise ValueError("theta must be nonnegative and bounded")
+    return theta_pair
 
 
 def worst_violation(slack):
@@ -139,19 +157,65 @@ def _lp_matrix(model, kind, decay=1.0):
                                             shape=(2 * n + 1, n_pairs))], format="csc")
 
 
+class _MeasureOperator(LinearOperator):
+    """The constraint matrix of a measure LP of kind "discounted",
+    "stationary" or "augmented" (see _lp_matrix) as its two products, with
+    no matrix built: E x is the per-state sum of x's pair weights, E'y
+    reads y at each pair's state, and P^T x and P y are the model's push
+    and expect.  lp_core.check_certificate reads it; HiGHS needs the
+    assembled _lp_matrix(model, kind, decay)."""
+
+    def __init__(self, model, kind, decay=1.0):
+        n, n_pairs = model.n_states, model.n_pairs
+        shape = {"discounted": (n, n_pairs), "stationary": (n + 1, n_pairs),
+                 "augmented": (2 * n + 1, 2 * n_pairs)}[kind]
+        super().__init__(float, shape)
+        self.model, self.kind, self.decay = model, kind, decay
+
+    def _matvec(self, x):
+        x = x.ravel()
+        model, n_pairs = self.model, self.model.n_pairs
+        tensor = transition(model)
+        gamma = x[:n_pairs]
+        marg = _marginal(model, gamma)
+        out = [marg - self.decay * tensor.push(gamma)]
+        if self.kind != "discounted":
+            out.append([gamma.sum()])
+        if self.kind == "augmented":
+            xi = x[n_pairs:]
+            out.append(marg + (_marginal(model, xi) - tensor.push(xi)))
+        return np.concatenate(out)
+
+    def _rmatvec(self, y):
+        y = y.ravel()
+        model, n = self.model, self.model.n_states
+        tensor, s = transition(model), model.pair_state
+        out = y[:n][s] - self.decay * tensor.expect(y[:n])
+        if self.kind == "discounted":
+            return out
+        out += y[n]
+        if self.kind == "stationary":
+            return out
+        psi = y[n + 1:]
+        out += psi[s]
+        return np.concatenate([out, psi[s] - tensor.expect(psi)])
+
+
 def _solve(lp, context, construct=None):
     """Primal x, duals y (c - A'y >= 0 at the optimum) and method of the
-    measure LP lp, an lp_core.LinearProgram min c'x, A x = b, x >= 0 with a
-    sparse A; the caller reads its dual certificate off y and checks it.
+    measure LP lp, an lp_core.LinearProgram min c'x, A x = b, x >= 0 whose
+    A is a _MeasureOperator; the caller reads its dual certificate off y
+    and checks it.
 
     construct() builds (x, y) from policy iteration.  That pair is returned,
     as "constructed", only when it is finite and passes
     lp_core.check_certificate on lp, both without a float overflow or
     invalid operation, which could hide a violation behind a NaN.
-    Otherwise, and when construct is None, HiGHS solves lp as "highs", and
-    lp_core.certified_solution accepts its pair only under the same check.
-    HiGHS reads a cost of magnitude HIGHS_INFINITE_COST or more as
-    infinite, so such a cost is refused before the solve.
+    Otherwise, and when construct is None, HiGHS solves lp as "highs" on
+    its matrix, assembled here, and lp_core.certified_solution accepts its
+    pair only under the same check on lp.  HiGHS reads a cost of magnitude
+    HIGHS_INFINITE_COST or more as infinite, so such a cost is refused
+    before the solve.
     """
     if construct is not None:
         try:
@@ -168,8 +232,9 @@ def _solve(lp, context, construct=None):
         raise SolverError(f"{context}: a cost of magnitude {cost:.3g} is at or above "
                           f"HiGHS's infinite_cost ({HIGHS_INFINITE_COST:g}), which HiGHS "
                           "reads as infinite")
-    res = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs",
-                  options=lp_core.HIGHS_OPTIONS)
+    op = lp.A
+    res = linprog(lp.c, A_eq=_lp_matrix(op.model, op.kind, op.decay), b_eq=lp.b,
+                  bounds=(0, None), method="highs", options=lp_core.HIGHS_OPTIONS)
     if res.status != 0:
         raise SolverError(f"{context}: HiGHS reported {res.message!r}")
     try:
@@ -247,7 +312,8 @@ def stationary_lp(model):
     sol = average_cost_solution(model)
     b = np.zeros(n + 1)
     b[n] = 1.0
-    lp = lp_core.LinearProgram(c=model.pair_cost, A=_lp_matrix(model, "stationary"), b=b)
+    lp = lp_core.LinearProgram(c=model.pair_cost, A=_MeasureOperator(model, "stationary"),
+                               b=b)
 
     def construct():
         g, eta = _pi_dual(model, sol)
@@ -274,7 +340,7 @@ def discounted_stationary_lp(model, eps, y0):
     b = np.zeros(model.n_states)
     b[y0] = eps
     lp = lp_core.LinearProgram(c=model.pair_cost,
-                               A=_lp_matrix(model, "discounted", 1.0 - eps), b=b)
+                               A=_MeasureOperator(model, "discounted", 1.0 - eps), b=b)
     x, _, method = _solve(lp, f"discounted LP (eps={eps}, y0={y0})")
     return ProgramResult(optimal_value=float(model.pair_cost @ x), gamma=GMeasure(x),
                          xi=None, dual=None, method=method)
@@ -299,21 +365,14 @@ def augmented_lp(model, y0, theta=None):
     """
     model.check_y0(y0)
     n, n_pairs = model.n_states, model.n_pairs
-    theta_pair = None
-    if theta is not None:
-        theta_pair = np.asarray(theta, dtype=float)
-        if theta_pair.shape != (n_pairs,):
-            raise ValueError(f"theta must have one entry per admissible pair "
-                             f"({n_pairs}), got shape {theta_pair.shape}")
-        if theta_pair.min(initial=0.0) < 0 or not np.all(np.isfinite(theta_pair)):
-            raise ValueError("theta must be nonnegative and bounded")
+    theta_pair = None if theta is None else _check_theta(model, theta)
     sol = None if theta_pair is not None else average_cost_solution(model)
     b = np.zeros(2 * n + 1)
     b[n] = 1.0
     b[n + 1 + y0] = 1.0
     c = np.concatenate([model.pair_cost,
                         np.zeros(n_pairs) if theta_pair is None else theta_pair])
-    lp = lp_core.LinearProgram(c=c, A=_lp_matrix(model, "augmented"), b=b)
+    lp = lp_core.LinearProgram(c=c, A=_MeasureOperator(model, "augmented"), b=b)
     context = f"augmented LP (y0={y0})"
 
     def construct():
@@ -343,9 +402,8 @@ def _require_certificate(cert, model, y0, theta_pair, context):
 
 
 def _marginal(model, weights):
-    out = np.zeros(model.n_states)
-    np.add.at(out, model.pair_state, weights)
-    return out
+    """E w: the per-state sum of the pair weights w, added in pair order."""
+    return np.bincount(model.pair_state, weights, model.n_states)
 
 
 def _measure_weights(model, measure, name):

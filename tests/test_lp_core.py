@@ -137,10 +137,24 @@ def test_solve_lp_is_the_measure_lp_solver():
         b[-1] = 1.0
         lp = LinearProgram(c=m.pair_cost, A=A, b=b)
         sol = solve_lp(lp)
-        x, y, method = programs._solve(lp, "stationary LP")
+        x, y, method = programs._solve(
+            LinearProgram(c=m.pair_cost, A=programs._MeasureOperator(m, "stationary"), b=b),
+            "stationary LP")
         assert sol.status == "optimal" and method == "highs"
         assert np.array_equal(sol.x, x) and np.array_equal(sol.y_dual, y), seed
         assert sol.objective == float(lp.c @ x)
+
+
+def test_an_operator_lp_is_checked_not_solved():
+    # an operator gives only A x and A'y; HiGHS and the dump need entries
+    m = random_model(2)
+    b = np.zeros(m.n_states + 1)
+    b[-1] = 1.0
+    lp = LinearProgram(c=m.pair_cost, A=programs._MeasureOperator(m, "stationary"), b=b)
+    for use in (solve_lp, dump_lp):
+        with pytest.raises(LpError, match=f"{use.__name__} needs the entries of A, and this "
+                                          "LinearProgram's A is a LinearOperator"):
+            use(lp)
 
 
 def test_unrecognised_highs_status_raises(monkeypatch):

@@ -1,12 +1,13 @@
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from occulimits import dp, programs
+from occulimits import dp, lp_core, programs
 from occulimits.analysis import bounds_report
 from occulimits.dp import discounted_values
 from occulimits.measures import discounted_occupation
@@ -467,6 +468,90 @@ def test_lp_matrices_equal_the_block_construction():
             assert got.has_canonical_format
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, part), getattr(want, part)), (kind, part)
+
+
+def test_lp_operator_products_match_the_assembled_matrix():
+    # A x and A'y of the matrix-free operator against _lp_matrix's.  The
+    # matrix merges E - P^T into entries like 1 - P(y|y,u), whose products
+    # cancel, so the bound is stated against the unmerged magnitude
+    # (E + decay P^T)|x|: each side adds at most `terms` products of the
+    # row, each sum within terms * eps of that magnitude
+    models = [random_model(seed) for seed in range(50)]
+    models += [example1_model(0.5)] + [example2_model(m) for m in (3, 4, 5, 6, 7)]
+    # a certain self-loop: its balance entry 1 - 1 cancels in the matrix
+    models.append(FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0, 1.0]], noise=[],
+                              pair_cost=[1.0, 2.0, 3.0],
+                              kernel=[[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
+    rng = np.random.default_rng(17)
+    for m in models:
+        for kind, decay in (("stationary", 1.0), ("augmented", 1.0), ("discounted", 0.9)):
+            A, op = programs._lp_matrix(m, kind, decay), programs._MeasureOperator(m, kind, decay)
+            assert op.shape == A.shape
+            unmerged = _block_matrix(m, kind, -decay)
+            x, y = rng.standard_normal(A.shape[1]), rng.standard_normal(A.shape[0])
+            for got, want, mag, terms in (
+                    (op @ x, A @ x, unmerged @ np.abs(x), 2 * np.diff(unmerged.tocsr().indptr)),
+                    (op.T @ y, A.T @ y, unmerged.T @ np.abs(y), 2 * np.diff(unmerged.indptr))):
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 2 * terms * np.finfo(float).eps * mag), \
+                    (kind, m.n_states)
+
+
+def test_constructed_lps_assemble_no_matrix(monkeypatch):
+    # the constructed pairs are certified on the operator; the matrix is
+    # assembled only for HiGHS
+    def refused(*args, **kwargs):
+        raise AssertionError("_lp_matrix called on a constructed LP")
+
+    monkeypatch.setattr(programs, "_lp_matrix", refused)
+    for seed in range(50):
+        m = random_model(seed)
+        assert stationary_lp(m).method == "constructed"
+        for y0 in range(m.n_states):
+            assert augmented_lp(m, y0).method == "constructed", (seed, y0)
+
+
+def test_a_forced_fallback_assembles_solves_and_certifies(monkeypatch):
+    assembled, solved, checked = [], [], []
+    lp_matrix, linprog, check = programs._lp_matrix, programs.linprog, lp_core.check_certificate
+
+    def counted_matrix(model, kind, decay=1.0):
+        assembled.append(kind)
+        return lp_matrix(model, kind, decay)
+
+    def counted_linprog(*args, **kwargs):
+        solved.append(sparse.issparse(kwargs["A_eq"]))
+        return linprog(*args, **kwargs)
+
+    def counted_check(lp, sol):
+        checked.append(type(lp.A))
+        return check(lp, sol)
+
+    monkeypatch.setattr(programs, "_lp_matrix", counted_matrix)
+    monkeypatch.setattr(programs, "linprog", counted_linprog)
+    monkeypatch.setattr(lp_core, "check_certificate", counted_check)
+    m = random_model(3)
+    res = augmented_lp(m, 0, theta=np.zeros(m.n_pairs))
+    assert res.method == "highs" and res.dual is not None
+    assert discounted_stationary_lp(m, 0.1, 0).method == "highs"
+    assert assembled == ["augmented", "discounted"] and solved == [True, True]
+    assert checked == [programs._MeasureOperator] * 2
+
+
+@pytest.mark.parametrize("theta", [lambda n: -5.0, lambda n: np.zeros(n - 1),
+                                   lambda n: np.full(n, -1.0),
+                                   lambda n: np.append(np.zeros(n - 1), np.nan),
+                                   lambda n: np.append(np.zeros(n - 1), np.inf)],
+                         ids=["scalar", "short", "negative", "nan", "inf"])
+def test_the_certificate_refuses_the_theta_augmented_lp_refuses(theta):
+    m = random_model(3)
+    res = augmented_lp(m, 0)
+    bad = theta(m.n_pairs)
+    with pytest.raises(ValueError) as refused:
+        augmented_lp(m, 0, bad)
+    for check in (res.dual.slacks, res.dual.violations):
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            check(m, 0, bad)
 
 
 def test_cost_at_highs_infinity_is_refused_by_name():

@@ -117,6 +117,19 @@ def test_bounds_at_m7_makes_no_lp_call(tmp_path, monkeypatch):
     assert code == 0 and calls == []
 
 
+def test_bounds_at_m7_assembles_no_lp_matrix(tmp_path, monkeypatch):
+    # both constructed pairs are certified on the matrix-free operator
+    def refused(*args, **kwargs):
+        raise AssertionError("_lp_matrix called on the bounds path")
+
+    monkeypatch.setattr(programs, "_lp_matrix", refused)
+    out = tmp_path / "bounds.json"
+    code = cli.main(["bounds", "--builtin", "example2", "--m", "7", "--y0", "0.3",
+                     "--T", "1,16,128", "--eps", "0.5,0.1", "--format", "json",
+                     "--output", str(out)])
+    assert code == 0
+
+
 def test_bounds_solves_policy_iteration_once(tmp_path, monkeypatch):
     # bounds needs k*(y0) and k*; both LPs are built from one solve
     calls = []
