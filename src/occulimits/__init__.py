@@ -7,9 +7,8 @@ from .analysis import (BoundsReport, CertificateError, OptimalityVerdict,
 from .dp import (AverageCost, ClosedClasses, Plan, ValueFunction,
                  average_cost_policy_iteration, discounted_values,
                  evaluate_plan_average, evaluate_plan_discounted,
-                 finite_horizon_values, greedy_feedback_from_eta,
-                 value_curve_csv_rows)
-from .lp_core import LinearProgram, LpError, LpSolution, dump_lp, solve_lp
+                 finite_horizon_values, greedy_feedback_from_eta)
+from .lp_core import LinearProgram, LpError, LpSolution, solve_lp
 from .measures import (PrgReport, canonical_test_family, discounted_occupation,
                        hausdorff, occupation_measure, pair_laws, propagate,
                        prg_detect, rho)

@@ -85,6 +85,8 @@ def bounds_report(model, y0, Ts, epss, user_slack=None):
     epss = list(epss)
     if not Ts or Ts[0] < 1 or any(b <= a for a, b in zip(Ts, Ts[1:])):
         raise ValueError("Ts must be nonempty, increasing and at least 1")
+    for t in Ts:
+        measures.check_horizon(t)
     if not epss or any(b >= a for a, b in zip(epss, epss[1:])):
         raise ValueError("epss must be nonempty and decreasing")
     for eps in epss:
@@ -137,11 +139,14 @@ class OptimalityVerdict:
 
 
 def check_window(T0, t_max, tol):
-    """Refuse an empty certification window T0..t_max, or a tolerance that is
-    not finite and positive, with ValueError."""
+    """Refuse an empty certification window T0..t_max, a T0 or t_max that
+    is not an integer, or a tolerance that is not finite and positive, with
+    ValueError."""
     if not 0 <= T0 <= t_max:
         raise ValueError(f"certification window T0={T0}..t_max={t_max} is empty "
                          f"or starts before 0")
+    measures.check_horizon(T0, 0, "T0")
+    measures.check_horizon(t_max, 0, "t_max")
     measures.check_positive("tol", tol)
 
 
@@ -155,8 +160,8 @@ def verify_long_run_optimality(model, plan, dual, y0, T0, t_max, tol):
         |k(y,u) + (psi(y0) - psi(y)) + E[eta(f(y,u,s))] - eta(y) - mu| <= tol
 
     and the psi-stationarity |E[psi(y(t))] - psi(y0)| <= tol.  The window
-    must be nonempty, 0 <= T0 <= t_max, and tol finite and positive, else
-    ValueError.  A staged plan must cover every stage 0..t_max
+    must be nonempty, 0 <= T0 <= t_max in integers, and tol finite and
+    positive, else ValueError.  A staged plan must cover every stage 0..t_max
     (Plan.pair_weights raises ValueError for a shorter one); unlike
     prg_detect, this check does not cycle it.
     """
@@ -195,12 +200,13 @@ def dual_from_expansion(model, Ts):
 
     A small residual certifies (psi, eta) = (v, eta_T) as a near-optimal dual
     pair.  Uses the two largest horizons in Ts, which must differ; a
-    horizon below 1 is refused.
+    horizon that is not an integer >= 1 is refused.
     """
     Ts = sorted(Ts)
     if len(Ts) < 2:
         raise ValueError("need at least two horizons")
-    measures.check_horizon(Ts[0])
+    for t in Ts:
+        measures.check_horizon(t)
     t1, t2 = Ts[-2], Ts[-1]
     if t1 == t2:
         raise ValueError(f"the two largest horizons are both {t2}; they must differ")

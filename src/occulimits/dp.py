@@ -401,19 +401,6 @@ def evaluate_plan_average(model, plan, y0, T):
                for _, law in measures.pair_laws(model, plan, y0, T)) / T
 
 
-def value_curve_csv_rows(model, curve, parameters=None):
-    """Flatten value functions into (parameter, state label, value) rows.
-
-    parameters defaults to the horizon index 1..T; pass the eps list when
-    exporting a discounted sweep.
-    """
-    if parameters is None:
-        parameters = range(1, len(curve) + 1)
-    labels = [",".join(map(repr, coords)) for coords in model.states.tolist()]
-    return [(param, label, value) for param, vf in zip(parameters, curve)
-            for label, value in zip(labels, vf.values.tolist())]
-
-
 def evaluate_plan_discounted(model, plan, y0, eps, tail_tol=1e-12):
     """Normalized expected discounted cost of a plan, via its discounted
     occupational measure (identity between the cost series and the measure

@@ -40,7 +40,7 @@ class LinearProgram:
     matrix, which is kept sparse, or a LinearOperator.
 
     An operator gives A x and A'y without its entries: check_certificate
-    reads it, solve_lp and dump_lp refuse it, and its entries are not
+    reads it, solve_lp refuses it, and its entries are not
     checked for finiteness here, so its maker vouches for them.
     """
 
@@ -102,18 +102,11 @@ def solve_lp(lp):
     'unbounded' (x and y_dual then zero); any other HiGHS status raises
     LpError, and so does an lp whose A is a LinearOperator.
     """
-    return certified_solution(lp, linprog(lp.c, A_eq=_matrix(lp, "solve_lp"), b_eq=lp.b,
-                                          bounds=(0, None), method="highs",
-                                          options=HIGHS_OPTIONS))
-
-
-def _matrix(lp, caller):
-    """lp.A, refused with LpError when it is a LinearOperator, whose entries
-    caller would need."""
     if isinstance(lp.A, LinearOperator):
-        raise LpError(f"{caller} needs the entries of A, and this LinearProgram's A is "
+        raise LpError("solve_lp needs the entries of A, and this LinearProgram's A is "
                       "a LinearOperator, which only check_certificate can read")
-    return lp.A
+    return certified_solution(lp, linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None),
+                                          method="highs", options=HIGHS_OPTIONS))
 
 
 def certified_solution(lp, res):
@@ -146,13 +139,3 @@ def check_certificate(lp, sol):
     bad = {k: v[k] for k in v if not v[k] <= limits[k]}
     if bad:
         raise LpError(f"optimality certificate failed: {bad}")
-
-
-def dump_lp(lp):
-    """Plain-text (c, A, b) dump for external cross-checking; not a stable format."""
-    A = _matrix(lp, "dump_lp")
-    A = A.toarray() if sparse.issparse(A) else A
-    lines = ["c " + " ".join(f"{v:.17g}" for v in lp.c)]
-    for i in range(A.shape[0]):
-        lines.append("A " + " ".join(f"{v:.17g}" for v in A[i]) + f" | {lp.b[i]:.17g}")
-    return "\n".join(lines)

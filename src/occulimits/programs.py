@@ -3,20 +3,22 @@ eps-discounted stationary LP (k*(eps, y0)), and the augmented two-layer LP
 (k*(y0), optionally perturbed by a nonnegative xi-cost theta), together with
 the dual certificate (mu, psi, eta).
 
-Constraints use the per-state indicator basis, which is complete on a finite
-grid, so the balance equations are exact:
+Each program is min c'x over a measure set x >= 0, A x = b, which
+_constraints defines once, named after the set.  Constraints use the
+per-state indicator basis, which is complete on a finite grid, so the
+balance equations are exact:
 
-    stationary      gamma_1(y') = sum P(y'|y,u) gamma(y,u),  sum gamma = 1
-    discounted      gamma_1(y') = (1-eps) sum P(y'|y,u) gamma(y,u) + eps 1{y'=y0}
-    augmented       stationary block for gamma, plus
+    W               gamma_1(y') = sum P(y'|y,u) gamma(y,u),  sum gamma = 1
+    W_eps           gamma_1(y') = (1-eps) sum P(y'|y,u) gamma(y,u) + eps 1{y'=y0}
+    Omega           W's rows for gamma, plus
                     xi_1(y') - sum P(y'|y,u) xi(y,u) + gamma_1(y') = 1{y'=y0}
 
 With E the pair-to-state marginal block and B = E - decay P^T the balance
 block, the matrices are [B; 1'] (decay 1), B (decay 1-eps) and
-[[B, 0], [1', 0], [E, B]] (decay 1).  Each program's A is a matrix-free
-_MeasureOperator, whose products A x and A'y are per-state sums of pair
-weights (np.bincount) and the model's push and expect; _lp_matrix
-assembles the sparse matrix only when HiGHS runs.
+[[B, 0], [1', 0], [E, B]] (decay 1).  A is a matrix-free _MeasureOperator,
+whose products A x and A'y are per-state sums of pair weights
+(np.bincount) and the model's push and expect; _lp_matrix assembles it
+only when HiGHS runs, and membership_residuals is |A x - b|.
 
 The stationary and augmented programs (without theta) are answered from
 dp.average_cost_policy_iteration, run once per model (average_cost_solution):
@@ -130,26 +132,43 @@ class ProgramResult:
         return doc
 
 
-def _lp_matrix(model, kind, decay=1.0):
-    """The constraint matrix of a measure LP in CSC: B for kind
-    "discounted", [B; 1'] for "stationary" and [[B, 0], [1', 0], [E, B]]
-    for "augmented".
+def _constraints(model, kind, y0=0, eps=None):
+    """(A, b) of the measure set kind, "W", "W_eps" (W(eps, y0)) or "Omega"
+    (Omega(y0), x = (gamma, xi)): A its _MeasureOperator, of decay 1 - eps
+    for "W_eps", and b eps e_y0 for "W_eps", else e_n (the mass row), plus
+    e_(n+1+y0) for "Omega"."""
+    n = model.n_states
+    A = _MeasureOperator(model, kind, 1.0 if eps is None else 1.0 - eps)
+    b = np.zeros(A.shape[0])
+    if kind == "W_eps":
+        b[y0] = eps
+    else:
+        b[n] = 1.0
+        if kind == "Omega":
+            b[n + 1 + y0] = 1.0
+    return A, b
+
+
+def _lp_matrix(op):
+    """The _MeasureOperator op assembled in CSC: B for "W_eps", [B; 1'] for
+    "W" and [[B, 0], [1', 0], [E, B]] for "Omega".
 
     E is the pair-to-state marginal block (a 1 at each pair's state) and
     B = E - decay P^T the balance block, whose rows are "state marginal
     minus decay times pushed mass".  Every block is CSC, so scipy stacks
     their compressed arrays directly, without a COO detour.
     """
+    model = op.model
     n, n_pairs = model.n_states, model.n_pairs
     col_ptr = np.arange(n_pairs + 1)
     # CSC like P^T: column p holds its single 1 at row pair_state[p]
     E = sparse.csc_matrix((np.ones(n_pairs), model.pair_state, col_ptr), shape=(n, n_pairs))
-    B = E - decay * transition(model).P.T
-    if kind == "discounted":
+    B = E - op.decay * transition(model).P.T
+    if op.kind == "W_eps":
         return B
     ones = sparse.csc_matrix((np.ones(n_pairs), np.zeros(n_pairs, dtype=np.int32), col_ptr),
                              shape=(1, n_pairs))
-    if kind == "stationary":
+    if op.kind == "W":
         return sparse.vstack([B, ones], format="csc")
     # [B; 1'; E] beside B moved down n + 1 rows, under the empty blocks
     return sparse.hstack([sparse.vstack([B, ones, E], format="csc"),
@@ -158,17 +177,16 @@ def _lp_matrix(model, kind, decay=1.0):
 
 
 class _MeasureOperator(LinearOperator):
-    """The constraint matrix of a measure LP of kind "discounted",
-    "stationary" or "augmented" (see _lp_matrix) as its two products, with
-    no matrix built: E x is the per-state sum of x's pair weights, E'y
-    reads y at each pair's state, and P^T x and P y are the model's push
-    and expect.  lp_core.check_certificate reads it; HiGHS needs the
-    assembled _lp_matrix(model, kind, decay)."""
+    """The constraint matrix of the measure set "W_eps", "W" or "Omega"
+    (see _lp_matrix) as its two products, with no matrix built: E x is the
+    per-state sum of x's pair weights, E'y reads y at each pair's state,
+    and P^T x and P y are the model's push and expect.
+    lp_core.check_certificate reads it; HiGHS needs _lp_matrix(op)."""
 
     def __init__(self, model, kind, decay=1.0):
         n, n_pairs = model.n_states, model.n_pairs
-        shape = {"discounted": (n, n_pairs), "stationary": (n + 1, n_pairs),
-                 "augmented": (2 * n + 1, 2 * n_pairs)}[kind]
+        shape = {"W_eps": (n, n_pairs), "W": (n + 1, n_pairs),
+                 "Omega": (2 * n + 1, 2 * n_pairs)}[kind]
         super().__init__(float, shape)
         self.model, self.kind, self.decay = model, kind, decay
 
@@ -179,9 +197,9 @@ class _MeasureOperator(LinearOperator):
         gamma = x[:n_pairs]
         marg = _marginal(model, gamma)
         out = [marg - self.decay * tensor.push(gamma)]
-        if self.kind != "discounted":
+        if self.kind != "W_eps":
             out.append([gamma.sum()])
-        if self.kind == "augmented":
+        if self.kind == "Omega":
             xi = x[n_pairs:]
             out.append(marg + (_marginal(model, xi) - tensor.push(xi)))
         return np.concatenate(out)
@@ -191,10 +209,10 @@ class _MeasureOperator(LinearOperator):
         model, n = self.model, self.model.n_states
         tensor, s = transition(model), model.pair_state
         out = y[:n][s] - self.decay * tensor.expect(y[:n])
-        if self.kind == "discounted":
+        if self.kind == "W_eps":
             return out
         out += y[n]
-        if self.kind == "stationary":
+        if self.kind == "W":
             return out
         psi = y[n + 1:]
         out += psi[s]
@@ -232,8 +250,7 @@ def _solve(lp, context, construct=None):
         raise SolverError(f"{context}: a cost of magnitude {cost:.3g} is at or above "
                           f"HiGHS's infinite_cost ({HIGHS_INFINITE_COST:g}), which HiGHS "
                           "reads as infinite")
-    op = lp.A
-    res = linprog(lp.c, A_eq=_lp_matrix(op.model, op.kind, op.decay), b_eq=lp.b,
+    res = linprog(lp.c, A_eq=_lp_matrix(lp.A), b_eq=lp.b,
                   bounds=(0, None), method="highs", options=lp_core.HIGHS_OPTIONS)
     if res.status != 0:
         raise SolverError(f"{context}: HiGHS reported {res.message!r}")
@@ -310,10 +327,7 @@ def stationary_lp(model):
     """
     n = model.n_states
     sol = average_cost_solution(model)
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    lp = lp_core.LinearProgram(c=model.pair_cost, A=_MeasureOperator(model, "stationary"),
-                               b=b)
+    lp = lp_core.LinearProgram(model.pair_cost, *_constraints(model, "W"))
 
     def construct():
         g, eta = _pi_dual(model, sol)
@@ -337,10 +351,7 @@ def discounted_stationary_lp(model, eps, y0):
     """min int k dgamma over W(eps, y0); the value equals the DP oracle h_eps(y0)."""
     check_eps(eps)
     model.check_y0(y0)
-    b = np.zeros(model.n_states)
-    b[y0] = eps
-    lp = lp_core.LinearProgram(c=model.pair_cost,
-                               A=_MeasureOperator(model, "discounted", 1.0 - eps), b=b)
+    lp = lp_core.LinearProgram(model.pair_cost, *_constraints(model, "W_eps", y0, eps))
     x, _, method = _solve(lp, f"discounted LP (eps={eps}, y0={y0})")
     return ProgramResult(optimal_value=float(model.pair_cost @ x), gamma=GMeasure(x),
                          xi=None, dual=None, method=method)
@@ -367,12 +378,9 @@ def augmented_lp(model, y0, theta=None):
     n, n_pairs = model.n_states, model.n_pairs
     theta_pair = None if theta is None else _check_theta(model, theta)
     sol = None if theta_pair is not None else average_cost_solution(model)
-    b = np.zeros(2 * n + 1)
-    b[n] = 1.0
-    b[n + 1 + y0] = 1.0
     c = np.concatenate([model.pair_cost,
                         np.zeros(n_pairs) if theta_pair is None else theta_pair])
-    lp = lp_core.LinearProgram(c=c, A=_MeasureOperator(model, "augmented"), b=b)
+    lp = lp_core.LinearProgram(c, *_constraints(model, "Omega", y0))
     context = f"augmented LP (y0={y0})"
 
     def construct():
@@ -414,33 +422,22 @@ def _measure_weights(model, measure, name):
 
 
 def membership_residuals(model, gamma, kind, eps=None, y0=None, xi=None):
-    """Max-norm residual of the balance equations defining W, W(eps,y0) or
-    Omega(y0); 0 within tolerance means membership.
-
-    For the probability sets the mass defect |total-1| is included in the
-    max.  For Omega both constraint blocks are evaluated (pass xi).
-    """
+    """Max-norm residual of the constraints (A, b) of W, W(eps,y0) or
+    Omega(y0) (_constraints, as in their LPs): max(|A x - b|, |total(gamma) - 1|)
+    with x = gamma or (gamma, xi); 0 within tolerance means membership."""
     w = _measure_weights(model, gamma, "measure")
     if y0 is not None:
         model.check_y0(y0)
-    tensor = transition(model)
-    marg = _marginal(model, w)
-    pushed = tensor.push(w)
-    mass_defect = abs(float(w.sum()) - 1.0)
-    if kind == "W":
-        return float(max(np.max(np.abs(marg - pushed)), mass_defect))
+    x = w
     if kind == "W_eps":
         if eps is None or y0 is None:
             raise ValueError("W_eps needs eps and y0")
         check_eps(eps)
-        r = marg - (1.0 - eps) * pushed
-        r[y0] -= eps
-        return float(max(np.max(np.abs(r)), mass_defect))
-    if kind == "Omega":
+    elif kind == "Omega":
         if xi is None or y0 is None:
             raise ValueError("Omega needs xi and y0")
-        wx = _measure_weights(model, xi, "xi")
-        r2 = _marginal(model, wx) - tensor.push(wx) + marg
-        r2[y0] -= 1.0
-        return float(max(np.max(np.abs(marg - pushed)), np.max(np.abs(r2)), mass_defect))
-    raise ValueError(f"unknown membership kind {kind!r}")
+        x = np.concatenate([w, _measure_weights(model, xi, "xi")])
+    elif kind != "W":
+        raise ValueError(f"unknown membership kind {kind!r}")
+    A, b = _constraints(model, kind, y0, eps)
+    return float(max(np.max(np.abs(A @ x - b)), abs(float(w.sum()) - 1.0)))

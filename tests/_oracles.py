@@ -6,8 +6,9 @@ stationary distributions for the stationary LP value, exhaustive
 noise-sequence expansion for short-horizon plan values, plan enumeration
 for the optimal gain, value iteration for h_eps, the truncated
 geometric series for discounted occupations, the backward recursion
-that stores every stage's argmin as it goes, and a stationary plan's law
-as a sparse product of pair weights and transition rows.
+that stores every stage's argmin as it goes, a stationary plan's law
+as a sparse product of pair weights and transition rows, and the balance
+equations of W, W(eps, y0) and Omega(y0) written out by hand.
 The reference models rebuild the two examples pair by pair with Python
 scalars, as the vectorized builders must reproduce bit for bit.
 """
@@ -294,3 +295,27 @@ def truncated_discounted_occupation(model, plan, y0, eps, tail_tol):
         mu = tensor.push(pair_mass)
         coeff *= 1.0 - eps
         t += 1
+
+
+def membership_oracle(model, gamma, kind, eps=None, y0=None, xi=None):
+    """Max-norm residual of the balance equations of W, W(eps, y0) or
+    Omega(y0), each written out by hand with the pair-to-state marginal
+    (np.bincount) and push, together with the mass defect |total(gamma) - 1|."""
+    tensor = transition(model)
+
+    def marginal(w):
+        return np.bincount(model.pair_state, w, model.n_states)
+
+    w = np.asarray(getattr(gamma, "weights", gamma), dtype=float)
+    marg, pushed = marginal(w), tensor.push(w)
+    mass_defect = abs(float(w.sum()) - 1.0)
+    if kind == "W":
+        return float(max(np.max(np.abs(marg - pushed)), mass_defect))
+    if kind == "W_eps":
+        r = marg - (1.0 - eps) * pushed
+        r[y0] -= eps
+        return float(max(np.max(np.abs(r)), mass_defect))
+    wx = np.asarray(getattr(xi, "weights", xi), dtype=float)
+    r2 = marginal(wx) - tensor.push(wx) + marg
+    r2[y0] -= 1.0
+    return float(max(np.max(np.abs(marg - pushed)), np.max(np.abs(r2)), mass_defect))

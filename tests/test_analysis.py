@@ -287,6 +287,36 @@ def test_dual_from_expansion_refuses_unusable_horizons(Ts):
         dual_from_expansion(example2_model(3), Ts)
 
 
+@pytest.mark.parametrize("Ts", [[1, 2.5, 4], [1, True, 4]])
+def test_dual_from_expansion_refuses_non_integer_horizons(Ts):
+    # 2.5 used to escape as a TypeError from indexing the curve, and True
+    # to be read as the horizon 1
+    with pytest.raises(ValueError, match=r"T=.* is not an integer horizon"):
+        dual_from_expansion(example2_model(3), Ts)
+
+
+@pytest.mark.parametrize("Ts", [[1.5, 3], [True, 3], [1, 2.5, 3]])
+def test_bounds_report_refuses_non_integer_horizons(Ts):
+    # [1.5, 3] used to raise a bare TypeError, and [True, 3] to report the
+    # horizon True, which JSON writes as true
+    with pytest.raises(ValueError, match=r"T=.* is not an integer horizon"):
+        bounds_report(example1_model(0.5), 1, Ts, [0.5])
+
+
+@pytest.mark.parametrize("window, name", [((True, 10), "T0"), ((0.5, 10), "T0"),
+                                          ((1, 2.5), "t_max"), ((1, True), "t_max")])
+def test_verify_refuses_non_integer_window(window, name):
+    # t_max=2.5 used to raise a TypeError from range, T0=True to be read as
+    # 1 and T0=0.5 to fail with islice's message
+    m = example1_model(0.5)
+    dual = augmented_lp(m, m.initial_index).dual
+    plan = greedy_feedback_from_eta(m, dual.eta)
+    T0, t_max = window
+    with pytest.raises(ValueError, match=rf"{name}=.* is not an integer horizon"):
+        verify_long_run_optimality(m, plan, dual, m.initial_index, T0=T0, t_max=t_max,
+                                   tol=1e-8)
+
+
 def test_abel_window_constant_sequence():
     T = abel_window(lambda t: 0.4, M=1.0, eps=0.1, delta=0.5)
     assert T >= 1

@@ -233,18 +233,6 @@ def test_randomized_plan_with_nan_row_is_rejected():
         evaluate_plan_discounted(m, plan, 0, 0.1)
 
 
-def test_value_curve_csv_rows():
-    from occulimits.dp import value_curve_csv_rows
-    m = example1_model(0.5)
-    curve, _ = finite_horizon_values(m, 3)
-    rows = value_curve_csv_rows(m, curve)
-    assert len(rows) == 3 * m.n_states
-    assert rows[0][0] == 1 and rows[0][1] == "-0.5"
-    h, _ = discounted_values(m, 0.5)
-    hrows = value_curve_csv_rows(m, [h], parameters=[0.5])
-    assert hrows[1] == (0.5, "0.5", pytest.approx(0.125, abs=1e-9))
-
-
 def test_discounted_values_input_checks():
     m = random_model(2)
     with pytest.raises(ValueError):

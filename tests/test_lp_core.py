@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import OptimizeResult
 
 from occulimits import lp_core, programs
-from occulimits.lp_core import LinearProgram, LpError, dump_lp, solve_lp
+from occulimits.lp_core import LinearProgram, LpError, solve_lp
 from occulimits.suite import random_model
 
 from _oracles import bfs_enumeration_optimum
@@ -122,39 +122,26 @@ def test_nan_dual_fails_the_certificate():
                                                          np.array([np.nan]), 1.0))
 
 
-def test_dump_contains_all_rows():
-    lp = LinearProgram(c=[1.0], A=[[2.0]], b=[3.0])
-    text = dump_lp(lp)
-    assert "c 1" in text and "| 3" in text
-
-
 def test_solve_lp_is_the_measure_lp_solver():
     # the stationary LP [B; 1'] x = e_n of suite models, solved both ways
     for seed in range(10):
         m = random_model(seed)
-        A = programs._lp_matrix(m, "stationary")
-        b = np.zeros(m.n_states + 1)
-        b[-1] = 1.0
-        lp = LinearProgram(c=m.pair_cost, A=A, b=b)
+        op, b = programs._constraints(m, "W")
+        lp = LinearProgram(c=m.pair_cost, A=programs._lp_matrix(op), b=b)
         sol = solve_lp(lp)
-        x, y, method = programs._solve(
-            LinearProgram(c=m.pair_cost, A=programs._MeasureOperator(m, "stationary"), b=b),
-            "stationary LP")
+        x, y, method = programs._solve(LinearProgram(c=m.pair_cost, A=op, b=b), "stationary LP")
         assert sol.status == "optimal" and method == "highs"
         assert np.array_equal(sol.x, x) and np.array_equal(sol.y_dual, y), seed
         assert sol.objective == float(lp.c @ x)
 
 
 def test_an_operator_lp_is_checked_not_solved():
-    # an operator gives only A x and A'y; HiGHS and the dump need entries
+    # an operator gives only A x and A'y; HiGHS needs entries
     m = random_model(2)
-    b = np.zeros(m.n_states + 1)
-    b[-1] = 1.0
-    lp = LinearProgram(c=m.pair_cost, A=programs._MeasureOperator(m, "stationary"), b=b)
-    for use in (solve_lp, dump_lp):
-        with pytest.raises(LpError, match=f"{use.__name__} needs the entries of A, and this "
-                                          "LinearProgram's A is a LinearOperator"):
-            use(lp)
+    lp = LinearProgram(m.pair_cost, *programs._constraints(m, "W"))
+    with pytest.raises(LpError, match="solve_lp needs the entries of A, and this "
+                                      "LinearProgram's A is a LinearOperator"):
+        solve_lp(lp)
 
 
 def test_unrecognised_highs_status_raises(monkeypatch):

@@ -18,8 +18,8 @@ from occulimits.programs import (GMeasure, SolverError, augmented_lp,
                                  membership_residuals, stationary_lp)
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import (no_policy_iteration, rebuilt, stationary_average_oracle,
-                      state_controls, with_cost)
+from _oracles import (membership_oracle, no_policy_iteration, rebuilt,
+                      stationary_average_oracle, state_controls, with_cost)
 
 
 def constant_cost(model, c):
@@ -227,6 +227,51 @@ def test_membership_dimension_mismatch():
         membership_residuals(m, GMeasure(np.ones(3)), "W")
     with pytest.raises(ValueError, match="kind"):
         membership_residuals(m, GMeasure(np.ones(m.n_pairs)), "X")
+
+
+def test_membership_of_a_nan_xi_is_nan():
+    # the Omega residual took a Python max over its blocks, which skipped a
+    # NaN block after the first, so a NaN xi read as a member (6.7e-16)
+    m = random_model(3)
+    res = augmented_lp(m, 0)
+    xi = res.xi.weights.copy()
+    xi[0] = np.nan
+    assert np.isnan(membership_residuals(m, res.gamma, "Omega", y0=0, xi=xi))
+
+
+def _membership_cases(m, rng):
+    """(gamma, kind, eps, y0, xi) for every set: the LP answers and
+    discounted occupations, which are members, and random weights, whose
+    residuals are far from 0."""
+    yield stationary_lp(m).gamma, "W", None, None, None
+    for eps in (0.5, 0.1, 0.01):
+        _, plan = discounted_values(m, eps)
+        for y0 in range(m.n_states):
+            g = discounted_occupation(m, plan, y0, eps, tail_tol=1e-13)
+            yield g, "W_eps", eps, y0, None
+            yield rng.random(m.n_pairs), "W_eps", eps, y0, None
+    for y0 in range(m.n_states):
+        res = augmented_lp(m, y0)
+        yield res.gamma, "W", None, y0, None
+        yield res.gamma, "Omega", None, y0, res.xi
+        yield rng.random(m.n_pairs), "W", None, y0, None
+        yield rng.random(m.n_pairs), "Omega", None, y0, rng.random(m.n_pairs)
+
+
+def test_membership_is_the_hand_written_balance_residual():
+    # |A x - b| on the LP's own (A, b) against the balance equations
+    # written out by hand: the same sums in the same order, bit for bit
+    rng = np.random.default_rng(18)
+    models = [random_model(seed) for seed in range(50)]
+    models += [example1_model(0.5), example2_model(4), example2_model(5)]
+    count = 0
+    for m in models:
+        for gamma, kind, eps, y0, xi in _membership_cases(m, rng):
+            got = membership_residuals(m, gamma, kind, eps=eps, y0=y0, xi=xi)
+            want = membership_oracle(m, gamma, kind, eps=eps, y0=y0, xi=xi)
+            assert got == want or (np.isnan(got) and np.isnan(want)), (kind, eps, y0)
+            count += 1
+    assert count == 3703
 
 
 @pytest.mark.parametrize("seed", [2, 6, 17])
@@ -447,9 +492,13 @@ def _block_matrix(model, kind, decay=1.0):
                           shape=(model.n_states, n_pairs))
     B = E - decay * transition(model).P.T
     ones = np.ones((1, n_pairs))
-    return {"discounted": B,
-            "stationary": sparse.vstack([B, ones]),
-            "augmented": sparse.bmat([[B, None], [ones, None], [E, B]])}[kind].tocsc()
+    return {"W_eps": B,
+            "W": sparse.vstack([B, ones]),
+            "Omega": sparse.bmat([[B, None], [ones, None], [E, B]])}[kind].tocsc()
+
+
+# each measure set with its eps: W, Omega, and W_eps at two discounts
+SETS = (("W", None), ("Omega", None), ("W_eps", 0.1), ("W_eps", 1e-3))
 
 
 def test_lp_matrices_equal_the_block_construction():
@@ -461,9 +510,10 @@ def test_lp_matrices_equal_the_block_construction():
                               pair_cost=[1.0, 2.0, 3.0],
                               kernel=[[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
     for m in models:
-        for kind, decay in (("stationary", 1.0), ("augmented", 1.0), ("discounted", 0.9),
-                            ("discounted", 1.0 - 1e-3)):
-            got, want = programs._lp_matrix(m, kind, decay), _block_matrix(m, kind, decay)
+        for kind, eps in SETS:
+            op, _ = programs._constraints(m, kind, eps=eps)
+            assert op.decay == (1.0 if eps is None else 1.0 - eps)
+            got, want = programs._lp_matrix(op), _block_matrix(m, kind, op.decay)
             assert type(got) is type(want) and got.shape == want.shape
             assert got.has_canonical_format
             for part in ("indptr", "indices", "data"):
@@ -484,10 +534,11 @@ def test_lp_operator_products_match_the_assembled_matrix():
                               kernel=[[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
     rng = np.random.default_rng(17)
     for m in models:
-        for kind, decay in (("stationary", 1.0), ("augmented", 1.0), ("discounted", 0.9)):
-            A, op = programs._lp_matrix(m, kind, decay), programs._MeasureOperator(m, kind, decay)
-            assert op.shape == A.shape
-            unmerged = _block_matrix(m, kind, -decay)
+        for kind, eps in SETS:
+            op, b = programs._constraints(m, kind, eps=eps)
+            A = programs._lp_matrix(op)
+            assert op.shape == A.shape and b.shape == (A.shape[0],)
+            unmerged = _block_matrix(m, kind, -op.decay)
             x, y = rng.standard_normal(A.shape[1]), rng.standard_normal(A.shape[0])
             for got, want, mag, terms in (
                     (op @ x, A @ x, unmerged @ np.abs(x), 2 * np.diff(unmerged.tocsr().indptr)),
@@ -515,9 +566,9 @@ def test_a_forced_fallback_assembles_solves_and_certifies(monkeypatch):
     assembled, solved, checked = [], [], []
     lp_matrix, linprog, check = programs._lp_matrix, programs.linprog, lp_core.check_certificate
 
-    def counted_matrix(model, kind, decay=1.0):
-        assembled.append(kind)
-        return lp_matrix(model, kind, decay)
+    def counted_matrix(op):
+        assembled.append(op.kind)
+        return lp_matrix(op)
 
     def counted_linprog(*args, **kwargs):
         solved.append(sparse.issparse(kwargs["A_eq"]))
@@ -534,7 +585,7 @@ def test_a_forced_fallback_assembles_solves_and_certifies(monkeypatch):
     res = augmented_lp(m, 0, theta=np.zeros(m.n_pairs))
     assert res.method == "highs" and res.dual is not None
     assert discounted_stationary_lp(m, 0.1, 0).method == "highs"
-    assert assembled == ["augmented", "discounted"] and solved == [True, True]
+    assert assembled == ["Omega", "W_eps"] and solved == [True, True]
     assert checked == [programs._MeasureOperator] * 2
 
 

@@ -99,6 +99,16 @@ def test_one_function_of_programs_calls_linprog():
     assert callers == ["_solve"]
 
 
+def test_only_the_measure_operator_pushes_in_programs():
+    # the balance rows of W, W(eps, y0) and Omega(y0) are written once, in
+    # _MeasureOperator; membership_residuals reads them through _constraints
+    tree = ast.parse((PACKAGE / "programs.py").read_text(encoding="utf-8"))
+    pushers = {top.name for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "push"}
+    assert pushers == {"_MeasureOperator"}
+
+
 def test_bounds_at_m7_makes_no_lp_call(tmp_path, monkeypatch):
     # the README's heaviest command answers both LPs by construction; a
     # regression to HiGHS on this path shows up here as a linprog call
