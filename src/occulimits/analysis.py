@@ -83,6 +83,10 @@ def bounds_report(model, y0, Ts, epss, user_slack=None):
         raise ValueError(f"user_slack={user_slack!r} must be finite and nonnegative")
     Ts = list(Ts)
     epss = list(epss)
+    for t in Ts:
+        measures.check_number("T", t)
+    for eps in epss:
+        measures.check_number("eps", eps)
     if not Ts or Ts[0] < 1 or any(b <= a for a, b in zip(Ts, Ts[1:])):
         raise ValueError("Ts must be nonempty, increasing and at least 1")
     for t in Ts:
@@ -142,6 +146,8 @@ def check_window(T0, t_max, tol):
     """Refuse an empty certification window T0..t_max, a T0 or t_max that
     is not an integer, or a tolerance that is not finite and positive, with
     ValueError."""
+    measures.check_number("T0", T0)
+    measures.check_number("t_max", t_max)
     if not 0 <= T0 <= t_max:
         raise ValueError(f"certification window T0={T0}..t_max={t_max} is empty "
                          f"or starts before 0")
@@ -202,7 +208,10 @@ def dual_from_expansion(model, Ts):
     pair.  Uses the two largest horizons in Ts, which must differ; a
     horizon that is not an integer >= 1 is refused.
     """
-    Ts = sorted(Ts)
+    Ts = list(Ts)
+    for t in Ts:
+        measures.check_number("T", t)
+    Ts.sort()
     if len(Ts) < 2:
         raise ValueError("need at least two horizons")
     for t in Ts:

@@ -7,6 +7,7 @@ tensor, so every measure identity holds to float precision.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -17,9 +18,18 @@ from scipy.sparse.linalg import spsolve
 from .model import transition
 
 
+def check_number(name, value):
+    """Refuse with ValueError a value that is not a real number, such as a
+    string or None, before an order or range check compares it."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}={value!r} is not a number")
+
+
 def check_eps(eps):
-    """Refuse with ValueError a discount eps outside (0, 1), or one so small
-    that 1 - eps rounds to 1 and the discounted problem loses its discount."""
+    """Refuse with ValueError a discount eps that is not a number, is
+    outside (0, 1), or is so small that 1 - eps rounds to 1 and the
+    discounted problem loses its discount."""
+    check_number("eps", eps)
     if not 0.0 < 1.0 - eps < 1.0:
         raise ValueError(f"eps={eps!r} outside (0, 1), or 1 - eps rounds to 1")
 

@@ -157,29 +157,51 @@ class TransitionTensor:
     read-only sparse CSR matrix P of shape (n_pairs, n_states) and read the
     same way for both model kinds.
 
-    Dynamics models also keep next_idx, the (n_pairs, n_atoms) image of every
-    pair under every noise atom; kernel-row models have next_idx None.  A
-    deterministic stationary plan's law P_pi is the plan's rows of P.
+    Pairs whose law rows are equal share one row of rows, a read-only CSR
+    matrix of the distinct rows, and pair_row maps every pair to its row:
+    rows[pair_row] is P entry for entry, so expect reads each pair's row
+    with the same arithmetic as P @ values.  A kernel-row model has rows P
+    and pair_row arange(n_pairs).  Dynamics models also keep next_idx, the
+    (n_pairs, n_atoms) image of every pair under every noise atom;
+    kernel-row models have next_idx None.  A deterministic stationary
+    plan's law P_pi is the plan's rows of P.  The tensor holds no reference
+    to its model, so a model is freed with its last reference.
     """
 
-    def __init__(self, model, P, next_idx=None):
-        self.model = model  # unread; dropping this cycle trades op time for peak RSS
+    def __init__(self, P, next_idx, rows, pair_row):
         self.P = P
         self.next_idx = next_idx
+        self.rows = rows
+        self.pair_row = pair_row
 
     def expect(self, values):
         """E[values(f(y,u,s))] for every pair, as a (n_pairs,) vector."""
-        return self.P @ np.asarray(values, dtype=float)
+        return (self.rows @ np.asarray(values, dtype=float))[self.pair_row]
 
     def push(self, pair_mass):
         """Forward image: sum_(y,u) mass(y,u) P(.|y,u), a vector over states."""
         return self.P.T @ np.asarray(pair_mass, dtype=float)
 
 
+def _distinct_rows(next_idx, n_states):
+    """(first, pair_row): the first pair of every distinct row of next_idx
+    and every pair's distinct row.  The columns are folded one at a time
+    into one int64 key below bound; before a fold could overflow, the key
+    is replaced by its rank, which is below n_pairs."""
+    key, bound = np.zeros(len(next_idx), dtype=np.int64), 1
+    for column in next_idx.T:
+        if bound * n_states > np.iinfo(np.int64).max:
+            key, bound = np.unique(key, return_inverse=True)[1], len(key)
+        key, bound = key * n_states + column, bound * n_states
+    _, first, pair_row = np.unique(key, return_index=True, return_inverse=True)
+    return first, pair_row
+
+
 def build_transition_tensor(model):
     """Build P(y'|y,u) = sum over noise atoms s with f(y,u,s)=y' of prob(s)
-    from the model's image table, or take a kernel-mode model's rows; the
-    model constructor calls this once."""
+    from the model's image table, or take a kernel-mode model's rows, and
+    group the pairs with equal images onto their distinct rows; the model
+    constructor calls this once."""
     P, next_idx = model._kernel, model._next_idx
     if P is None:
         n_pairs, n_atoms = next_idx.shape
@@ -187,9 +209,14 @@ def build_transition_tensor(model):
         P = sparse.csr_matrix((np.tile(model.noise, n_pairs),
                                (np.repeat(np.arange(n_pairs), n_atoms), next_idx.ravel())),
                               shape=(n_pairs, model.n_states))
-    for part in (P.data, P.indices, P.indptr):
+        first, pair_row = _distinct_rows(next_idx, model.n_states)
+        # equal images give equal rows of P, built by the same arithmetic
+        rows = P[first]
+    else:
+        rows, pair_row = P, np.arange(model.n_pairs)
+    for part in (P.data, P.indices, P.indptr, rows.data, rows.indices, rows.indptr, pair_row):
         part.flags.writeable = False
-    return TransitionTensor(model, P, next_idx)
+    return TransitionTensor(P, next_idx, rows, pair_row)
 
 
 def transition(model):

@@ -424,20 +424,25 @@ def _measure_weights(model, measure, name):
 def membership_residuals(model, gamma, kind, eps=None, y0=None, xi=None):
     """Max-norm residual of the constraints (A, b) of W, W(eps,y0) or
     Omega(y0) (_constraints, as in their LPs): max(|A x - b|, |total(gamma) - 1|)
-    with x = gamma or (gamma, xi); 0 within tolerance means membership."""
+    with x = gamma or (gamma, xi); 0 within tolerance means membership.
+    W reads gamma alone, W_eps also eps and y0, Omega also xi and y0; an
+    argument the kind does not read is refused, not ignored."""
+    reads = {"W": (), "W_eps": ("eps", "y0"), "Omega": ("xi", "y0")}
+    if kind not in reads:
+        raise ValueError(f"unknown membership kind {kind!r}")
+    given = {"eps": eps, "y0": y0, "xi": xi}
+    for name, value in given.items():
+        if value is not None and name not in reads[kind]:
+            raise ValueError(f"membership kind {kind} does not read {name}")
+    if any(given[name] is None for name in reads[kind]):
+        raise ValueError(f"{kind} needs {' and '.join(reads[kind])}")
     w = _measure_weights(model, gamma, "measure")
     if y0 is not None:
         model.check_y0(y0)
     x = w
     if kind == "W_eps":
-        if eps is None or y0 is None:
-            raise ValueError("W_eps needs eps and y0")
         check_eps(eps)
     elif kind == "Omega":
-        if xi is None or y0 is None:
-            raise ValueError("Omega needs xi and y0")
         x = np.concatenate([w, _measure_weights(model, xi, "xi")])
-    elif kind != "W":
-        raise ValueError(f"unknown membership kind {kind!r}")
     A, b = _constraints(model, kind, y0, eps)
     return float(max(np.max(np.abs(A @ x - b)), abs(float(w.sum()) - 1.0)))

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from occulimits.analysis import (CertificateError, abel_window, bounds_report,
-                                 cesaro_window, dual_from_expansion,
+                                 cesaro_window, check_window, dual_from_expansion,
                                  verify_long_run_optimality)
 from occulimits.dp import Plan, finite_horizon_values, greedy_feedback_from_eta
-from occulimits.measures import (discounted_occupation, occupation_measure, pair_laws,
-                                 propagate)
+from occulimits.measures import (check_eps, discounted_occupation, occupation_measure,
+                                 pair_laws, propagate)
 from occulimits.model import (FiniteModel, TransitionTensor, example1_model,
                               example2_model)
 from occulimits.programs import (DualCertificate, GMeasure, augmented_lp,
@@ -315,6 +315,36 @@ def test_verify_refuses_non_integer_window(window, name):
     with pytest.raises(ValueError, match=rf"{name}=.* is not an integer horizon"):
         verify_long_run_optimality(m, plan, dual, m.initial_index, T0=T0, t_max=t_max,
                                    tol=1e-8)
+
+
+# entry point: (its horizons or discounts as a callable, the argument's
+# name, unusable numbers and the message they keep, values that are not numbers)
+NOT_A_NUMBER_CASES = {
+    "bounds_report_T": (lambda m, Ts: bounds_report(m, 1, Ts, [0.5]), "T",
+                        [0, 10], "increasing and at least 1", [["a", 3], [None]]),
+    "bounds_report_eps": (lambda m, epss: bounds_report(m, 1, [1, 3], epss), "eps",
+                          [0.1, 0.5], "nonempty and decreasing", [["x"], [0.5, None]]),
+    "check_window_T0": (lambda m, T0: check_window(T0, 5, 1e-6), "T0",
+                        -1, "starts before 0", ["a", None]),
+    "check_window_t_max": (lambda m, t_max: check_window(0, t_max, 1e-6), "t_max",
+                           -1, "is empty", ["a", None]),
+    "dual_from_expansion": (lambda m, Ts: dual_from_expansion(m, Ts), "T",
+                            [10, 10], "must differ", [[None, 3], ["a", 3]]),
+    "check_eps": (lambda m, eps: check_eps(eps), "eps", 1.5, "outside", ["x", None]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NOT_A_NUMBER_CASES))
+def test_a_horizon_or_discount_that_is_not_a_number_is_refused(entry):
+    # each of these used to escape as a bare TypeError from an order or
+    # range check; numbers still meet those checks and their messages
+    call, name, number, message, not_numbers = NOT_A_NUMBER_CASES[entry]
+    m = example1_model(0.5)
+    with pytest.raises(ValueError, match=message):
+        call(m, number)
+    for value in not_numbers:
+        with pytest.raises(ValueError, match=rf"{name}=.* is not a number"):
+            call(m, value)
 
 
 def test_abel_window_constant_sequence():

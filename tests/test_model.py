@@ -1,16 +1,20 @@
+import gc
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from occulimits.analysis import bounds_report
 from occulimits.dp import finite_horizon_values
 from occulimits.measures import discounted_occupation
 from occulimits.model import (NOISE_NORMALIZATION_TOL, ROW_SUM_TOL, FiniteModel,
-                              ModelError, build_transition_tensor, example1_model,
-                              example1_family_model, example2_model,
+                              ModelError, _distinct_rows, build_transition_tensor,
+                              example1_model, example1_family_model, example2_model,
                               load_model, save_model, transition, validate)
+from occulimits.programs import average_cost_solution
 from occulimits.suite import random_model, random_stationary_plan
 
 from _oracles import (plan_law, reference_example1_family_model, reference_example1_model,
@@ -57,6 +61,74 @@ def test_three_state_rows_match_hand_enumeration():
     assert np.allclose(tensor.P.toarray(), [[0.0, 0.6, 0.4],
                                             [0.0, 1.0, 0.0],
                                             [0.6, 0.4, 0.0]])
+
+
+def _law_models():
+    """Suite seeds 0..49, example 1, example 2 at m=2..8 and a kernel-row model."""
+    yield from (random_model(seed) for seed in range(50))
+    yield example1_model(0.5)
+    yield from (example2_model(m) for m in range(2, 9))
+    yield FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0, 1.0]], noise=[],
+                      pair_cost=[1.0, 0.0, 2.0], kernel=[[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]])
+
+
+def test_distinct_rows_read_the_law_bit_for_bit():
+    rng = np.random.default_rng(20)
+    count = 0
+    for m in _law_models():
+        tensor = transition(m)
+        P, shared = tensor.P, tensor.rows[tensor.pair_row]
+        for x, y in ((shared.indptr, P.indptr), (shared.indices, P.indices),
+                     (shared.data, P.data)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        v = rng.standard_normal(m.n_states)
+        assert np.array_equal(tensor.expect(v), P @ v)
+        count += 1
+    assert count == 59
+    # example 2's images u s do not depend on y: few distinct rows
+    assert transition(example2_model(7)).rows.shape == (257, 257)
+
+
+def test_distinct_rows_rank_a_key_that_would_overflow():
+    # 1000**7 > 2**63, so the fold ranks its key before the seventh column
+    images = np.random.default_rng(7).integers(0, 1000, (300, 9))
+    images[200:] = images[:100]
+    first, pair_row = _distinct_rows(images, 1000)
+    assert np.array_equal(images[first], np.unique(images, axis=0))
+    assert np.array_equal(images[first][pair_row], images)
+    assert np.array_equal(first[pair_row[200:]], np.arange(100))
+
+
+@pytest.mark.parametrize("arrays", [
+    {"states": [0.0], "controls": [[0.0]], "noise": [], "pair_cost": [1.0],
+     "next_idx": np.zeros((1, 0))},
+    {"states": [0.0, 1.0], "controls": [[0.0], [0.0, 1.0]], "noise": [],
+     "pair_cost": [1.0, 0.0, 2.0], "next_idx": np.zeros((3, 0))},
+    {"states": [], "controls": [], "noise": [1.0], "pair_cost": [],
+     "next_idx": np.zeros((0, 1))},
+    {"states": [0.0], "controls": [[]], "noise": [], "pair_cost": [],
+     "next_idx": np.zeros((0, 0))},
+    {"states": [0.0], "controls": [[]], "noise": [1.0], "pair_cost": [],
+     "next_idx": np.zeros((0, 1))}])
+def test_zero_atom_and_zero_pair_arrays_are_refused(arrays):
+    # grouping the pairs onto distinct rows must reach validate on every
+    # array the constructor accepts
+    with pytest.raises(ModelError):
+        FiniteModel(**arrays)
+
+
+def test_a_model_is_freed_with_its_last_reference():
+    # no reference cycle holds a model, so it and its policy-iteration
+    # solution go with its last reference, without the cycle collector
+    gc.disable()
+    try:
+        m = example2_model(4)
+        bounds_report(m, 3, [1, 8], [0.5])
+        refs = weakref.ref(m), weakref.ref(average_cost_solution(m))
+        del m
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_dynamics_out_of_range_names_triple(tmp_path):

@@ -229,6 +229,20 @@ def test_membership_dimension_mismatch():
         membership_residuals(m, GMeasure(np.ones(m.n_pairs)), "X")
 
 
+@pytest.mark.parametrize("kind, unread", [("W", "eps"), ("W", "y0"), ("W", "xi"),
+                                          ("W_eps", "xi"), ("Omega", "eps")])
+def test_membership_refuses_an_argument_its_kind_does_not_read(kind, unread):
+    # W with eps=0.1, y0=0 read the decay 0.9 and returned 0.09999999999999987
+    # on this discounted occupation, and W_eps passed an all-NaN xi silently
+    m = random_model(3)
+    _, plan = discounted_values(m, 0.1)
+    gamma = discounted_occupation(m, plan, 0, 0.1, tail_tol=1e-13)
+    args = {"eps": 0.1, "y0": 0, "xi": np.full(m.n_pairs, np.nan)}
+    reads = {"W": (), "W_eps": ("eps", "y0"), "Omega": ("xi", "y0")}[kind]
+    with pytest.raises(ValueError, match=f"does not read {unread}"):
+        membership_residuals(m, gamma, kind, **{name: args[name] for name in (*reads, unread)})
+
+
 def test_membership_of_a_nan_xi_is_nan():
     # the Omega residual took a Python max over its blocks, which skipped a
     # NaN block after the first, so a NaN xi read as a member (6.7e-16)
@@ -252,9 +266,9 @@ def _membership_cases(m, rng):
             yield rng.random(m.n_pairs), "W_eps", eps, y0, None
     for y0 in range(m.n_states):
         res = augmented_lp(m, y0)
-        yield res.gamma, "W", None, y0, None
+        yield res.gamma, "W", None, None, None
         yield res.gamma, "Omega", None, y0, res.xi
-        yield rng.random(m.n_pairs), "W", None, y0, None
+        yield rng.random(m.n_pairs), "W", None, None, None
         yield rng.random(m.n_pairs), "Omega", None, y0, rng.random(m.n_pairs)
 
 

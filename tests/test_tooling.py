@@ -218,3 +218,31 @@ def test_suite_models_are_pinned():
             digest.update(part.dtype.str.encode())
             digest.update(part.tobytes())
     assert digest.hexdigest() == SUITE_DIGEST
+
+
+FAILING_GIVEN = """\
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_given_test_does_not_abort_the_run(tmp_path):
+    # hypothesis's failure report raises a DeprecationWarning, which
+    # pytest.ini's "error" filter would turn into an INTERNALERROR that
+    # stops the run before the tests after the failing one
+    (tmp_path / "test_given.py").write_text(FAILING_GIVEN)
+    ini = Path(__file__).resolve().parents[1] / "pytest.ini"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(ini), "--rootdir", str(tmp_path), "test_given.py"],
+                         capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
