@@ -79,8 +79,8 @@ def bounds_report(model, y0, Ts, epss, user_slack=None):
     nonnegative.
     """
     model.check_y0(y0)
-    if user_slack is not None and not (math.isfinite(user_slack) and user_slack >= 0):
-        raise ValueError(f"user_slack={user_slack!r} must be finite and nonnegative")
+    if user_slack is not None:
+        measures.check_nonnegative("user_slack", user_slack)
     Ts = list(Ts)
     epss = list(epss)
     for t in Ts:
@@ -242,8 +242,7 @@ def abel_window(g, M, eps, delta):
     """
     measures.check_eps(eps)
     measures.check_positive("delta", delta)
-    if not (math.isfinite(M) and M >= 0):
-        raise ValueError(f"M={M!r} must be finite and nonnegative")
+    measures.check_nonnegative("M", M)
     n_terms = max(1, math.ceil((math.log(ABEL_TAIL) - math.log(max(M, 1e-300)))
                                / math.log1p(-eps)))
     values = {}

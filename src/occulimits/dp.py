@@ -180,13 +180,13 @@ def discounted_values(model, eps, tol=DEFAULT_TOL):
     """Howard policy iteration for h(y) = min_u {eps k(y,u) + (1-eps) E[h(f(y,u,s))]}.
 
     Starts from the greedy plan for eps*k and evaluates each plan pi with one
-    sparse solve of (I - (1-eps) P_pi) h = eps k_pi, where P_pi is the plan's
-    rows of P; a state switches control only on strict improvement.  Returns
-    h and the greedy stationary plan of the final h, after certifying the
-    Bellman residual max_y |min_u q(y,u) - h(y)| <= tol*eps (tol finite and
-    positive), which bounds the fixed-point error by tol through the (1-eps)
-    contraction.  Raises SolverError when the certificate fails or the
-    iteration cap is hit.
+    sparse solve of (I - (1-eps) P_pi) h = eps k_pi, where P_pi is the
+    plan's rows of the law; a state switches control only on strict
+    improvement.  Returns h and the greedy stationary plan of the final h,
+    after certifying the Bellman residual max_y |min_u q(y,u) - h(y)| <=
+    tol*eps (tol finite and positive), which bounds the fixed-point error
+    by tol through the (1-eps) contraction.  Raises SolverError when the
+    certificate fails or the iteration cap is hit.
     """
     measures.check_eps(eps)
     measures.check_positive("tol", tol)
@@ -198,7 +198,7 @@ def discounted_values(model, eps, tol=DEFAULT_TOL):
     _, sel = _group_min(model, k_eps)
     for _ in range(PI_ITERATION_CAP):
         pairs = starts + sel
-        h = spsolve(eye - decay * tensor.P[pairs], k_eps[pairs])
+        h = spsolve(eye - decay * tensor.rows[tensor.pair_row[pairs]], k_eps[pairs])
         q = k_eps + decay * tensor.expect(h)
         vmin, best = _group_min(model, q)
         improve = vmin < q[pairs] - IMPROVEMENT_TOL * (1.0 + np.abs(h))
@@ -339,8 +339,8 @@ def average_cost_policy_iteration(model):
     """Multichain Howard policy iteration (Puterman section 9.2) for
     g*(y) = min over plans of the long-run average expected cost from y.
 
-    Starts from the greedy plan for k.  Each round evaluates the plan, whose
-    law is its rows of P, through ClosedClasses.evaluate and then improves it
+    Starts from the greedy plan for k.  Each round evaluates the plan on
+    its rows of the law, through ClosedClasses.evaluate, and then improves it
     in two phases: a state first switches to the control of least
     E[g(f(y,u,s))]; only when no state can, it switches, among the controls
     whose E g is within the margin of that least value, to the control of
@@ -357,7 +357,7 @@ def average_cost_policy_iteration(model):
     _, sel = _group_min(model, k)
     for rounds in range(1, PI_ITERATION_CAP + 1):
         pairs = starts + sel
-        chain = ClosedClasses(tensor.P[pairs])
+        chain = ClosedClasses(tensor.rows[tensor.pair_row[pairs]])
         with np.errstate(over="ignore", invalid="ignore"):
             g, h = chain.evaluate(k[pairs])
         if not (np.isfinite(g).all() and np.isfinite(h).all()):
@@ -383,10 +383,11 @@ def average_cost_policy_iteration(model):
 def greedy_feedback_from_eta(model, eta):
     """u^f(y) = argmin_u {k(y,u) + E[eta(f(y,u,s))]}, lowest-index ties."""
     eta = np.asarray(eta, dtype=float)
+    if eta.shape != (model.n_states,):
+        raise ValueError(f"eta needs shape ({model.n_states},), have {eta.shape}")
     if not np.all(np.isfinite(eta)):
         raise ValueError("eta must be finite")
-    tensor = transition(model)
-    _, sel = _group_min(model, model.pair_cost + tensor.expect(eta))
+    _, sel = _group_min(model, model.pair_cost + transition(model).expect(eta))
     return Plan(kind="stationary_deterministic", selector=sel)
 
 

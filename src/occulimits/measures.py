@@ -43,9 +43,17 @@ def check_horizon(T, least=1, name="T"):
 
 
 def check_positive(name, value):
-    """Refuse with ValueError a value that is not a finite positive number."""
-    if not (math.isfinite(value) and value > 0):
+    """Refuse with ValueError a bool or a value that is not a finite positive number."""
+    check_number(name, value)
+    if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name}={value!r} must be finite and positive")
+
+
+def check_nonnegative(name, value):
+    """Refuse with ValueError a bool or a value that is not a finite number >= 0."""
+    check_number(name, value)
+    if isinstance(value, bool) or not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name}={value!r} must be finite and nonnegative")
 
 
 @dataclass
@@ -121,7 +129,7 @@ def discounted_occupation(model, plan, y0, eps, tail_tol):
 
     For a stationary plan the discounted state law nu solves
     (I - (1-eps) P_pi^T) nu = eps delta_y0 (one sparse solve) and the pair
-    weights are nu(y) pi(u|y), with P_pi the plan's rows of P, or their
+    weights are nu(y) pi(u|y), with P_pi the plan's law rows, or their
     pi-weighted sums per state for a randomized plan.  A staged plan is summed
     exactly over its stages.  The weights are renormalized to total mass 1.
     tail_tol must be finite and positive but is not read otherwise: neither
@@ -139,11 +147,12 @@ def discounted_occupation(model, plan, y0, eps, tail_tol):
     else:
         plan.check_against(model)
         w = plan.pair_weights(model)
-        P = transition(model).P
+        tensor = transition(model)
         if plan.kind == "stationary_deterministic":
-            p_pi = P[model.state_pair_start[:-1] + plan.selector]
+            p_pi = tensor.rows[tensor.pair_row[model.state_pair_start[:-1] + plan.selector]]
         else:
-            p_pi = sparse.csr_matrix((w, np.arange(model.n_pairs), model.state_pair_start)) @ P
+            p_pi = (sparse.csr_matrix((w, np.arange(model.n_pairs), model.state_pair_start))
+                    @ tensor.rows[tensor.pair_row])
         rhs = np.zeros(model.n_states)
         rhs[y0] = eps
         nu = spsolve((sparse.identity(model.n_states, format="csr") - (1.0 - eps) * p_pi).T, rhs)

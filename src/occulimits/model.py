@@ -153,34 +153,27 @@ def _points(name, value):
 
 
 class TransitionTensor:
-    """Transition law P(y'|y,u) of every admissible pair, held as one
-    read-only sparse CSR matrix P of shape (n_pairs, n_states) and read the
-    same way for both model kinds.
-
-    Pairs whose law rows are equal share one row of rows, a read-only CSR
-    matrix of the distinct rows, and pair_row maps every pair to its row:
-    rows[pair_row] is P entry for entry, so expect reads each pair's row
-    with the same arithmetic as P @ values.  A kernel-row model has rows P
-    and pair_row arange(n_pairs).  Dynamics models also keep next_idx, the
-    (n_pairs, n_atoms) image of every pair under every noise atom;
-    kernel-row models have next_idx None.  A deterministic stationary
-    plan's law P_pi is the plan's rows of P.  The tensor holds no reference
-    to its model, so a model is freed with its last reference.
+    """Transition law P(y'|y,u) of every admissible pair, held once for both
+    model kinds: rows, a read-only sparse CSR matrix of the law's distinct
+    rows, and pair_row, the row of every pair, so the law (pairs by states)
+    is rows[pair_row] and a plan's law P_pi is rows[pair_row[pairs]] at its
+    pairs.  A kernel-row model's rows are its kernel and its next_idx is
+    None; a dynamics model keeps next_idx, the (n_pairs, n_atoms) image of
+    every pair under every noise atom.  The tensor holds no reference to its
+    model, so a model is freed with its last reference.
     """
 
-    def __init__(self, P, next_idx, rows, pair_row):
-        self.P = P
-        self.next_idx = next_idx
-        self.rows = rows
-        self.pair_row = pair_row
+    def __init__(self, rows, pair_row, next_idx):
+        self.rows, self.pair_row, self.next_idx = rows, pair_row, next_idx
 
     def expect(self, values):
         """E[values(f(y,u,s))] for every pair, as a (n_pairs,) vector."""
         return (self.rows @ np.asarray(values, dtype=float))[self.pair_row]
 
     def push(self, pair_mass):
-        """Forward image: sum_(y,u) mass(y,u) P(.|y,u), a vector over states."""
-        return self.P.T @ np.asarray(pair_mass, dtype=float)
+        """Forward image sum_(y,u) mass(y,u) P(.|y,u), summed per distinct row first."""
+        return self.rows.T @ np.bincount(self.pair_row, np.asarray(pair_mass, dtype=float),
+                                         self.rows.shape[0])
 
 
 def _distinct_rows(next_idx, n_states):
@@ -199,24 +192,21 @@ def _distinct_rows(next_idx, n_states):
 
 def build_transition_tensor(model):
     """Build P(y'|y,u) = sum over noise atoms s with f(y,u,s)=y' of prob(s)
-    from the model's image table, or take a kernel-mode model's rows, and
-    group the pairs with equal images onto their distinct rows; the model
-    constructor calls this once."""
-    P, next_idx = model._kernel, model._next_idx
-    if P is None:
-        n_pairs, n_atoms = next_idx.shape
-        # atoms sharing an image are summed into one entry
-        P = sparse.csr_matrix((np.tile(model.noise, n_pairs),
-                               (np.repeat(np.arange(n_pairs), n_atoms), next_idx.ravel())),
-                              shape=(n_pairs, model.n_states))
-        first, pair_row = _distinct_rows(next_idx, model.n_states)
-        # equal images give equal rows of P, built by the same arithmetic
-        rows = P[first]
+    once per distinct row of the model's image table, or take a kernel-mode
+    model's rows; the model constructor calls this once."""
+    next_idx = model._next_idx
+    if next_idx is None:
+        rows, pair_row = model._kernel, np.arange(model.n_pairs)
     else:
-        rows, pair_row = P, np.arange(model.n_pairs)
-    for part in (P.data, P.indices, P.indptr, rows.data, rows.indices, rows.indptr, pair_row):
+        first, pair_row = _distinct_rows(next_idx, model.n_states)
+        n_rows, n_atoms = len(first), next_idx.shape[1]
+        # atoms sharing an image are summed into one entry
+        rows = sparse.csr_matrix((np.tile(model.noise, n_rows),
+                                  (np.repeat(np.arange(n_rows), n_atoms), next_idx[first].ravel())),
+                                 shape=(n_rows, model.n_states))
+    for part in (rows.data, rows.indices, rows.indptr, pair_row):
         part.flags.writeable = False
-    return TransitionTensor(P, next_idx, rows, pair_row)
+    return TransitionTensor(rows, pair_row, next_idx)
 
 
 def transition(model):
@@ -249,12 +239,12 @@ def validate(model):
         for a in np.flatnonzero(~((model.noise > 0.0) & (model.noise <= 1.0))):
             report.append(f"noise atom {a} has probability {model.noise[a].item()!r} "
                           "outside (0,1]")
-    elif not np.all(np.isfinite(tensor.P.data)):
+    elif not np.all(np.isfinite(tensor.rows.data)):
         report.append("transition rows contain non-finite entries")
     else:
-        if tensor.P.data.min(initial=0.0) < 0:
+        if tensor.rows.data.min(initial=0.0) < 0:
             report.append("transition rows contain negative entries")
-        bad = np.abs(np.asarray(tensor.P.sum(axis=1)).ravel() - 1.0) > ROW_SUM_TOL
+        bad = np.abs(np.asarray(tensor.rows.sum(axis=1)).ravel() - 1.0) > ROW_SUM_TOL
         if bad.any():
             report.append(f"{int(bad.sum())} transition rows do not sum to 1")
     if not np.all(np.isfinite(model.pair_cost)):
@@ -530,7 +520,7 @@ def save_model(model, path):
                  for (i, l), c in zip(pairs, model.pair_cost.tolist())],
     }
     if tensor.next_idx is None:
-        rows, starts = tensor.P.toarray().tolist(), model.state_pair_start.tolist()
+        rows, starts = tensor.rows.toarray().tolist(), model.state_pair_start.tolist()
         doc["transition"] = [rows[a:b] for a, b in zip(starts, starts[1:])]
     else:
         doc["noise"] = [{"id": a, "prob": p} for a, p in enumerate(model.noise.tolist())]

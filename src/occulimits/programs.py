@@ -153,17 +153,17 @@ def _lp_matrix(op):
     """The _MeasureOperator op assembled in CSC: B for "W_eps", [B; 1'] for
     "W" and [[B, 0], [1', 0], [E, B]] for "Omega".
 
-    E is the pair-to-state marginal block (a 1 at each pair's state) and
-    B = E - decay P^T the balance block, whose rows are "state marginal
-    minus decay times pushed mass".  Every block is CSC, so scipy stacks
-    their compressed arrays directly, without a COO detour.
+    E is the pair-to-state marginal block and B = E - decay P^T, with P =
+    rows[pair_row] the law, the balance block, whose rows are "state
+    marginal minus decay times pushed mass".  Every block is CSC, so scipy
+    stacks their compressed arrays directly, without a COO detour.
     """
-    model = op.model
+    model, tensor = op.model, transition(op.model)
     n, n_pairs = model.n_states, model.n_pairs
     col_ptr = np.arange(n_pairs + 1)
     # CSC like P^T: column p holds its single 1 at row pair_state[p]
     E = sparse.csc_matrix((np.ones(n_pairs), model.pair_state, col_ptr), shape=(n, n_pairs))
-    B = E - op.decay * transition(model).P.T
+    B = E - op.decay * tensor.rows[tensor.pair_row].T
     if op.kind == "W_eps":
         return B
     ones = sparse.csc_matrix((np.ones(n_pairs), np.zeros(n_pairs, dtype=np.int32), col_ptr),

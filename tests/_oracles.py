@@ -6,8 +6,9 @@ stationary distributions for the stationary LP value, exhaustive
 noise-sequence expansion for short-horizon plan values, plan enumeration
 for the optimal gain, value iteration for h_eps, the truncated
 geometric series for discounted occupations, the backward recursion
-that stores every stage's argmin as it goes, a stationary plan's law
-as a sparse product of pair weights and transition rows, and the balance
+that stores every stage's argmin as it goes, the transition law built
+pair by pair, a stationary plan's law as a sparse product of pair
+weights and transition rows, and the balance
 equations of W, W(eps, y0) and Omega(y0) written out by hand.
 The reference models rebuild the two examples pair by pair with Python
 scalars, as the vectorized builders must reproduce bit for bit.
@@ -38,6 +39,35 @@ def with_cost(model, pair_cost):
     """The dynamics model with its per-pair cost replaced."""
     return FiniteModel(model.states, state_controls(model), model.noise, pair_cost,
                        transition(model).next_idx, initial_index=model.initial_index)
+
+
+def law_matrix(model):
+    """The model's law, pairs by states, read as rows[pair_row]."""
+    tensor = transition(model)
+    return tensor.rows[tensor.pair_row]
+
+
+def pair_by_pair_law(model, kernel=None):
+    """The law, pairs by states, built one pair at a time as a CSR matrix
+    from the model's noise and images: each row holds its distinct images in
+    increasing order, each with its atoms' probabilities summed in atom
+    order.  A kernel-row model's rows are the nonzero entries of kernel."""
+    images = transition(model).next_idx
+    indptr, indices, data = [0], [], []
+    for p in range(model.n_pairs):
+        if kernel is None:
+            row = {}
+            for image, prob in zip(images[p].tolist(), model.noise.tolist()):
+                row[image] = row.get(image, 0.0) + prob
+        else:
+            row = {j: v for j, v in enumerate(kernel[p]) if v != 0.0}
+        for j in sorted(row):
+            indices.append(j)
+            data.append(row[j])
+        indptr.append(len(indices))
+    return sparse.csr_matrix((np.array(data, dtype=float), np.array(indices, dtype=np.int32),
+                              np.array(indptr, dtype=np.int32)),
+                             shape=(model.n_pairs, model.n_states))
 
 
 def rebuilt(model):
@@ -168,7 +198,7 @@ def _class_average(P, costs, members):
 def stationary_average_oracle(model):
     """min over deterministic stationary policies and their recurrent classes
     of the long-run average cost; equals the stationary LP value."""
-    rows = transition(model).P.toarray()
+    rows = law_matrix(model).toarray()
     best = np.inf
     for choice in product(*map(range, np.diff(model.state_pair_start))):
         pairs = [model.pair_index(i, l) for i, l in enumerate(choice)]
@@ -185,7 +215,7 @@ def optimal_gain_oracle(model):
     is the limit of the lazy chain ((I + P) / 2)^t, which has P's invariant
     laws and absorption probabilities; 60 squarings take t = 2^60, each
     renormalized, since squaring would double a row sum's rounding error."""
-    rows = transition(model).P.toarray()
+    rows = law_matrix(model).toarray()
     best = np.full(model.n_states, np.inf)
     for choice in product(*map(range, np.diff(model.state_pair_start))):
         pairs = [model.pair_index(i, l) for i, l in enumerate(choice)]
@@ -273,7 +303,7 @@ def plan_law(model, pair_weights):
     on = np.flatnonzero(w)
     to_state = sparse.csr_matrix((w[on], (model.pair_state[on], np.arange(len(on)))),
                                  shape=(model.n_states, len(on)))
-    return to_state @ transition(model).P[on]
+    return to_state @ law_matrix(model)[on]
 
 
 def truncated_discounted_occupation(model, plan, y0, eps, tail_tol):

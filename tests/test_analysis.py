@@ -4,9 +4,10 @@ import pytest
 from occulimits.analysis import (CertificateError, abel_window, bounds_report,
                                  cesaro_window, check_window, dual_from_expansion,
                                  verify_long_run_optimality)
-from occulimits.dp import Plan, finite_horizon_values, greedy_feedback_from_eta
+from occulimits.dp import (Plan, discounted_values, finite_horizon_values,
+                          greedy_feedback_from_eta)
 from occulimits.measures import (check_eps, discounted_occupation, occupation_measure,
-                                 pair_laws, propagate)
+                                 pair_laws, prg_detect, propagate)
 from occulimits.model import (FiniteModel, TransitionTensor, example1_model,
                               example2_model)
 from occulimits.programs import (DualCertificate, GMeasure, augmented_lp,
@@ -345,6 +346,40 @@ def test_a_horizon_or_discount_that_is_not_a_number_is_refused(entry):
     for value in not_numbers:
         with pytest.raises(ValueError, match=rf"{name}=.* is not a number"):
             call(m, value)
+
+
+# entry point: (a callable taking the argument, the argument's name); each
+# is called with a string, None and True, except user_slack, whose None is
+# its default
+NOT_A_POSITIVE_NUMBER_CASES = {
+    "discounted_values_tol": (lambda m, v: discounted_values(m, 0.1, tol=v), "tol"),
+    "prg_detect_tol": (lambda m, v: prg_detect(m, _myopic(m), 0, 10, tol=v), "tol"),
+    "discounted_occupation_tail_tol": (
+        lambda m, v: discounted_occupation(m, _myopic(m), 0, 0.1, tail_tol=v), "tail_tol"),
+    "check_window_tol": (lambda m, v: check_window(0, 5, v), "tol"),
+    "abel_window_delta": (lambda m, v: abel_window(lambda t: 0.4, 1.0, 0.1, v), "delta"),
+    "abel_window_M": (lambda m, v: abel_window(lambda t: 0.4, v, 0.1, 0.5), "M"),
+    "cesaro_window_delta": (lambda m, v: cesaro_window([0.4] * 5, 5, v), "delta"),
+    "bounds_report_user_slack": (
+        lambda m, v: bounds_report(m, 1, [1, 3], [0.5], user_slack=v), "user_slack"),
+}
+NOT_NUMBERS = {"string": "x", "None": None, "bool": True}
+
+
+def _myopic(m):
+    return greedy_feedback_from_eta(m, np.zeros(m.n_states))
+
+
+@pytest.mark.parametrize("entry, kind", [
+    (entry, kind) for entry in sorted(NOT_A_POSITIVE_NUMBER_CASES) for kind in NOT_NUMBERS
+    if (entry, kind) != ("bounds_report_user_slack", "None")])
+def test_a_tolerance_or_bound_that_is_not_a_number_is_refused(entry, kind):
+    # a string or None used to escape as a bare TypeError from math.isfinite,
+    # and True to be read as 1.0
+    call, name = NOT_A_POSITIVE_NUMBER_CASES[entry]
+    value = NOT_NUMBERS[kind]
+    with pytest.raises(ValueError, match=rf"{name}={value!r} (is not a number|must be)"):
+        call(example1_model(0.5), value)
 
 
 def test_abel_window_constant_sequence():

@@ -20,7 +20,7 @@ from occulimits.model import (NOISE_NORMALIZATION_TOL, ModelError, example1_mode
                               validate)
 from occulimits.suite import random_model
 
-from _oracles import no_policy_iteration, with_cost
+from _oracles import law_matrix, no_policy_iteration, with_cost
 
 
 def run(capsys, *argv):
@@ -185,7 +185,7 @@ def test_load_model_fuzzed_docs(tmp_path_factory, edits, data):
     except ModelError:
         return
     assert validate(m) == []
-    sums = np.asarray(transition(m).P.sum(axis=1)).ravel()
+    sums = np.asarray(law_matrix(m).sum(axis=1)).ravel()
     # a dynamics row sums the noise probabilities validate summed, in another order
     assert np.all(np.abs(sums - 1.0) <= NOISE_NORMALIZATION_TOL + 4 * np.finfo(float).eps)
 

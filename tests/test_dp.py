@@ -135,6 +135,18 @@ def test_greedy_feedback_zero_eta_is_myopic():
         assert int(plan.selector[i]) == int(np.argmin(costs))
 
 
+@pytest.mark.parametrize("shape", ["column", "row", "scalar", "one_too_many"])
+def test_greedy_feedback_refuses_a_badly_shaped_eta(shape):
+    # a column eta used to broadcast the pair costs to n_pairs x n_pairs and
+    # return a plan whose selector had one row per pair; m=3 keeps that small
+    m = example2_model(3)
+    n = m.n_states
+    eta = {"column": np.zeros((n, 1)), "row": np.zeros((1, n)), "scalar": np.zeros(()),
+           "one_too_many": np.zeros(n + 1)}[shape]
+    with pytest.raises(ValueError, match=rf"eta needs shape \({n},\), have"):
+        greedy_feedback_from_eta(m, eta)
+
+
 def test_staged_plan_reproduces_vT():
     m = random_model(21)
     T = 9

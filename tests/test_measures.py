@@ -11,7 +11,8 @@ from occulimits.model import FiniteModel, example1_model, example2_model, transi
 from occulimits.programs import GMeasure, membership_residuals
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import plan_law, state_controls, truncated_discounted_occupation
+from _oracles import (law_matrix, pair_by_pair_law, plan_law, state_controls,
+                      truncated_discounted_occupation)
 
 
 def example1_optimal_plan(m):
@@ -48,18 +49,33 @@ def test_two_state_two_step_hand_law():
     assert np.allclose(path[2], [0.51, 0.49], atol=1e-15)
 
 
+def _summation_bound(n_terms):
+    """gamma_n = n u / (1 - n u) with u = 2^-53: an inner product of n terms,
+    summed in any order, is within gamma_n sum |term| of the exact sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1)."""
+    nu = n_terms * 2.0 ** -53
+    return nu / (1.0 - nu)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_pair_laws_match_the_reference_recursion(seed):
     m = random_model(seed)
     _, plan = finite_horizon_values(m, 10)  # ten stages: enough for mu_0..mu_10
     laws = list(pair_laws(m, plan, 0, 10))
     assert len(laws) == 10
+    dense = pair_by_pair_law(m).toarray()
     mu = np.zeros(m.n_states)
     mu[0] = 1.0
     for t, (mu_t, law) in enumerate(laws):
         assert np.array_equal(mu_t, mu)
         assert np.array_equal(law, mu[m.pair_state] * plan.pair_weights(m, t))
-        mu = transition(m).P.T @ law
+        mu = transition(m).push(law)
+        # push (law summed per distinct row, then multiplied) and the dense
+        # product sum the n_pairs terms law(p) P(y'|p) in different orders;
+        # each is within gamma_(n_pairs+1) sum law of the exact sum (law >= 0
+        # and P <= 1), so they differ by at most twice that
+        gap = np.abs(mu - dense.T @ law)
+        assert np.all(gap <= 2.0 * _summation_bound(m.n_pairs + 1) * law.sum())
     path = propagate(m, plan, 0, 10)
     assert np.array_equal(path, np.vstack([mu_t for mu_t, _ in laws] + [mu]))
 
@@ -246,7 +262,7 @@ def _law_model(name):
     if name == "kernel":
         m = random_model(5)
         return FiniteModel(m.states, state_controls(m), [], m.pair_cost,
-                           kernel=transition(m).P.toarray())
+                           kernel=law_matrix(m).toarray())
     return random_model(int(name))
 
 
@@ -261,7 +277,7 @@ def test_plan_law_by_row_selection_matches_the_product(name):
     # the sparse product leaves column indices unsorted, so both sides are
     # compared with sorted indices; indptr, indices and data must be equal
     m = _law_model(name)
-    P = transition(m).P
+    P = law_matrix(m)
     starts = m.state_pair_start[:-1]
     for seed, randomized in ((0, False), (1, True), (2, True)):
         plan = random_stationary_plan(m, seed, randomized)

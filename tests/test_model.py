@@ -17,19 +17,19 @@ from occulimits.model import (NOISE_NORMALIZATION_TOL, ROW_SUM_TOL, FiniteModel,
 from occulimits.programs import average_cost_solution
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import (plan_law, reference_example1_family_model, reference_example1_model,
-                      reference_example2_model, state_controls)
+from _oracles import (law_matrix, pair_by_pair_law, plan_law, reference_example1_family_model,
+                      reference_example1_model, reference_example2_model, state_controls)
 
 
 def assert_same_arrays(a, b):
     """Bit-for-bit equal states, controls, noise, pair costs, images and CSR
-    transition law."""
+    transition law: its distinct rows and the row of every pair."""
     ta, tb = transition(a), transition(b)
     for x, y in ((a.states, b.states), (a.pair_control, b.pair_control),
                  (a.state_pair_start, b.state_pair_start), (a.noise, b.noise),
                  (a.pair_cost, b.pair_cost), (ta.next_idx, tb.next_idx),
-                 (ta.P.indptr, tb.P.indptr), (ta.P.indices, tb.P.indices),
-                 (ta.P.data, tb.P.data)):
+                 (ta.rows.indptr, tb.rows.indptr), (ta.rows.indices, tb.rows.indices),
+                 (ta.rows.data, tb.rows.data), (ta.pair_row, tb.pair_row)):
         assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
@@ -40,7 +40,7 @@ def single_state_model():
 
 def test_single_state_forced_row():
     tensor = build_transition_tensor(single_state_model())
-    assert np.allclose(tensor.P.toarray(), [[1.0]])
+    assert np.allclose(tensor.rows[tensor.pair_row].toarray(), [[1.0]])
 
 
 def test_example1_transition_row_matches_dynamics():
@@ -48,7 +48,7 @@ def test_example1_transition_row_matches_dynamics():
     tensor = build_transition_tensor(m)
     # state +0.5 (index 1), control -1 (local 0): images 0.5*(-1)*s
     p = m.pair_index(1, 0)
-    row = tensor.P[p].toarray().ravel()
+    row = tensor.rows[tensor.pair_row[p]].toarray().ravel()
     assert row[m.nearest_state(-0.5)] == pytest.approx(0.75, abs=1e-15)
     assert row[m.nearest_state(0.5)] == pytest.approx(0.25, abs=1e-15)
 
@@ -58,31 +58,35 @@ def test_three_state_rows_match_hand_enumeration():
     m = FiniteModel(states=[0.0, 1.0, 2.0], controls=[[0.0]] * 3, noise=[0.6, 0.4],
                     pair_cost=[0.0] * 3, next_idx=[[1, 2], [1, 1], [0, 1]])
     tensor = build_transition_tensor(m)
-    assert np.allclose(tensor.P.toarray(), [[0.0, 0.6, 0.4],
-                                            [0.0, 1.0, 0.0],
-                                            [0.6, 0.4, 0.0]])
+    assert np.allclose(tensor.rows[tensor.pair_row].toarray(), [[0.0, 0.6, 0.4],
+                                                                [0.0, 1.0, 0.0],
+                                                                [0.6, 0.4, 0.0]])
+
+
+KERNEL = [[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]]
 
 
 def _law_models():
-    """Suite seeds 0..49, example 1, example 2 at m=2..8 and a kernel-row model."""
-    yield from (random_model(seed) for seed in range(50))
-    yield example1_model(0.5)
-    yield from (example2_model(m) for m in range(2, 9))
+    """(model, kernel) for suite seeds 0..49, example 1, example 2 at m=2..8
+    and a kernel-row model; kernel is None for a dynamics model."""
+    yield from ((random_model(seed), None) for seed in range(50))
+    yield example1_model(0.5), None
+    yield from ((example2_model(m), None) for m in range(2, 9))
     yield FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0, 1.0]], noise=[],
-                      pair_cost=[1.0, 0.0, 2.0], kernel=[[0.5, 0.5], [1.0, 0.0], [0.5, 0.5]])
+                      pair_cost=[1.0, 0.0, 2.0], kernel=KERNEL), KERNEL
 
 
 def test_distinct_rows_read_the_law_bit_for_bit():
     rng = np.random.default_rng(20)
     count = 0
-    for m in _law_models():
+    for m, kernel in _law_models():
         tensor = transition(m)
-        P, shared = tensor.P, tensor.rows[tensor.pair_row]
-        for x, y in ((shared.indptr, P.indptr), (shared.indices, P.indices),
-                     (shared.data, P.data)):
+        law, shared = pair_by_pair_law(m, kernel), tensor.rows[tensor.pair_row]
+        for x, y in ((shared.indptr, law.indptr), (shared.indices, law.indices),
+                     (shared.data, law.data)):
             assert x.dtype == y.dtype and np.array_equal(x, y)
         v = rng.standard_normal(m.n_states)
-        assert np.array_equal(tensor.expect(v), P @ v)
+        assert np.array_equal(tensor.expect(v), law @ v)
         count += 1
     assert count == 59
     # example 2's images u s do not depend on y: few distinct rows
@@ -303,7 +307,7 @@ def test_constructed_models_are_valid_finite_models(arrays):
     assert validate(m) == []
     curve, _ = finite_horizon_values(m, 3)
     assert all(np.all(np.isfinite(vf.values)) for vf in curve)
-    sums = np.asarray(transition(m).P.sum(axis=1)).ravel()
+    sums = np.asarray(law_matrix(m).sum(axis=1)).ravel()
     # a dynamics row sums the noise probabilities validate summed, in another order
     tol = max(NOISE_NORMALIZATION_TOL, ROW_SUM_TOL) + 4 * np.finfo(float).eps
     assert np.all(np.abs(sums - 1.0) <= tol)
@@ -419,9 +423,10 @@ def test_example2_snapping_preserves_sign():
 def test_rows_nonnegative_and_normalized(seed):
     m = random_model(seed)
     tensor = build_transition_tensor(m)
-    sums = np.asarray(tensor.P.sum(axis=1)).ravel()
+    law = tensor.rows[tensor.pair_row]
+    sums = np.asarray(law.sum(axis=1)).ravel()
     assert np.all(np.abs(sums - 1.0) <= 1e-12)
-    assert tensor.P.min() >= 0.0
+    assert law.min() >= 0.0
 
 
 def test_load_single_state_file(tmp_path):
@@ -461,7 +466,7 @@ def test_load_transition_mode(tmp_path):
     path.write_text(json.dumps(doc))
     m = load_model(path)
     tensor = transition(m)
-    assert np.allclose(tensor.P[0].toarray(), [[0.3, 0.7]])
+    assert np.allclose(tensor.rows[tensor.pair_row[0]].toarray(), [[0.3, 0.7]])
     assert np.allclose(tensor.push(np.array([1.0, 0.0])), [0.3, 0.7])
 
 
@@ -469,7 +474,7 @@ def test_load_transition_mode(tmp_path):
 def test_plan_matrix_factored_and_kernel_rows_agree(seed):
     # a randomized plan's law, and the discounted occupation that solves with it
     m = random_model(seed)
-    rows = transition(m).P.toarray()
+    rows = law_matrix(m).toarray()
     kernel = FiniteModel(states=m.states, controls=state_controls(m), noise=[],
                          pair_cost=m.pair_cost, kernel=rows)
     plan = random_stationary_plan(m, seed, randomized=True)
@@ -485,7 +490,8 @@ def test_plan_matrix_factored_and_kernel_rows_agree(seed):
     dyn, ker = transition(m), transition(kernel)
     assert np.allclose(dyn.expect(values), ker.expect(values), rtol=0, atol=1e-15)
     assert np.allclose(dyn.push(w), ker.push(w), rtol=0, atol=1e-15)
-    assert np.allclose(dyn.P.toarray(), ker.P.toarray(), rtol=0, atol=1e-15)
+    assert np.allclose(law_matrix(m).toarray(), law_matrix(kernel).toarray(),
+                       rtol=0, atol=1e-15)
 
 
 def test_load_rejects_bad_noise_sum(tmp_path):
@@ -575,10 +581,14 @@ def test_model_fields_cannot_be_assigned(name):
 
 
 @pytest.mark.parametrize("part", ["pair_cost", "pair_state", "pair_local",
-                                  "state_pair_start", "P.data", "P.indices", "P.indptr",
-                                  "states", "pair_control", "noise"])
+                                  "state_pair_start", "rows.data", "rows.indices",
+                                  "rows.indptr", "pair_row", "next_idx", "states",
+                                  "pair_control", "noise"])
 def test_model_arrays_are_read_only(part):
     m = random_model(0)
-    owner, attr = (transition(m).P, part[2:]) if part.startswith("P.") else (m, part)
+    name, _, field = part.partition(".")
+    array = getattr(transition(m) if name in ("rows", "pair_row", "next_idx") else m, name)
+    if field:
+        array = getattr(array, field)
     with pytest.raises(ValueError, match="read-only"):
-        getattr(owner, attr)[0] = 1
+        array[0] = 1

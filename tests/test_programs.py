@@ -18,7 +18,7 @@ from occulimits.programs import (GMeasure, SolverError, augmented_lp,
                                  membership_residuals, stationary_lp)
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import (membership_oracle, no_policy_iteration, rebuilt,
+from _oracles import (law_matrix, membership_oracle, no_policy_iteration, rebuilt,
                       stationary_average_oracle, state_controls, with_cost)
 
 
@@ -504,7 +504,7 @@ def _block_matrix(model, kind, decay=1.0):
     n_pairs = model.n_pairs
     E = sparse.csc_matrix((np.ones(n_pairs), model.pair_state, np.arange(n_pairs + 1)),
                           shape=(model.n_states, n_pairs))
-    B = E - decay * transition(model).P.T
+    B = E - decay * law_matrix(model).T
     ones = np.ones((1, n_pairs))
     return {"W_eps": B,
             "W": sparse.vstack([B, ones]),

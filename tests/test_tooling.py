@@ -42,6 +42,57 @@ def test_every_traced_target_exists():
     assert tracing.is_clean()
 
 
+def _library_reads(path):
+    """Every dotted name, such as model_mod.TransitionTensor.push, that the
+    file at path reads off a module it imports from occulimits."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "occulimits":
+            modules.update({a.asname or a.name: "occulimits." + a.name for a in node.names})
+        elif isinstance(node, ast.Import):
+            modules.update({a.asname or a.name: a.name for a in node.names
+                            if a.name == "occulimits"})
+    reads = set()
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            reads.add((modules[node.id], node.id, tuple(chain)))
+    return reads
+
+
+def _exists(module, chain):
+    owner = importlib.import_module(module)
+    for attr in chain:
+        if not hasattr(owner, attr):
+            return False
+        owner = getattr(owner, attr)
+    return True
+
+
+def test_every_benchmark_call_site_exists():
+    # the benchmark's workloads call the library by name as well
+    reads = set().union(*(_library_reads(TRACING.parent / name)
+                          for name in ("workloads.py", "run.py", "tracing.py")))
+    names = {".".join((alias, *chain)) for _, alias, chain in reads}
+    assert {"model_mod.transition", "dp.discounted_values", "measures.discounted_occupation",
+            "programs.membership_residuals", "suite.random_model", "cli.main"} <= names
+    missing = sorted(".".join((alias, *chain)) for module, alias, chain in reads
+                     if not _exists(module, chain))
+    assert missing == [], f"perfbench reads names the library lacks: {missing}"
+
+
+def test_no_module_reads_a_full_law_matrix():
+    # the law is held once, as its distinct rows and the row of every pair
+    reads = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "P"]
+    assert reads == []
+
+
 def test_lp_size_reads_the_model():
     # perfbench sizes each traced LP from n_pairs and len(model.noise)
     tracing = _load_tracing()
@@ -213,8 +264,9 @@ def test_suite_models_are_pinned():
     for seed in range(2000):
         m = random_model(seed)
         tensor = transition(m)
-        for part in (m.pair_cost, tensor.next_idx, tensor.P.indptr, tensor.P.indices,
-                     tensor.P.data, m.states, m.state_pair_start, m.pair_control, m.noise):
+        law = tensor.rows[tensor.pair_row]
+        for part in (m.pair_cost, tensor.next_idx, law.indptr, law.indices,
+                     law.data, m.states, m.state_pair_start, m.pair_control, m.noise):
             digest.update(part.dtype.str.encode())
             digest.update(part.tobytes())
     assert digest.hexdigest() == SUITE_DIGEST
