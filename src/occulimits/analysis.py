@@ -225,7 +225,7 @@ def dual_from_expansion(model, Ts):
     v = (t2 * v2 - t1 * v1) / (t2 - t1)
     eta = t2 * (v2 - v)
     tensor = transition(model)
-    bellman = model.pair_cost - v[model.pair_state] + tensor.expect(eta) - eta[model.pair_state]
+    bellman = model.pair_cost - model.at_pairs(v) + tensor.expect(eta) - model.at_pairs(eta)
     return ExpansionDual(psi=v, eta=eta, residual=abs(float(bellman.min())))
 
 

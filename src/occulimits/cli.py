@@ -214,6 +214,9 @@ def main(argv=None):
     except programs.SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # an input too large for this machine, say a large --m
+        print(f"input error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -66,12 +66,20 @@ class Plan:
         elif self.kind == "stationary_randomized":
             if len(self.selector) != model.n_states:
                 raise ValueError("plan/model mismatch: one probability row per state required")
-            for i, row in enumerate(self.selector):
-                row = np.asarray(row)
-                if row.shape != (sizes[i],) or not np.all(np.isfinite(row)) or np.any(row < 0):
+            rows = [np.asarray(row) for row in self.selector]
+            # the rows before the first badly shaped one are checked as one array
+            n_ok = next((i for i, row in enumerate(rows) if row.shape != (sizes[i],)), len(rows))
+            flat = np.concatenate(rows[:n_ok] or [np.zeros(0)])
+            bad = np.bincount(model.pair_state[:len(flat)], ~np.isfinite(flat) | (flat < 0),
+                              n_ok) > 0
+            # each row's own sum, which a vectorized sum would not give bit for bit
+            off = [b or abs(row.sum() - 1.0) > 1e-12 for row, b in zip(rows, bad)]
+            i = np.flatnonzero(off + [True])[0]  # n_ok if every row until then is good
+            if i < len(rows):
+                if i == n_ok or bad[i]:
                     raise ValueError(f"plan/model mismatch: bad probability row at state {i}")
-                if abs(row.sum() - 1.0) > 1e-12:
-                    raise ValueError(f"plan/model mismatch: row at state {i} sums to {row.sum()!r}")
+                raise ValueError(f"plan/model mismatch: row at state {i} sums to "
+                                 f"{rows[i].sum()!r}")
         else:
             raise ValueError(f"unknown plan kind {self.kind!r}")
 
@@ -99,12 +107,17 @@ class Plan:
 
 
 def _group_min(model, q):
-    starts = model.state_pair_start[:-1]
+    """(vmin, sel): the least q(y, u) of every state y, and the lowest local
+    control index that attains it.  One pass: the pairs with q <= vmin are
+    listed once, and, as pairs are numbered state by state, a state's first
+    one is found by binary search from its first pair.  A state with none,
+    whose minimum is NaN, gets sel = n_pairs + 1."""
+    starts, ends = model.state_pair_start[:-1], model.state_pair_start[1:]
     vmin = np.minimum.reduceat(q, starts)
-    # lowest admissible control index among the minimizers
-    cand = np.where(q <= vmin[model.pair_state], model.pair_local, model.n_pairs + 1)
-    sel = np.minimum.reduceat(cand, starts)
-    return vmin, sel.astype(np.int64)
+    # the appended hit, at n_pairs, ends the search of the last states
+    hits = np.flatnonzero(np.append(q <= model.at_pairs(vmin), True))
+    first = hits[np.searchsorted(hits, starts)]
+    return vmin, np.where(first < ends, first - starts, model.n_pairs + 1)
 
 
 def finite_horizon_values(model, T):
@@ -137,10 +150,10 @@ def finite_horizon_values(model, T):
 
 def _stage_costs(tensor, k, v, tau):
     """q = k + (tau-1) E[v], the stage costs with tau stages to go, built in
-    one buffer; finite_horizon_values and StagedSelectors share it, so a
-    selector sees the recursion's q bit for bit."""
-    q = tensor.expect(v)
-    q *= tau - 1
+    one buffer, with tau-1 applied to the law's distinct rows; the
+    recursion and StagedSelectors share it, so a selector sees the
+    recursion's q bit for bit."""
+    q = tensor.expect(v, tau - 1)
     q += k
     return q
 
@@ -199,7 +212,8 @@ def discounted_values(model, eps, tol=DEFAULT_TOL):
     for _ in range(PI_ITERATION_CAP):
         pairs = starts + sel
         h = spsolve(eye - decay * tensor.rows[tensor.pair_row[pairs]], k_eps[pairs])
-        q = k_eps + decay * tensor.expect(h)
+        q = tensor.expect(h, decay)
+        q += k_eps
         vmin, best = _group_min(model, q)
         improve = vmin < q[pairs] - IMPROVEMENT_TOL * (1.0 + np.abs(h))
         if not improve.any():
@@ -223,6 +237,31 @@ def _factor(matrix):
         raise SolverError(f"policy evaluation: {exc}") from exc
 
 
+def _eye_minus(row, col, val, n, ref=None):
+    """I - Q as an n x n CSC matrix, Q holding val at (row, col), each
+    position at most once; with ref, the column of every reference y
+    (ref[y] == y) is replaced by the indicator of its class, the x with
+    ref[x] == y.  The entries are ordered by column and then row, and exact
+    zeros are dropped, as scipy's sparse sums and products drop them."""
+    diag = np.ones(n)
+    loop = row == col
+    diag[row[loop]] -= val[loop]
+    row = np.concatenate([row[~loop], np.arange(n)])
+    col = np.concatenate([col[~loop], np.arange(n)])
+    val = np.concatenate([-val[~loop], diag])
+    if ref is not None:
+        kept = col != ref[col]
+        row = np.concatenate([row[kept], np.arange(n)])
+        col = np.concatenate([col[kept], ref])
+        val = np.concatenate([val[kept], np.ones(n)])
+    keep = val != 0
+    row, col, val = row[keep], col[keep], val[keep]
+    order = np.lexsort((row, col))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(col, minlength=n))
+    return sparse.csc_matrix((val[order], row[order].astype(np.int32), indptr), shape=(n, n))
+
+
 class ClosedClasses:
     """The closed classes of a stationary plan's law P_pi and the two sparse
     factorizations that its evaluation and its limiting law share.
@@ -235,34 +274,50 @@ class ClosedClasses:
     The recurrent matrix is I - P_pi over the recurrent states with the
     column of each class's lowest state, its reference, replaced by the
     class indicator; the transient matrix is I - Q, with Q = P_pi over the
-    transient states.
+    transient states.  Both, and P_pi from the transient to the recurrent
+    states, are assembled in one pass over P_pi's entries; their CSC and
+    CSR arrays are those scipy's operator chain (identity minus the
+    fancy-indexed blocks, times a diagonal, plus the indicator) gives.
     """
 
     def __init__(self, p_pi):
         p_pi = sparse.csr_matrix(p_pi)
         p_pi.eliminate_zeros()
+        n = p_pi.shape[0]
         n_comp, comp = connected_components(p_pi, directed=True, connection="strong")
-        rows, cols = p_pi.nonzero()
-        leaving = comp[rows] != comp[cols]
+        # P_pi's entries (row, col, val), row by row
+        row = np.repeat(np.arange(n), np.diff(p_pi.indptr))
+        col, val = p_pi.indices, p_pi.data
         is_open = np.zeros(n_comp, dtype=bool)
-        is_open[comp[rows[leaving]]] = True
-        self.rec = np.flatnonzero(~is_open[comp])
-        self.tra = np.flatnonzero(is_open[comp])
+        is_open[comp[row[comp[row] != comp[col]]]] = True
+        transient = is_open[comp]
+        self.rec = np.flatnonzero(~transient)
+        self.tra = np.flatnonzero(transient)
         # _ref[j]: position in rec of the reference of the class of rec[j]
         _, first, inverse = np.unique(comp[self.rec], return_index=True,
                                       return_inverse=True)
         self._ref = first[inverse]
-        self.label = np.full(p_pi.shape[0], -1)
+        self.label = np.full(n, -1)
         self.label[self.rec] = inverse
-        n_rec = len(self.rec)
+        n_rec, n_tra = len(self.rec), len(self.tra)
         self._is_ref = self._ref == np.arange(n_rec)
-        indicator = sparse.csr_matrix((np.ones(n_rec), (np.arange(n_rec), self._ref)),
-                                      shape=(n_rec, n_rec))
-        self._lu_rec = _factor((sparse.identity(n_rec) - p_pi[self.rec][:, self.rec])
-                               @ sparse.diags(1.0 - self._is_ref) + indicator)
-        self._p_tr = p_pi[self.tra][:, self.rec]
-        self._lu_tra = _factor(sparse.identity(len(self.tra))
-                               - p_pi[self.tra][:, self.tra]) if len(self.tra) else None
+        # every state's position in rec or in tra
+        at = np.empty(n, dtype=np.int64)
+        at[self.rec], at[self.tra] = np.arange(n_rec), np.arange(n_tra)
+        row_t, col_t = transient[row], transient[col]
+
+        def entries(block):
+            return at[row[block]], at[col[block]], val[block]
+
+        self._lu_rec = _factor(_eye_minus(*entries(~row_t & ~col_t), n_rec, self._ref))
+        r, c, v = entries(row_t & ~col_t)
+        indptr = np.zeros(n_tra + 1, dtype=np.int32)
+        indptr[1:] = np.cumsum(np.bincount(r, minlength=n_tra))
+        parts = v, c.astype(np.int32), indptr
+        self._p_tr = sparse.csr_matrix(parts, shape=(n_tra, n_rec))
+        # its transpose, on the same arrays
+        self._p_tr_t = sparse.csc_matrix(parts, shape=(n_rec, n_tra))
+        self._lu_tra = _factor(_eye_minus(*entries(row_t & col_t), n_tra)) if n_tra else None
 
     def evaluate(self, r):
         """Gain g and bias h of the per-state cost r: g = P_pi g and
@@ -309,7 +364,7 @@ class ClosedClasses:
         inflow = start[self.rec]
         if self._lu_tra is not None:
             w[self.tra] = self._lu_tra.solve(start[self.tra], trans="T")
-            inflow = inflow + self._p_tr.T @ w[self.tra]
+            inflow = inflow + self._p_tr_t @ w[self.tra]
         pi = self.stationary_laws()[self.rec]
         classes = self.label[self.rec]
         p_rec = pi * np.bincount(classes, weights=inflow)[classes]
@@ -368,7 +423,7 @@ def average_cost_policy_iteration(model):
         margin = IMPROVEMENT_TOL * (1.0 + np.abs(g))
         improve = g_min < eg[pairs] - margin
         if not improve.any():
-            tight = eg <= (g_min + margin)[model.pair_state]
+            tight = eg <= model.at_pairs(g_min + margin)
             q = np.where(tight, k + tensor.expect(h), np.inf)
             q_min, best = _group_min(model, q)
             improve = q_min < q[pairs] - IMPROVEMENT_TOL * (1.0 + np.abs(h))

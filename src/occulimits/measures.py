@@ -97,7 +97,7 @@ def pair_laws(model, plan, y0, T):
     for t in range(T):
         if t:  # pushed on demand, so no law past the last is pushed
             mu = tensor.push(law)
-        law = mu[model.pair_state] * plan.pair_weights(model, t)
+        law = model.at_pairs(mu) * plan.pair_weights(model, t)
         yield mu, law
 
 
@@ -156,7 +156,7 @@ def discounted_occupation(model, plan, y0, eps, tail_tol):
         rhs = np.zeros(model.n_states)
         rhs[y0] = eps
         nu = spsolve((sparse.identity(model.n_states, format="csr") - (1.0 - eps) * p_pi).T, rhs)
-        weights = nu[model.pair_state] * w
+        weights = model.at_pairs(nu) * w
     return GMeasure(weights=weights / weights.sum())
 
 
@@ -168,7 +168,7 @@ def canonical_test_family(model, max_degree=3, max_size=32):
     over the pairs; identically-zero monomials are skipped.  Truncated at
     max_size functions.
     """
-    coords = np.hstack([model.states[model.pair_state], model.pair_control])
+    coords = np.hstack([model.at_pairs(model.states), model.pair_control])
     d = coords.shape[1]
     tables = []
     for total in range(max_degree + 1):

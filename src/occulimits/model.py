@@ -46,6 +46,8 @@ class FiniteModel:
         pair_state, pair_local: state and local control index of every pair.
         state_pair_start: first pair of every state, then n_pairs.
         pair_cost: k(y, u) of every pair.
+
+    at_pairs(x) spreads a per-state x over the pairs.
     """
 
     def __init__(self, states, controls, noise, pair_cost, next_idx=None, kernel=None,
@@ -82,7 +84,7 @@ class FiniteModel:
         fields = {"states": states,
                   "pair_control": np.concatenate(filled) if filled else np.zeros((0, 1)),
                   "noise": noise, "initial_index": initial_index,
-                  "state_pair_start": starts, "pair_state": pair_state,
+                  "state_pair_start": starts, "pair_state": pair_state, "_sizes": sizes,
                   "pair_local": np.arange(n_pairs) - starts[pair_state],
                   "pair_cost": pair_cost,
                   # the law's inputs, read by build_transition_tensor
@@ -114,6 +116,12 @@ class FiniteModel:
     def cost_bound(self):
         """Bound M on |k|, computed from the table rather than user-supplied."""
         return float(np.max(np.abs(self.pair_cost)))
+
+    def at_pairs(self, x):
+        """x(y) at every pair (y, u), x[pair_state] bit for bit, read by
+        np.repeat since the pairs are numbered state by state; x holds one
+        entry (or row) per state."""
+        return np.repeat(x, self._sizes, axis=0)
 
     def pair_index(self, state, local):
         return int(self.state_pair_start[state]) + local
@@ -157,22 +165,29 @@ class TransitionTensor:
     model kinds: rows, a read-only sparse CSR matrix of the law's distinct
     rows, and pair_row, the row of every pair, so the law (pairs by states)
     is rows[pair_row] and a plan's law P_pi is rows[pair_row[pairs]] at its
-    pairs.  A kernel-row model's rows are its kernel and its next_idx is
-    None; a dynamics model keeps next_idx, the (n_pairs, n_atoms) image of
-    every pair under every noise atom.  The tensor holds no reference to its
-    model, so a model is freed with its last reference.
+    pairs.  rows_t is rows.T, built once and sharing rows' read-only
+    arrays, which push reads.  A kernel-row model's rows are its kernel and
+    its next_idx is None; a dynamics model keeps next_idx, the (n_pairs,
+    n_atoms) image of every pair under every noise atom.  The tensor holds
+    no reference to its model, so a model is freed with its last reference.
     """
 
     def __init__(self, rows, pair_row, next_idx):
         self.rows, self.pair_row, self.next_idx = rows, pair_row, next_idx
+        self.rows_t = rows.T
 
-    def expect(self, values):
-        """E[values(f(y,u,s))] for every pair, as a (n_pairs,) vector."""
-        return (self.rows @ np.asarray(values, dtype=float))[self.pair_row]
+    def expect(self, values, scale=1.0):
+        """scale * E[values(f(y,u,s))] for every pair, as a (n_pairs,) vector.
+        The scale multiplies the distinct rows' values before they are read
+        at the pairs, which is bit for bit the product after."""
+        row_values = self.rows @ np.asarray(values, dtype=float)
+        if scale != 1.0:
+            row_values *= scale
+        return row_values[self.pair_row]
 
     def push(self, pair_mass):
         """Forward image sum_(y,u) mass(y,u) P(.|y,u), summed per distinct row first."""
-        return self.rows.T @ np.bincount(self.pair_row, np.asarray(pair_mass, dtype=float),
+        return self.rows_t @ np.bincount(self.pair_row, np.asarray(pair_mass, dtype=float),
                                          self.rows.shape[0])
 
 

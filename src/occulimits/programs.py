@@ -75,11 +75,12 @@ class DualCertificate:
         if np.shape(self.psi) != (model.n_states,) or np.shape(self.eta) != (model.n_states,):
             raise ValueError(f"psi and eta need shape ({model.n_states},), have "
                              f"{np.shape(self.psi)} and {np.shape(self.eta)}")
-        tensor, s = transition(model), model.pair_state
+        tensor = transition(model)
+        psi_at = model.at_pairs(self.psi)
         theta_pair = np.zeros(model.n_pairs) if theta is None else _check_theta(model, theta)
-        return (model.pair_cost + (self.psi[y0] - self.psi[s])
-                + tensor.expect(self.eta) - self.eta[s] - self.mu,
-                tensor.expect(self.psi) - self.psi[s] + theta_pair)
+        return (model.pair_cost + (self.psi[y0] - psi_at)
+                + tensor.expect(self.eta) - model.at_pairs(self.eta) - self.mu,
+                tensor.expect(self.psi) - psi_at + theta_pair)
 
     def violations(self, model, y0, theta=None):
         """Worst violation of each certificate inequality family."""
@@ -207,16 +208,17 @@ class _MeasureOperator(LinearOperator):
     def _rmatvec(self, y):
         y = y.ravel()
         model, n = self.model, self.model.n_states
-        tensor, s = transition(model), model.pair_state
-        out = y[:n][s] - self.decay * tensor.expect(y[:n])
+        tensor = transition(model)
+        out = model.at_pairs(y[:n]) - tensor.expect(y[:n], self.decay)
         if self.kind == "W_eps":
             return out
         out += y[n]
         if self.kind == "W":
             return out
         psi = y[n + 1:]
-        out += psi[s]
-        return np.concatenate([out, psi[s] - tensor.expect(psi)])
+        psi_at = model.at_pairs(psi)
+        out += psi_at
+        return np.concatenate([out, psi_at - tensor.expect(psi)])
 
 
 def _solve(lp, context, construct=None):
@@ -299,10 +301,10 @@ def _pi_dual(model, sol):
     dp.greedy_feedback_from_eta, whose lowest-index rule could then pick a
     control that leaves the optimal gain (example 2 from y0 = 0).
     """
-    g, h, s = sol.gain, sol.bias, model.pair_state
-    tensor = transition(model)
-    rest = model.pair_cost + tensor.expect(h) - h[s] - g[s]
-    rise = tensor.expect(g) - g[s]
+    g, h = sol.gain, sol.bias
+    tensor, g_at = transition(model), model.at_pairs(g)
+    rest = model.pair_cost + tensor.expect(h) - model.at_pairs(h) - g_at
+    rise = tensor.expect(g) - g_at
     short = (rest < 0) & (rise > 0)
     least = float(np.max(-rest[short] / rise[short], initial=0.0))
     return g, h + np.ldexp(1.0, math.frexp(1.0 + least)[1]) * g

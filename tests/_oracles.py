@@ -10,6 +10,10 @@ that stores every stage's argmin as it goes, the transition law built
 pair by pair, a stationary plan's law as a sparse product of pair
 weights and transition rows, and the balance
 equations of W, W(eps, y0) and Omega(y0) written out by hand.
+The kernel oracles keep the library's earlier formulas, which its faster
+kernels must reproduce bit for bit: the two-pass segmented argmin, the
+closed classes assembled by scipy's sparse operator chain, and a
+randomized plan's rows checked one by one.
 The reference models rebuild the two examples pair by pair with Python
 scalars, as the vectorized builders must reproduce bit for bit.
 """
@@ -20,6 +24,10 @@ from itertools import combinations, product
 import numpy as np
 from scipy import sparse
 
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
+
+from occulimits import dp
 from occulimits.model import FiniteModel, transition
 from occulimits.programs import SolverError
 
@@ -233,18 +241,76 @@ def eager_finite_horizon_values(model, T):
     read: the values v_1..v_T and the stage selectors, stage 0 (T stages to
     go) first, with lowest-index ties."""
     tensor = transition(model)
-    starts = model.state_pair_start[:-1]
     v = np.zeros(model.n_states)
     values, argmins = [], []
     with np.errstate(over="ignore"):
         for tau in range(1, T + 1):
             q = model.pair_cost + (tau - 1) * tensor.expect(v)
-            vmin = np.minimum.reduceat(q, starts)
-            cand = np.where(q <= vmin[model.pair_state], model.pair_local, model.n_pairs + 1)
-            argmins.append(np.minimum.reduceat(cand, starts).astype(np.int64))
+            vmin, sel = group_min_oracle(model, q)
+            argmins.append(sel)
             v = vmin / tau
             values.append(v)
     return values, argmins[::-1]
+
+
+def group_min_oracle(model, q):
+    """(vmin, sel) of dp._group_min by two segmented reductions: the least
+    q per state, then the least local index among the pairs that attain
+    it, n_pairs + 1 where none does."""
+    starts = model.state_pair_start[:-1]
+    vmin = np.minimum.reduceat(q, starts)
+    cand = np.where(q <= vmin[model.pair_state], model.pair_local, model.n_pairs + 1)
+    return vmin, np.minimum.reduceat(cand, starts).astype(np.int64)
+
+
+def scipy_chain_closed_classes(p_pi):
+    """(chain, recurrent matrix, transient matrix): a dp.ClosedClasses whose
+    matrices are assembled by scipy's sparse operator chain, identity minus
+    the fancy-indexed blocks of P_pi, times a diagonal, plus the class
+    indicator, each converted to CSC as dp._factor converts it."""
+    chain = object.__new__(dp.ClosedClasses)
+    p_pi = sparse.csr_matrix(p_pi)
+    p_pi.eliminate_zeros()
+    n_comp, comp = connected_components(p_pi, directed=True, connection="strong")
+    rows, cols = p_pi.nonzero()
+    leaving = comp[rows] != comp[cols]
+    is_open = np.zeros(n_comp, dtype=bool)
+    is_open[comp[rows[leaving]]] = True
+    chain.rec = np.flatnonzero(~is_open[comp])
+    chain.tra = np.flatnonzero(is_open[comp])
+    _, first, inverse = np.unique(comp[chain.rec], return_index=True, return_inverse=True)
+    chain._ref = first[inverse]
+    chain.label = np.full(p_pi.shape[0], -1)
+    chain.label[chain.rec] = inverse
+    n_rec = len(chain.rec)
+    chain._is_ref = chain._ref == np.arange(n_rec)
+    indicator = sparse.csr_matrix((np.ones(n_rec), (np.arange(n_rec), chain._ref)),
+                                  shape=(n_rec, n_rec))
+    recurrent = sparse.csc_matrix((sparse.identity(n_rec) - p_pi[chain.rec][:, chain.rec])
+                                  @ sparse.diags(1.0 - chain._is_ref) + indicator)
+    chain._p_tr = p_pi[chain.tra][:, chain.rec]
+    chain._p_tr_t = chain._p_tr.T
+    transient = sparse.csc_matrix(sparse.identity(len(chain.tra))
+                                  - p_pi[chain.tra][:, chain.tra])
+    chain._lu_rec = splu(recurrent)
+    chain._lu_tra = splu(transient) if len(chain.tra) else None
+    return chain, recurrent, transient
+
+
+def check_rows_one_by_one(model, rows):
+    """Plan.check_against's test of a randomized plan's probability rows,
+    one row at a time: the first state whose row has the wrong shape, a
+    non-finite or negative entry, or a sum off 1 by more than 1e-12 is
+    refused with ValueError."""
+    sizes = np.diff(model.state_pair_start)
+    if len(rows) != model.n_states:
+        raise ValueError("plan/model mismatch: one probability row per state required")
+    for i, row in enumerate(rows):
+        row = np.asarray(row)
+        if row.shape != (sizes[i],) or not np.all(np.isfinite(row)) or np.any(row < 0):
+            raise ValueError(f"plan/model mismatch: bad probability row at state {i}")
+        if abs(row.sum() - 1.0) > 1e-12:
+            raise ValueError(f"plan/model mismatch: row at state {i} sums to {row.sum()!r}")
 
 
 def brute_force_finite_horizon(model, y0, T):
@@ -288,10 +354,7 @@ def value_iteration(model, eps, tol=1e-10, max_sweeps=5_000_000):
             break
     else:
         raise RuntimeError("value iteration failed to converge within the sweep cap")
-    q = k_eps + (1.0 - eps) * tensor.expect(h)
-    vmin = np.minimum.reduceat(q, starts)
-    cand = np.where(q <= vmin[model.pair_state], model.pair_local, model.n_pairs + 1)
-    return h, np.minimum.reduceat(cand, starts)
+    return h, group_min_oracle(model, k_eps + (1.0 - eps) * tensor.expect(h))[1]
 
 
 def plan_law(model, pair_weights):

@@ -611,3 +611,17 @@ def test_cli_exit_code_contract_fuzzed(argv):
         y0 = float(next(a for a in argv if a.startswith("--y0=")).split("=")[1])
         k_star_y0 = float(re.search(r"k\*\(y0\)=(\S+)", err.getvalue()).group(1))
         assert k_star_y0 == pytest.approx(example2_k_star(m, y0), abs=1e-9)
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 64.0 GiB for an array", ""])
+def test_out_of_memory_is_an_input_error(monkeypatch, capsys, message):
+    # a too-large --m (33 under a 2 GB address-space limit) used to end in a
+    # bare MemoryError traceback; the model build stands in for it here
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(model_mod, "example2_model", exhausted)
+    want = f"input error: out of memory: {message}\n" if message else "input error: out of memory\n"
+    for command in ("validate", "bounds", "ergodic", "policy"):
+        code, out, err = run(capsys, command, "--builtin", "example2", "--m", "33", "--y0", "0.5")
+        assert (code, out, err) == (2, "", want)

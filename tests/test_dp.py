@@ -1,7 +1,9 @@
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from occulimits import dp
@@ -14,7 +16,8 @@ from occulimits.model import FiniteModel, example1_model, example2_model, transi
 from occulimits.programs import SolverError
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import (eager_finite_horizon_values, optimal_gain_oracle, value_iteration,
+from _oracles import (check_rows_one_by_one, eager_finite_horizon_values, group_min_oracle,
+                      optimal_gain_oracle, scipy_chain_closed_classes, value_iteration,
                       with_cost)
 
 
@@ -369,3 +372,130 @@ def test_average_cost_refuses_non_finite_values():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="not finite"):
             average_cost_policy_iteration(m)
+
+
+def _kernel_models():
+    return [random_model(seed) for seed in range(50)] + [example2_model(m) for m in range(2, 8)]
+
+
+def test_group_min_matches_the_two_pass_oracle():
+    # one pass (the first hit per state by binary search) gives the two
+    # reductions' minima and lowest-index argmins, with n_pairs + 1 where a
+    # state's minimum is NaN
+    rng = np.random.default_rng(0)
+    for m in _kernel_models():
+        n = m.n_pairs
+        spiked = np.round(rng.standard_normal(n), 1)
+        for value, at in zip((np.nan, np.inf, -np.inf), rng.integers(0, n, (3, 1 + n // 7))):
+            spiked[at] = value
+        for q in (m.pair_cost, np.round(rng.standard_normal(n), 1), spiked,
+                  np.full(n, np.nan), np.full(n, np.inf), np.full(n, -np.inf)):
+            vmin, sel = dp._group_min(m, q)
+            want_vmin, want_sel = group_min_oracle(m, q)
+            assert np.array_equal(vmin, want_vmin, equal_nan=True)
+            assert sel.dtype == want_sel.dtype and np.array_equal(sel, want_sel)
+
+
+def _same_sparse(a, b):
+    return all(x.dtype == y.dtype and np.array_equal(x, y)
+               for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)))
+
+
+def test_closed_classes_match_the_scipy_chain(monkeypatch):
+    # the one-pass assembly factors the very CSC arrays that scipy's
+    # operator chain gave, so evaluate and limiting_row agree bit for bit
+    factored = []
+    factor = dp._factor
+
+    def recorded(matrix):
+        factored.append(sparse.csc_matrix(matrix))  # what splu reads
+        return factor(matrix)
+
+    monkeypatch.setattr(dp, "_factor", recorded)
+    cases = []
+    for m in _kernel_models() + [example1_model(0.5)]:
+        tensor = transition(m)
+        sels = [average_cost_policy_iteration(m).plan.selector]
+        sels += [random_stationary_plan(m, seed).selector for seed in range(3)]
+        for sel in sels:
+            pairs = m.state_pair_start[:-1] + sel
+            cases.append((tensor.rows[tensor.pair_row[pairs]], m.pair_cost[pairs]))
+    hand = np.array([[0.0, 0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0],
+                     [0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0],
+                     [0.5, 0.0, 0.0, 0.0, 0.5]])
+    cases.append((hand, np.array([4.0, 1.0, 3.0, -1.0, 0.0])))
+    # a kernel row may sum to 1 + 1e-13: state 2's diagonal 1 - P(2, 2) is
+    # an exact 0, which scipy's arithmetic drops from the recurrent matrix
+    cases.append((np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1e-13, 0.0, 1.0]]),
+                  np.array([1.0, 2.0, 3.0])))
+    n_transient = 0
+    for p_pi, r in cases:
+        factored.clear()
+        chain = ClosedClasses(p_pi)
+        want, recurrent, transient = scipy_chain_closed_classes(p_pi)
+        for name in ("rec", "tra", "label"):
+            assert np.array_equal(getattr(chain, name), getattr(want, name))
+        assert _same_sparse(factored[0], recurrent)
+        if len(chain.tra):
+            n_transient += 1
+            assert len(factored) == 2 and _same_sparse(factored[1], transient)
+            assert _same_sparse(chain._p_tr, want._p_tr)
+        for got, expected in zip(chain.evaluate(r), want.evaluate(r)):
+            assert np.array_equal(got, expected)
+        assert np.array_equal(chain.stationary_laws(), want.stationary_laws())
+        for y0 in sorted({0, len(r) // 2, len(r) - 1}):
+            # the zero-diagonal chain's stationary law has zeros, which it divides by
+            with np.errstate(divide="ignore", invalid="ignore"):
+                pairs = zip(chain.limiting_row(y0), want.limiting_row(y0))
+                for got, expected in pairs:
+                    assert np.array_equal(got, expected, equal_nan=True)
+    assert n_transient > len(cases) // 2
+
+
+def _row_defects(row):
+    """Ways to spoil one probability row, by name, and three that keep it
+    valid: nudged (a sum within 1e-12 of 1), one_hot (integers) and listed."""
+    bumped = row.copy()
+    bumped[0] += 3e-12
+    nudged = row.copy()
+    nudged[0] += 5e-13
+    one_hot = np.zeros(len(row), dtype=np.int64)
+    one_hot[-1] = 1
+    spoiled = {"negative": -0.25, "nan": np.nan, "inf": np.inf}
+    defects = {name: np.where(np.arange(len(row)) == 0, value, row)
+               for name, value in spoiled.items()}
+    defects.update(short=row[:-1], long=np.append(row, 0.0), matrix=row[None, :],
+                   scalar=np.float64(1.0), heavy=row * 1.001, bumped=bumped,
+                   nudged=nudged, one_hot=one_hot, listed=row.tolist())
+    return defects
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_randomized_plan_check_matches_the_row_loop():
+    # the rows are checked as one array, but the first bad state and every
+    # message are those of the row-by-row loop
+    refused = 0
+    for m in (example1_model(0.5), random_model(5), example2_model(3)):
+        base = [np.asarray(row) for row in random_stationary_plan(m, 0, True).selector]
+        n = m.n_states
+        spots = sorted({0, 1, n // 2, n - 1})
+        cases = [base, base[:-1], base + base[:1]]
+        for i, j in product(spots, repeat=2):
+            for a, b in product(_row_defects(base[i]).values(), _row_defects(base[j]).values()):
+                rows = list(base)
+                rows[j] = b
+                rows[i] = a  # when i == j, the one defect a
+                cases.append(rows)
+        for rows in cases:
+            want = _outcome(check_rows_one_by_one, m, rows)
+            got = _outcome(Plan("stationary_randomized", rows).check_against, m)
+            assert got == want
+            refused += want is not None
+    assert refused > 1000

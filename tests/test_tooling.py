@@ -16,9 +16,10 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 import occulimits
-from occulimits import cli, dp, programs
+from occulimits import cli, dp, model as model_mod, programs
 from occulimits.model import FiniteModel, example2_model, transition
 from occulimits.suite import random_model
 
@@ -189,6 +190,31 @@ def test_bounds_at_m7_assembles_no_lp_matrix(tmp_path, monkeypatch):
                      "--T", "1,16,128", "--eps", "0.5,0.1", "--format", "json",
                      "--output", str(out)])
     assert code == 0
+
+
+def test_bounds_at_m7_builds_no_dia_matrix_and_transposes_once_per_model(tmp_path, monkeypatch):
+    # ClosedClasses assembles its matrices from P_pi's entries, without
+    # scipy's identity or diags, and push reads the transpose of the law's
+    # rows that the tensor builds once with its model
+    counts = {"dia": 0, "transpose": 0, "models": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for dia in (sparse.dia_matrix, sparse.dia_array):
+        monkeypatch.setattr(dia, "__init__", counted("dia", dia.__init__))
+    monkeypatch.setattr(sparse.csr_matrix, "transpose",
+                        counted("transpose", sparse.csr_matrix.transpose))
+    monkeypatch.setattr(model_mod, "build_transition_tensor",
+                        counted("models", model_mod.build_transition_tensor))
+    code = cli.main(["bounds", "--builtin", "example2", "--m", "7", "--y0", "0.3",
+                     "--T", "1,16,128", "--eps", "0.5,0.1", "--format", "json",
+                     "--output", str(tmp_path / "bounds.json")])
+    assert code == 0 and counts["models"] >= 1
+    assert counts["dia"] == 0 and counts["transpose"] <= counts["models"]
 
 
 def test_bounds_solves_policy_iteration_once(tmp_path, monkeypatch):
