@@ -56,15 +56,10 @@ class BoundsReport:
 
     def csv_rows(self):
         """Flat rows: kind, parameter, value, k_star_y0, d_star_y0, in_sandwich."""
-        rows = []
         bad = {(kind, param) for kind, param, _ in self.out_of_sandwich}
-        for t, v in self.vT_curve:
-            rows.append(("vT", t, v, self.k_star_y0, self.d_star_y0,
-                         ("vT", t) not in bad))
-        for e, h in self.heps_curve:
-            rows.append(("heps", e, h, self.k_star_y0, self.d_star_y0,
-                         ("heps", e) not in bad))
-        return rows
+        return [(kind, param, v, self.k_star_y0, self.d_star_y0, (kind, param) not in bad)
+                for kind, curve in (("vT", self.vT_curve), ("heps", self.heps_curve))
+                for param, v in curve]
 
 
 def bounds_report(model, y0, Ts, epss, user_slack=None):
@@ -81,8 +76,7 @@ def bounds_report(model, y0, Ts, epss, user_slack=None):
     model.check_y0(y0)
     if user_slack is not None:
         measures.check_nonnegative("user_slack", user_slack)
-    Ts = list(Ts)
-    epss = list(epss)
+    Ts, epss = list(Ts), list(epss)
     for t in Ts:
         measures.check_number("T", t)
     for eps in epss:
@@ -97,10 +91,7 @@ def bounds_report(model, y0, Ts, epss, user_slack=None):
         measures.check_eps(eps)
     curve, _ = dp.finite_horizon_values(model, Ts[-1])
     vT_curve = [(t, float(curve[t - 1].values[y0])) for t in Ts]
-    heps_curve = []
-    for eps in epss:
-        h, _ = dp.discounted_values(model, eps)
-        heps_curve.append((eps, float(h.values[y0])))
+    heps_curve = [(eps, float(dp.discounted_values(model, eps)[0].values[y0])) for eps in epss]
 
     aug = programs.augmented_lp(model, y0)
     stat = programs.stationary_lp(model)
@@ -183,9 +174,8 @@ def verify_long_run_optimality(model, plan, dual, y0, T0, t_max, tol):
     for mu, law in islice(measures.pair_laws(model, plan, y0, t_max + 1), T0, None):
         worst2 = max(worst2, abs(float(mu @ dual.psi) - dual.psi[y0]))
         worst1 = max(worst1, float(np.max(np.abs(pointwise[law > tol]), initial=0.0)))
-    certified = worst1 <= tol and worst2 <= tol
-    return OptimalityVerdict(certified=certified, pointwise_residual=worst1,
-                             stationarity_residual=worst2,
+    return OptimalityVerdict(certified=worst1 <= tol and worst2 <= tol,
+                             pointwise_residual=worst1, stationarity_residual=worst2,
                              certificate_violation=violation)
 
 
@@ -220,8 +210,7 @@ def dual_from_expansion(model, Ts):
     if t1 == t2:
         raise ValueError(f"the two largest horizons are both {t2}; they must differ")
     curve, _ = dp.finite_horizon_values(model, t2)
-    v1 = curve[t1 - 1].values
-    v2 = curve[t2 - 1].values
+    v1, v2 = curve[t1 - 1].values, curve[t2 - 1].values
     v = (t2 * v2 - t1 * v1) / (t2 - t1)
     eta = t2 * (v2 - v)
     tensor = transition(model)
@@ -238,7 +227,8 @@ def abel_window(g, M, eps, delta):
     the guaranteed lower bound ceil(delta / ((4M + 4|sigma| + delta)
     (-ln(1-eps)))) and moves upward; existence is guaranteed, so exceeding
     the search cap raises RuntimeError.  delta must be finite and positive,
-    and M finite and nonnegative.
+    and M finite and nonnegative; a g(t) that is not finite or exceeds M
+    raises ValueError naming t.
     """
     measures.check_eps(eps)
     measures.check_positive("delta", delta)
@@ -250,6 +240,8 @@ def abel_window(g, M, eps, delta):
     def g_at(t):
         if t not in values:
             values[t] = float(g(t))
+            if not math.isfinite(values[t]):
+                raise ValueError(f"g({t}) = {values[t]!r} is not finite")
             if abs(values[t]) > M + 1e-12:
                 raise ValueError(f"|g({t})| = {values[t]!r} exceeds the bound M={M}")
         return values[t]
@@ -272,13 +264,17 @@ def cesaro_window(g, T, delta):
         (1/S) sum_{t<S} g(T* + t) <= sigma + delta  for all S <= T - T*,
 
     with sigma the average of the first T terms.  Exhaustive scan; existence
-    is guaranteed for an integer T >= 1 and a finite positive delta.
+    is guaranteed for an integer T >= 1, a finite positive delta and finite
+    terms (the first one that is not finite raises ValueError naming its t).
     """
     measures.check_horizon(T)
     measures.check_positive("delta", delta)
     seq = np.asarray(list(g), dtype=float)
     if len(seq) < T:
         raise ValueError(f"sequence of length {len(seq)} is shorter than T={T}")
+    bad = np.flatnonzero(~np.isfinite(seq[:T]))
+    if len(bad):
+        raise ValueError(f"g({bad[0]}) = {seq[bad[0]].item()!r} is not finite")
     prefix = np.concatenate([[0.0], np.cumsum(seq[:T])])
     sigma = prefix[T] / T
     for t_star in range(T):

@@ -123,13 +123,9 @@ def cmd_ergodic(args):
     k_star = programs.stationary_lp(mdl).optimal_value
     curve, _ = dp.finite_horizon_values(mdl, max(args.T))
     h_values = [dp.discounted_values(mdl, eps)[0] for eps in args.eps]
-    rows = []
-    for t in args.T:
-        best = float(np.min(curve[t - 1].values))
-        rows.append(("vT", t, best, k_star, abs(best - k_star)))
-    for eps, h in zip(args.eps, h_values):
-        best = float(np.min(h.values))
-        rows.append(("heps", eps, best, k_star, abs(best - k_star)))
+    least = [("vT", t, float(np.min(curve[t - 1].values))) for t in args.T]
+    least += [("heps", eps, float(np.min(h.values))) for eps, h in zip(args.eps, h_values)]
+    rows = [(kind, param, v, k_star, abs(v - k_star)) for kind, param, v in least]
     doc = {"k_star": k_star,
            "rows": [{"kind": k, "parameter": p, "min_value": v,
                      "k_star": ks, "deviation": d} for k, p, v, ks, d in rows]}

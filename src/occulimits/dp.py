@@ -42,7 +42,8 @@ class Plan:
 
     kind 'stationary_deterministic': selector is an int array with the chosen
     local control index per state.  kind 'stationary_randomized': selector is
-    a per-state list of probability rows over that state's control list.
+    the plan's pair weights pi(u|y), one numeric (n_pairs,) array laid out
+    like the pairs, each state's weights a probability law over its controls.
     kind 'staged': selector is a sequence (a list, or the StagedSelectors of
     finite_horizon_values) of per-stage deterministic selectors, indexed by
     stage t = 0..T-1.
@@ -64,22 +65,20 @@ class Plan:
                     raise ValueError("plan/model mismatch: bad "
                                      f"{self.kind.removeprefix('stationary_')} selector")
         elif self.kind == "stationary_randomized":
-            if len(self.selector) != model.n_states:
-                raise ValueError("plan/model mismatch: one probability row per state required")
-            rows = [np.asarray(row) for row in self.selector]
-            # the rows before the first badly shaped one are checked as one array
-            n_ok = next((i for i, row in enumerate(rows) if row.shape != (sizes[i],)), len(rows))
-            flat = np.concatenate(rows[:n_ok] or [np.zeros(0)])
-            bad = np.bincount(model.pair_state[:len(flat)], ~np.isfinite(flat) | (flat < 0),
-                              n_ok) > 0
-            # each row's own sum, which a vectorized sum would not give bit for bit
-            off = [b or abs(row.sum() - 1.0) > 1e-12 for row, b in zip(rows, bad)]
-            i = np.flatnonzero(off + [True])[0]  # n_ok if every row until then is good
-            if i < len(rows):
-                if i == n_ok or bad[i]:
-                    raise ValueError(f"plan/model mismatch: bad probability row at state {i}")
-                raise ValueError(f"plan/model mismatch: row at state {i} sums to "
-                                 f"{rows[i].sum()!r}")
+            try:
+                w = np.asarray(self.selector)
+            except ValueError:  # ragged per-state rows
+                w = None
+            if w is None or w.dtype.kind not in "iuf" or w.shape != (model.n_pairs,):
+                raise ValueError("plan/model mismatch: randomized weights need one numeric "
+                                 f"array of shape ({model.n_pairs},), not per-state rows")
+            bad = np.bincount(model.pair_state, ~np.isfinite(w) | (w < 0), model.n_states) > 0
+            sums = np.bincount(model.pair_state, w, model.n_states)  # added in pair order
+            off = bad | (np.abs(sums - 1.0) > 1e-12)
+            i = np.argmax(off)  # the first state refused, if any
+            if off[i]:
+                raise ValueError(f"plan/model mismatch: bad probability row at state {i}" if bad[i]
+                                 else f"plan/model mismatch: row at state {i} sums to {sums[i]!r}")
         else:
             raise ValueError(f"unknown plan kind {self.kind!r}")
 
@@ -93,7 +92,7 @@ class Plan:
         """Conditional probability pi_t(u|y) laid out per admissible pair; a
         stationary plan has the same weights at every stage t."""
         if self.kind == "stationary_randomized":
-            return np.concatenate([np.asarray(row, dtype=float) for row in self.selector])
+            return np.asarray(self.selector, dtype=float)
         if self.kind == "stationary_deterministic":
             sel = np.asarray(self.selector)
         elif t < self.n_stages:

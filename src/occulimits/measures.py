@@ -129,8 +129,9 @@ def discounted_occupation(model, plan, y0, eps, tail_tol):
 
     For a stationary plan the discounted state law nu solves
     (I - (1-eps) P_pi^T) nu = eps delta_y0 (one sparse solve) and the pair
-    weights are nu(y) pi(u|y), with P_pi the plan's law rows, or their
-    pi-weighted sums per state for a randomized plan.  A staged plan is summed
+    weights are nu(y) pi(u|y), with P_pi the plan's law rows, or for a
+    randomized plan W rows: W holds each pair's weight at its state and its
+    distinct row, so no row is copied per pair.  A staged plan is summed
     exactly over its stages.  The weights are renormalized to total mass 1.
     tail_tol must be finite and positive but is not read otherwise: neither
     branch truncates a series.
@@ -151,8 +152,8 @@ def discounted_occupation(model, plan, y0, eps, tail_tol):
         if plan.kind == "stationary_deterministic":
             p_pi = tensor.rows[tensor.pair_row[model.state_pair_start[:-1] + plan.selector]]
         else:
-            p_pi = (sparse.csr_matrix((w, np.arange(model.n_pairs), model.state_pair_start))
-                    @ tensor.rows[tensor.pair_row])
+            p_pi = sparse.csr_matrix((w, tensor.pair_row, model.state_pair_start),
+                                     shape=(model.n_states, tensor.rows.shape[0])) @ tensor.rows
         rhs = np.zeros(model.n_states)
         rhs[y0] = eps
         nu = spsolve((sparse.identity(model.n_states, format="csr") - (1.0 - eps) * p_pi).T, rhs)
@@ -166,13 +167,15 @@ def canonical_test_family(model, max_degree=3, max_size=32):
     Returns the ordered list of value tables over the admissible pairs,
     enumerated in graded lexicographic order, each normalized to sup-norm 1
     over the pairs; identically-zero monomials are skipped.  Truncated at
-    max_size functions.
+    max_size functions.  max_degree must be an integer >= 0 and max_size an
+    integer >= 1.
     """
+    check_horizon(max_degree, 0, "max_degree")
+    check_horizon(max_size, 1, "max_size")
     coords = np.hstack([model.at_pairs(model.states), model.pair_control])
-    d = coords.shape[1]
     tables = []
     for total in range(max_degree + 1):
-        for expo in sorted((e for e in product(range(total + 1), repeat=d)
+        for expo in sorted((e for e in product(range(total + 1), repeat=coords.shape[1])
                             if sum(e) == total), reverse=True):
             vals = np.prod(coords ** np.array(expo), axis=1)
             sup = np.max(np.abs(vals))
@@ -222,16 +225,13 @@ def prg_detect(model, plan, y0, t_max, tol=1e-10):
     for t, (_, law) in enumerate(pair_laws(model, plan, y0, t_max + 1)):
         laws[t] = law
     # earliest valid start per period, via suffix maxima of the lag-diffs
-    best = None
+    found = []
     for period in range(1, t_max // 2 + 1):
-        diffs = np.max(np.abs(laws[period:] - laws[:-period]), axis=1)
-        ok = diffs <= tol
-        suffix_ok = np.flip(np.logical_and.accumulate(np.flip(ok)))
-        starts = np.nonzero(suffix_ok)[0]
+        ok = np.max(np.abs(laws[period:] - laws[:-period]), axis=1) <= tol
+        starts = np.flatnonzero(np.flip(np.logical_and.accumulate(np.flip(ok))))
         if len(starts) and starts[0] + 2 * period <= t_max:
-            cand = (int(starts[0]), period)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
+            found.append((int(starts[0]), period))
+    if not found:
         return PrgReport(is_prg=False)
-    return PrgReport(is_prg=True, T0=best[0], period=best[1])
+    T0, period = min(found)
+    return PrgReport(is_prg=True, T0=T0, period=period)

@@ -10,6 +10,7 @@ arrays and its law are compiled once, when it is constructed.
 
 import json
 import math
+import numbers
 
 import numpy as np
 from scipy import sparse
@@ -43,8 +44,9 @@ class FiniteModel:
         pair_control: (n_pairs, d_u) control value of every pair.
         noise: (n_atoms,) atom probabilities (empty in kernel mode).
         initial_index: optional distinguished initial state (builders set it).
-        pair_state, pair_local: state and local control index of every pair.
-        state_pair_start: first pair of every state, then n_pairs.
+        pair_state: state of every pair.
+        state_pair_start: first pair of every state, then n_pairs; pair p is
+            control p - state_pair_start[pair_state[p]] of its state.
         pair_cost: k(y, u) of every pair.
 
     at_pairs(x) spreads a per-state x over the pairs.
@@ -85,7 +87,6 @@ class FiniteModel:
                   "pair_control": np.concatenate(filled) if filled else np.zeros((0, 1)),
                   "noise": noise, "initial_index": initial_index,
                   "state_pair_start": starts, "pair_state": pair_state, "_sizes": sizes,
-                  "pair_local": np.arange(n_pairs) - starts[pair_state],
                   "pair_cost": pair_cost,
                   # the law's inputs, read by build_transition_tensor
                   "_next_idx": next_idx, "_kernel": kernel}
@@ -289,9 +290,17 @@ def _sign_flip_model(values, initial_index=None):
         initial_index=initial_index)
 
 
+def _parameter(name, value):
+    """value, a builder's parameter, when it is a number, not a bool; else ModelError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ModelError(f"{name}={value!r} is not a number")
+    return value
+
+
 def example1_model(y0):
     """Two-state example-1 model on {-|y0|, +|y0|}, the only states reachable
-    from y0, with y0 as its initial state."""
+    from y0, with y0 as its initial state; y0 must be a number (not a bool)."""
+    _parameter("y0", y0)
     if not (-1.0 <= y0 <= 1.0):
         raise ModelError(f"y0={y0!r} outside [-1, 1]")
     if y0 == 0.0:
@@ -306,8 +315,8 @@ def example1_family_model(y0s):
     The classes do not communicate; the family model exposes the full-range
     ergodic quantities (k* = -1/2 is attained on the |y0| = 1 class).
     """
-    mags = sorted({abs(y) for y in y0s})
-    if any(m == 0 or m > 1 for m in mags):
+    mags = sorted({abs(_parameter("magnitude", y)) for y in y0s})
+    if not all(0 < m <= 1 for m in mags):
         raise ModelError("family magnitudes must lie in (0, 1]")
     return _sign_flip_model(sorted({v for m in mags for v in (-m, m)}))
 
@@ -324,12 +333,17 @@ def example2_model(m, control_step=None):
     a strictly positive image never snaps to 0 or below (it floors at +step),
     and symmetrically for negative ones, so the positive and negative orbits
     of the recursion cannot cross through the origin, as in the continuum.
+    m must be an integer from 2 to np.iinfo(np.intp).bits - 3, the largest
+    m whose 2^(m+1)+1 states fit np.intp, and control_step a number; anything
+    else is refused with ModelError before any array is allocated.
     """
-    if m < 2:
-        raise ModelError(f"grid exponent m={m} must be >= 2")
+    bits = np.iinfo(np.intp).bits
+    if not (np.issubdtype(type(m), np.integer) and 2 <= m <= bits - 3):
+        raise ModelError(f"grid exponent m={m!r} must be an integer from 2 to {bits - 3}, "
+                         "so that its 2^(m+1)+1 states fit the platform's index range")
+    m = int(m)
     step = 2.0 ** (-m)
-    if control_step is None:
-        control_step = step
+    control_step = step if control_step is None else _parameter("control_step", control_step)
     if not (math.isfinite(control_step) and control_step > step / 2
             and abs(math.remainder(control_step, step)) <= 1e-9 * step):
         raise ModelError(f"control_step={control_step!r} is not a positive multiple "
@@ -527,7 +541,7 @@ def save_model(model, path):
     noise atoms get the ids 0..n_atoms-1 in their order; the ids a loaded
     file carried are not kept."""
     tensor = transition(model)
-    pairs = list(zip(model.pair_state.tolist(), model.pair_local.tolist()))
+    pairs = [(i, l) for i, n_c in enumerate(model._sizes.tolist()) for l in range(n_c)]
     doc = {
         "states": model.states.tolist(),
         "controls": _controls_doc(model),

@@ -310,10 +310,6 @@ def _pi_dual(model, sol):
     return g, h + np.ldexp(1.0, math.frexp(1.0 + least)[1]) * g
 
 
-def _plan_pairs(model, sol):
-    return model.state_pair_start[:-1] + sol.plan.selector
-
-
 def stationary_lp(model):
     """min int k dgamma over the stationary set W; returns k* and a dual.
 
@@ -337,8 +333,8 @@ def stationary_lp(model):
         # over recurrent states only: a transient g can round below its class's
         best = chain.rec[np.argmin(g[chain.rec])]
         x = np.zeros(model.n_pairs)
-        x[_plan_pairs(model, sol)] = np.where(chain.label == chain.label[best],
-                                              chain.stationary_laws(), 0.0)
+        x[model.state_pair_start[:-1] + sol.plan.selector] = np.where(
+            chain.label == chain.label[best], chain.stationary_laws(), 0.0)
         return x, np.append(eta, g[best])
 
     x, y, method = _solve(lp, "stationary LP", None if sol is None else construct)
@@ -388,7 +384,7 @@ def augmented_lp(model, y0, theta=None):
     def construct():
         g, eta = _pi_dual(model, sol)
         p_star, w = sol.chain.limiting_row(y0)
-        pairs = _plan_pairs(model, sol)
+        pairs = model.state_pair_start[:-1] + sol.plan.selector
         x = np.zeros(2 * n_pairs)
         x[pairs] = p_star
         x[n_pairs + pairs] = w
@@ -441,10 +437,8 @@ def membership_residuals(model, gamma, kind, eps=None, y0=None, xi=None):
     w = _measure_weights(model, gamma, "measure")
     if y0 is not None:
         model.check_y0(y0)
-    x = w
-    if kind == "W_eps":
+    if eps is not None:
         check_eps(eps)
-    elif kind == "Omega":
-        x = np.concatenate([w, _measure_weights(model, xi, "xi")])
+    x = w if xi is None else np.concatenate([w, _measure_weights(model, xi, "xi")])
     A, b = _constraints(model, kind, y0, eps)
     return float(max(np.max(np.abs(A @ x - b)), abs(float(w.sum()) - 1.0)))

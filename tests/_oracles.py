@@ -13,7 +13,7 @@ equations of W, W(eps, y0) and Omega(y0) written out by hand.
 The kernel oracles keep the library's earlier formulas, which its faster
 kernels must reproduce bit for bit: the two-pass segmented argmin, the
 closed classes assembled by scipy's sparse operator chain, and a
-randomized plan's rows checked one by one.
+randomized plan's weights checked state by state in Python floats.
 The reference models rebuild the two examples pair by pair with Python
 scalars, as the vectorized builders must reproduce bit for bit.
 """
@@ -259,7 +259,8 @@ def group_min_oracle(model, q):
     it, n_pairs + 1 where none does."""
     starts = model.state_pair_start[:-1]
     vmin = np.minimum.reduceat(q, starts)
-    cand = np.where(q <= vmin[model.pair_state], model.pair_local, model.n_pairs + 1)
+    local = np.arange(model.n_pairs) - starts[model.pair_state]
+    cand = np.where(q <= vmin[model.pair_state], local, model.n_pairs + 1)
     return vmin, np.minimum.reduceat(cand, starts).astype(np.int64)
 
 
@@ -297,20 +298,30 @@ def scipy_chain_closed_classes(p_pi):
     return chain, recurrent, transient
 
 
-def check_rows_one_by_one(model, rows):
-    """Plan.check_against's test of a randomized plan's probability rows,
-    one row at a time: the first state whose row has the wrong shape, a
-    non-finite or negative entry, or a sum off 1 by more than 1e-12 is
-    refused with ValueError."""
-    sizes = np.diff(model.state_pair_start)
-    if len(rows) != model.n_states:
-        raise ValueError("plan/model mismatch: one probability row per state required")
-    for i, row in enumerate(rows):
-        row = np.asarray(row)
-        if row.shape != (sizes[i],) or not np.all(np.isfinite(row)) or np.any(row < 0):
+def check_rows_one_by_one(model, weights):
+    """Plan.check_against's test of a randomized plan's pair weights, one
+    state at a time: anything but one numeric (n_pairs,) array is refused,
+    then the first state with a non-finite or negative weight, or whose
+    weights, added left to right in Python floats, sum to a value off 1 by
+    more than 1e-12, with ValueError."""
+    try:
+        w = np.asarray(weights)
+    except ValueError:
+        w = None
+    if w is None or w.dtype.kind not in "iuf" or w.shape != (model.n_pairs,):
+        raise ValueError("plan/model mismatch: randomized weights need one numeric "
+                         f"array of shape ({model.n_pairs},), not per-state rows")
+    starts = model.state_pair_start.tolist()
+    for i, (a, b) in enumerate(zip(starts, starts[1:])):
+        row = w[a:b].tolist()
+        if not all(math.isfinite(x) and x >= 0 for x in row):
             raise ValueError(f"plan/model mismatch: bad probability row at state {i}")
-        if abs(row.sum() - 1.0) > 1e-12:
-            raise ValueError(f"plan/model mismatch: row at state {i} sums to {row.sum()!r}")
+        total = 0.0
+        for x in row:
+            total += x
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"plan/model mismatch: row at state {i} sums to "
+                             f"{np.float64(total)!r}")
 
 
 def brute_force_finite_horizon(model, y0, T):

@@ -438,6 +438,22 @@ def test_abel_window_refuses_unusable_parameters(M, delta, problem):
         abel_window(lambda t: 0.0, M=M, eps=0.1, delta=delta)
 
 
+@pytest.mark.parametrize("bad_t", [0, 3, 40])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_window_utilities_refuse_non_finite_values(bad_t, value):
+    # abel_window let a NaN past its |g(t)| > M test and failed with "cannot
+    # convert float NaN to integer" or its search cap; cesaro_window blamed
+    # the lemma on NaNs and returned 0 on infinities
+    seq = [0.25] * 48
+    seq[bad_t] = float(value)
+    with pytest.raises(ValueError, match=rf"g\({bad_t}\) = {value} is not finite"):
+        abel_window(lambda t: seq[t] if t < len(seq) else 0.25, M=1.0, eps=0.5, delta=0.1)
+    with pytest.raises(ValueError, match=rf"g\({bad_t}\) = {value} is not finite"):
+        cesaro_window(seq, T=48, delta=0.1)
+    if bad_t:  # only the first T terms are read
+        assert cesaro_window(seq, T=bad_t, delta=0.1) == 0
+
+
 @pytest.mark.parametrize("seed", [0, 7, 19, 33])
 def test_bounds_report_sandwich_on_suite_models(seed):
     m = random_model(seed)

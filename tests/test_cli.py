@@ -465,6 +465,16 @@ def test_builder_refuses_non_finite_input(capsys, argv):
     assert out == "" and err.startswith("input error:")
 
 
+@pytest.mark.parametrize("command", ["validate", "bounds"])
+def test_grid_exponent_beyond_the_index_range_is_an_input_error(capsys, command):
+    # --m 62 asks for 2^63 + 1 states, which used to end in an IndexError traceback
+    code, out, err = run(capsys, command, "--builtin", "example2", "--m", "62", "--y0", "0.5")
+    prefix = "invalid: " if command == "validate" else "input error: "
+    assert (code, out) == (2, "")
+    last = np.iinfo(np.intp).bits - 3  # 61 on a 64-bit platform
+    assert err.startswith(f"{prefix}grid exponent m=62 must be an integer from 2 to {last}")
+
+
 def test_model_file_builds_transition_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "suite.json"
     save_model(random_model(4), path)

@@ -241,11 +241,28 @@ def test_plan_model_mismatch():
 def test_randomized_plan_with_nan_row_is_rejected():
     # abs(nan - 1) > tol is False, so a sum test alone lets a NaN row through
     m = example1_model(0.5)
-    plan = Plan(kind="stationary_randomized", selector=[[np.nan, 1.0], [0.5, 0.5]])
+    plan = Plan(kind="stationary_randomized", selector=np.array([np.nan, 1.0, 0.5, 0.5]))
     with pytest.raises(ValueError, match="bad probability row at state 0"):
         plan.check_against(m)
     with pytest.raises(ValueError, match="mismatch"):
         evaluate_plan_discounted(m, plan, 0, 0.1)
+
+
+@pytest.mark.parametrize("case", ["nested_rows", "ragged_rows", "bool", "strings"])
+def test_randomized_plan_is_its_pair_weights(case):
+    # one numeric (n_pairs,) array; per-state rows and non-numeric weights are refused
+    m = example1_model(0.5) if case == "nested_rows" else random_model(5)
+    w = random_stationary_plan(m, 0, True).selector
+    one_hot = np.zeros(m.n_pairs, dtype=bool)
+    one_hot[m.state_pair_start[:-1]] = True
+    weights = {"nested_rows": [[0.5, 0.5], [0.25, 0.75]],
+               "ragged_rows": [row.tolist() for row in np.split(w, m.state_pair_start[1:-1])],
+               "bool": one_hot, "strings": w.astype(str)}[case]
+    plan = Plan("stationary_randomized", weights)
+    with pytest.raises(ValueError, match=rf"array of shape \({m.n_pairs},\), not per-state rows"):
+        plan.check_against(m)
+    with pytest.raises(ValueError, match="not per-state rows"):
+        evaluate_plan_average(m, plan, 0, 3)
 
 
 def test_discounted_values_input_checks():
@@ -452,22 +469,31 @@ def test_closed_classes_match_the_scipy_chain(monkeypatch):
     assert n_transient > len(cases) // 2
 
 
-def _row_defects(row):
-    """Ways to spoil one probability row, by name, and three that keep it
-    valid: nudged (a sum within 1e-12 of 1), one_hot (integers) and listed."""
-    bumped = row.copy()
+def _state_defects(w, a, b):
+    """Ways to spoil the weights w[a:b] of one state, by name, and two that
+    keep them valid: nudged (a sum within 1e-12 of 1) and one_hot."""
+    row = w[a:b]
+    bumped, nudged, one_hot = row.copy(), row.copy(), np.zeros(b - a)
     bumped[0] += 3e-12
-    nudged = row.copy()
     nudged[0] += 5e-13
-    one_hot = np.zeros(len(row), dtype=np.int64)
-    one_hot[-1] = 1
-    spoiled = {"negative": -0.25, "nan": np.nan, "inf": np.inf}
-    defects = {name: np.where(np.arange(len(row)) == 0, value, row)
-               for name, value in spoiled.items()}
-    defects.update(short=row[:-1], long=np.append(row, 0.0), matrix=row[None, :],
-                   scalar=np.float64(1.0), heavy=row * 1.001, bumped=bumped,
-                   nudged=nudged, one_hot=one_hot, listed=row.tolist())
+    one_hot[-1] = 1.0
+    first = np.arange(b - a) == 0
+    defects = {name: np.where(first, value, row)
+               for name, value in {"negative": -0.25, "nan": np.nan, "inf": np.inf}.items()}
+    defects.update(heavy=row * 1.001, bumped=bumped, nudged=nudged, one_hot=one_hot)
     return defects
+
+
+def _layout_defects(m, w):
+    """Weights that are not one numeric (n_pairs,) array, by name, and two
+    that are: listed (a flat list) and integer (one-hot integer weights)."""
+    rows = np.split(w, m.state_pair_start[1:-1])
+    integer = np.zeros(m.n_pairs, dtype=np.int64)
+    integer[m.state_pair_start[1:] - 1] = 1
+    return {"short": w[:-1], "long": np.append(w, 0.0), "matrix": w[None, :],
+            "scalar": np.float64(1.0), "rows": [row.tolist() for row in rows],
+            "row_arrays": rows, "bool": w > 0, "strings": w.astype(str),
+            "objects": w.astype(object), "listed": w.tolist(), "integer": integer}
 
 
 def _outcome(check, *args):
@@ -479,23 +505,25 @@ def _outcome(check, *args):
 
 
 def test_randomized_plan_check_matches_the_row_loop():
-    # the rows are checked as one array, but the first bad state and every
-    # message are those of the row-by-row loop
+    # the weights are checked as one array, but the first bad state and every
+    # message are those of the state-by-state loop in Python floats
     refused = 0
     for m in (example1_model(0.5), random_model(5), example2_model(3)):
-        base = [np.asarray(row) for row in random_stationary_plan(m, 0, True).selector]
+        base = random_stationary_plan(m, 0, True).selector
         n = m.n_states
         spots = sorted({0, 1, n // 2, n - 1})
-        cases = [base, base[:-1], base + base[:1]]
+        cases = [base, *_layout_defects(m, base).values()]
+        starts = m.state_pair_start
         for i, j in product(spots, repeat=2):
-            for a, b in product(_row_defects(base[i]).values(), _row_defects(base[j]).values()):
-                rows = list(base)
-                rows[j] = b
-                rows[i] = a  # when i == j, the one defect a
-                cases.append(rows)
-        for rows in cases:
-            want = _outcome(check_rows_one_by_one, m, rows)
-            got = _outcome(Plan("stationary_randomized", rows).check_against, m)
+            for a, b in product(_state_defects(base, starts[i], starts[i + 1]).values(),
+                                _state_defects(base, starts[j], starts[j + 1]).values()):
+                w = base.copy()
+                w[starts[j]:starts[j + 1]] = b
+                w[starts[i]:starts[i + 1]] = a  # when i == j, the one defect a
+                cases.append(w)
+        for w in cases:
+            want = _outcome(check_rows_one_by_one, m, w)
+            got = _outcome(Plan("stationary_randomized", w).check_against, m)
             assert got == want
             refused += want is not None
     assert refused > 1000

@@ -276,14 +276,16 @@ def _canonical(law):
 def test_plan_law_by_row_selection_matches_the_product(name):
     # the sparse product leaves column indices unsorted, so both sides are
     # compared with sorted indices; indptr, indices and data must be equal
+    # a randomized plan's law is the product on the law's distinct rows
     m = _law_model(name)
-    P = law_matrix(m)
+    P, tensor = law_matrix(m), transition(m)
     starts = m.state_pair_start[:-1]
     for seed, randomized in ((0, False), (1, True), (2, True)):
         plan = random_stationary_plan(m, seed, randomized)
         w = plan.pair_weights(m)
         if randomized:
-            law = sparse.csr_matrix((w, np.arange(m.n_pairs), m.state_pair_start)) @ P
+            law = sparse.csr_matrix((w, tensor.pair_row, m.state_pair_start),
+                                    shape=(m.n_states, tensor.rows.shape[0])) @ tensor.rows
         else:
             law = P[starts + plan.selector]
         for got, want in zip(_canonical(law), _canonical(plan_law(m, w))):
@@ -296,6 +298,20 @@ def test_plan_law_by_row_selection_matches_the_product(name):
         ref = nu[m.pair_state] * w
         got = discounted_occupation(m, plan, 0, 0.3, tail_tol=1e-12).weights
         assert np.array_equal(got, ref / ref.sum())
+
+
+@pytest.mark.parametrize("kwargs, problem", [
+    ({"max_size": 0}, "max_size=0 must be >= 1"), ({"max_size": -1}, "max_size=-1 must be >= 1"),
+    ({"max_size": 2.5}, "max_size=2.5 is not an integer"),
+    ({"max_size": True}, "max_size=True is not an integer"),
+    ({"max_degree": -1}, "max_degree=-1 must be >= 0"),
+    ({"max_degree": 1.5}, "max_degree=1.5 is not an integer")],
+    ids=["size0", "size-1", "size2.5", "size_bool", "degree-1", "degree1.5"])
+def test_canonical_test_family_refuses_unusable_sizes(kwargs, problem):
+    # max_size 0 or -1 used to return every table, and max_degree=-1 an
+    # empty family, which rho then refused
+    with pytest.raises(ValueError, match=problem):
+        canonical_test_family(example2_model(2), **kwargs)
 
 
 def test_rho_zero_and_symmetry():

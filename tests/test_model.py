@@ -569,8 +569,39 @@ def test_builders_match_dict_reference(case):
     assert_same_arrays(built, ref)
 
 
+# the largest m whose 2^(m+1)+1 states fit np.intp
+LAST_M = np.iinfo(np.intp).bits - 3
+# per case: builder, arguments and the refusal; each used to build a model
+# or to fail with a TypeError, IndexError or numpy's ValueError
+BAD_BUILDER_ARGS = {
+    "example2_m_62": (example2_model, (62,), rf"m=62 must be an integer from 2 to {LAST_M}, "
+                                               r"so that its 2\^\(m\+1\)\+1 states fit"),
+    "example2_m_int64_62": (example2_model, (np.int64(62),), "index range"),
+    "example2_m_float": (example2_model, (3.0,), "m=3.0 must be an integer from 2"),
+    "example2_m_fraction": (example2_model, (2.5,), "m=2.5 must be an integer"),
+    "example2_m_string": (example2_model, ("3",), "m='3' must be an integer"),
+    "example2_m_bool": (example2_model, (True,), "m=True must be an integer"),
+    "example2_m_none": (example2_model, (None,), "m=None must be an integer"),
+    "example2_control_step_string": (example2_model, (3, "x"), "control_step='x' is not"),
+    "example2_control_step_bool": (example2_model, (3, True), "control_step=True is not"),
+    "example1_y0_bool": (example1_model, (True,), "y0=True is not a number"),
+    "example1_y0_string": (example1_model, ("x",), "y0='x' is not a number"),
+    "example1_y0_none": (example1_model, (None,), "y0=None is not a number"),
+    "family_string": (example1_family_model, (["x"],), "magnitude='x' is not"),
+    "family_bool": (example1_family_model, ([0.5, True],), "magnitude=True is not"),
+    "family_nan": (example1_family_model, ([float("nan")],), r"must lie in \(0, 1\]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BUILDER_ARGS))
+def test_builders_refuse_bad_parameters(case):
+    build, args, message = BAD_BUILDER_ARGS[case]
+    with pytest.raises(ModelError, match=message):
+        build(*args)
+
+
 MODEL_FIELDS = ("states", "controls", "noise", "initial_index", "pair_state",
-                "pair_local", "state_pair_start", "pair_cost", "wibble", "pair_control")
+                "state_pair_start", "pair_cost", "wibble", "pair_control")
 
 
 @pytest.mark.parametrize("name", MODEL_FIELDS)
@@ -580,7 +611,7 @@ def test_model_fields_cannot_be_assigned(name):
         setattr(m, name, None)
 
 
-@pytest.mark.parametrize("part", ["pair_cost", "pair_state", "pair_local",
+@pytest.mark.parametrize("part", ["pair_cost", "pair_state",
                                   "state_pair_start", "rows.data", "rows.indices",
                                   "rows.indptr", "pair_row", "next_idx", "states",
                                   "pair_control", "noise"])

@@ -10,6 +10,7 @@ import ast
 import hashlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -279,6 +280,37 @@ def test_every_module_imports_first():
         runs = list(pool.map(_import_first, sorted(PACKAGE.glob("*.py"))))
     assert len(runs) > 1
     assert [(name, err) for name, code, err in runs if code != 0] == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_section(heading):
+    """The README's text under a '## ' heading, up to the next one."""
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_quick_start_runs():
+    # run as written in a fresh interpreter, so a name the library renames
+    # or retires fails here rather than in a reader's hands
+    block = re.search(r"```python\n(.*?)```", _readme_section("## Library quick start"), re.S)
+    run = subprocess.run([sys.executable, "-c", block.group(1)], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_readme_model_attributes_exist():
+    # the arrays the occulimits.model paragraph lists (its parenthesized
+    # remarks dropped) and every model.<name> it names
+    para = _readme_section("## Modules").split("- `occulimits.model`", 1)[1]
+    para = " ".join(para.split("\n- `occulimits.", 1)[0].split())
+    listed = para.split("held as read-only", 1)[1].split("plus the transition law", 1)[0]
+    names = set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", listed)))
+    names |= set(re.findall(r"`model\.(\w+)", para))
+    model = example2_model(2)
+    assert len(names) >= 7
+    assert [name for name in sorted(names) if not hasattr(model, name)] == []
 
 
 # sha256 of the arrays below over suite seeds 0..1999
