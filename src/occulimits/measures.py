@@ -94,10 +94,11 @@ def pair_laws(model, plan, y0, T):
     tensor = transition(model)
     mu = np.zeros(model.n_states)
     mu[y0] = 1.0
+    weights = None if plan.kind == "staged" else plan.pair_weights(model)  # same at every t
     for t in range(T):
         if t:  # pushed on demand, so no law past the last is pushed
             mu = tensor.push(law)
-        law = model.at_pairs(mu) * plan.pair_weights(model, t)
+        law = model.at_pairs(mu) * (plan.pair_weights(model, t) if weights is None else weights)
         yield mu, law
 
 

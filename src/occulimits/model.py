@@ -26,12 +26,12 @@ class ModelError(ValueError):
 class FiniteModel:
     """Immutable finite model of a controlled stochastic recursion.
 
-    states is the (n_states, d_y) list of grid points and controls gives
-    every state's control list as an (n_c, d_u) array-like; a 1-D value
-    holds scalar points.  The admissible pairs (y, u) are numbered state by
-    state.  noise holds the probability of every noise atom (empty in kernel
-    mode).  The constructor takes the compiled arrays over the pairs:
-    pair_cost, k(y, u) of every pair, and exactly one of next_idx, the
+    states is the (n_states, d_y) list of grid points and noise the
+    probability of every noise atom (empty in kernel mode).  The admissible
+    pairs (y, u) are numbered state by state, and the constructor takes
+    arrays over them: pair_state, nondecreasing, the state of every pair,
+    pair_control, (n_pairs, d_u), its control (a 1-D states or pair_control
+    holds scalar points), pair_cost, k(y, u), and exactly one of next_idx, the
     (n_pairs, n_atoms) state index of every pair's image under every noise
     atom, or kernel, the dense (n_pairs, n_states) transition rows of a
     kernel-mode model.  It refuses with ModelError any array it cannot use,
@@ -52,21 +52,20 @@ class FiniteModel:
     at_pairs(x) spreads a per-state x over the pairs.
     """
 
-    def __init__(self, states, controls, noise, pair_cost, next_idx=None, kernel=None,
-                 initial_index=None):
+    def __init__(self, states, pair_state, pair_control, noise, pair_cost, next_idx=None,
+                 kernel=None, initial_index=None):
         states = _points("states", states)
         n_states = len(states)
-        if len(controls) != n_states:
-            raise ModelError(f"{len(controls)} control lists for {n_states} states")
-        blocks = [_points("controls", cs) for cs in controls]
-        filled = [b for b in blocks if len(b)]
-        dims = sorted({b.shape[1] for b in filled})
-        if len(dims) > 1 or 0 in dims:
-            raise ModelError(f"controls need one positive dimension, have {dims}")
-        sizes = np.array([len(b) for b in blocks], dtype=np.int64)
+        pair_state = _indices("pair_state", pair_state, None, n_states, "pairs")
+        if pair_state.ndim != 1 or np.any(np.diff(pair_state) < 0):
+            raise ModelError(f"pair_state of shape {pair_state.shape} is not a nondecreasing list")
+        n_pairs = len(pair_state)
+        pair_control = _points("pair_control", pair_control)
+        if pair_control.shape[0] != n_pairs or pair_control.shape[1] == 0:
+            raise ModelError(f"pair_control has shape {pair_control.shape}, expected "
+                             f"{n_pairs} rows of one positive dimension")
+        sizes = np.bincount(pair_state, minlength=n_states)
         starts = np.concatenate([[0], np.cumsum(sizes)])
-        pair_state = np.repeat(np.arange(n_states), sizes)
-        n_pairs = int(starts[-1])
         pair_cost = _checked_array("pair_cost", pair_cost, float, (n_pairs,))
         noise = _checked_array("noise", noise, float, (len(noise),))
         if (next_idx is None) == (kernel is None):
@@ -75,17 +74,12 @@ class FiniteModel:
             kernel = sparse.csr_matrix(_checked_array("kernel", kernel, float,
                                                       (n_pairs, n_states)))
         else:
-            next_idx = _checked_array("next_idx", next_idx, None, (n_pairs, len(noise)))
-            if next_idx.dtype.kind not in "iuf" or np.any(next_idx != np.round(next_idx)):
-                raise ModelError("next_idx is not integer-valued")
-            if np.any((next_idx < 0) | (next_idx >= n_states)):
-                raise ModelError(f"next_idx has images outside the {n_states} states")
-            next_idx = next_idx.astype(np.int64)
-        if initial_index is not None and initial_index not in range(n_states):
+            next_idx = _indices("next_idx", next_idx, (n_pairs, len(noise)), n_states, "images")
+        if initial_index is not None and not (np.issubdtype(type(initial_index), np.integer)
+                                              and initial_index in range(n_states)):
             raise ModelError(f"initial_index {initial_index!r} outside the {n_states} states")
-        fields = {"states": states,
-                  "pair_control": np.concatenate(filled) if filled else np.zeros((0, 1)),
-                  "noise": noise, "initial_index": initial_index,
+        fields = {"states": states, "pair_control": pair_control, "noise": noise,
+                  "initial_index": None if initial_index is None else int(initial_index),
                   "state_pair_start": starts, "pair_state": pair_state, "_sizes": sizes,
                   "pair_cost": pair_cost,
                   # the law's inputs, read by build_transition_tensor
@@ -148,6 +142,16 @@ def _checked_array(name, value, dtype, shape):
     if shape is not None and array.shape != shape:
         raise ModelError(f"{name} has shape {array.shape}, expected {shape}")
     return array
+
+
+def _indices(name, value, shape, n_states, what):
+    """value as a new int64 array of the given shape holding state indices, else ModelError."""
+    array = _checked_array(name, value, None, shape)
+    if array.dtype.kind not in "iuf" or np.any(array != np.round(array)):
+        raise ModelError(f"{name} is not integer-valued")
+    if np.any((array < 0) | (array >= n_states)):
+        raise ModelError(f"{name} has {what} outside the {n_states} states")
+    return array.astype(np.int64, copy=False)
 
 
 def _points(name, value):
@@ -280,11 +284,11 @@ def _sign_flip_model(values, initial_index=None):
     The list is closed under the recursion, so no snapping is involved.
     """
     y = np.array(values)
-    pair_state = np.repeat(np.arange(len(values)), 2)
+    pair_state, u = np.repeat(np.arange(len(values)), 2), np.tile([-1.0, 1.0], len(values))
     # (y u) s for u = -1, +1 per state and s = +1, -1 per atom
-    images = (y[pair_state] * np.tile([-1.0, 1.0], len(values)))[:, None] * [1.0, -1.0]
+    images = (y[pair_state] * u)[:, None] * [1.0, -1.0]
     return FiniteModel(
-        states=y, controls=[[-1.0, 1.0]] * len(values),
+        states=y, pair_state=pair_state, pair_control=u,
         noise=[0.75, 0.25],  # s=+1, s=-1
         pair_cost=y[pair_state], next_idx=np.searchsorted(y, images),
         initial_index=initial_index)
@@ -370,9 +374,8 @@ def example2_model(m, control_step=None):
     mag = np.abs(images) / step
     k = np.floor(mag + 0.5)
     k -= k - mag == 0.5
-    cuts = np.flatnonzero(np.diff(pair_state)) + 1
     return FiniteModel(
-        states=values, controls=np.split(u, cuts), noise=[0.5, 0.5],  # s=1, s=1/4
+        states=values, pair_state=pair_state, pair_control=u, noise=[0.5, 0.5],  # s=1, s=1/4
         pair_cost=values[pair_state],
         next_idx=n_half + np.sign(images) * np.maximum(k, 1))
 
@@ -533,7 +536,8 @@ def load_model(path):
         if initial_index >= len(states):
             raise ModelError(f"field 'initial_state': index {initial_index} out of range")
 
-    return FiniteModel(states, controls, noise, pair_cost, next_idx, kernel, initial_index)
+    return FiniteModel(states, [i for i, _ in pairs], [u for cs in controls for u in cs],
+                       noise, pair_cost, next_idx, kernel, initial_index)
 
 
 def save_model(model, path):

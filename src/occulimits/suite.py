@@ -20,14 +20,15 @@ def random_model(seed, max_states=8, max_controls=4, max_atoms=3):
     n_atoms = int(rng.integers(2, max_atoms + 1))
     raw = rng.dirichlet(np.ones(n_atoms))
     probs = ATOM_FLOOR + (1.0 - n_atoms * ATOM_FLOOR) * raw
-    controls, pair_cost, next_idx = [], [], []
-    for _ in range(n_states):
+    pair_state, pair_control, pair_cost, next_idx = [], [], [], []
+    for i in range(n_states):
         n_c = int(rng.integers(1, max_controls + 1))
-        controls.append(np.arange(float(n_c)))
+        pair_state += [i] * n_c
+        pair_control += range(n_c)
         for _ in range(n_c):
             pair_cost.append(float(rng.uniform(-1.0, 1.0)))
             next_idx.append([int(rng.integers(0, n_states)) for _ in range(n_atoms)])
-    return FiniteModel(np.arange(float(n_states)), controls, probs, pair_cost, next_idx)
+    return FiniteModel(np.arange(n_states), pair_state, pair_control, probs, pair_cost, next_idx)
 
 
 def random_stationary_plan(model, seed, randomized=False):

@@ -188,7 +188,8 @@ def test_criterion_5_occupational_membership():
 
 def test_criterion_6_brute_force_oracle():
     # pairs (state, control) = (0, 0), (0, 1), (1, 0), (1, 1); one image per atom
-    m = FiniteModel(states=[0.0, 1.0], controls=[[0.0, 1.0]] * 2, noise=[0.625, 0.375],
+    m = FiniteModel(states=[0.0, 1.0], pair_state=[0, 0, 1, 1],
+                    pair_control=[0.0, 1.0] * 2, noise=[0.625, 0.375],
                     pair_cost=[0.5, -0.25, 0.75, -0.5],
                     next_idx=[[0, 1], [1, 1], [1, 0], [0, 0]])
     curve, _ = finite_horizon_values(m, 3)

@@ -14,7 +14,7 @@ from occulimits.programs import (DualCertificate, GMeasure, augmented_lp,
                                  discounted_stationary_lp, membership_residuals)
 from occulimits.suite import random_model
 
-from _oracles import state_controls, with_cost
+from _oracles import with_cost
 
 
 def test_bounds_report_example1():
@@ -79,8 +79,8 @@ def test_verify_example2_closed_form_dual_grid_tolerance():
     eta = np.where(vals <= 0, vals + 5.0 / 8.0, 8.0 / 3.0 * vals)
     dual = DualCertificate(mu=-5.0 / 8.0, psi=psi, eta=eta)
     sel = []
-    for v, cs in zip(vals, state_controls(m)):
-        us = cs[:, 0].tolist()
+    for i, v in enumerate(vals):
+        us = m.pair_control[m.pair_state == i, 0].tolist()
         sel.append(us.index(-1.0) if v <= 0 else us.index(v))
     plan = Plan(kind="stationary_deterministic", selector=np.array(sel))
     verdict = verify_long_run_optimality(m, plan, dual, m.nearest_state(-0.5),
@@ -135,7 +135,8 @@ def test_greedy_plan_avoids_a_tie_that_leaves_the_optimal_gain():
     # (gain 1); control 1 moves to the absorbing state 1 (gain 0).  At the
     # least M that makes family 1 hold, eta ties both controls and the
     # lowest index picks control 0
-    m = FiniteModel(states=[0.0, 1.0, 2.0], controls=[[0.0, 1.0], [0.0], [0.0]],
+    m = FiniteModel(states=[0.0, 1.0, 2.0], pair_state=[0, 0, 1, 2],
+                    pair_control=[0.0, 1.0, 0.0, 0.0],
                     noise=[1.0], pair_cost=[-10.0, 0.0, 0.0, 1.0],
                     next_idx=[[2], [1], [1], [2]])
     aug = augmented_lp(m, 0)

@@ -45,8 +45,8 @@ def test_example2_v1_is_cost():
 def test_finite_horizon_overflow_is_refused(cost):
     # v_2 = k is finite, but 2 v_2 = k + E[v_1] overflows before it is
     # divided; it used to come back as inf with only a RuntimeWarning
-    m = FiniteModel(states=[0.0], controls=[[0.0]], noise=[1.0], pair_cost=[cost],
-                    next_idx=[[0]])
+    m = FiniteModel(states=[0.0], pair_state=[0], pair_control=[0.0],
+                    noise=[1.0], pair_cost=[cost], next_idx=[[0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert finite_horizon_values(m, 1)[0][0].values.tolist() == [cost]
@@ -383,7 +383,7 @@ def test_average_cost_cap_raises_solver_error(monkeypatch):
 
 def test_average_cost_refuses_non_finite_values():
     # |k| = 1e308 is finite, but the bias k(0) - k(1) overflows
-    m = FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0]], noise=[1.0],
+    m = FiniteModel(states=[0.0, 1.0], pair_state=[0, 1], pair_control=[0.0, 0.0], noise=[1.0],
                     pair_cost=[1e308, -1e308], next_idx=[[1], [0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

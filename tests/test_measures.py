@@ -11,8 +11,7 @@ from occulimits.model import FiniteModel, example1_model, example2_model, transi
 from occulimits.programs import GMeasure, membership_residuals
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import (law_matrix, pair_by_pair_law, plan_law, state_controls,
-                      truncated_discounted_occupation)
+from _oracles import law_matrix, pair_by_pair_law, plan_law, truncated_discounted_occupation
 
 
 def example1_optimal_plan(m):
@@ -29,8 +28,8 @@ def test_example1_law_stationary_from_t1():
 
 def test_deterministic_permutation_point_mass_path():
     # 3-cycle under a single atom: point mass stays a point mass
-    m = FiniteModel(states=[0.0, 1.0, 2.0], controls=[[0.0]] * 3, noise=[1.0],
-                    pair_cost=[0.0] * 3, next_idx=[[1], [2], [0]])
+    m = FiniteModel(states=[0.0, 1.0, 2.0], pair_state=[0, 1, 2], pair_control=[0.0] * 3,
+                    noise=[1.0], pair_cost=[0.0] * 3, next_idx=[[1], [2], [0]])
     plan = Plan(kind="stationary_deterministic", selector=np.zeros(3, dtype=int))
     path = propagate(m, plan, 0, 6)
     for t in range(7):
@@ -41,7 +40,7 @@ def test_two_state_two_step_hand_law():
     # single control per state, P(.|0) = (0.3, 0.7), P(.|1) = (0.6, 0.4)
     # mu_1 = (0.3, 0.7); mu_2 = (0.3*0.3 + 0.7*0.6, 0.3*0.7 + 0.7*0.4) = (0.51, 0.49)
     rows = np.array([[0.3, 0.7], [0.6, 0.4]])
-    m = FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0]], noise=[],
+    m = FiniteModel(states=[0.0, 1.0], pair_state=[0, 1], pair_control=[0.0, 0.0], noise=[],
                     pair_cost=[0.0, 0.0], kernel=rows)
     plan = Plan(kind="stationary_deterministic", selector=np.zeros(2, dtype=int))
     path = propagate(m, plan, 0, 2)
@@ -129,6 +128,22 @@ def test_occupation_T1_point_mass():
     assert gamma.total_mass == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("kind", ["deterministic", "randomized", "staged"])
+def test_pair_laws_read_a_stationary_plan_once(kind, monkeypatch):
+    # a stationary plan has the same pair weights at every stage, so they
+    # are read once per law path; a staged plan's are read at each stage
+    m = example2_model(4)
+    if kind == "staged":
+        plan = finite_horizon_values(m, 50)[1]
+    else:
+        plan = random_stationary_plan(m, 0, randomized=kind == "randomized")
+    stages, read = [], Plan.pair_weights
+    monkeypatch.setattr(Plan, "pair_weights",
+                        lambda self, model, t=0: stages.append(t) or read(self, model, t))
+    occupation_measure(m, plan, 0, 50)
+    assert stages == (list(range(50)) if kind == "staged" else [0])
+
+
 @pytest.mark.parametrize("T", [0, -1])
 def test_plan_evaluators_refuse_a_horizon_below_1(T):
     # T=0 used to give NaN weights and a bare ZeroDivisionError
@@ -211,7 +226,7 @@ def test_example1_discounted_occupation_value():
 
 
 def test_absorbing_state_discounted_point_mass():
-    m = FiniteModel(states=[0.0], controls=[[0.0]], noise=[1.0], pair_cost=[0.5],
+    m = FiniteModel(states=[0.0], pair_state=[0], pair_control=[0.0], noise=[1.0], pair_cost=[0.5],
                     next_idx=[[0]])
     plan = Plan(kind="stationary_deterministic", selector=np.zeros(1, dtype=int))
     for eps in (0.9, 0.05):
@@ -261,7 +276,7 @@ def _law_model(name):
         return example2_model(4)
     if name == "kernel":
         m = random_model(5)
-        return FiniteModel(m.states, state_controls(m), [], m.pair_cost,
+        return FiniteModel(m.states, m.pair_state, m.pair_control, [], m.pair_cost,
                            kernel=law_matrix(m).toarray())
     return random_model(int(name))
 
@@ -331,7 +346,7 @@ def test_rho_point_masses_hand_value():
     # Point masses at pair a=(y=0, u=0) and b=(y=1, u=0) on a 2-state model:
     # normalized monomial gap is 1 for every pure power of y, 0 otherwise.
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    m = FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0]], noise=[],
+    m = FiniteModel(states=[0.0, 1.0], pair_state=[0, 1], pair_control=[0.0, 0.0], noise=[],
                     pair_cost=[0.0, 0.0], kernel=rows)
     fam = canonical_test_family(m)
     g_a = GMeasure(np.array([1.0, 0.0]))
@@ -369,8 +384,8 @@ def test_prg_example1():
 def test_prg_example2_negative_start():
     m = example2_model(6)
     sel = []
-    for v, cs in zip(m.states[:, 0], state_controls(m)):
-        us = cs[:, 0].tolist()
+    for i, v in enumerate(m.states[:, 0]):
+        us = m.pair_control[m.pair_state == i, 0].tolist()
         sel.append(us.index(-1.0) if v <= 0 else us.index(v))
     plan = Plan(kind="stationary_deterministic", selector=np.array(sel))
     rep = prg_detect(m, plan, m.nearest_state(-0.5), t_max=20)
@@ -381,7 +396,7 @@ def exact_positive_orbit_model(levels=20):
     # states 0.5 * 4^-j with u = y the only control; the orbit never snaps,
     # it keeps spreading binomially, so no finite period emerges
     values = [0.5 * 0.25 ** j for j in range(levels)]
-    return FiniteModel(states=values, controls=[[v] for v in values],
+    return FiniteModel(states=values, pair_state=range(levels), pair_control=values,
                        noise=[0.5, 0.5], pair_cost=values,
                        next_idx=[[i, min(i + 1, levels - 1)] for i in range(levels)])
 
@@ -396,8 +411,8 @@ def test_prg_not_detected_on_exact_positive_orbit():
 def test_prg_staged_plan_cycles():
     # deterministic 3-cycle with a single control: the cycled one-stage plan
     # generates a period-3 law from t=0
-    m = FiniteModel(states=[0.0, 1.0, 2.0], controls=[[0.0]] * 3, noise=[1.0],
-                    pair_cost=[0.0] * 3, next_idx=[[1], [2], [0]])
+    m = FiniteModel(states=[0.0, 1.0, 2.0], pair_state=[0, 1, 2], pair_control=[0.0] * 3,
+                    noise=[1.0], pair_cost=[0.0] * 3, next_idx=[[1], [2], [0]])
     plan = Plan(kind="staged", selector=[np.zeros(3, dtype=int)])
     rep = prg_detect(m, plan, 0, t_max=12)
     assert rep.is_prg and rep.T0 == 0 and rep.period == 3

@@ -18,24 +18,60 @@ from occulimits.programs import average_cost_solution
 from occulimits.suite import random_model, random_stationary_plan
 
 from _oracles import (law_matrix, pair_by_pair_law, plan_law, reference_example1_family_model,
-                      reference_example1_model, reference_example2_model, state_controls)
+                      reference_example1_model, reference_example2_model)
 
 
 def assert_same_arrays(a, b):
-    """Bit-for-bit equal states, controls, noise, pair costs, images and CSR
-    transition law: its distinct rows and the row of every pair."""
+    """Bit-for-bit equal states, pairs, controls, noise, pair costs, images
+    (None for both kernel-row models) and CSR transition law: its distinct
+    rows and the row of every pair."""
     ta, tb = transition(a), transition(b)
-    for x, y in ((a.states, b.states), (a.pair_control, b.pair_control),
-                 (a.state_pair_start, b.state_pair_start), (a.noise, b.noise),
-                 (a.pair_cost, b.pair_cost), (ta.next_idx, tb.next_idx),
-                 (ta.rows.indptr, tb.rows.indptr), (ta.rows.indices, tb.rows.indices),
-                 (ta.rows.data, tb.rows.data), (ta.pair_row, tb.pair_row)):
+    arrays = [(a.states, b.states), (a.pair_state, b.pair_state),
+              (a.pair_control, b.pair_control), (a.state_pair_start, b.state_pair_start),
+              (a.noise, b.noise), (a.pair_cost, b.pair_cost),
+              (ta.rows.indptr, tb.rows.indptr), (ta.rows.indices, tb.rows.indices),
+              (ta.rows.data, tb.rows.data), (ta.pair_row, tb.pair_row)]
+    assert (ta.next_idx is None) == (tb.next_idx is None)
+    if ta.next_idx is not None:
+        arrays.append((ta.next_idx, tb.next_idx))
+    for x, y in arrays:
         assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def single_state_model():
-    return FiniteModel(states=[[0.0]], controls=[[0.0]], noise=[1.0], pair_cost=[1.0],
-                       next_idx=[[0]])
+    return FiniteModel(states=[[0.0]], pair_state=[0], pair_control=[0.0], noise=[1.0],
+                       pair_cost=[1.0], next_idx=[[0]])
+
+
+def _round_trip_models():
+    """(model, law argument): the suite seeds 0..49, example 1, the family,
+    example 2 at m=2..8 with the default control step and 0.5, and a
+    kernel-row model."""
+    yield from ((random_model(seed), "next_idx") for seed in range(50))
+    yield example1_model(0.5), "next_idx"
+    yield example1_family_model([0.25, 0.5, 1.0]), "next_idx"
+    for m in range(2, 9):
+        for step in (None, 0.5):
+            yield example2_model(m, step), "next_idx"
+    rows = np.array([[0.2, 0.8, 0.0], [0.5, 0.25, 0.25], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    yield FiniteModel(states=[0.0, 1.0, 2.0], pair_state=[0, 0, 1, 2],
+                      pair_control=[0.0, 1.0, 0.0, 1.0], noise=[],
+                      pair_cost=[0.1, -0.2, 0.3, 0.4], kernel=rows, initial_index=2), "kernel"
+
+
+def test_a_model_is_rebuilt_from_its_own_arrays():
+    # the constructor takes the per-pair arrays the model exposes
+    count = 0
+    for m, law_kind in _round_trip_models():
+        tensor = transition(m)
+        law = {"next_idx": tensor.next_idx} if law_kind == "next_idx" else \
+            {"kernel": law_matrix(m).toarray()}
+        again = FiniteModel(m.states, m.pair_state, m.pair_control, m.noise, m.pair_cost,
+                            initial_index=m.initial_index, **law)
+        assert_same_arrays(again, m)
+        assert again.initial_index == m.initial_index
+        count += 1
+    assert count == 67
 
 
 def test_single_state_forced_row():
@@ -55,8 +91,8 @@ def test_example1_transition_row_matches_dynamics():
 
 def test_three_state_rows_match_hand_enumeration():
     # 3 states, one control each, 2 atoms (0.6 / 0.4); images fixed by hand
-    m = FiniteModel(states=[0.0, 1.0, 2.0], controls=[[0.0]] * 3, noise=[0.6, 0.4],
-                    pair_cost=[0.0] * 3, next_idx=[[1, 2], [1, 1], [0, 1]])
+    m = FiniteModel(states=[0.0, 1.0, 2.0], pair_state=[0, 1, 2], pair_control=[0.0] * 3,
+                    noise=[0.6, 0.4], pair_cost=[0.0] * 3, next_idx=[[1, 2], [1, 1], [0, 1]])
     tensor = build_transition_tensor(m)
     assert np.allclose(tensor.rows[tensor.pair_row].toarray(), [[0.0, 0.6, 0.4],
                                                                 [0.0, 1.0, 0.0],
@@ -72,8 +108,8 @@ def _law_models():
     yield from ((random_model(seed), None) for seed in range(50))
     yield example1_model(0.5), None
     yield from ((example2_model(m), None) for m in range(2, 9))
-    yield FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0, 1.0]], noise=[],
-                      pair_cost=[1.0, 0.0, 2.0], kernel=KERNEL), KERNEL
+    yield FiniteModel(states=[0.0, 1.0], pair_state=[0, 1, 1], pair_control=[0.0, 0.0, 1.0],
+                      noise=[], pair_cost=[1.0, 0.0, 2.0], kernel=KERNEL), KERNEL
 
 
 def test_distinct_rows_read_the_law_bit_for_bit():
@@ -104,15 +140,15 @@ def test_distinct_rows_rank_a_key_that_would_overflow():
 
 
 @pytest.mark.parametrize("arrays", [
-    {"states": [0.0], "controls": [[0.0]], "noise": [], "pair_cost": [1.0],
-     "next_idx": np.zeros((1, 0))},
-    {"states": [0.0, 1.0], "controls": [[0.0], [0.0, 1.0]], "noise": [],
-     "pair_cost": [1.0, 0.0, 2.0], "next_idx": np.zeros((3, 0))},
-    {"states": [], "controls": [], "noise": [1.0], "pair_cost": [],
+    {"states": [0.0], "pair_state": [0], "pair_control": [0.0], "noise": [],
+     "pair_cost": [1.0], "next_idx": np.zeros((1, 0))},
+    {"states": [0.0, 1.0], "pair_state": [0, 1, 1], "pair_control": [0.0, 0.0, 1.0],
+     "noise": [], "pair_cost": [1.0, 0.0, 2.0], "next_idx": np.zeros((3, 0))},
+    {"states": [], "pair_state": [], "pair_control": [], "noise": [1.0], "pair_cost": [],
      "next_idx": np.zeros((0, 1))},
-    {"states": [0.0], "controls": [[]], "noise": [], "pair_cost": [],
+    {"states": [0.0], "pair_state": [], "pair_control": [], "noise": [], "pair_cost": [],
      "next_idx": np.zeros((0, 0))},
-    {"states": [0.0], "controls": [[]], "noise": [1.0], "pair_cost": [],
+    {"states": [0.0], "pair_state": [], "pair_control": [], "noise": [1.0], "pair_cost": [],
      "next_idx": np.zeros((0, 1))}])
 def test_zero_atom_and_zero_pair_arrays_are_refused(arrays):
     # grouping the pairs onto distinct rows must reach validate on every
@@ -146,17 +182,19 @@ def test_dynamics_out_of_range_names_triple(tmp_path):
         load_model(path)
 
 
-def test_constructor_refuses_control_lists_not_one_per_state():
-    # one state, two control lists: both law kinds name both counts
-    with pytest.raises(ModelError, match="2 control lists for 1 states"):
-        FiniteModel(states=[[0.0]], controls=[[0.0], [1.0]],
-                    noise=[1.0], pair_cost=[1.0, 2.0], next_idx=[[0], [0]])
-    with pytest.raises(ModelError, match="2 control lists for 1 states"):
-        FiniteModel(states=[[0.0]], controls=[[0.0], [1.0]],
-                    noise=[], pair_cost=[1.0, 2.0], kernel=[[1.0], [1.0]])
-
-
-TWO_STATES = {"states": [[0.0], [1.0]], "controls": [[(0.0,)], [(0.0,)]], "noise": [1.0]}
+TWO_STATES = {"states": [[0.0], [1.0]], "pair_state": [0, 1], "pair_control": [(0.0,), (0.0,)],
+              "noise": [1.0]}
+# pair_state values that are not a nondecreasing list of state indices,
+# refused under both law kinds
+BAD_PAIR_STATES = {
+    "outside": ([0, 2], "pair_state has pairs outside the 2 states"),
+    "decreasing": ([1, 0], r"pair_state of shape \(2,\) is not a nondecreasing list"),
+    "fractional": ([0, 0.5], "pair_state is not integer-valued"),
+    "bool": ([False, True], "pair_state is not integer-valued"),
+    "2d": ([[0], [1]], r"pair_state of shape \(2, 1\) is not a nondecreasing list"),
+}
+LAWS = {"": {"next_idx": [[1], [0]]},
+        "_kernel": {"noise": [], "kernel": [[0.0, 1.0], [1.0, 0.0]]}}
 
 
 @pytest.mark.parametrize("arrays, problem", [
@@ -176,29 +214,38 @@ TWO_STATES = {"states": [[0.0], [1.0]], "controls": [[(0.0,)], [(0.0,)]], "noise
      r"states has shape \(2, 1, 1\)"),
     ({"pair_cost": [1.0, 2.0], "next_idx": [[1], [0]], "states": [[0.0], [1.0, 2.0]]},
      "states: "),
-    ({"pair_cost": [1.0, 2.0], "next_idx": [[1], [0]], "controls": [[[[0.0]]], [[[0.0]]]]},
-     r"controls has shape \(1, 1, 1\)"),
+    ({"pair_cost": [1.0, 2.0], "next_idx": [[1], [0]], "pair_control": [[[0.0]], [[0.0]]]},
+     r"pair_control has shape \(2, 1, 1\)"),
     ({"pair_cost": [1.0, 2.0], "next_idx": [[1], [0]], "noise": [[1.0]]},
-     r"noise has shape \(1, 1\)")],
+     r"noise has shape \(1, 1\)"),
+    # both used to construct and store the value, which check_y0 then refused
+    ({"pair_cost": [1.0, 2.0], "next_idx": [[1], [0]], "initial_index": True},
+     "initial_index True outside"),
+    ({"pair_cost": [1.0, 2.0], "next_idx": [[1], [0]], "initial_index": 1.0},
+     r"initial_index 1\.0 outside"),
+    *(({"pair_cost": [1.0, 2.0], "pair_state": pair_state, **law}, problem)
+      for pair_state, problem in BAD_PAIR_STATES.values() for law in LAWS.values())],
     ids=["short_pair_cost", "short_next_idx", "wide_next_idx", "fractional_image",
          "negative_image", "image_too_large", "initial_index_outside", "both_laws",
          "no_law", "short_kernel", "nested_states", "ragged_states", "nested_controls",
-         "noise_matrix"])
+         "noise_matrix", "initial_index_bool", "initial_index_float",
+         *(f"pair_state_{case}{kind}" for case in BAD_PAIR_STATES for kind in LAWS)])
 def test_constructor_refuses_unusable_arrays(arrays, problem):
     with pytest.raises(ModelError, match=problem):
         FiniteModel(**{**TWO_STATES, **arrays})
 
 
 @pytest.mark.parametrize("controls, problem", [
-    ([[(float("nan"),)]] * 2, "not all finite"),
-    ([[(float("inf"),)]] * 2, "not all finite"),
-    ([[(0.0,)], [(1.0, 2.0)]], "one positive dimension"),
-    ([[()], [()]], "one positive dimension")])
+    ([(float("nan"),)] * 2, "not all finite"),
+    ([(float("inf"),)] * 2, "not all finite"),
+    ([(0.0,), (1.0, 2.0)], "pair_control:"),  # mixed dimensions: ragged rows
+    ([(), ()], "one positive dimension")])
 def test_validate_flags_bad_control_values(controls, problem):
-    # the constructor refuses every problem validate lists
+    # the constructor refuses every problem validate lists, and any
+    # pair_control that is not one (n_pairs, d_u) array with d_u >= 1
     with pytest.raises(ModelError, match=problem):
-        FiniteModel(states=[[0.0], [1.0]], controls=controls, noise=[1.0],
-                    pair_cost=[1.0, 2.0], next_idx=[[1], [0]])
+        FiniteModel(states=[[0.0], [1.0]], pair_state=[0, 1], pair_control=controls,
+                    noise=[1.0], pair_cost=[1.0, 2.0], next_idx=[[1], [0]])
 
 
 def test_validate_example1_clean():
@@ -207,19 +254,19 @@ def test_validate_example1_clean():
 
 def test_validate_flags_unnormalized_noise():
     with pytest.raises(ModelError, match="noise not normalized"):
-        FiniteModel(states=[[0.0]], controls=[[0.0]], noise=[0.9], pair_cost=[1.0],
-                    next_idx=[[0]])
+        FiniteModel(states=[[0.0]], pair_state=[0], pair_control=[0.0], noise=[0.9],
+                    pair_cost=[1.0], next_idx=[[0]])
 
 
 def test_validate_flags_empty_control_list():
     with pytest.raises(ModelError, match=re.escape("empty U(y)")):
-        FiniteModel(states=[[0.0]], controls=[[]], noise=[1.0], pair_cost=[],
+        FiniteModel(states=[[0.0]], pair_state=[], pair_control=[], noise=[1.0], pair_cost=[],
                     next_idx=np.zeros((0, 1), dtype=np.int64))
 
 
 NAN, INF = float("nan"), float("inf")
 REFUSED_MODELS = {
-    "no_states": ({"states": [], "controls": [], "noise": [1.0],
+    "no_states": ({"states": [], "pair_state": [], "pair_control": [], "noise": [1.0],
                    "pair_cost": [], "next_idx": np.zeros((0, 1), dtype=np.int64)},
                   "model has no states"),
     "nan_cost": ({**TWO_STATES, "pair_cost": [NAN, 1.0], "next_idx": [[1], [0]]},
@@ -255,7 +302,9 @@ SPOILERS = ("no_states", "empty_control_list", "nan_control", "infinite_control"
 @st.composite
 def model_arrays(draw):
     """Constructor arguments of a small dynamics- or kernel-mode model: a
-    valid one, then up to two drawn defects from SPOILERS."""
+    valid one, then up to two drawn defects from SPOILERS.  Each state's
+    control list is drawn, then the lists are flattened into pair_state and
+    pair_control."""
     spoil = set(draw(st.lists(st.sampled_from(SPOILERS), max_size=2)))
     n_states = 0 if "no_states" in spoil else draw(st.integers(1, 3))
     controls = [draw(st.lists(st.tuples(st.floats(-2.0, 2.0)), min_size=1, max_size=3))
@@ -286,7 +335,8 @@ def model_arrays(draw):
             if name in spoil:
                 law[row] *= scale
     arrays = {"states": [(float(i),) for i in range(n_states)],
-              "controls": controls, "pair_cost": pair_cost}
+              "pair_state": [i for i, cs in enumerate(controls) for _ in cs],
+              "pair_control": [u for cs in controls for u in cs], "pair_cost": pair_cost}
     if kernel_mode:
         return {**arrays, "noise": [], "kernel": law}
     images = np.array(draw(st.lists(st.integers(0, max(n_states - 1, 0)),
@@ -355,20 +405,20 @@ def test_example1_family_contains_k_star_class():
 def test_example2_m2_controls_at_half():
     m = example2_model(2, control_step=0.25)
     i = m.nearest_state(0.5)
-    assert state_controls(m)[i][:, 0].tolist() == [0.5, 0.75, 1.0]
+    assert m.pair_control[m.pair_state == i, 0].tolist() == [0.5, 0.75, 1.0]
 
 
 def test_example2_m8_images():
     m = example2_model(8)
     tensor = transition(m)
     i = m.nearest_state(-0.5)
-    local = state_controls(m)[i][:, 0].tolist().index(-1.0)
+    local = m.pair_control[m.pair_state == i, 0].tolist().index(-1.0)
     p = m.pair_index(i, local)
     images = {m.states[int(tensor.next_idx[p, a]), 0] for a in range(2)}
     assert images == {-1.0, -0.25}
 
     j = m.nearest_state(0.5)
-    local = state_controls(m)[j][:, 0].tolist().index(0.5)
+    local = m.pair_control[m.pair_state == j, 0].tolist().index(0.5)
     p = m.pair_index(j, local)
     images = {m.states[int(tensor.next_idx[p, a]), 0] for a in range(2)}
     assert images == {0.5, 0.125}
@@ -384,9 +434,10 @@ def test_example2_controls_stay_in_their_interval(control_step):
     # at 1e300 the absolute -1e-12 in the lowest multiple used to put u = 0
     # into [y, 1] for every y > 0; at 1e308 the multiple check overflowed
     m = example2_model(2, control_step)
-    for y, cs in zip(m.states[:, 0], state_controls(m)):
+    for i, y in enumerate(m.states[:, 0]):
         lo, hi = (y if y > 0 else -1.0), (y if y < 0 else 1.0)
-        assert all(lo <= u <= hi for (u,) in cs) and {lo, hi, y} <= {u for (u,) in cs}
+        us = m.pair_control[m.pair_state == i, 0]
+        assert all(lo <= u <= hi for u in us) and {lo, hi, y} <= set(us)
 
 
 @pytest.mark.parametrize("control_step", [1e-300, 5e-324])
@@ -401,8 +452,8 @@ def test_example2_snapping_total_and_y_admissible():
     m = example2_model(4)
     tensor = transition(m)
     assert tensor.next_idx.min() >= 0 and tensor.next_idx.max() < m.n_states
-    for y, cs in zip(m.states, state_controls(m)):
-        assert (cs == y).all(axis=1).any()
+    for i, y in enumerate(m.states):
+        assert (m.pair_control[m.pair_state == i] == y).all(axis=1).any()
 
 
 def test_example2_snapping_preserves_sign():
@@ -475,8 +526,8 @@ def test_plan_matrix_factored_and_kernel_rows_agree(seed):
     # a randomized plan's law, and the discounted occupation that solves with it
     m = random_model(seed)
     rows = law_matrix(m).toarray()
-    kernel = FiniteModel(states=m.states, controls=state_controls(m), noise=[],
-                         pair_cost=m.pair_cost, kernel=rows)
+    kernel = FiniteModel(states=m.states, pair_state=m.pair_state, pair_control=m.pair_control,
+                         noise=[], pair_cost=m.pair_cost, kernel=rows)
     plan = random_stationary_plan(m, seed, randomized=True)
     w = plan.pair_weights(m)
     expected = np.zeros((m.n_states, m.n_states))
@@ -540,8 +591,9 @@ def test_noise_ids_live_only_in_files(tmp_path):
 
 def test_kernel_roundtrip_keeps_rows(tmp_path):
     rows = np.array([[0.2, 0.8, 0.0], [0.5, 0.25, 0.25], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    m = FiniteModel(states=[0.0, 1.0, 2.0], controls=[[0.0, 1.0], [0.0], [1.0]], noise=[],
-                    pair_cost=[0.1, -0.2, 0.3, 0.4], kernel=rows)
+    m = FiniteModel(states=[0.0, 1.0, 2.0], pair_state=[0, 0, 1, 2],
+                    pair_control=[0.0, 1.0, 0.0, 1.0],
+                    noise=[], pair_cost=[0.1, -0.2, 0.3, 0.4], kernel=rows)
     path = tmp_path / "kernel.json"
     save_model(m, path)
     doc = json.loads(path.read_text())

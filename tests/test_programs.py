@@ -19,7 +19,7 @@ from occulimits.programs import (GMeasure, SolverError, augmented_lp,
 from occulimits.suite import random_model, random_stationary_plan
 
 from _oracles import (law_matrix, membership_oracle, no_policy_iteration, rebuilt,
-                      stationary_average_oracle, state_controls, with_cost)
+                      stationary_average_oracle, with_cost)
 
 
 def constant_cost(model, c):
@@ -105,7 +105,7 @@ def test_augmented_example2_negative_start():
     half = [(m.nearest_state(-1.0), -1.0), (m.nearest_state(-0.25), -1.0)]
     covered = 0.0
     for state, u in half:
-        us = state_controls(m)[state][:, 0].tolist()
+        us = m.pair_control[m.pair_state == state, 0].tolist()
         p = m.pair_index(state, us.index(u))
         assert w[p] == pytest.approx(0.5, abs=1e-8)
         covered += w[p]
@@ -205,7 +205,7 @@ def test_membership_discounted_occupation():
 def test_membership_uniform_on_skewed_kernel():
     # hand defect: marginal (.5,.5); pushed (.45+.25, .05+.25) = (.7,.3)
     rows = np.array([[0.9, 0.1], [0.5, 0.5]])
-    m = FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0]], noise=[],
+    m = FiniteModel(states=[0.0, 1.0], pair_state=[0, 1], pair_control=[0.0, 0.0], noise=[],
                     pair_cost=[0.0, 0.0], kernel=rows)
     res = membership_residuals(m, GMeasure(np.array([0.5, 0.5])), "W")
     assert res == pytest.approx(0.2, abs=1e-12)
@@ -520,8 +520,9 @@ def test_lp_matrices_equal_the_block_construction():
     models += [example1_model(0.5), example1_family_model([0.25, 0.5, 1.0])]
     models += [example2_model(m) for m in (3, 5, 7)]
     # a certain self-loop: its balance entry 1 - 1 cancels and is dropped
-    models.append(FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0, 1.0]], noise=[],
-                              pair_cost=[1.0, 2.0, 3.0],
+    models.append(FiniteModel(states=[0.0, 1.0], pair_state=[0, 1, 1],
+                              pair_control=[0.0, 0.0, 1.0],
+                              noise=[], pair_cost=[1.0, 2.0, 3.0],
                               kernel=[[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
     for m in models:
         for kind, eps in SETS:
@@ -543,8 +544,9 @@ def test_lp_operator_products_match_the_assembled_matrix():
     models = [random_model(seed) for seed in range(50)]
     models += [example1_model(0.5)] + [example2_model(m) for m in (3, 4, 5, 6, 7)]
     # a certain self-loop: its balance entry 1 - 1 cancels in the matrix
-    models.append(FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0, 1.0]], noise=[],
-                              pair_cost=[1.0, 2.0, 3.0],
+    models.append(FiniteModel(states=[0.0, 1.0], pair_state=[0, 1, 1],
+                              pair_control=[0.0, 0.0, 1.0],
+                              noise=[], pair_cost=[1.0, 2.0, 3.0],
                               kernel=[[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
     rng = np.random.default_rng(17)
     for m in models:
@@ -622,8 +624,8 @@ def test_the_certificate_refuses_the_theta_augmented_lp_refuses(theta):
 def test_cost_at_highs_infinity_is_refused_by_name():
     # HiGHS reads |c| >= 1e20 as infinite and used to stop with "HiGHS
     # Status 15: Unknown"; this model's construction misses its certificate
-    m = FiniteModel(states=[0.0, 1.0], controls=[[0.0], [0.0]], noise=[0.25, 0.75],
-                    pair_cost=[1e20, -1e20], next_idx=[[0, 1], [1, 0]])
+    m = FiniteModel(states=[0.0, 1.0], pair_state=[0, 1], pair_control=[0.0, 0.0],
+                    noise=[0.25, 0.75], pair_cost=[1e20, -1e20], next_idx=[[0, 1], [1, 0]])
     with pytest.raises(SolverError, match=r"stationary LP: a cost of magnitude 1e\+20 is "
                                           r"at or above HiGHS's infinite_cost \(1e\+20\)"):
         stationary_lp(m)

@@ -9,6 +9,7 @@ digest."""
 import ast
 import hashlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -102,8 +103,8 @@ def test_lp_size_reads_the_model():
     assert len(m.noise) == 2
     assert tracing._lp_size("augmented_lp", m) == (2 * m.n_pairs,
                                                    4 * m.n_pairs + 2 * 2 * m.n_pairs)
-    kernel = FiniteModel(states=[0.0], controls=[[0.0]], noise=[], pair_cost=[1.0],
-                         kernel=[[1.0]])
+    kernel = FiniteModel(states=[0.0], pair_state=[0], pair_control=[0.0],
+                         noise=[], pair_cost=[1.0], kernel=[[1.0]])
     assert len(kernel.noise) == 0
 
 
@@ -311,6 +312,14 @@ def test_readme_model_attributes_exist():
     model = example2_model(2)
     assert len(names) >= 7
     assert [name for name in sorted(names) if not hasattr(model, name)] == []
+
+
+def test_readme_quotes_the_model_constructor_signature():
+    # the first FiniteModel(...) the occulimits.model paragraph quotes is
+    # the constructor's signature, parameter for parameter
+    para = _readme_section("## Modules").split("- `occulimits.model`", 1)[1]
+    quoted = re.search(r"`FiniteModel(\([^`]*\))`", para).group(1)
+    assert " ".join(quoted.split()) == str(inspect.signature(FiniteModel))
 
 
 # sha256 of the arrays below over suite seeds 0..1999
