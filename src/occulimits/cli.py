@@ -152,8 +152,7 @@ def cmd_policy(args):
     prg = measures.prg_detect(mdl, plan, y0, t_max=args.prg_t_max)
     print(f"k*(y0)={_fmt(aug.optimal_value)} d*(y0)={_fmt(aug.dual.mu)}")
     print("state -> feedback control")
-    chosen = mdl.pair_control[mdl.state_pair_start[:-1] + plan.selector]
-    for y, u in zip(mdl.states.tolist(), chosen.tolist()):
+    for y, u in zip(mdl.states.tolist(), mdl.pair_control[plan.selector].tolist()):
         print(f"  ({','.join(map(_fmt, y))}) -> ({','.join(map(_fmt, u))})")
     print(f"certified={certified} residuals=({_fmt(residuals[0])}, {_fmt(residuals[1])})")
     if prg.is_prg:

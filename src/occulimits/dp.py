@@ -40,10 +40,11 @@ class ValueFunction:
 class Plan:
     """A control plan.
 
-    kind 'stationary_deterministic': selector is an int array with the chosen
-    local control index per state.  kind 'stationary_randomized': selector is
-    the plan's pair weights pi(u|y), one numeric (n_pairs,) array laid out
-    like the pairs, each state's weights a probability law over its controls.
+    kind 'stationary_deterministic': selector is an int array with the pair
+    index of every state's control, one of that state's pairs (a row of
+    pair_cost).  kind 'stationary_randomized': selector is the plan's pair
+    weights pi(u|y), one numeric (n_pairs,) array laid out like the pairs,
+    each state's weights a probability law over its controls.
     kind 'staged': selector is a sequence (a list, or the StagedSelectors of
     finite_horizon_values) of per-stage deterministic selectors, indexed by
     stage t = 0..T-1.
@@ -53,15 +54,15 @@ class Plan:
     selector: object
 
     def check_against(self, model):
-        sizes = np.diff(model.state_pair_start)
+        starts = model.state_pair_start
         if self.kind in ("stationary_deterministic", "staged"):
             sels = self.selector if self.kind == "staged" else [self.selector]
             if len(sels) == 0:
                 raise ValueError("plan/model mismatch: a staged plan needs at least one stage")
             for sel in map(np.asarray, sels):
-                # integer dtype only: a float or bool selector is not an index
+                # integer pairs, each of its own state: a float or bool is not an index
                 if sel.dtype.kind not in "iu" or sel.shape != (model.n_states,) \
-                        or np.any(sel < 0) or np.any(sel >= sizes):
+                        or np.any(sel < starts[:-1]) or np.any(sel >= starts[1:]):
                     raise ValueError("plan/model mismatch: bad "
                                      f"{self.kind.removeprefix('stationary_')} selector")
         elif self.kind == "stationary_randomized":
@@ -93,30 +94,26 @@ class Plan:
         stationary plan has the same weights at every stage t."""
         if self.kind == "stationary_randomized":
             return np.asarray(self.selector, dtype=float)
-        if self.kind == "stationary_deterministic":
-            sel = np.asarray(self.selector)
-        elif t < self.n_stages:
-            sel = np.asarray(self.selector[t])
-        else:
+        if self.kind == "staged" and t >= self.n_stages:
             raise ValueError(f"staged plan of length {self.n_stages} is shorter "
                              f"than the {t + 1} stages asked for")
         w = np.zeros(model.n_pairs)
-        w[model.state_pair_start[:-1] + sel] = 1.0
+        w[np.asarray(self.selector[t] if self.kind == "staged" else self.selector)] = 1.0
         return w
 
 
 def _group_min(model, q):
-    """(vmin, sel): the least q(y, u) of every state y, and the lowest local
-    control index that attains it.  One pass: the pairs with q <= vmin are
+    """(vmin, pairs): the least q(y, u) of every state y, and the lowest
+    pair of y that attains it.  One pass: the pairs with q <= vmin are
     listed once, and, as pairs are numbered state by state, a state's first
     one is found by binary search from its first pair.  A state with none,
-    whose minimum is NaN, gets sel = n_pairs + 1."""
+    whose minimum is NaN, gets the pair n_pairs + 1."""
     starts, ends = model.state_pair_start[:-1], model.state_pair_start[1:]
     vmin = np.minimum.reduceat(q, starts)
     # the appended hit, at n_pairs, ends the search of the last states
     hits = np.flatnonzero(np.append(q <= model.at_pairs(vmin), True))
     first = hits[np.searchsorted(hits, starts)]
-    return vmin, np.where(first < ends, first - starts, model.n_pairs + 1)
+    return vmin, np.where(first < ends, first, model.n_pairs + 1)
 
 
 def finite_horizon_values(model, T):
@@ -161,7 +158,7 @@ class StagedSelectors(Sequence):
     """The stage selectors of finite_horizon_values's plan, read-only.
 
     Stage t (t = 0..T-1, negative t counted from the end) acts with tau =
-    T - t stages to go, so its selector is the lowest-index argmin of
+    T - t stages to go, so its selector holds each state's lowest pair minimizing
     q = k + (tau-1) E[v_{tau-1}], with v_0 = 0.  It is computed from the
     stored curve with the recursion's own arithmetic the first time it is
     read, and kept, so it is the selector the recursion would have stored.
@@ -205,11 +202,9 @@ def discounted_values(model, eps, tol=DEFAULT_TOL):
     tensor = transition(model)
     k_eps = eps * model.pair_cost
     decay = 1.0 - eps
-    starts = model.state_pair_start[:-1]
     eye = sparse.identity(model.n_states, format="csr")
-    _, sel = _group_min(model, k_eps)
+    _, pairs = _group_min(model, k_eps)
     for _ in range(PI_ITERATION_CAP):
-        pairs = starts + sel
         h = spsolve(eye - decay * tensor.rows[tensor.pair_row[pairs]], k_eps[pairs])
         q = tensor.expect(h, decay)
         q += k_eps
@@ -217,14 +212,15 @@ def discounted_values(model, eps, tol=DEFAULT_TOL):
         improve = vmin < q[pairs] - IMPROVEMENT_TOL * (1.0 + np.abs(h))
         if not improve.any():
             break
-        sel = np.where(improve, best, sel)
+        pairs = np.where(improve, best, pairs)
     else:
         raise SolverError(f"policy iteration (eps={eps}) hit its cap of "
                           f"{PI_ITERATION_CAP} improvement rounds")
     residual = float(np.max(np.abs(vmin - h)))
     if not residual <= tol * eps:
         raise SolverError(f"policy iteration (eps={eps}): Bellman residual "
-                          f"{residual:.3e} exceeds tol*eps={tol * eps:.3e}")
+                          f"{residual:.3e} exceeds tol*eps={tol * eps:.3e}; the solve "
+                          f"certifies |h - h_eps| <= residual/eps = {residual / eps:.3e}")
     return ValueFunction(values=h), Plan(kind="stationary_deterministic", selector=best)
 
 
@@ -407,10 +403,8 @@ def average_cost_policy_iteration(model):
     """
     tensor = transition(model)
     k = model.pair_cost
-    starts = model.state_pair_start[:-1]
-    _, sel = _group_min(model, k)
+    _, pairs = _group_min(model, k)
     for rounds in range(1, PI_ITERATION_CAP + 1):
-        pairs = starts + sel
         chain = ClosedClasses(tensor.rows[tensor.pair_row[pairs]])
         with np.errstate(over="ignore", invalid="ignore"):
             g, h = chain.evaluate(k[pairs])
@@ -427,22 +421,24 @@ def average_cost_policy_iteration(model):
             q_min, best = _group_min(model, q)
             improve = q_min < q[pairs] - IMPROVEMENT_TOL * (1.0 + np.abs(h))
             if not improve.any():
-                return AverageCost(gain=g, bias=h, plan=Plan("stationary_deterministic", sel),
+                return AverageCost(gain=g, bias=h, plan=Plan("stationary_deterministic", pairs),
                                    chain=chain, rounds=rounds)
-        sel = np.where(improve, best, sel)
+        pairs = np.where(improve, best, pairs)
     raise SolverError(f"average-cost policy iteration hit its cap of "
                       f"{PI_ITERATION_CAP} improvement rounds")
 
 
 def greedy_feedback_from_eta(model, eta):
     """u^f(y) = argmin_u {k(y,u) + E[eta(f(y,u,s))]}, lowest-index ties."""
-    eta = np.asarray(eta, dtype=float)
+    eta = np.asarray(eta)
+    if eta.dtype.kind not in "iuf":
+        raise ValueError(f"eta of dtype {eta.dtype} is not numeric")
     if eta.shape != (model.n_states,):
         raise ValueError(f"eta needs shape ({model.n_states},), have {eta.shape}")
     if not np.all(np.isfinite(eta)):
         raise ValueError("eta must be finite")
-    _, sel = _group_min(model, model.pair_cost + transition(model).expect(eta))
-    return Plan(kind="stationary_deterministic", selector=sel)
+    _, pairs = _group_min(model, model.pair_cost + transition(model).expect(eta))
+    return Plan(kind="stationary_deterministic", selector=pairs)
 
 
 def evaluate_plan_average(model, plan, y0, T):

@@ -151,7 +151,7 @@ def discounted_occupation(model, plan, y0, eps, tail_tol):
         w = plan.pair_weights(model)
         tensor = transition(model)
         if plan.kind == "stationary_deterministic":
-            p_pi = tensor.rows[tensor.pair_row[model.state_pair_start[:-1] + plan.selector]]
+            p_pi = tensor.rows[tensor.pair_row[np.asarray(plan.selector)]]
         else:
             p_pi = sparse.csr_matrix((w, tensor.pair_row, model.state_pair_start),
                                      shape=(model.n_states, tensor.rows.shape[0])) @ tensor.rows

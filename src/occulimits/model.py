@@ -45,11 +45,11 @@ class FiniteModel:
         noise: (n_atoms,) atom probabilities (empty in kernel mode).
         initial_index: optional distinguished initial state (builders set it).
         pair_state: state of every pair.
-        state_pair_start: first pair of every state, then n_pairs; pair p is
-            control p - state_pair_start[pair_state[p]] of its state.
+        state_pair_start: first pair of every state, then n_pairs.
         pair_cost: k(y, u) of every pair.
 
-    at_pairs(x) spreads a per-state x over the pairs.
+    at_pairs(x) spreads a per-state x over the pairs.  A control is named by
+    its pair index; its place in its state's list exists only in model files.
     """
 
     def __init__(self, states, pair_state, pair_control, noise, pair_cost, next_idx=None,
@@ -117,9 +117,6 @@ class FiniteModel:
         np.repeat since the pairs are numbered state by state; x holds one
         entry (or row) per state."""
         return np.repeat(x, self._sizes, axis=0)
-
-    def pair_index(self, state, local):
-        return int(self.state_pair_start[state]) + local
 
     def check_y0(self, y0):
         """Refuse an initial state that is not a state index with ValueError."""
@@ -468,6 +465,11 @@ def load_model(path):
             raise ModelError("field 'controls.per_state' must have one entry per state")
     else:
         raise ModelError("field 'controls' needs either 'shared' or 'per_state'")
+    values, field = (shared, "shared") if "shared" in ctrl else (cvals, "control_values")
+    for j, u in enumerate(values):  # each of the first value's dimension
+        if len(u) != len(values[0]):
+            raise ModelError(f"field 'controls.{field}': entry {j} {list(u)} has {len(u)} "
+                             f"coordinates, entry 0 {list(values[0])} has {len(values[0])}")
 
     pairs = [(i, l) for i, cs in enumerate(controls) for l in range(len(cs))]
     pair_of = {key: p for p, key in enumerate(pairs)}

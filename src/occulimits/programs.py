@@ -70,11 +70,14 @@ class DualCertificate:
         """Per-pair slack of each certificate inequality family:
         k + (psi(y0) - psi(y)) + E[eta(f)] - eta(y) - mu and
         E[psi(f)] - psi(y) + theta(y,u).  A theta is refused as
-        augmented_lp refuses it."""
+        augmented_lp refuses it, as is a bool or non-numeric mu, psi or eta."""
         model.check_y0(y0)
         if np.shape(self.psi) != (model.n_states,) or np.shape(self.eta) != (model.n_states,):
             raise ValueError(f"psi and eta need shape ({model.n_states},), have "
                              f"{np.shape(self.psi)} and {np.shape(self.eta)}")
+        for name, value in (("mu", self.mu), ("psi", self.psi), ("eta", self.eta)):
+            if np.asarray(value).dtype.kind not in "iuf":
+                raise ValueError(f"{name} of dtype {np.asarray(value).dtype} is not numeric")
         tensor = transition(model)
         psi_at = model.at_pairs(self.psi)
         theta_pair = np.zeros(model.n_pairs) if theta is None else _check_theta(model, theta)
@@ -333,7 +336,7 @@ def stationary_lp(model):
         # over recurrent states only: a transient g can round below its class's
         best = chain.rec[np.argmin(g[chain.rec])]
         x = np.zeros(model.n_pairs)
-        x[model.state_pair_start[:-1] + sol.plan.selector] = np.where(
+        x[sol.plan.selector] = np.where(
             chain.label == chain.label[best], chain.stationary_laws(), 0.0)
         return x, np.append(eta, g[best])
 
@@ -384,10 +387,9 @@ def augmented_lp(model, y0, theta=None):
     def construct():
         g, eta = _pi_dual(model, sol)
         p_star, w = sol.chain.limiting_row(y0)
-        pairs = model.state_pair_start[:-1] + sol.plan.selector
         x = np.zeros(2 * n_pairs)
-        x[pairs] = p_star
-        x[n_pairs + pairs] = w
+        x[sol.plan.selector] = p_star
+        x[n_pairs + sol.plan.selector] = w
         return x, np.concatenate([eta, [0.0], g])
 
     x, y, method = _solve(lp, context, None if sol is None else construct)

@@ -32,13 +32,13 @@ def random_model(seed, max_states=8, max_controls=4, max_atoms=3):
 
 
 def random_stationary_plan(model, seed, randomized=False):
-    """Deterministic random stationary plan for a model: a control per state,
+    """Deterministic random stationary plan for a model: a pair per state,
     or with randomized its pair weights, one Dirichlet draw per state."""
     rng = np.random.default_rng(seed)
-    sizes = np.diff(model.state_pair_start).tolist()
+    starts = model.state_pair_start.tolist()
     if not randomized:
-        sel = np.array([int(rng.integers(0, n_c)) for n_c in sizes])
+        sel = np.array([int(rng.integers(a, b)) for a, b in zip(starts, starts[1:])])
         return Plan(kind="stationary_deterministic", selector=sel)
-    rows = [rng.dirichlet(np.ones(n_c)) for n_c in sizes]
+    rows = [rng.dirichlet(np.ones(b - a)) for a, b in zip(starts, starts[1:])]
     return Plan(kind="stationary_randomized",
                 selector=np.concatenate([row / row.sum() for row in rows]))

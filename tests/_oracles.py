@@ -202,13 +202,19 @@ def _class_average(P, costs, members):
     return float(nu @ costs[members])
 
 
+def pair_choices(model):
+    """Every deterministic stationary selector, one pair of each state, as
+    tuples of pair indices in lexicographic order."""
+    starts = model.state_pair_start.tolist()
+    return product(*(range(a, b) for a, b in zip(starts, starts[1:])))
+
+
 def stationary_average_oracle(model):
     """min over deterministic stationary policies and their recurrent classes
     of the long-run average cost; equals the stationary LP value."""
     rows = law_matrix(model).toarray()
     best = np.inf
-    for choice in product(*map(range, np.diff(model.state_pair_start))):
-        pairs = [model.pair_index(i, l) for i, l in enumerate(choice)]
+    for pairs in map(list, pair_choices(model)):
         P = rows[pairs]
         costs = model.pair_cost[pairs]
         for members in _recurrent_classes(P):
@@ -224,8 +230,7 @@ def optimal_gain_oracle(model):
     renormalized, since squaring would double a row sum's rounding error."""
     rows = law_matrix(model).toarray()
     best = np.full(model.n_states, np.inf)
-    for choice in product(*map(range, np.diff(model.state_pair_start))):
-        pairs = [model.pair_index(i, l) for i, l in enumerate(choice)]
+    for pairs in map(list, pair_choices(model)):
         lazy = (np.eye(model.n_states) + rows[pairs]) / 2.0
         for _ in range(60):
             lazy = lazy @ lazy
@@ -253,13 +258,12 @@ def eager_finite_horizon_values(model, T):
 
 
 def group_min_oracle(model, q):
-    """(vmin, sel) of dp._group_min by two segmented reductions: the least
-    q per state, then the least local index among the pairs that attain
-    it, n_pairs + 1 where none does."""
+    """(vmin, pairs) of dp._group_min by two segmented reductions: the least
+    q per state, then the least pair that attains it, n_pairs + 1 where
+    none does."""
     starts = model.state_pair_start[:-1]
     vmin = np.minimum.reduceat(q, starts)
-    local = np.arange(model.n_pairs) - starts[model.pair_state]
-    cand = np.where(q <= vmin[model.pair_state], local, model.n_pairs + 1)
+    cand = np.where(q <= vmin[model.pair_state], np.arange(model.n_pairs), model.n_pairs + 1)
     return vmin, np.minimum.reduceat(cand, starts).astype(np.int64)
 
 
@@ -329,7 +333,7 @@ def brute_force_finite_horizon(model, y0, T):
     tensor = transition(model)
     n_atoms = len(model.noise)
     probs = model.noise.tolist()
-    sels = list(product(*map(range, np.diff(model.state_pair_start))))
+    sels = list(pair_choices(model))
     best = np.inf
     for stages in product(sels, repeat=T):
         total = 0.0
@@ -338,8 +342,7 @@ def brute_force_finite_horizon(model, y0, T):
             y = y0
             cost = 0.0
             for t in range(T):
-                local = stages[t][y]
-                pair = model.pair_index(y, local)
+                pair = stages[t][y]
                 cost += model.pair_cost[pair]
                 p_seq *= probs[seq[t]]
                 y = int(tensor.next_idx[pair, seq[t]])

@@ -68,8 +68,8 @@ def test_criterion_1_example1_exact():
         worst["aug"] = max(worst["aug"], abs(aug.optimal_value + a / 2),
                            abs(aug.dual.mu + a / 2))
         target = np.zeros(4)
-        target[m.pair_index(0, 1)] = 0.75
-        target[m.pair_index(1, 0)] = 0.25
+        target[1] = 0.75  # (-a, +1), pair 1
+        target[2] = 0.25  # (a, -1), pair 2
         worst["gamma"] = max(worst["gamma"],
                              float(np.max(np.abs(aug.gamma.weights - target))))
     runtime = time.perf_counter() - t0
@@ -169,8 +169,9 @@ def test_criterion_5_occupational_membership():
         m = models[(3 * j) % len(models)]
         T = int(rng.integers(1, 150))
         if j % 3 == 2:
-            sel = [np.array([int(rng.integers(0, n_c))
-                             for n_c in np.diff(m.state_pair_start).tolist()])
+            starts = m.state_pair_start.tolist()
+            # a local draw per state, offset to its first pair
+            sel = [np.array([a + int(rng.integers(0, b - a)) for a, b in zip(starts, starts[1:])])
                    for _ in range(T)]
             plan = Plan(kind="staged", selector=sel)
         else:
@@ -224,7 +225,7 @@ def test_criterion_7_optimality_certification():
         worst = max(worst, verdict.pointwise_residual, verdict.stationarity_residual)
     m = example1_model(0.5)
     aug = augmented_lp(m, m.initial_index)
-    flipped = Plan(kind="stationary_deterministic", selector=np.array([0, 1]))
+    flipped = Plan(kind="stationary_deterministic", selector=np.array([0, 3]))
     bad = verify_long_run_optimality(m, flipped, aug.dual, m.initial_index,
                                      T0=1, t_max=60, tol=1e-8)
     assert not bad.certified and bad.pointwise_residual >= 0.25

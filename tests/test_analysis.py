@@ -64,7 +64,7 @@ def test_verify_example1_closed_form_dual():
     m = example1_model(0.5)
     dual = DualCertificate(mu=-0.25, psi=-np.abs(m.states[:, 0]) / 2,
                            eta=m.states[:, 0] + np.abs(m.states[:, 0]) / 2)
-    plan = Plan(kind="stationary_deterministic", selector=np.array([1, 0]))
+    plan = Plan(kind="stationary_deterministic", selector=np.array([1, 2]))
     verdict = verify_long_run_optimality(m, plan, dual, m.initial_index,
                                          T0=1, t_max=50, tol=1e-9)
     assert verdict.certified
@@ -81,7 +81,7 @@ def test_verify_example2_closed_form_dual_grid_tolerance():
     sel = []
     for i, v in enumerate(vals):
         us = m.pair_control[m.pair_state == i, 0].tolist()
-        sel.append(us.index(-1.0) if v <= 0 else us.index(v))
+        sel.append(m.state_pair_start[i] + (us.index(-1.0) if v <= 0 else us.index(v)))
     plan = Plan(kind="stationary_deterministic", selector=np.array(sel))
     verdict = verify_long_run_optimality(m, plan, dual, m.nearest_state(-0.5),
                                          T0=1, t_max=60, tol=5e-3)
@@ -93,7 +93,7 @@ def test_verify_example2_closed_form_dual_grid_tolerance():
 def test_verify_flipped_plan_fails():
     m = example1_model(0.5)
     res = augmented_lp(m, m.initial_index)
-    flipped = Plan(kind="stationary_deterministic", selector=np.array([0, 1]))
+    flipped = Plan(kind="stationary_deterministic", selector=np.array([0, 3]))
     verdict = verify_long_run_optimality(m, flipped, res.dual, m.initial_index,
                                          T0=1, t_max=50, tol=1e-8)
     assert not verdict.certified
@@ -142,7 +142,7 @@ def test_greedy_plan_avoids_a_tie_that_leaves_the_optimal_gain():
     aug = augmented_lp(m, 0)
     assert aug.optimal_value == 0.0
     plan = greedy_feedback_from_eta(m, aug.dual.eta)
-    assert plan.selector.tolist() == [1, 0, 0]
+    assert plan.selector.tolist() == [1, 2, 3]  # control 1 of state 0
     assert verify_long_run_optimality(m, plan, aug.dual, 0, T0=1, t_max=10,
                                       tol=1e-9).certified
 
@@ -150,7 +150,7 @@ def test_greedy_plan_avoids_a_tie_that_leaves_the_optimal_gain():
 def test_verify_rejects_invalid_certificate():
     m = example1_model(0.5)
     bad = DualCertificate(mu=5.0, psi=np.zeros(2), eta=np.zeros(2))
-    plan = Plan(kind="stationary_deterministic", selector=np.array([1, 0]))
+    plan = Plan(kind="stationary_deterministic", selector=np.array([1, 2]))
     with pytest.raises(CertificateError):
         verify_long_run_optimality(m, plan, bad, 1, T0=1, t_max=10, tol=1e-8)
 
@@ -176,7 +176,7 @@ def test_verify_refuses_vacuous_tolerance(tol):
     # whose certificate inequalities are violated by 165.5
     m = example1_model(0.5)
     junk = DualCertificate(mu=5.0, psi=np.array([3.0, -7.0]), eta=np.array([100.0, -100.0]))
-    flipped = Plan(kind="stationary_deterministic", selector=np.array([0, 1]))
+    flipped = Plan(kind="stationary_deterministic", selector=np.array([0, 3]))
     with pytest.raises(ValueError, match="must be finite and positive"):
         verify_long_run_optimality(m, flipped, junk, m.initial_index,
                                    T0=1, t_max=50, tol=tol)
@@ -200,9 +200,42 @@ def test_certificate_refuses_misshapen_psi_or_eta(case):
     dual = DualCertificate(mu=-0.25, psi=psi, eta=eta)
     with pytest.raises(ValueError, match=r"psi and eta need shape \(2,\)"):
         dual.slacks(m, m.initial_index)
-    plan = Plan(kind="stationary_deterministic", selector=np.array([1, 0]))
+    plan = Plan(kind="stationary_deterministic", selector=np.array([1, 2]))
     with pytest.raises(ValueError, match=r"psi and eta need shape \(2,\)"):
         verify_long_run_optimality(m, plan, dual, m.initial_index, T0=1, t_max=10, tol=1e-6)
+
+
+# bools and non-numbers in place of example 1's closed-form dual
+NON_NUMERIC_DUALS = {
+    "mu_bool": {"mu": True},
+    "mu_numpy_bool": {"mu": np.False_},
+    "mu_string": {"mu": "-0.25"},
+    "mu_none": {"mu": None},
+    "psi_bool": {"psi": np.array([True, False])},
+    "psi_strings": {"psi": np.array(["-0.25", "-0.25"])},
+    "eta_bool": {"eta": [False, True]},
+    "eta_objects": {"eta": np.array([None, 0.75], dtype=object)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMERIC_DUALS))
+def test_certificate_refuses_bool_and_non_numeric_duals(case):
+    # a bool psi used to escape as numpy's bare TypeError ("numpy boolean
+    # subtract"), and a bool mu or eta to be read as 0 and 1
+    m = example1_model(0.5)
+    vals = m.states[:, 0]
+    closed_form = {"mu": -0.25, "psi": -np.abs(vals) / 2, "eta": vals + np.abs(vals) / 2}
+    dual = DualCertificate(**{**closed_form, **NON_NUMERIC_DUALS[case]})
+    plan = Plan(kind="stationary_deterministic", selector=np.array([1, 2]))
+    checks = (lambda: dual.slacks(m, m.initial_index),
+              lambda: dual.violations(m, m.initial_index),
+              lambda: verify_long_run_optimality(m, plan, dual, m.initial_index,
+                                                 T0=1, t_max=10, tol=1e-9))
+    for check in checks:
+        with pytest.raises(ValueError, match=r"^(mu|psi|eta) of dtype \S+ is not numeric$"):
+            check()
+    assert verify_long_run_optimality(m, plan, DualCertificate(**closed_form), m.initial_index,
+                                      T0=1, t_max=10, tol=1e-9).certified
 
 
 @pytest.mark.parametrize("user_slack", [np.inf, np.nan, -0.5])
@@ -213,7 +246,7 @@ def test_bounds_report_refuses_unusable_user_slack(user_slack):
 
 
 def _uniform_plan(m):
-    return Plan(kind="stationary_deterministic", selector=np.zeros(m.n_states, dtype=int))
+    return Plan(kind="stationary_deterministic", selector=m.state_pair_start[:-1])
 
 
 Y0_ENTRY_POINTS = {

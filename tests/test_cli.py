@@ -310,7 +310,7 @@ def test_policy_certification_failure_exit_code(capsys, monkeypatch):
     # a plan that is not optimal fails certification: criterion 7's flipped
     # plan on example 1 strays off the certified support from y0 = 0.5
     def flipped(model, eta):
-        return Plan(kind="stationary_deterministic", selector=np.array([0, 1]))
+        return Plan(kind="stationary_deterministic", selector=np.array([0, 3]))
 
     monkeypatch.setattr(dp, "greedy_feedback_from_eta", flipped)
     code, out, _ = run(capsys, "policy", "--builtin", "example1", "--y0", "0.5")

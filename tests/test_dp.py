@@ -1,3 +1,4 @@
+import re
 import warnings
 from itertools import product
 
@@ -7,8 +8,8 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from occulimits import dp
-from occulimits.dp import (ClosedClasses, Plan, StagedSelectors, average_cost_policy_iteration,
-                           discounted_values, evaluate_plan_average,
+from occulimits.dp import (DEFAULT_TOL, ClosedClasses, Plan, StagedSelectors,
+                           average_cost_policy_iteration, discounted_values, evaluate_plan_average,
                            evaluate_plan_discounted, finite_horizon_values,
                            greedy_feedback_from_eta)
 from occulimits.measures import prg_detect
@@ -115,8 +116,7 @@ def test_greedy_feedback_closed_form_eta_example1():
     eta = vals + np.abs(vals) / 2.0
     plan = greedy_feedback_from_eta(m, eta)
     # +1 on the negative state, -1 on the positive state
-    assert m.pair_control[m.pair_index(0, int(plan.selector[0]))].tolist() == [1.0]
-    assert m.pair_control[m.pair_index(1, int(plan.selector[1]))].tolist() == [-1.0]
+    assert m.pair_control[plan.selector].tolist() == [[1.0], [-1.0]]
 
 
 def test_greedy_feedback_closed_form_eta_example2():
@@ -126,16 +126,17 @@ def test_greedy_feedback_closed_form_eta_example2():
     plan = greedy_feedback_from_eta(m, eta)
     i = m.nearest_state(-0.5)
     j = m.nearest_state(0.5)
-    assert m.pair_control[m.pair_index(i, int(plan.selector[i]))].tolist() == [-1.0]
-    assert m.pair_control[m.pair_index(j, int(plan.selector[j]))].tolist() == [0.5]
+    assert m.pair_control[plan.selector[[i, j]]].tolist() == [[-1.0], [0.5]]
+    assert np.array_equal(m.pair_state[plan.selector], np.arange(m.n_states))
 
 
 def test_greedy_feedback_zero_eta_is_myopic():
     m = random_model(17)
     plan = greedy_feedback_from_eta(m, np.zeros(m.n_states))
     for i in range(m.n_states):
-        costs = m.pair_cost[m.state_pair_start[i]:m.state_pair_start[i + 1]]
-        assert int(plan.selector[i]) == int(np.argmin(costs))
+        first = m.state_pair_start[i]
+        costs = m.pair_cost[first:m.state_pair_start[i + 1]]
+        assert int(plan.selector[i]) == first + int(np.argmin(costs))
 
 
 @pytest.mark.parametrize("shape", ["column", "row", "scalar", "one_too_many"])
@@ -148,6 +149,17 @@ def test_greedy_feedback_refuses_a_badly_shaped_eta(shape):
            "one_too_many": np.zeros(n + 1)}[shape]
     with pytest.raises(ValueError, match=rf"eta needs shape \({n},\), have"):
         greedy_feedback_from_eta(m, eta)
+
+
+@pytest.mark.parametrize("eta", [[True, False], np.array([False, False]), np.array(["0", "1"]),
+                                 [None, 0.0]], ids=["bools", "numpy_bools", "strings", "none"])
+def test_greedy_feedback_refuses_a_bool_or_non_numeric_eta(eta):
+    # bools used to be read as 1 and 0 and strings parsed as numbers, each
+    # returning a plan; a None escaped as a bare TypeError
+    m = example1_model(0.5)
+    with pytest.raises(ValueError, match=r"^eta of dtype .* is not numeric$"):
+        greedy_feedback_from_eta(m, eta)
+    assert greedy_feedback_from_eta(m, [0, 1]).selector.tolist() == [1, 2]
 
 
 def test_staged_plan_reproduces_vT():
@@ -212,8 +224,10 @@ def test_example1_constant_plans_hand_expectation():
     # u=+1: E[y(1)] = 0.75*(+0.5) + 0.25*(-0.5) = +0.25, average (0.5+0.25)/2
     m = example1_model(0.5)
     i = m.initial_index
-    down = Plan(kind="stationary_deterministic", selector=np.array([0, 0]))
-    up = Plan(kind="stationary_deterministic", selector=np.array([1, 1]))
+    down = Plan(kind="stationary_deterministic", selector=np.array([0, 2]))
+    up = Plan(kind="stationary_deterministic", selector=np.array([1, 3]))
+    assert m.pair_control[down.selector].tolist() == [[-1.0], [-1.0]]
+    assert m.pair_control[up.selector].tolist() == [[1.0], [1.0]]
     assert evaluate_plan_average(m, down, i, 2) == pytest.approx(0.125, abs=1e-15)
     assert evaluate_plan_average(m, up, i, 2) == pytest.approx(0.375, abs=1e-15)
 
@@ -236,6 +250,29 @@ def test_plan_model_mismatch():
     bad = Plan(kind="stationary_deterministic", selector=np.array([99] * m.n_states))
     with pytest.raises(ValueError, match="mismatch"):
         evaluate_plan_average(m, bad, 0, 2)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_a_deterministic_selector_holds_pairs_of_its_own_states(name):
+    # an entry is the pair index of its state's control; all zeros, once
+    # "the first control everywhere", names state 0's first pair at every
+    # state and is refused, as is a neighbour state's pair
+    m = example1_model(0.5) if name == "example1" else example2_model(3)
+    starts = m.state_pair_start
+    first, last = starts[:-1], starts[1:] - 1
+    i = m.n_states // 2
+    refused = {"zeros": np.zeros(m.n_states, dtype=int), "next_first": last + 1,
+               "previous_last": first - 1, "one_past": first.copy(), "one_before": last.copy()}
+    refused["one_past"][i] = starts[i + 1]
+    refused["one_before"][i] = starts[i] - 1
+    for sel in (first, last):
+        for plan in (Plan("stationary_deterministic", sel), Plan("staged", [first, sel])):
+            plan.check_against(m)
+    for sel in refused.values():
+        for plan in (Plan("stationary_deterministic", sel), Plan("staged", [first, sel])):
+            with pytest.raises(ValueError, match="plan/model mismatch: bad "
+                                                 "(deterministic|staged) selector"):
+                plan.check_against(m)
 
 
 def test_randomized_plan_with_nan_row_is_rejected():
@@ -298,6 +335,21 @@ def test_tampered_values_fail_bellman_certificate(monkeypatch):
         discounted_values(random_model(13), 0.1)
 
 
+def test_discounted_values_refusal_names_the_bound_it_certified():
+    # at eps = 1e-7 the Bellman residual, one rounding of h, exceeds the
+    # default tol * eps; the message gives the bound residual/eps that the
+    # solve did certify, and a tol just above it is accepted
+    m = example2_model(3)
+    with pytest.raises(SolverError, match=r"the solve certifies \|h - h_eps\| <= residual/eps = "
+                                          r"(\S+)$") as err:
+        discounted_values(m, 1e-7)
+    bound = float(re.search(r"residual/eps = (\S+)$", str(err.value)).group(1))
+    assert bound > DEFAULT_TOL
+    h, _ = discounted_values(m, 1e-7, tol=1.01 * bound)
+    h_ref, _ = discounted_values(m, 1e-7, tol=1e3 * bound)
+    assert np.array_equal(h.values, h_ref.values)
+
+
 def test_policy_iteration_cap_raises_solver_error(monkeypatch):
     monkeypatch.setattr(dp, "PI_ITERATION_CAP", 0)
     with pytest.raises(SolverError, match="cap"):
@@ -320,7 +372,7 @@ def test_average_cost_solves_the_optimality_equations():
         m = random_model(seed)
         sol = average_cost_policy_iteration(m)
         tensor, s = transition(m), m.pair_state
-        pairs = m.state_pair_start[:-1] + sol.plan.selector
+        pairs = sol.plan.selector
         g, h = sol.gain, sol.bias
         rise = tensor.expect(g) - g[s]
         rest = m.pair_cost + tensor.expect(h) - h[s] - g[s]
@@ -397,7 +449,7 @@ def _kernel_models():
 
 def test_group_min_matches_the_two_pass_oracle():
     # one pass (the first hit per state by binary search) gives the two
-    # reductions' minima and lowest-index argmins, with n_pairs + 1 where a
+    # reductions' minima and lowest argmin pairs, with n_pairs + 1 where a
     # state's minimum is NaN
     rng = np.random.default_rng(0)
     for m in _kernel_models():
@@ -434,8 +486,7 @@ def test_closed_classes_match_the_scipy_chain(monkeypatch):
         tensor = transition(m)
         sels = [average_cost_policy_iteration(m).plan.selector]
         sels += [random_stationary_plan(m, seed).selector for seed in range(3)]
-        for sel in sels:
-            pairs = m.state_pair_start[:-1] + sel
+        for pairs in sels:
             cases.append((tensor.rows[tensor.pair_row[pairs]], m.pair_cost[pairs]))
     hand = np.array([[0.0, 0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0],
                      [0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0],

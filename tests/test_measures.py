@@ -15,8 +15,8 @@ from _oracles import law_matrix, pair_by_pair_law, plan_law, truncated_discounte
 
 
 def example1_optimal_plan(m):
-    # +1 on the negative state (local 1), -1 on the positive state (local 0)
-    return Plan(kind="stationary_deterministic", selector=np.array([1, 0]))
+    # +1 on the negative state (pair 1), -1 on the positive state (pair 2)
+    return Plan(kind="stationary_deterministic", selector=np.array([1, 2]))
 
 
 def test_example1_law_stationary_from_t1():
@@ -30,7 +30,7 @@ def test_deterministic_permutation_point_mass_path():
     # 3-cycle under a single atom: point mass stays a point mass
     m = FiniteModel(states=[0.0, 1.0, 2.0], pair_state=[0, 1, 2], pair_control=[0.0] * 3,
                     noise=[1.0], pair_cost=[0.0] * 3, next_idx=[[1], [2], [0]])
-    plan = Plan(kind="stationary_deterministic", selector=np.zeros(3, dtype=int))
+    plan = Plan(kind="stationary_deterministic", selector=np.arange(3))
     path = propagate(m, plan, 0, 6)
     for t in range(7):
         assert np.allclose(path[t], np.roll([1.0, 0.0, 0.0], t % 3))
@@ -42,7 +42,7 @@ def test_two_state_two_step_hand_law():
     rows = np.array([[0.3, 0.7], [0.6, 0.4]])
     m = FiniteModel(states=[0.0, 1.0], pair_state=[0, 1], pair_control=[0.0, 0.0], noise=[],
                     pair_cost=[0.0, 0.0], kernel=rows)
-    plan = Plan(kind="stationary_deterministic", selector=np.zeros(2, dtype=int))
+    plan = Plan(kind="stationary_deterministic", selector=np.arange(2))
     path = propagate(m, plan, 0, 2)
     assert np.allclose(path[1], [0.3, 0.7], atol=1e-15)
     assert np.allclose(path[2], [0.51, 0.49], atol=1e-15)
@@ -87,11 +87,12 @@ def test_pair_laws_check_the_plan_before_any_law():
 
 
 @pytest.mark.parametrize("kind", ["stationary_deterministic", "staged"])
-@pytest.mark.parametrize("selector", [[0.5, 0], [1.0, 0.0], [True, False]],
+@pytest.mark.parametrize("selector", [[0.5, 2], [1.0, 2.0], [True, False]],
                          ids=["fractional", "integral_floats", "booleans"])
 def test_plan_refuses_non_integer_selector(kind, selector):
     # a float selector used to pass the check and fail in pair_weights as a
-    # bare IndexError; booleans were read as the indices 1 and 0
+    # bare IndexError; booleans were read as the indices 1 and 0.  [1.0, 2.0]
+    # would be the pairs of example1_optimal_plan as integers
     m = example1_model(0.5)
     sel = np.array(selector)
     plan = Plan(kind=kind, selector=sel if kind != "staged" else [sel] * 5)
@@ -124,7 +125,8 @@ def test_occupation_T1_point_mass():
     m = example1_model(0.5)
     plan = example1_optimal_plan(m)
     gamma = occupation_measure(m, plan, m.initial_index, 1)
-    assert gamma.weights[m.pair_index(1, 0)] == 1.0
+    assert plan.selector[m.initial_index] == 2  # (0.5, -1)
+    assert gamma.weights[2] == 1.0
     assert gamma.total_mass == pytest.approx(1.0, abs=1e-15)
 
 
@@ -294,7 +296,6 @@ def test_plan_law_by_row_selection_matches_the_product(name):
     # a randomized plan's law is the product on the law's distinct rows
     m = _law_model(name)
     P, tensor = law_matrix(m), transition(m)
-    starts = m.state_pair_start[:-1]
     for seed, randomized in ((0, False), (1, True), (2, True)):
         plan = random_stationary_plan(m, seed, randomized)
         w = plan.pair_weights(m)
@@ -302,7 +303,7 @@ def test_plan_law_by_row_selection_matches_the_product(name):
             law = sparse.csr_matrix((w, tensor.pair_row, m.state_pair_start),
                                     shape=(m.n_states, tensor.rows.shape[0])) @ tensor.rows
         else:
-            law = P[starts + plan.selector]
+            law = P[plan.selector]
         for got, want in zip(_canonical(law), _canonical(plan_law(m, w))):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         # the discounted occupation equals the solve on the product, bit for bit
@@ -386,7 +387,7 @@ def test_prg_example2_negative_start():
     sel = []
     for i, v in enumerate(m.states[:, 0]):
         us = m.pair_control[m.pair_state == i, 0].tolist()
-        sel.append(us.index(-1.0) if v <= 0 else us.index(v))
+        sel.append(m.state_pair_start[i] + (us.index(-1.0) if v <= 0 else us.index(v)))
     plan = Plan(kind="stationary_deterministic", selector=np.array(sel))
     rep = prg_detect(m, plan, m.nearest_state(-0.5), t_max=20)
     assert rep.is_prg and rep.T0 == 1 and rep.period == 1
@@ -403,7 +404,7 @@ def exact_positive_orbit_model(levels=20):
 
 def test_prg_not_detected_on_exact_positive_orbit():
     m = exact_positive_orbit_model()
-    plan = Plan(kind="stationary_deterministic", selector=np.zeros(m.n_states, dtype=int))
+    plan = Plan(kind="stationary_deterministic", selector=np.arange(m.n_states))
     rep = prg_detect(m, plan, 0, t_max=30)
     assert not rep.is_prg
 
@@ -413,7 +414,7 @@ def test_prg_staged_plan_cycles():
     # generates a period-3 law from t=0
     m = FiniteModel(states=[0.0, 1.0, 2.0], pair_state=[0, 1, 2], pair_control=[0.0] * 3,
                     noise=[1.0], pair_cost=[0.0] * 3, next_idx=[[1], [2], [0]])
-    plan = Plan(kind="staged", selector=[np.zeros(3, dtype=int)])
+    plan = Plan(kind="staged", selector=[np.arange(3)])
     rep = prg_detect(m, plan, 0, t_max=12)
     assert rep.is_prg and rep.T0 == 0 and rep.period == 3
 
@@ -422,7 +423,7 @@ def test_prg_two_stage_plan_cycles_example1():
     # stage 0 plays +1 on the negative state and -1 on the positive one, stage
     # 1 the opposite; from +0.5 the pair law alternates from t=1 on
     m = example1_model(0.5)
-    plan = Plan(kind="staged", selector=[np.array([1, 0]), np.array([0, 1])])
+    plan = Plan(kind="staged", selector=[np.array([1, 2]), np.array([0, 3])])
     rep = prg_detect(m, plan, m.nearest_state(0.5), t_max=20)
     assert rep.is_prg and rep.T0 == 1 and rep.period == 2
 

@@ -82,8 +82,9 @@ def test_single_state_forced_row():
 def test_example1_transition_row_matches_dynamics():
     m = example1_model(0.5)
     tensor = build_transition_tensor(m)
-    # state +0.5 (index 1), control -1 (local 0): images 0.5*(-1)*s
-    p = m.pair_index(1, 0)
+    # state +0.5 (index 1), control -1 (pair 2): images 0.5*(-1)*s
+    p = 2
+    assert m.pair_state[p] == 1 and m.pair_control[p].tolist() == [-1.0]
     row = tensor.rows[tensor.pair_row[p]].toarray().ravel()
     assert row[m.nearest_state(-0.5)] == pytest.approx(0.75, abs=1e-15)
     assert row[m.nearest_state(0.5)] == pytest.approx(0.25, abs=1e-15)
@@ -368,8 +369,8 @@ def test_example1_states_and_cost():
     assert m.states.tolist() == [[-0.5], [0.5]]
     assert m.initial_index == 1
     # cost k(y,u) = y at both controls
-    assert m.pair_cost[m.pair_index(0, 0)] == m.pair_cost[m.pair_index(0, 1)] == -0.5
-    assert m.pair_cost[m.pair_index(1, 0)] == m.pair_cost[m.pair_index(1, 1)] == 0.5
+    assert m.pair_state.tolist() == [0, 0, 1, 1]
+    assert m.pair_cost.tolist() == [-0.5, -0.5, 0.5, 0.5]
 
     m1 = example1_model(1.0)
     assert m1.states.tolist() == [[-1.0], [1.0]]
@@ -412,14 +413,12 @@ def test_example2_m8_images():
     m = example2_model(8)
     tensor = transition(m)
     i = m.nearest_state(-0.5)
-    local = m.pair_control[m.pair_state == i, 0].tolist().index(-1.0)
-    p = m.pair_index(i, local)
+    p, = np.flatnonzero((m.pair_state == i) & (m.pair_control[:, 0] == -1.0))
     images = {m.states[int(tensor.next_idx[p, a]), 0] for a in range(2)}
     assert images == {-1.0, -0.25}
 
     j = m.nearest_state(0.5)
-    local = m.pair_control[m.pair_state == j, 0].tolist().index(0.5)
-    p = m.pair_index(j, local)
+    p, = np.flatnonzero((m.pair_state == j) & (m.pair_control[:, 0] == 0.5))
     images = {m.states[int(tensor.next_idx[p, a]), 0] for a in range(2)}
     assert images == {0.5, 0.125}
 
@@ -553,6 +552,29 @@ def test_load_rejects_bad_noise_sum(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelError, match="noise not normalized"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("form", ["shared", "per_state"])
+def test_load_names_a_control_value_of_another_dimension(tmp_path, form):
+    # such a file used to be refused with numpy's text on the flattened
+    # pair_control array, which named neither the field nor the value
+    path = tmp_path / "mixed.json"
+    if form == "shared":
+        doc = {"states": [[0.0]], "controls": {"shared": [[0.5], [1.0, 2.0]]},
+               "transition": [[[1.0], [1.0]]],
+               "cost": [{"state": 0, "control": l, "value": 0.0} for l in range(2)]}
+        path.write_text(json.dumps(doc))
+        want = "field 'controls.shared': entry 1 [1.0, 2.0] has 2 coordinates, entry 0 [0.5] has 1"
+    else:
+        save_model(example2_model(3), path)
+        doc = json.loads(path.read_text())
+        entry0 = doc["controls"]["control_values"][0]
+        doc["controls"]["control_values"][3] = [1.0, 2.0]
+        path.write_text(json.dumps(doc))
+        want = (f"field 'controls.control_values': entry 3 [1.0, 2.0] has 2 coordinates, "
+                f"entry 0 {entry0} has 1")
+    with pytest.raises(ModelError, match=re.escape(want)):
         load_model(path)
 
 

@@ -89,8 +89,8 @@ def test_augmented_example1():
     assert res.optimal_value == pytest.approx(-0.25, abs=1e-10)
     assert res.dual.mu == pytest.approx(-0.25, abs=1e-8)
     target = np.zeros(4)
-    target[m.pair_index(0, 1)] = 0.75
-    target[m.pair_index(1, 0)] = 0.25
+    target[1] = 0.75  # (-0.5, +1), pair 1
+    target[2] = 0.25  # (0.5, -1), pair 2
     assert np.allclose(res.gamma.weights, target, atol=1e-9)
     assert res.xi is not None and res.xi.total_mass > 0
     assert membership_residuals(m, res.gamma, "Omega", y0=i, xi=res.xi) <= 1e-8
@@ -105,8 +105,7 @@ def test_augmented_example2_negative_start():
     half = [(m.nearest_state(-1.0), -1.0), (m.nearest_state(-0.25), -1.0)]
     covered = 0.0
     for state, u in half:
-        us = m.pair_control[m.pair_state == state, 0].tolist()
-        p = m.pair_index(state, us.index(u))
+        p, = np.flatnonzero((m.pair_state == state) & (m.pair_control[:, 0] == u))
         assert w[p] == pytest.approx(0.5, abs=1e-8)
         covered += w[p]
     assert covered == pytest.approx(res.gamma.total_mass, abs=1e-8)

@@ -96,6 +96,46 @@ def test_no_module_reads_a_full_law_matrix():
     assert reads == []
 
 
+def _first_pairs_sums(tree):
+    """Line numbers of every sum with X.state_pair_start[:-1], each state's
+    first pair, as an operand, itself or through a name bound to it."""
+    def first_pairs(node):
+        return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "state_pair_start" and ast.unparse(node.slice) == ":-1")
+
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                aliases |= {t.id for t, v in pairs if isinstance(t, ast.Name) and first_pairs(v)}
+
+    def named(node):
+        return first_pairs(node) or isinstance(node, ast.Name) and node.id in aliases
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and (named(node.left) or named(node.right))
+            or isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+            and named(node.value)]
+
+
+def test_a_control_is_named_by_its_pair_index():
+    # plans hold the pair index of each state's control, so no module turns
+    # a local control index into a pair by adding its state's first pair,
+    # and no code names the local-to-pair helper, now gone
+    sums = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+            for line in _first_pairs_sums(ast.parse(path.read_text(encoding="utf-8")))]
+    assert sums == []
+    helper = re.compile(r"\bpair_" + r"index\b")  # split, so that this file does not name it
+    files = sorted([*PACKAGE.glob("*.py"), *Path(__file__).parent.glob("*.py")])
+    named = [path.name for path in files if helper.search(path.read_text(encoding="utf-8"))]
+    assert named == []
+    assert not hasattr(FiniteModel, "pair_" + "index")
+
+
 def test_lp_size_reads_the_model():
     # perfbench sizes each traced LP from n_pairs and len(model.noise)
     tracing = _load_tracing()
