@@ -126,16 +126,27 @@ def finite_horizon_values(model, T):
     read.  Raises SolverError naming the first horizon whose value is not
     finite: with costs near the float range, T v_T overflows before it is
     divided.
+
+    A model with state runs (TransitionTensor.state_runs) takes the range
+    path: each stage reduces (tau-1) E[v], read on the law's distinct rows,
+    over every state's run and adds the state's one cost.  That is the pair
+    path's minimum bit for bit: a minimum is exact in any order, and
+    fl(k + x) is monotone in x.  Every other model takes the pair path,
+    which reduces _stage_costs over each state's pairs.
     """
     measures.check_horizon(T)
     tensor = transition(model)
     k = model.pair_cost
     starts = model.state_pair_start[:-1]
+    runs, state_cost = tensor.state_runs, k[starts]
     v_prev = np.zeros(model.n_states)
     curve = []
     with np.errstate(over="ignore"):
         for tau in range(1, T + 1):
-            v_prev = np.minimum.reduceat(_stage_costs(tensor, k, v_prev, tau), starts)
+            if runs is None:
+                v_prev = np.minimum.reduceat(_stage_costs(tensor, k, v_prev, tau), starts)
+            else:
+                v_prev = _run_stage_min(tensor, runs, state_cost, v_prev, tau)
             v_prev /= tau
             if not np.isfinite(v_prev).all():
                 raise SolverError(f"finite-horizon recursion overflowed: v_{tau} is not "
@@ -144,11 +155,26 @@ def finite_horizon_values(model, T):
     return curve, Plan(kind="staged", selector=StagedSelectors(model, curve))
 
 
+def _run_stage_min(tensor, runs, state_cost, v, tau):
+    """min_u q(y, u) of every state on the range path: w = (tau-1) E[v] on
+    the law's distinct rows, scaled as TransitionTensor.expect scales it,
+    then one reduceat over the state runs, whose even outputs are the
+    states' minima and whose odd ones, over the gaps between runs, are
+    dropped.  w's pad entry lets a run end at the last row."""
+    scale = tau - 1
+    w = np.empty(tensor.rows.shape[0] + 1)
+    w[-1] = 0.0
+    w[:-1] = tensor.rows @ v
+    if scale != 1.0:
+        w *= scale
+    return np.minimum.reduceat(w, runs)[::2] + state_cost
+
+
 def _stage_costs(tensor, k, v, tau):
     """q = k + (tau-1) E[v], the stage costs with tau stages to go, built in
-    one buffer, with tau-1 applied to the law's distinct rows; the
-    recursion and StagedSelectors share it, so a selector sees the
-    recursion's q bit for bit."""
+    one buffer, with tau-1 applied to the law's distinct rows; the pair
+    path of the recursion and StagedSelectors share it, so a selector sees
+    the recursion's q bit for bit."""
     q = tensor.expect(v, tau - 1)
     q += k
     return q
@@ -160,8 +186,10 @@ class StagedSelectors(Sequence):
     Stage t (t = 0..T-1, negative t counted from the end) acts with tau =
     T - t stages to go, so its selector holds each state's lowest pair minimizing
     q = k + (tau-1) E[v_{tau-1}], with v_0 = 0.  It is computed from the
-    stored curve with the recursion's own arithmetic the first time it is
-    read, and kept, so it is the selector the recursion would have stored.
+    stored curve with the pair path's arithmetic (_stage_costs) the first
+    time it is read, and kept, so it is the selector the recursion would
+    have stored, on either path: the range path's minima are the pair
+    path's, bit for bit, and only the pairs carry the lowest attaining one.
     """
 
     def __init__(self, model, curve):

@@ -170,12 +170,16 @@ class TransitionTensor:
     pairs.  rows_t is rows.T, built once and sharing rows' read-only
     arrays, which push reads.  A kernel-row model's rows are its kernel and
     its next_idx is None; a dynamics model keeps next_idx, the (n_pairs,
-    n_atoms) image of every pair under every noise atom.  The tensor holds
-    no reference to its model, so a model is freed with its last reference.
+    n_atoms) image of every pair under every noise atom.  state_runs is
+    the read-only list [lo_0, end_0, lo_1, end_1, ...] of the rows [lo_y,
+    end_y) that state y's pairs read, when the model has state-only costs
+    on row runs (see _state_runs), else None.  The tensor holds no
+    reference to its model, so a model is freed with its last reference.
     """
 
-    def __init__(self, rows, pair_row, next_idx):
+    def __init__(self, rows, pair_row, next_idx, state_runs):
         self.rows, self.pair_row, self.next_idx = rows, pair_row, next_idx
+        self.state_runs = state_runs
         self.rows_t = rows.T
 
     def expect(self, values, scale=1.0):
@@ -207,10 +211,33 @@ def _distinct_rows(next_idx, n_states):
     return first, pair_row
 
 
+def _state_runs(model, pair_row):
+    """The interleaved bounds [lo_0, end_0, lo_1, end_1, ...] of the rows
+    each state's pairs read, when every state's pairs have one cost, bit for
+    bit, and read the consecutive increasing rows lo_y..end_y - 1, and the
+    first rows lo_y are nondecreasing; else None.  The last condition keeps
+    the gaps [end_y, lo_(y+1)), which a reduceat over the list also
+    reduces, to n_rows entries in all."""
+    if not model._sizes.all():  # an empty U(y), refused by validate
+        return None
+    starts = model.state_pair_start
+    bits = model.pair_cost.view(np.int64)
+    # a pair and the next one: the same cost and the next row
+    follows = (bits[1:] == bits[:-1]) & (np.diff(pair_row) == 1)
+    follows[starts[1:-1] - 1] = True  # unless the next pair is the next state's
+    lo, end = pair_row[starts[:-1]], pair_row[starts[1:] - 1] + 1
+    if not (follows.all() and np.all(lo[1:] >= lo[:-1])):
+        return None
+    runs = np.stack([lo, end], axis=1).ravel()
+    runs.flags.writeable = False
+    return runs
+
+
 def build_transition_tensor(model):
     """Build P(y'|y,u) = sum over noise atoms s with f(y,u,s)=y' of prob(s)
     once per distinct row of the model's image table, or take a kernel-mode
-    model's rows; the model constructor calls this once."""
+    model's rows, and find the model's state runs; the model constructor
+    calls this once."""
     next_idx = model._next_idx
     if next_idx is None:
         rows, pair_row = model._kernel, np.arange(model.n_pairs)
@@ -223,7 +250,7 @@ def build_transition_tensor(model):
                                  shape=(n_rows, model.n_states))
     for part in (rows.data, rows.indices, rows.indptr, pair_row):
         part.flags.writeable = False
-    return TransitionTensor(rows, pair_row, next_idx)
+    return TransitionTensor(rows, pair_row, next_idx, _state_runs(model, pair_row))
 
 
 def transition(model):

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from occulimits.analysis import (CertificateError, abel_window, bounds_report,
+from occulimits import dp
+from occulimits.analysis import (SANDWICH_PAD, CertificateError, abel_window, bounds_report,
                                  cesaro_window, check_window, dual_from_expansion,
                                  verify_long_run_optimality)
+from occulimits.cli import main
 from occulimits.dp import (Plan, discounted_values, finite_horizon_values,
                           greedy_feedback_from_eta)
 from occulimits.measures import (check_eps, discounted_occupation, occupation_measure,
@@ -50,6 +54,46 @@ def test_bounds_report_constant_cost():
     assert rep.d_star_y0 == pytest.approx(0.2, abs=1e-8)
     assert rep.k_star == pytest.approx(0.2, abs=1e-8)
     assert abs(rep.gap) <= 1e-8 and rep.sandwich_ok
+
+
+@pytest.mark.parametrize("kind", ["vT", "heps"])
+def test_a_value_past_its_slack_leaves_the_sandwich(monkeypatch, capsys, kind):
+    # one point of one curve is moved past its slack, v_T(y0) at T = 10
+    # above k*(y0) or h_eps(y0) at eps = 0.1 below d*(y0): the report lists
+    # that point alone and bounds exits 4
+    m = example1_model(0.5)
+    y0, Ts, epss = m.initial_index, [1, 10, 100], [0.5, 0.1, 0.01]
+    clean = bounds_report(m, y0, Ts, epss)
+    assert clean.sandwich_ok and clean.out_of_sandwich == []
+    scale = 2.0 * m.cost_bound * (1.0 + clean.xi_mass)
+    if kind == "vT":
+        param, name = 10, "finite_horizon_values"
+        moved = clean.k_star_y0 + 2.0 * (scale / param + SANDWICH_PAD)
+    else:
+        param, name = 0.1, "discounted_values"
+        moved = clean.d_star_y0 - 2.0 * (scale * param + SANDWICH_PAD)
+    solve = getattr(dp, name)
+
+    def tampered(model, arg, *rest):
+        result, plan = solve(model, arg, *rest)
+        vf = result[param - 1] if kind == "vT" else result
+        if kind == "vT" or arg == param:
+            vf.values = vf.values.copy()
+            vf.values[y0] = moved
+        return result, plan
+
+    monkeypatch.setattr(dp, name, tampered)
+    rep = bounds_report(m, y0, Ts, epss)
+    assert rep.sandwich_ok is False
+    assert rep.out_of_sandwich == [(kind, param, moved)]
+    assert [r[-1] for r in rep.csv_rows()] == [r[:2] != (kind, param) for r in rep.csv_rows()]
+    code = main(["bounds", "--builtin", "example1", "--y0", "0.5", "--T", "1,10,100",
+                 "--eps", "0.5,0.1,0.01", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["sandwich_ok"] is False and [param, moved] in doc[f"{kind}_curve"]
+    assert err.endswith("sandwich_ok=False\n")
 
 
 def test_bounds_report_input_validation():

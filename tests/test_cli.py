@@ -203,6 +203,71 @@ def test_validate_refuses_malformed_model(tmp_path, capsys, case):
     assert out == "" and err.startswith("invalid:")
 
 
+# load_model's refusals, each with the start of its message; a case of
+# None reads a file that does not exist
+LOAD_REFUSALS = {
+    "unreadable_file": (None, "cannot read model file: "),
+    "missing_states": ({"states": None}, "missing field 'states'"),
+    "missing_controls": ({"controls": None}, "missing field 'controls'"),
+    "missing_cost": ({"cost": None}, "missing field 'cost'"),
+    "dynamics_and_transition": ({"transition": [[[0.0, 1.0]], [[1.0, 0.0]]]},
+                                "exactly one of 'dynamics' or 'transition' is required"),
+    "neither_dynamics_nor_transition": ({"dynamics": None},
+                                        "exactly one of 'dynamics' or 'transition' is required"),
+    "dynamics_without_noise": ({"noise": None},
+                               "missing field 'noise' (required with 'dynamics')"),
+    "per_state_without_control_values": ({"controls": {"per_state": [[0], [0]]}},
+                                         "field 'controls.control_values' required with "
+                                         "'per_state'"),
+    "per_state_index_out_of_range": ({"controls": {"per_state": [[0], [1]],
+                                                   "control_values": [[0.0]]}},
+                                     "field 'controls.per_state': index out of range"),
+    "per_state_of_wrong_length": ({"controls": {"per_state": [[0]], "control_values": [[0.0]]}},
+                                  "field 'controls.per_state' must have one entry per state"),
+    "controls_neither_shared_nor_per_state": ({"controls": {}},
+                                              "field 'controls' needs either 'shared' or "
+                                              "'per_state'"),
+    "incomplete_cost_table": ({"cost": [{"state": 0, "control": 0, "value": 0.5}]},
+                              "field 'cost': incomplete table (missing [(1, 0)])"),
+    "missing_dynamics_row": ({"dynamics": [{"state": 0, "control": 0, "noise_id": 0,
+                                            "next_state": 1}]},
+                             "dynamics missing for (state=1, control=0, noise=0)"),
+    "fractional_initial_state": ({"initial_state": 0.5},
+                                 "field 'initial_state': 0.5 is not a non-negative integer "
+                                 "index"),
+    "initial_state_out_of_range": ({"initial_state": 2},
+                                   "field 'initial_state': index 2 out of range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_REFUSALS))
+def test_load_model_refusals_name_their_field(tmp_path, capsys, case):
+    changes, message = LOAD_REFUSALS[case]
+    path = tmp_path / "model.json"
+    if changes is not None:
+        path.write_text(json.dumps(_two_state_doc(**changes)))
+    with pytest.raises(ModelError, match="^" + re.escape(message)):
+        load_model(path)
+    code, out, err = run(capsys, "validate", "--model", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("invalid: " + message)
+
+
+def test_bounds_starts_from_the_files_initial_state(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_two_state_doc(initial_state=1)))
+    code, out, _ = run(capsys, "bounds", "--model", str(path), "--T", "1,10",
+                       "--eps", "0.5", "--format", "json")
+    assert code == 0 and json.loads(out)["y0"] == 1
+    code, out, _ = run(capsys, "bounds", "--model", str(path), "--y0", "0", "--T", "1,10",
+                       "--eps", "0.5", "--format", "json")
+    assert code == 0 and json.loads(out)["y0"] == 0  # --y0 names the state nearest it
+    path.write_text(json.dumps(_two_state_doc()))
+    code, out, err = run(capsys, "bounds", "--model", str(path))
+    assert code == 2
+    assert out == "" and err == "input error: --y0 is required for this model\n"
+
+
 def test_bounds_refuses_model_with_non_finite_controls(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_two_state_doc(controls={"shared": [[float("nan")]]})))

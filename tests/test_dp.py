@@ -13,7 +13,8 @@ from occulimits.dp import (DEFAULT_TOL, ClosedClasses, Plan, StagedSelectors,
                            evaluate_plan_discounted, finite_horizon_values,
                            greedy_feedback_from_eta)
 from occulimits.measures import prg_detect
-from occulimits.model import FiniteModel, example1_model, example2_model, transition
+from occulimits.model import (FiniteModel, TransitionTensor, example1_family_model,
+                              example1_model, example2_model, transition)
 from occulimits.programs import SolverError
 from occulimits.suite import random_model, random_stationary_plan
 
@@ -171,10 +172,17 @@ def test_staged_plan_reproduces_vT():
         assert val == pytest.approx(curve[-1].values[y0], abs=1e-12)
 
 
-def _recursion_cases():
+def _pair_path_cases():
+    """Models without state runs, whose recursion takes the pair path."""
     yield from (random_model(seed) for seed in range(50))
     yield example1_model(0.5)
-    yield from (example2_model(m) for m in (4, 5, 7))
+    yield example1_family_model([0.25, 0.5, 0.75, 1.0])
+    yield from (example2_model(m, control_step=0.5) for m in range(2, 10))
+
+
+def _recursion_cases():
+    yield from _pair_path_cases()
+    yield from (example2_model(m) for m in range(2, 10))  # the range path
 
 
 def test_staged_plan_read_on_first_use_matches_the_eager_recursion():
@@ -194,6 +202,83 @@ def test_staged_plan_read_on_first_use_matches_the_eager_recursion():
         assert [s.tobytes() for s in lazy] == [s.tobytes() for s in sels]
         assert all(a.dtype == b.dtype for a, b in zip(lazy, sels))
         assert all(np.array_equal(a, b) for a, b in zip(lazy[::-7], sels[::-7]))
+
+
+def test_state_runs_are_found_on_example2_default_grid_only():
+    for m in range(2, 10):
+        mdl = example2_model(m)
+        tensor = transition(mdl)
+        runs = tensor.state_runs
+        starts = mdl.state_pair_start
+        # each state's pairs read the rows lo..end-1, one each, in order
+        for y, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+            assert tensor.pair_row[a:b].tolist() == list(range(runs[2 * y], runs[2 * y + 1]))
+        assert not runs.flags.writeable
+        assert runs[-1] == tensor.rows.shape[0]  # the last run ends at the last row
+    for mdl in _pair_path_cases():
+        assert transition(mdl).state_runs is None
+
+
+def test_state_runs_need_one_cost_bit_for_bit():
+    mdl = example2_model(3)
+    zero = mdl.nearest_state(0.0)
+    assert mdl.states[zero, 0] == 0.0 and mdl.pair_cost[mdl.state_pair_start[zero]] == 0.0
+    for y, cost in ((zero, -0.0), (1, np.nextafter(mdl.states[1, 0], 0.0))):
+        k = mdl.pair_cost.copy()
+        k[mdl.state_pair_start[y + 1] - 1] = cost  # the state's last pair
+        assert transition(with_cost(mdl, k)).state_runs is None
+    assert transition(with_cost(mdl, mdl.pair_cost)).state_runs is not None
+
+
+def test_state_runs_need_increasing_rows_and_nondecreasing_first_rows():
+    def chain(next_idx, pair_state):
+        return FiniteModel(states=[0.0, 1.0, 2.0], pair_state=pair_state,
+                           pair_control=np.arange(len(pair_state), dtype=float), noise=[1.0],
+                           pair_cost=np.array([0.0, 1.0, 2.0])[pair_state],
+                           next_idx=np.array(next_idx)[:, None])
+
+    # the distinct rows are the images 0, 1, 2
+    assert transition(chain([0, 1, 1, 2, 2], [0, 0, 1, 1, 2])).state_runs.tolist() == \
+        [0, 2, 1, 3, 2, 3]
+    assert transition(chain([1, 0, 1, 2], [0, 0, 1, 2])).state_runs is None  # decreasing
+    assert transition(chain([0, 2, 1, 2], [0, 0, 1, 2])).state_runs is None  # a gap
+    assert transition(chain([1, 2, 0, 2], [0, 0, 1, 2])).state_runs is None  # first rows fall
+
+
+def test_range_path_never_reads_the_pair_law(monkeypatch):
+    mdl = example2_model(7)
+    scales = []
+
+    def spy(self, values, scale=1.0):
+        scales.append(scale)
+        return expect(self, values, scale)
+
+    expect = TransitionTensor.expect
+    monkeypatch.setattr(TransitionTensor, "expect", spy)
+    curve, plan = finite_horizon_values(mdl, 128)
+    assert len(curve) == 128 and scales == []
+    plan.selector[0]  # a selector is read on the pair path
+    assert scales == [127]
+
+
+@pytest.mark.parametrize("sign", ["positive", "negative", "state"])
+def test_range_path_overflow_is_refused(sign):
+    # a multi-pair model on the range path with v_1 = k = +-1e308 finite
+    mdl = example2_model(3)
+    y = mdl.states[:, 0]
+    state_sign = {"positive": np.ones_like(y), "negative": -np.ones_like(y),
+                  "state": np.where(y < 0, -1.0, 1.0)}[sign]
+    mdl = with_cost(mdl, mdl.at_pairs(1e308 * state_sign))
+    assert transition(mdl).state_runs is not None
+    values, _ = eager_finite_horizon_values(mdl, 2)
+    assert np.isfinite(values[0]).all() and not np.isfinite(values[1]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve, _ = finite_horizon_values(mdl, 1)
+        assert curve[0].values.tobytes() == values[0].tobytes()
+        with pytest.raises(SolverError, match=re.escape(
+                "finite-horizon recursion overflowed: v_2 is not finite")):
+            finite_horizon_values(mdl, 3)
 
 
 def test_staged_selectors_index_like_a_list():
