@@ -10,7 +10,7 @@ from itertools import islice
 import numpy as np
 
 from . import dp, measures, programs
-from .model import transition
+from .model import numeric_array, transition
 
 STRONG_DUALITY_TOL = 1e-6
 SANDWICH_PAD = 1e-6
@@ -218,6 +218,14 @@ def dual_from_expansion(model, Ts):
     return ExpansionDual(psi=v, eta=eta, residual=abs(float(bellman.min())))
 
 
+def _term(t, value):
+    """g(t) as a float; ValueError naming t unless it is a finite numeric scalar."""
+    value = float(numeric_array(f"g({t})", value, ()))
+    if not math.isfinite(value):
+        raise ValueError(f"g({t}) = {value!r} is not finite")
+    return value
+
+
 def abel_window(g, M, eps, delta):
     """First horizon T at which the running average of g drops under its
     Abel mean: (1/T) sum_{t<T} g(t) < sigma + delta + 2M/T, with
@@ -227,8 +235,8 @@ def abel_window(g, M, eps, delta):
     the guaranteed lower bound ceil(delta / ((4M + 4|sigma| + delta)
     (-ln(1-eps)))) and moves upward; existence is guaranteed, so exceeding
     the search cap raises RuntimeError.  delta must be finite and positive,
-    and M finite and nonnegative; a g(t) that is not finite or exceeds M
-    raises ValueError naming t.
+    and M finite and nonnegative; a g(t) that is not a number (a bool or a
+    string, say), is not finite or exceeds M raises ValueError naming t.
     """
     measures.check_eps(eps)
     measures.check_positive("delta", delta)
@@ -239,9 +247,7 @@ def abel_window(g, M, eps, delta):
 
     def g_at(t):
         if t not in values:
-            values[t] = float(g(t))
-            if not math.isfinite(values[t]):
-                raise ValueError(f"g({t}) = {values[t]!r} is not finite")
+            values[t] = _term(t, g(t))
             if abs(values[t]) > M + 1e-12:
                 raise ValueError(f"|g({t})| = {values[t]!r} exceeds the bound M={M}")
         return values[t]
@@ -265,17 +271,14 @@ def cesaro_window(g, T, delta):
 
     with sigma the average of the first T terms.  Exhaustive scan; existence
     is guaranteed for an integer T >= 1, a finite positive delta and finite
-    terms (the first one that is not finite raises ValueError naming its t).
+    terms (_term refuses a bool, a string or a non-finite g(t), naming t).
     """
     measures.check_horizon(T)
     measures.check_positive("delta", delta)
-    seq = np.asarray(list(g), dtype=float)
+    seq = list(g)
     if len(seq) < T:
         raise ValueError(f"sequence of length {len(seq)} is shorter than T={T}")
-    bad = np.flatnonzero(~np.isfinite(seq[:T]))
-    if len(bad):
-        raise ValueError(f"g({bad[0]}) = {seq[bad[0]].item()!r} is not finite")
-    prefix = np.concatenate([[0.0], np.cumsum(seq[:T])])
+    prefix = np.concatenate([[0.0], np.cumsum([_term(t, seq[t]) for t in range(T)])])
     sigma = prefix[T] / T
     for t_star in range(T):
         lengths = np.arange(1, T - t_star + 1)

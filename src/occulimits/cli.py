@@ -59,8 +59,6 @@ def _pick_y0(mdl, args):
         if mdl.initial_index is not None:
             return mdl.initial_index
         raise CliInputError("--y0 is required for this model")
-    if mdl.initial_index is not None and args.builtin == "example1":
-        return mdl.initial_index
     return mdl.nearest_state(args.y0)
 
 

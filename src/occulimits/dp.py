@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu, spsolve
 
 from . import measures
-from .model import transition
+from .model import numeric_array, transition
 
 DEFAULT_TOL = 1e-10
 PI_ITERATION_CAP = 1000
@@ -66,13 +66,10 @@ class Plan:
                     raise ValueError("plan/model mismatch: bad "
                                      f"{self.kind.removeprefix('stationary_')} selector")
         elif self.kind == "stationary_randomized":
-            try:
-                w = np.asarray(self.selector)
-            except ValueError:  # ragged per-state rows
-                w = None
-            if w is None or w.dtype.kind not in "iuf" or w.shape != (model.n_pairs,):
-                raise ValueError("plan/model mismatch: randomized weights need one numeric "
-                                 f"array of shape ({model.n_pairs},), not per-state rows")
+            try:  # one numeric (n_pairs,) array, not per-state rows
+                w = numeric_array("randomized selector", self.selector, (model.n_pairs,))
+            except ValueError as exc:
+                raise ValueError(f"plan/model mismatch: {exc}") from exc
             bad = np.bincount(model.pair_state, ~np.isfinite(w) | (w < 0), model.n_states) > 0
             sums = np.bincount(model.pair_state, w, model.n_states)  # added in pair order
             off = bad | (np.abs(sums - 1.0) > 1e-12)
@@ -458,11 +455,7 @@ def average_cost_policy_iteration(model):
 
 def greedy_feedback_from_eta(model, eta):
     """u^f(y) = argmin_u {k(y,u) + E[eta(f(y,u,s))]}, lowest-index ties."""
-    eta = np.asarray(eta)
-    if eta.dtype.kind not in "iuf":
-        raise ValueError(f"eta of dtype {eta.dtype} is not numeric")
-    if eta.shape != (model.n_states,):
-        raise ValueError(f"eta needs shape ({model.n_states},), have {eta.shape}")
+    eta = numeric_array("eta", eta, (model.n_states,))
     if not np.all(np.isfinite(eta)):
         raise ValueError("eta must be finite")
     _, pairs = _group_min(model, model.pair_cost + transition(model).expect(eta))

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .model import transition
+from .model import numeric_array, transition
 
 
 def check_number(name, value):
@@ -189,10 +189,12 @@ def canonical_test_family(model, max_degree=3, max_size=32):
 
 
 def rho(g1, g2, fam):
-    """Weighted sum of test-function moment gaps, sum_j 2^-j |int q_j d(g1-g2)|."""
+    """Weighted sum of test-function moment gaps, sum_j 2^-j |int q_j d(g1-g2)|;
+    numeric_array checks both measures' weights against the tables' shape."""
     if len(fam) == 0:
         raise ValueError("empty test family")
-    diff = np.asarray(g1.weights) - np.asarray(g2.weights)
+    shape = np.shape(fam[0])
+    diff = numeric_array("g1", g1.weights, shape) - numeric_array("g2", g2.weights, shape)
     return float(sum(abs(float(q @ diff)) / 2.0 ** (j + 1)
                      for j, q in enumerate(fam)))
 

@@ -66,13 +66,12 @@ class FiniteModel:
                              f"{n_pairs} rows of one positive dimension")
         sizes = np.bincount(pair_state, minlength=n_states)
         starts = np.concatenate([[0], np.cumsum(sizes)])
-        pair_cost = _checked_array("pair_cost", pair_cost, float, (n_pairs,))
-        noise = _checked_array("noise", noise, float, (len(noise),))
+        pair_cost = _array("pair_cost", pair_cost, (n_pairs,))
+        noise = _array("noise", noise, (len(noise),))
         if (next_idx is None) == (kernel is None):
             raise ModelError("exactly one of next_idx and kernel is required")
         if kernel is not None:
-            kernel = sparse.csr_matrix(_checked_array("kernel", kernel, float,
-                                                      (n_pairs, n_states)))
+            kernel = sparse.csr_matrix(_array("kernel", kernel, (n_pairs, n_states)))
         else:
             next_idx = _indices("next_idx", next_idx, (n_pairs, len(noise)), n_states, "images")
         if initial_index is not None and not (np.issubdtype(type(initial_index), np.integer)
@@ -130,21 +129,33 @@ class FiniteModel:
         return int(np.argmin(np.abs(self.states[:, 0] - value)))
 
 
-def _checked_array(name, value, dtype, shape):
-    """value as a new array of the given shape, else ModelError."""
+def numeric_array(name, value, shape=None, dtype=None):
+    """value as a new array (cast to dtype, if given) of integer or float kind
+    and of the given shape, else ValueError naming it: the one check of an
+    array argument.  Finiteness and sign are each caller's to check."""
     try:
-        array = np.array(value, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"{name}: {exc}") from exc
+        array = np.array(value)
+    except ValueError as exc:  # ragged rows
+        raise ValueError(f"{name}: {exc}") from exc
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} of dtype {array.dtype} is not numeric")
     if shape is not None and array.shape != shape:
-        raise ModelError(f"{name} has shape {array.shape}, expected {shape}")
-    return array
+        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    return array if dtype is None else array.astype(dtype, copy=False)
+
+
+def _array(name, value, shape=None, dtype=float):
+    """numeric_array, refusing with ModelError."""
+    try:
+        return numeric_array(name, value, shape, dtype)
+    except ValueError as exc:
+        raise ModelError(str(exc)) from exc
 
 
 def _indices(name, value, shape, n_states, what):
     """value as a new int64 array of the given shape holding state indices, else ModelError."""
-    array = _checked_array(name, value, None, shape)
-    if array.dtype.kind not in "iuf" or np.any(array != np.round(array)):
+    array = _array(name, value, shape, None)
+    if np.any(array != np.round(array)):
         raise ModelError(f"{name} is not integer-valued")
     if np.any((array < 0) | (array >= n_states)):
         raise ModelError(f"{name} has {what} outside the {n_states} states")
@@ -154,7 +165,7 @@ def _indices(name, value, shape, n_states, what):
 def _points(name, value):
     """value as a new float array with one row per point, a 1-D value
     holding scalar points, else ModelError."""
-    array = _checked_array(name, value, float, None)
+    array = _array(name, value)
     if array.ndim == 1:
         return array[:, None]
     if array.ndim != 2:

@@ -51,7 +51,7 @@ from scipy.sparse.linalg import LinearOperator
 from . import dp, lp_core
 from .dp import SolverError
 from .measures import GMeasure, check_eps
-from .model import transition
+from .model import numeric_array, transition
 
 CERT_TOL = 1e-7
 # HiGHS reads a cost of this magnitude or more as infinite (its infinite_cost)
@@ -69,21 +69,18 @@ class DualCertificate:
     def slacks(self, model, y0, theta=None):
         """Per-pair slack of each certificate inequality family:
         k + (psi(y0) - psi(y)) + E[eta(f)] - eta(y) - mu and
-        E[psi(f)] - psi(y) + theta(y,u).  A theta is refused as
-        augmented_lp refuses it, as is a bool or non-numeric mu, psi or eta."""
+        E[psi(f)] - psi(y) + theta(y,u), refusing theta as augmented_lp does
+        and mu, psi and eta as numeric_array does at (), (n_states,), (n_states,)."""
         model.check_y0(y0)
-        if np.shape(self.psi) != (model.n_states,) or np.shape(self.eta) != (model.n_states,):
-            raise ValueError(f"psi and eta need shape ({model.n_states},), have "
-                             f"{np.shape(self.psi)} and {np.shape(self.eta)}")
-        for name, value in (("mu", self.mu), ("psi", self.psi), ("eta", self.eta)):
-            if np.asarray(value).dtype.kind not in "iuf":
-                raise ValueError(f"{name} of dtype {np.asarray(value).dtype} is not numeric")
+        mu = numeric_array("mu", self.mu, ())
+        psi = numeric_array("psi", self.psi, (model.n_states,))
+        eta = numeric_array("eta", self.eta, (model.n_states,))
         tensor = transition(model)
-        psi_at = model.at_pairs(self.psi)
+        psi_at = model.at_pairs(psi)
         theta_pair = np.zeros(model.n_pairs) if theta is None else _check_theta(model, theta)
-        return (model.pair_cost + (self.psi[y0] - psi_at)
-                + tensor.expect(self.eta) - model.at_pairs(self.eta) - self.mu,
-                tensor.expect(self.psi) - psi_at + theta_pair)
+        return (model.pair_cost + (psi[y0] - psi_at)
+                + tensor.expect(eta) - model.at_pairs(eta) - mu,
+                tensor.expect(psi) - psi_at + theta_pair)
 
     def violations(self, model, y0, theta=None):
         """Worst violation of each certificate inequality family."""
@@ -91,12 +88,9 @@ class DualCertificate:
 
 
 def _check_theta(model, theta):
-    """theta as a float array over the model's pairs; ValueError unless it
-    has shape (n_pairs,) and is finite and nonnegative."""
-    theta_pair = np.asarray(theta, dtype=float)
-    if theta_pair.shape != (model.n_pairs,):
-        raise ValueError(f"theta must have one entry per admissible pair "
-                         f"({model.n_pairs}), got shape {theta_pair.shape}")
+    """theta as a float array over the pairs; ValueError unless numeric_array
+    takes it at shape (n_pairs,) and it is finite and nonnegative."""
+    theta_pair = numeric_array("theta", theta, (model.n_pairs,), float)
     if theta_pair.min(initial=0.0) < 0 or not np.all(np.isfinite(theta_pair)):
         raise ValueError("theta must be nonnegative and bounded")
     return theta_pair
@@ -415,10 +409,8 @@ def _marginal(model, weights):
 
 
 def _measure_weights(model, measure, name):
-    w = np.asarray(measure.weights if isinstance(measure, GMeasure) else measure, dtype=float)
-    if w.shape != (model.n_pairs,):
-        raise ValueError(f"{name} has {w.shape} weights, model has {model.n_pairs} pairs")
-    return w
+    return numeric_array(name, measure.weights if isinstance(measure, GMeasure) else measure,
+                         (model.n_pairs,), float)
 
 
 def membership_residuals(model, gamma, kind, eps=None, y0=None, xi=None):

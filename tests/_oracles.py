@@ -303,17 +303,21 @@ def scipy_chain_closed_classes(p_pi):
 
 def check_rows_one_by_one(model, weights):
     """Plan.check_against's test of a randomized plan's pair weights, one
-    state at a time: anything but one numeric (n_pairs,) array is refused,
-    then the first state with a non-finite or negative weight, or whose
-    weights, added left to right in Python floats, sum to a value off 1 by
-    more than 1e-12, with ValueError."""
+    state at a time: ragged rows, then a dtype of neither integer nor float
+    kind, then any shape but (n_pairs,) is refused, then the first state
+    with a non-finite or negative weight, or whose weights, added left to
+    right in Python floats, sum to a value off 1 by more than 1e-12, with
+    ValueError."""
     try:
-        w = np.asarray(weights)
-    except ValueError:
-        w = None
-    if w is None or w.dtype.kind not in "iuf" or w.shape != (model.n_pairs,):
-        raise ValueError("plan/model mismatch: randomized weights need one numeric "
-                         f"array of shape ({model.n_pairs},), not per-state rows")
+        w = np.array(weights)
+    except ValueError as exc:
+        raise ValueError(f"plan/model mismatch: randomized selector: {exc}") from exc
+    if not (np.issubdtype(w.dtype, np.integer) or np.issubdtype(w.dtype, np.floating)):
+        raise ValueError(f"plan/model mismatch: randomized selector of dtype {w.dtype} "
+                         "is not numeric")
+    if w.shape != (model.n_pairs,):
+        raise ValueError(f"plan/model mismatch: randomized selector has shape {w.shape}, "
+                         f"expected ({model.n_pairs},)")
     starts = model.state_pair_start.tolist()
     for i, (a, b) in enumerate(zip(starts, starts[1:])):
         row = w[a:b].tolist()

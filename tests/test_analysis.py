@@ -242,10 +242,11 @@ def test_certificate_refuses_misshapen_psi_or_eta(case):
     m = example1_model(0.5)
     psi, eta = MISSHAPEN_DUALS[case]
     dual = DualCertificate(mu=-0.25, psi=psi, eta=eta)
-    with pytest.raises(ValueError, match=r"psi and eta need shape \(2,\)"):
+    refusal = rf"^{case.split('_')[0]} has shape \(.+\), expected \(2,\)$"
+    with pytest.raises(ValueError, match=refusal):
         dual.slacks(m, m.initial_index)
     plan = Plan(kind="stationary_deterministic", selector=np.array([1, 2]))
-    with pytest.raises(ValueError, match=r"psi and eta need shape \(2,\)"):
+    with pytest.raises(ValueError, match=refusal):
         verify_long_run_optimality(m, plan, dual, m.initial_index, T0=1, t_max=10, tol=1e-6)
 
 
@@ -280,6 +281,20 @@ def test_certificate_refuses_bool_and_non_numeric_duals(case):
             check()
     assert verify_long_run_optimality(m, plan, DualCertificate(**closed_form), m.initial_index,
                                       T0=1, t_max=10, tol=1e-9).certified
+
+
+@pytest.mark.parametrize("entries", [1, 2, 4], ids=["one", "n_states", "n_pairs"])
+def test_certificate_refuses_an_array_mu(entries):
+    # a mu of one or n_pairs entries used to broadcast into the family-1
+    # slack, and one of n_states entries failed with numpy's broadcast text
+    m = example1_model(0.5)
+    vals = m.states[:, 0]
+    dual = DualCertificate(mu=np.full(entries, -0.25), psi=-np.abs(vals) / 2,
+                           eta=vals + np.abs(vals) / 2)
+    for check in (dual.slacks, dual.violations):
+        with pytest.raises(ValueError, match=rf"^mu has shape \({entries},\), expected \(\)$"):
+            check(m, m.initial_index)
+    assert DualCertificate(-0.25, dual.psi, dual.eta).violations(m, m.initial_index) == (0, 0)
 
 
 @pytest.mark.parametrize("user_slack", [np.inf, np.nan, -0.5])
@@ -530,6 +545,35 @@ def test_window_utilities_refuse_non_finite_values(bad_t, value):
         cesaro_window(seq, T=48, delta=0.1)
     if bad_t:  # only the first T terms are read
         assert cesaro_window(seq, T=bad_t, delta=0.1) == 0
+
+
+@pytest.mark.parametrize("bad_t", [0, 2])
+@pytest.mark.parametrize("value, dtype", [("0.5", "<U3"), (True, "bool"), (np.True_, "bool"),
+                                          (None, "object"), ([0.5], None)],
+                         ids=["string", "bool", "numpy_bool", "none", "list"])
+def test_window_utilities_refuse_bool_and_non_numeric_terms(bad_t, value, dtype):
+    # strings used to be parsed as numbers and bools read as 0 and 1
+    seq = [0.25] * 8
+    seq[bad_t] = value
+    refusal = (rf"^g\({bad_t}\) of dtype {dtype} is not numeric$" if dtype
+               else rf"^g\({bad_t}\) has shape \(1,\), expected \(\)$")
+    with pytest.raises(ValueError, match=refusal):
+        cesaro_window(seq, T=8, delta=0.1)
+    with pytest.raises(ValueError, match=refusal):
+        abel_window(lambda t: seq[t] if t < len(seq) else 0.25, M=1.0, eps=0.5, delta=0.1)
+    if bad_t:  # only the first T terms are read
+        assert cesaro_window(seq, T=bad_t, delta=0.1) == 0
+
+
+def test_window_utilities_refuse_the_terms_they_used_to_read():
+    # cesaro_window returned 2 on the strings and 1 on the bools, and
+    # abel_window 1 on the string
+    with pytest.raises(ValueError, match=r"^g\(0\) of dtype <U1 is not numeric$"):
+        cesaro_window(["1", "2", "0.5"], 3, 0.1)
+    with pytest.raises(ValueError, match=r"^g\(0\) of dtype bool is not numeric$"):
+        cesaro_window([True, False, True], 3, 0.1)
+    with pytest.raises(ValueError, match=r"^g\(0\) of dtype <U3 is not numeric$"):
+        abel_window(lambda t: "0.5", 1.0, 0.5, 0.1)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 19, 33])

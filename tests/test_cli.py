@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import csv
 import io
 import json
@@ -381,6 +382,41 @@ def test_policy_certification_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "policy", "--builtin", "example1", "--y0", "0.5")
     assert code == 5
     assert "certified=False" in out
+
+
+def test_policy_reports_an_invalid_certificate_and_exits_5(capsys, monkeypatch):
+    # cmd_policy's CertificateError arm: a dual whose mu is one too high
+    # violates the first certificate family by 1 on every pair
+    augmented_lp = programs.augmented_lp
+
+    def shifted_mu(model, y0, theta=None):
+        res = augmented_lp(model, y0, theta)
+        return dataclasses.replace(res, dual=dataclasses.replace(res.dual, mu=res.dual.mu + 1.0))
+
+    monkeypatch.setattr(programs, "augmented_lp", shifted_mu)
+    code, out, err = run(capsys, "policy", "--builtin", "example1", "--y0", "0.5")
+    assert code == 5
+    assert err == ("certificate invalid: certificate inequalities violated by 1.000e+00 "
+                   "(> tol 1e-06)\n")
+    assert "certified=False residuals=(inf, inf)" in out
+
+
+def test_a_highs_answer_that_fails_its_certificate_exits_3(capsys, monkeypatch):
+    # programs._solve maps lp_core's LpError, raised when HiGHS's pair fails
+    # the optimality certificate, to SolverError naming the LP and its size
+    linprog = programs.linprog
+
+    def shifted_x(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        res.x = res.x + 0.25
+        return res
+
+    monkeypatch.setattr(dp, "average_cost_policy_iteration", no_policy_iteration)
+    monkeypatch.setattr(programs, "linprog", shifted_x)
+    code, out, err = run(capsys, "policy", "--builtin", "example1", "--y0", "0.5")
+    assert code == 3 and out == ""
+    assert err.startswith("solver error: augmented LP (y0=1): HiGHS (5x8): "
+                          "optimality certificate failed: {'primal_feasibility': ")
 
 
 def test_policy_example2_coarse_grid_certified(capsys):

@@ -330,6 +330,31 @@ def test_canonical_test_family_refuses_unusable_sizes(kwargs, problem):
         canonical_test_family(example2_model(2), **kwargs)
 
 
+@pytest.mark.parametrize("case", ["strings", "bools", "short", "long", "rows"])
+def test_rho_and_hausdorff_refuse_unusable_weights(case):
+    # string weights used to escape as numpy's UFuncTypeError (a TypeError),
+    # a short measure as numpy's broadcast text, and bools to be read as 0
+    # and 1; every measure is checked against the family tables' shape
+    m = example1_model(0.5)
+    fam = canonical_test_family(m)
+    n = m.n_pairs
+    good = GMeasure(np.full(n, 0.25))
+    weights, refusal = {
+        "strings": (np.full(n, "0.25"), "of dtype <U4 is not numeric"),
+        "bools": (np.ones(n, dtype=bool), "of dtype bool is not numeric"),
+        "short": (np.full(n - 1, 0.25), rf"has shape \({n - 1},\), expected \({n},\)"),
+        "long": (np.full(n + 1, 0.25), rf"has shape \({n + 1},\), expected \({n},\)"),
+        "rows": (np.full((2, n // 2), 0.25), rf"has shape \(2, {n // 2}\), expected \({n},\)"),
+    }[case]
+    bad = GMeasure(weights)
+    for call, name in ((lambda: rho(good, bad, fam), "g2"), (lambda: rho(bad, good, fam), "g1"),
+                       (lambda: hausdorff([good], [good, bad], fam), "g2"),
+                       (lambda: hausdorff([bad], [good], fam), "g1")):
+        with pytest.raises(ValueError, match=f"^{name} {refusal}$"):
+            call()
+    assert rho(good, good, fam) == 0.0 and hausdorff([good], [good], fam) == 0.0
+
+
 def test_rho_zero_and_symmetry():
     m = random_model(12)
     fam = canonical_test_family(m)

@@ -191,7 +191,7 @@ BAD_PAIR_STATES = {
     "outside": ([0, 2], "pair_state has pairs outside the 2 states"),
     "decreasing": ([1, 0], r"pair_state of shape \(2,\) is not a nondecreasing list"),
     "fractional": ([0, 0.5], "pair_state is not integer-valued"),
-    "bool": ([False, True], "pair_state is not integer-valued"),
+    "bool": ([False, True], "pair_state of dtype bool is not numeric"),
     "2d": ([[0], [1]], r"pair_state of shape \(2, 1\) is not a nondecreasing list"),
 }
 LAWS = {"": {"next_idx": [[1], [0]]},
@@ -234,6 +234,48 @@ LAWS = {"": {"next_idx": [[1], [0]]},
 def test_constructor_refuses_unusable_arrays(arrays, problem):
     with pytest.raises(ModelError, match=problem):
         FiniteModel(**{**TWO_STATES, **arrays})
+
+
+# bools and non-numbers in place of TWO_STATES' arrays, each refused by its
+# dtype (the kernel ones under a kernel-row law)
+NON_NUMERIC_ARRAYS = {
+    "pair_cost_strings": ({"pair_cost": ["1.0", "2.0"]}, "pair_cost of dtype <U3"),
+    "pair_cost_bools": ({"pair_cost": [True, False]}, "pair_cost of dtype bool"),
+    "pair_cost_none": ({"pair_cost": [1.0, None]}, "pair_cost of dtype object"),
+    "noise_strings": ({"noise": ["1.0"]}, "noise of dtype <U3"),
+    "noise_bools": ({"noise": np.array([True])}, "noise of dtype bool"),
+    "kernel_strings": ({"kernel": [["0", "1"], ["1", "0"]]}, "kernel of dtype <U1"),
+    "kernel_bools": ({"kernel": [[False, True], [True, False]]}, "kernel of dtype bool"),
+    "states_strings": ({"states": ["0", "1"]}, "states of dtype <U1"),
+    "pair_control_bools": ({"pair_control": [False, True]}, "pair_control of dtype bool"),
+    "next_idx_strings": ({"next_idx": [["1"], ["0"]]}, "next_idx of dtype <U1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMERIC_ARRAYS))
+def test_constructor_refuses_bool_and_non_numeric_arrays(case):
+    # strings used to be parsed as numbers, bools read as 0 and 1 and a None
+    # as NaN, so all but the None and the next_idx strings built a model
+    arrays, problem = NON_NUMERIC_ARRAYS[case]
+    law = LAWS["_kernel" if case.startswith("kernel") else ""]
+    with pytest.raises(ModelError, match=f"^{problem} is not numeric$"):
+        FiniteModel(**{**TWO_STATES, "pair_cost": [1.0, 2.0], **law, **arrays})
+
+
+def test_constructor_copies_the_arrays_it_is_given():
+    # the model freezes copies of its inputs, never an array its caller holds
+    given = {"states": np.array([0.0, 1.0]), "pair_state": np.array([0, 1]),
+             "pair_control": np.array([0.0, 0.0]), "noise": np.array([1.0]),
+             "pair_cost": np.array([1.0, 2.0]), "next_idx": np.array([[1], [0]])}
+    before = {name: value.copy() for name, value in given.items()}
+    m = FiniteModel(**given)
+    for name, value in given.items():
+        assert value.flags.writeable and np.array_equal(value, before[name])
+    for name in ("states", "pair_state", "pair_control", "noise", "pair_cost"):
+        assert not getattr(m, name).flags.writeable
+        assert not np.shares_memory(getattr(m, name), given[name])
+    given["pair_cost"][0] = 5.0
+    assert m.pair_cost.tolist() == [1.0, 2.0]
 
 
 @pytest.mark.parametrize("controls, problem", [

@@ -222,7 +222,7 @@ def test_membership_refuses_a_bad_eps(eps):
 
 def test_membership_dimension_mismatch():
     m = example1_model(0.5)
-    with pytest.raises(ValueError, match="weights"):
+    with pytest.raises(ValueError, match=r"^measure has shape \(3,\), expected \(4,\)$"):
         membership_residuals(m, GMeasure(np.ones(3)), "W")
     with pytest.raises(ValueError, match="kind"):
         membership_residuals(m, GMeasure(np.ones(m.n_pairs)), "X")
@@ -618,6 +618,43 @@ def test_the_certificate_refuses_the_theta_augmented_lp_refuses(theta):
     for check in (res.dual.slacks, res.dual.violations):
         with pytest.raises(ValueError, match=re.escape(str(refused.value))):
             check(m, 0, bad)
+
+
+@pytest.mark.parametrize("theta", [lambda n: np.zeros(n, dtype=bool),
+                                   lambda n: np.zeros(n).astype(str), lambda n: [None] * n],
+                         ids=["bools", "strings", "none"])
+def test_a_bool_or_non_numeric_theta_is_refused(theta):
+    # bools used to be read as 0 and 1 and strings parsed as numbers, and
+    # HiGHS solved either; a None was read as NaN and refused as unbounded
+    m = random_model(3)
+    res = augmented_lp(m, 0)
+    bad = theta(m.n_pairs)
+    refusal = r"^theta of dtype \S+ is not numeric$"
+    with pytest.raises(ValueError, match=refusal):
+        augmented_lp(m, 0, bad)
+    for check in (res.dual.slacks, res.dual.violations):
+        with pytest.raises(ValueError, match=refusal):
+            check(m, 0, bad)
+
+
+@pytest.mark.parametrize("weights", [lambda n: ["1"] * n, lambda n: np.ones(n, dtype=bool),
+                                     lambda n: GMeasure(np.full(n, "0.5"))],
+                         ids=["strings", "bools", "measure_of_strings"])
+@pytest.mark.parametrize("argument", ["gamma", "xi"])
+def test_membership_refuses_bool_and_non_numeric_weights(weights, argument):
+    # ["1"] * n used to be parsed as weights (88.0 on example 2 at m=3, as
+    # gamma of W) and bools read as 0 and 1
+    m = example2_model(3)
+    res = augmented_lp(m, 0)
+    given = {"gamma": res.gamma, "xi": res.xi}
+    assert membership_residuals(m, given["gamma"], "Omega", y0=0, xi=given["xi"]) <= 1e-8
+    given[argument] = weights(m.n_pairs)
+    name = "measure" if argument == "gamma" else "xi"
+    with pytest.raises(ValueError, match=rf"^{name} of dtype \S+ is not numeric$"):
+        membership_residuals(m, given["gamma"], "Omega", y0=0, xi=given["xi"])
+    if argument == "gamma":
+        with pytest.raises(ValueError, match=r"^measure of dtype \S+ is not numeric$"):
+            membership_residuals(m, given["gamma"], "W")
 
 
 def test_cost_at_highs_infinity_is_refused_by_name():

@@ -136,6 +136,27 @@ def test_a_control_is_named_by_its_pair_index():
     assert not hasattr(FiniteModel, "pair_" + "index")
 
 
+def _dtype_kind_reads(node):
+    """Line numbers of every X.dtype.kind read under node."""
+    return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "kind"
+            and isinstance(n.value, ast.Attribute) and n.value.attr == "dtype"]
+
+
+def test_one_function_checks_an_array_arguments_dtype():
+    # every array argument passes model.numeric_array, so no other code reads
+    # a dtype's kind; the one exception is the integer-only test of a
+    # deterministic or staged selector in Plan.check_against
+    allowed = {("model.py", "numeric_array"), ("dp.py", "check_against")}
+    reads, inside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += [f"{path.name}:{line}" for line in _dtype_kind_reads(tree)]
+        inside += [f"{path.name}:{line}" for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef) and (path.name, func.name) in allowed
+                   for line in _dtype_kind_reads(func)]
+    assert reads == inside and len(inside) == len(allowed)
+
+
 def test_lp_size_reads_the_model():
     # perfbench sizes each traced LP from n_pairs and len(model.noise)
     tracing = _load_tracing()
