@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu, spsolve
 
 from . import measures
-from .model import numeric_array, transition
+from .model import eye_minus, eye_minus_law, numeric_array, transition
 
 DEFAULT_TOL = 1e-10
 PI_ITERATION_CAP = 1000
@@ -70,8 +70,8 @@ class Plan:
                 w = numeric_array("randomized selector", self.selector, (model.n_pairs,))
             except ValueError as exc:
                 raise ValueError(f"plan/model mismatch: {exc}") from exc
-            bad = np.bincount(model.pair_state, ~np.isfinite(w) | (w < 0), model.n_states) > 0
-            sums = np.bincount(model.pair_state, w, model.n_states)  # added in pair order
+            bad = np.logical_or.reduceat(~np.isfinite(w) | (w < 0), starts[:-1])
+            sums = model.state_sums(w)  # added in pair order
             off = bad | (np.abs(sums - 1.0) > 1e-12)
             i = np.argmax(off)  # the first state refused, if any
             if off[i]:
@@ -111,6 +111,14 @@ def _group_min(model, q):
     hits = np.flatnonzero(np.append(q <= model.at_pairs(vmin), True))
     first = hits[np.searchsorted(hits, starts)]
     return vmin, np.where(first < ends, first, model.n_pairs + 1)
+
+
+def _greedy_start(model, cost):
+    """Each state's lowest pair of least cost.  On a model with state runs a
+    state's pairs share one cost, bit for bit, so it is the state's first."""
+    if transition(model).state_runs is not None:
+        return model.state_pair_start[:-1]
+    return _group_min(model, cost)[1]
 
 
 def finite_horizon_values(model, T):
@@ -227,10 +235,9 @@ def discounted_values(model, eps, tol=DEFAULT_TOL):
     tensor = transition(model)
     k_eps = eps * model.pair_cost
     decay = 1.0 - eps
-    eye = sparse.identity(model.n_states, format="csr")
-    _, pairs = _group_min(model, k_eps)
+    pairs = _greedy_start(model, k_eps)
     for _ in range(PI_ITERATION_CAP):
-        h = spsolve(eye - decay * tensor.rows[tensor.pair_row[pairs]], k_eps[pairs])
+        h = spsolve(eye_minus_law(tensor.law_at(pairs), decay), k_eps[pairs])
         q = tensor.expect(h, decay)
         q += k_eps
         vmin, best = _group_min(model, q)
@@ -255,31 +262,6 @@ def _factor(matrix):
         return splu(sparse.csc_matrix(matrix))
     except RuntimeError as exc:
         raise SolverError(f"policy evaluation: {exc}") from exc
-
-
-def _eye_minus(row, col, val, n, ref=None):
-    """I - Q as an n x n CSC matrix, Q holding val at (row, col), each
-    position at most once; with ref, the column of every reference y
-    (ref[y] == y) is replaced by the indicator of its class, the x with
-    ref[x] == y.  The entries are ordered by column and then row, and exact
-    zeros are dropped, as scipy's sparse sums and products drop them."""
-    diag = np.ones(n)
-    loop = row == col
-    diag[row[loop]] -= val[loop]
-    row = np.concatenate([row[~loop], np.arange(n)])
-    col = np.concatenate([col[~loop], np.arange(n)])
-    val = np.concatenate([-val[~loop], diag])
-    if ref is not None:
-        kept = col != ref[col]
-        row = np.concatenate([row[kept], np.arange(n)])
-        col = np.concatenate([col[kept], ref])
-        val = np.concatenate([val[kept], np.ones(n)])
-    keep = val != 0
-    row, col, val = row[keep], col[keep], val[keep]
-    order = np.lexsort((row, col))
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(np.bincount(col, minlength=n))
-    return sparse.csc_matrix((val[order], row[order].astype(np.int32), indptr), shape=(n, n))
 
 
 class ClosedClasses:
@@ -329,7 +311,7 @@ class ClosedClasses:
         def entries(block):
             return at[row[block]], at[col[block]], val[block]
 
-        self._lu_rec = _factor(_eye_minus(*entries(~row_t & ~col_t), n_rec, self._ref))
+        self._lu_rec = _factor(eye_minus(*entries(~row_t & ~col_t), n_rec, self._ref))
         r, c, v = entries(row_t & ~col_t)
         indptr = np.zeros(n_tra + 1, dtype=np.int32)
         indptr[1:] = np.cumsum(np.bincount(r, minlength=n_tra))
@@ -337,7 +319,7 @@ class ClosedClasses:
         self._p_tr = sparse.csr_matrix(parts, shape=(n_tra, n_rec))
         # its transpose, on the same arrays
         self._p_tr_t = sparse.csc_matrix(parts, shape=(n_rec, n_tra))
-        self._lu_tra = _factor(_eye_minus(*entries(row_t & col_t), n_tra)) if n_tra else None
+        self._lu_tra = _factor(eye_minus(*entries(row_t & col_t), n_tra)) if n_tra else None
 
     def evaluate(self, r):
         """Gain g and bias h of the per-state cost r: g = P_pi g and
@@ -428,9 +410,9 @@ def average_cost_policy_iteration(model):
     """
     tensor = transition(model)
     k = model.pair_cost
-    _, pairs = _group_min(model, k)
+    pairs = _greedy_start(model, k)
     for rounds in range(1, PI_ITERATION_CAP + 1):
-        chain = ClosedClasses(tensor.rows[tensor.pair_row[pairs]])
+        chain = ClosedClasses(tensor.law_at(pairs))
         with np.errstate(over="ignore", invalid="ignore"):
             g, h = chain.evaluate(k[pairs])
         if not (np.isfinite(g).all() and np.isfinite(h).all()):

@@ -19,6 +19,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.sparse.linalg import LinearOperator
 
+from .model import numeric_array
+
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10}
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
@@ -49,19 +51,20 @@ class LinearProgram:
     b: np.ndarray
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        if sparse.issparse(self.A):
-            self.A = self.A.astype(float, copy=False)
-            entries = self.A.data
-        elif isinstance(self.A, LinearOperator):
-            entries = ()
-        else:
-            self.A = entries = np.asarray(self.A, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        m, n = self.A.shape
-        if self.c.shape != (n,) or self.b.shape != (m,):
-            raise LpError(f"inconsistent dimensions: A is {m}x{n}, "
-                          f"c has {self.c.shape}, b has {self.b.shape}")
+        try:  # numbers only: a string is not parsed, nor a bool read as 0 or 1
+            if isinstance(self.A, LinearOperator):
+                entries = ()
+            elif sparse.issparse(self.A):
+                entries = numeric_array("A", self.A.data)
+                self.A = self.A.astype(float, copy=False)
+            else:
+                self.A = entries = numeric_array("A", self.A, None, float)
+            if self.A.ndim != 2:
+                raise ValueError(f"A has shape {self.A.shape}, not one of two dimensions")
+            self.c = numeric_array("c", self.c, self.A.shape[1:], float)
+            self.b = numeric_array("b", self.b, self.A.shape[:1], float)
+        except ValueError as exc:
+            raise LpError(f"LP data: {exc}") from exc
         if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(self.b))
                 and np.all(np.isfinite(self.c))):
             raise LpError("non-finite entries in LP data")

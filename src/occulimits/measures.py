@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .model import numeric_array, transition
+from .model import eye_minus_law, numeric_array, transition
 
 
 def check_number(name, value):
@@ -151,13 +151,13 @@ def discounted_occupation(model, plan, y0, eps, tail_tol):
         w = plan.pair_weights(model)
         tensor = transition(model)
         if plan.kind == "stationary_deterministic":
-            p_pi = tensor.rows[tensor.pair_row[np.asarray(plan.selector)]]
+            p_pi = tensor.law_at(plan.selector)
         else:
             p_pi = sparse.csr_matrix((w, tensor.pair_row, model.state_pair_start),
                                      shape=(model.n_states, tensor.rows.shape[0])) @ tensor.rows
         rhs = np.zeros(model.n_states)
         rhs[y0] = eps
-        nu = spsolve((sparse.identity(model.n_states, format="csr") - (1.0 - eps) * p_pi).T, rhs)
+        nu = spsolve(eye_minus_law(p_pi, 1.0 - eps, sparse.csc_matrix), rhs)
         weights = model.at_pairs(nu) * w
     return GMeasure(weights=weights / weights.sum())
 

@@ -48,8 +48,9 @@ class FiniteModel:
         state_pair_start: first pair of every state, then n_pairs.
         pair_cost: k(y, u) of every pair.
 
-    at_pairs(x) spreads a per-state x over the pairs.  A control is named by
-    its pair index; its place in its state's list exists only in model files.
+    at_pairs(x) spreads a per-state x over the pairs; state_sums(w) sums them
+    back.  A control is named by its pair index; its place in its state's list
+    exists only in model files.
     """
 
     def __init__(self, states, pair_state, pair_control, noise, pair_cost, next_idx=None,
@@ -64,8 +65,8 @@ class FiniteModel:
         if pair_control.shape[0] != n_pairs or pair_control.shape[1] == 0:
             raise ModelError(f"pair_control has shape {pair_control.shape}, expected "
                              f"{n_pairs} rows of one positive dimension")
-        sizes = np.bincount(pair_state, minlength=n_states)
-        starts = np.concatenate([[0], np.cumsum(sizes)])
+        starts = np.searchsorted(pair_state, np.arange(n_states + 1))
+        sizes = np.diff(starts)
         pair_cost = _array("pair_cost", pair_cost, (n_pairs,))
         noise = _array("noise", noise, (len(noise),))
         if (next_idx is None) == (kernel is None):
@@ -116,6 +117,12 @@ class FiniteModel:
         np.repeat since the pairs are numbered state by state; x holds one
         entry (or row) per state."""
         return np.repeat(x, self._sizes, axis=0)
+
+    def state_sums(self, w):
+        """E w, np.bincount(pair_state, w) bit for bit, as a CSR product: a row
+        per state, w its data, times [1.0], whose running sums stay in registers."""
+        return sparse.csr_matrix((np.asarray(w, dtype=float), np.zeros(len(w), dtype=np.int32),
+                                  self.state_pair_start), shape=(self.n_states, 1)) @ np.ones(1)
 
     def check_y0(self, y0):
         """Refuse an initial state that is not a state index with ValueError."""
@@ -202,6 +209,16 @@ class TransitionTensor:
             row_values *= scale
         return row_values[self.pair_row]
 
+    def law_at(self, pairs):
+        """rows[pair_row[pairs]] in CSR, a plan's law P_pi or the whole law: the
+        arrays of scipy's row selection, read from rows' without its checks."""
+        indptr, r = self.rows.indptr, self.pair_row[pairs]
+        counts = indptr[r + 1] - indptr[r]
+        out = np.concatenate([[0], np.cumsum(counts)])
+        take = np.arange(out[-1]) + np.repeat(indptr[r] - out[:-1], counts)
+        return sparse.csr_matrix((self.rows.data[take], self.rows.indices[take], out),
+                                 shape=(len(r), self.rows.shape[1]))
+
     def push(self, pair_mass):
         """Forward image sum_(y,u) mass(y,u) P(.|y,u), summed per distinct row first."""
         return self.rows_t @ np.bincount(self.pair_row, np.asarray(pair_mass, dtype=float),
@@ -267,6 +284,39 @@ def build_transition_tensor(model):
 def transition(model):
     """The TransitionTensor of a model, built with the model."""
     return model._transition
+
+
+def eye_minus(row, col, val, n, ref=None, layout=sparse.csc_matrix):
+    """I - Q as an n x n CSC matrix, Q holding val at (row, col), each
+    position at most once; with ref, the column of every reference y
+    (ref[y] == y) is replaced by the indicator of its class, the x with
+    ref[x] == y.  The entries are ordered by column and then row, and exact
+    zeros are dropped, as scipy's sums and products drop them; with
+    layout=sparse.csr_matrix, the same arrays give the transpose."""
+    off = row != col
+    diag = np.ones(n)
+    diag[row[~off]] = 1.0 - val[~off]  # the diagonal of Q, at most once per state
+    row = np.concatenate([row[off], np.arange(n)])
+    col = np.concatenate([col[off], np.arange(n)])
+    val = np.concatenate([-val[off], diag])
+    if ref is not None:
+        kept = col != ref[col]
+        row = np.concatenate([row[kept], np.arange(n)])
+        col = np.concatenate([col[kept], ref])
+        val = np.concatenate([val[kept], np.ones(n)])
+    order = np.argsort(col * np.int64(n) + row, kind="stable")  # one key per position
+    order = order[val[order] != 0]
+    indptr = np.searchsorted(col[order], np.arange(n + 1)).astype(np.int32)
+    return layout((val[order], row[order].astype(np.int32), indptr), shape=(n, n))
+
+
+def eye_minus_law(p_pi, decay, layout=sparse.csr_matrix):
+    """I - decay P_pi by eye_minus, in CSR (in CSC, its transpose, with layout=sparse.csc_matrix):
+    scipy's identity(n) - decay * P_pi, sorted.  P_pi's indices are sorted in place."""
+    n = p_pi.shape[0]
+    p_pi.sort_indices()
+    return eye_minus(p_pi.indices, np.repeat(np.arange(n), np.diff(p_pi.indptr)),
+                     decay * p_pi.data, n, layout=layout)
 
 
 def validate(model):

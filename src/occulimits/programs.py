@@ -17,7 +17,7 @@ With E the pair-to-state marginal block and B = E - decay P^T the balance
 block, the matrices are [B; 1'] (decay 1), B (decay 1-eps) and
 [[B, 0], [1', 0], [E, B]] (decay 1).  A is a matrix-free _MeasureOperator,
 whose products A x and A'y are per-state sums of pair weights
-(np.bincount) and the model's push and expect; _lp_matrix assembles it
+(FiniteModel.state_sums) and the model's push and expect; _lp_matrix assembles it
 only when HiGHS runs, and membership_residuals is |A x - b|.
 
 The stationary and augmented programs (without theta) are answered from
@@ -161,7 +161,7 @@ def _lp_matrix(op):
     col_ptr = np.arange(n_pairs + 1)
     # CSC like P^T: column p holds its single 1 at row pair_state[p]
     E = sparse.csc_matrix((np.ones(n_pairs), model.pair_state, col_ptr), shape=(n, n_pairs))
-    B = E - op.decay * tensor.rows[tensor.pair_row].T
+    B = E - op.decay * tensor.law_at(np.arange(n_pairs)).T
     if op.kind == "W_eps":
         return B
     ones = sparse.csc_matrix((np.ones(n_pairs), np.zeros(n_pairs, dtype=np.int32), col_ptr),
@@ -193,13 +193,13 @@ class _MeasureOperator(LinearOperator):
         model, n_pairs = self.model, self.model.n_pairs
         tensor = transition(model)
         gamma = x[:n_pairs]
-        marg = _marginal(model, gamma)
+        marg = model.state_sums(gamma)
         out = [marg - self.decay * tensor.push(gamma)]
         if self.kind != "W_eps":
             out.append([gamma.sum()])
         if self.kind == "Omega":
             xi = x[n_pairs:]
-            out.append(marg + (_marginal(model, xi) - tensor.push(xi)))
+            out.append(marg + (model.state_sums(xi) - tensor.push(xi)))
         return np.concatenate(out)
 
     def _rmatvec(self, y):
@@ -401,11 +401,6 @@ def _require_certificate(cert, model, y0, theta_pair, context):
         raise SolverError(f"{context}: dual certificate violated "
                           f"(families {v1:.3e}, {v2:.3e})")
     return cert
-
-
-def _marginal(model, weights):
-    """E w: the per-state sum of the pair weights w, added in pair order."""
-    return np.bincount(model.pair_state, weights, model.n_states)
 
 
 def _measure_weights(model, measure, name):

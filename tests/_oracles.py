@@ -12,8 +12,10 @@ weights and transition rows, and the balance
 equations of W, W(eps, y0) and Omega(y0) written out by hand.
 The kernel oracles keep the library's earlier formulas, which its faster
 kernels must reproduce bit for bit: the two-pass segmented argmin, the
-closed classes assembled by scipy's sparse operator chain, and a
-randomized plan's weights checked state by state in Python floats.
+closed classes and I - decay P_pi assembled by scipy's sparse operator
+chain, a plan's law selected by scipy's row indexing, the greedy first
+plan found by the argmin over every pair, and a randomized plan's weights
+checked state by state in Python floats.
 The reference models rebuild the two examples pair by pair with Python
 scalars, as the vectorized builders must reproduce bit for bit.
 """
@@ -265,6 +267,29 @@ def group_min_oracle(model, q):
     vmin = np.minimum.reduceat(q, starts)
     cand = np.where(q <= vmin[model.pair_state], np.arange(model.n_pairs), model.n_pairs + 1)
     return vmin, np.minimum.reduceat(cand, starts).astype(np.int64)
+
+
+def scipy_row_selection(tensor, pairs):
+    """The law's rows at pairs by scipy's fancy row indexing,
+    rows[pair_row[pairs]], as TransitionTensor.law_at read them before."""
+    return tensor.rows[tensor.pair_row[pairs]]
+
+
+def scipy_chain_eye_minus_law(p_pi, decay, layout=sparse.csr_matrix):
+    """I - decay P_pi by scipy's operator chain, the identity minus the
+    scaled matrix, in CSR with its indices sorted, as spsolve sorts them;
+    with layout=sparse.csc_matrix its transpose in CSC.  This is the
+    assembly of discounted_values and discounted_occupation before
+    model.eye_minus_law."""
+    chain = sparse.identity(p_pi.shape[0], format="csr") - decay * p_pi
+    chain.sort_indices()
+    return chain if layout is sparse.csr_matrix else chain.T
+
+
+def group_min_start(model, cost):
+    """The first plan of policy iteration as found before dp._greedy_start:
+    every state's lowest pair of least cost, by the argmin over every pair."""
+    return group_min_oracle(model, cost)[1]
 
 
 def scipy_chain_closed_classes(p_pi):

@@ -7,19 +7,20 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from occulimits import dp
+from occulimits import dp, measures
 from occulimits.dp import (DEFAULT_TOL, ClosedClasses, Plan, StagedSelectors,
                            average_cost_policy_iteration, discounted_values, evaluate_plan_average,
                            evaluate_plan_discounted, finite_horizon_values,
                            greedy_feedback_from_eta)
-from occulimits.measures import prg_detect
+from occulimits.measures import discounted_occupation, prg_detect
 from occulimits.model import (FiniteModel, TransitionTensor, example1_family_model,
                               example1_model, example2_model, transition)
 from occulimits.programs import SolverError
 from occulimits.suite import random_model, random_stationary_plan
 
 from _oracles import (check_rows_one_by_one, eager_finite_horizon_values, group_min_oracle,
-                      optimal_gain_oracle, scipy_chain_closed_classes, value_iteration,
+                      group_min_start, optimal_gain_oracle, scipy_chain_closed_classes,
+                      scipy_chain_eye_minus_law, scipy_row_selection, value_iteration,
                       with_cost)
 
 
@@ -243,6 +244,63 @@ def test_state_runs_need_increasing_rows_and_nondecreasing_first_rows():
     assert transition(chain([1, 0, 1, 2], [0, 0, 1, 2])).state_runs is None  # decreasing
     assert transition(chain([0, 2, 1, 2], [0, 0, 1, 2])).state_runs is None  # a gap
     assert transition(chain([1, 2, 0, 2], [0, 0, 1, 2])).state_runs is None  # first rows fall
+
+
+def _plan_models():
+    """Suite seeds 0..49, example 1, the example-1 family, and example 2 at
+    m=2..8 and on five control_step grids."""
+    yield from (random_model(seed) for seed in range(50))
+    yield example1_model(0.5)
+    yield example1_family_model([0.25, 0.5, 1.0])
+    yield from (example2_model(m) for m in range(2, 9))
+    yield from (example2_model(m, 2.0 ** -c) for m, c in ((4, 2), (5, 3), (6, 4), (7, 5), (8, 6)))
+
+
+def test_greedy_start_is_the_argmin_over_every_pair(monkeypatch):
+    # on a model with state runs a state's pairs share one cost, so its
+    # first pair is the lowest of least cost, for k and for eps k
+    n_runs = 0
+    for mdl in _plan_models():
+        for cost in (mdl.pair_cost, *(eps * mdl.pair_cost for eps in (0.5, 0.1, 0.013, 0.001))):
+            got = dp._greedy_start(mdl, cost)
+            assert got.dtype == np.int64 and np.array_equal(got, group_min_start(mdl, cost))
+        n_runs += transition(mdl).state_runs is not None
+    assert n_runs == 7  # example 2 on its default grid
+    # and it is read without a pass over the pairs
+    mdl = example2_model(8)
+    monkeypatch.setattr(dp, "_group_min", None)
+    assert np.array_equal(dp._greedy_start(mdl, mdl.pair_cost), mdl.state_pair_start[:-1])
+
+
+def _plan_evaluations(mdl):
+    """The bytes of h_eps and its plan at four discounts, the discounted
+    occupations of that plan and of a deterministic and a randomized suite
+    plan from the first and the last state, and policy iteration's gain,
+    bias, plan and round count."""
+    out = []
+    for eps in (0.5, 0.1, 0.013, 0.001):
+        h, plan = discounted_values(mdl, eps)
+        out += [h.values, plan.selector]
+        for p in (plan, random_stationary_plan(mdl, 0), random_stationary_plan(mdl, 1, True)):
+            for y0 in sorted({0, mdl.n_states - 1}):
+                out.append(discounted_occupation(mdl, p, y0, eps, tail_tol=1e-12).weights)
+    sol = average_cost_policy_iteration(mdl)
+    out += [sol.gain, sol.bias, sol.plan.selector, np.array(sol.rounds)]
+    return [(a.dtype, a.tobytes()) for a in map(np.asarray, out)]
+
+
+def test_plan_evaluation_matches_the_scipy_chain_bit_for_bit(monkeypatch):
+    # discounted_values, discounted_occupation and policy iteration give the
+    # bits they gave with scipy's row selection and operator chain and the
+    # argmin start
+    models = list(_plan_models())
+    got = [_plan_evaluations(mdl) for mdl in models]
+    monkeypatch.setattr(TransitionTensor, "law_at", scipy_row_selection)
+    for module in (dp, measures):
+        monkeypatch.setattr(module, "eye_minus_law", scipy_chain_eye_minus_law)
+    monkeypatch.setattr(dp, "_greedy_start", group_min_start)
+    want = [_plan_evaluations(mdl) for mdl in models]
+    assert len(got) == 64 and got == want
 
 
 def test_range_path_never_reads_the_pair_law(monkeypatch):

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.optimize import OptimizeResult
 
 from occulimits import lp_core, programs
@@ -78,6 +81,59 @@ def test_dimension_mismatch_raises():
         LinearProgram(c=[1.0, 2.0], A=[[1.0]], b=[1.0])
     with pytest.raises(LpError):
         LinearProgram(c=[np.nan], A=[[1.0]], b=[1.0])
+
+
+@pytest.mark.parametrize("data", [
+    {"c": ["1", "2"], "A": [[True, True]], "b": ["1"]},
+    {"c": ["1", "2"], "A": [[1.0, 1.0]], "b": [1.0]},
+    {"c": [1.0, 2.0], "A": [[1.0, 1.0]], "b": ["1"]},
+    {"c": [1.0, 2.0], "A": [[True, True]], "b": [1.0]},
+    {"c": [1.0, 2.0], "A": sparse.csr_matrix(np.array([[True, True]])), "b": [1.0]},
+    {"c": [True, False], "A": [[1.0, 1.0]], "b": [1.0]},
+], ids=["strings_and_bools", "c_strings", "b_strings", "A_bools", "A_sparse_bools", "c_bools"])
+def test_lp_data_that_is_not_numbers_is_refused(data):
+    # a string used to be parsed and a bool read as 0 or 1, so the first
+    # case solved to x = [1, 0]
+    with pytest.raises(LpError, match="is not numeric"):
+        solve_lp(LinearProgram(**data))
+
+
+def test_a_one_dimensional_A_is_refused():
+    with pytest.raises(LpError, match=r"A has shape \(2,\), not one of two dimensions"):
+        LinearProgram(c=[1.0, 2.0], A=[1.0, 1.0], b=[1.0])
+
+
+# condition: (its tolerance, (c, A, b), x, y), a certificate that fails that
+# condition alone
+CERTIFICATE_FAULTS = {
+    # A x - b = 1e-6 on a column of reduced cost 0 with y = 0: no gap, no slack
+    "primal_feasibility": ("FEAS_TOL", ([0.0, 1.0], [[1.0, 1.0]], [1.0]),
+                           [1.0 + 1e-6, 0.0], [0.0]),
+    # x_2 = -1e-6 on a column of reduced cost 0, with A x = b
+    "nonnegativity": ("NEG_X_TOL", ([0.0, 0.0], [[1.0, 1.0]], [1.0]),
+                      [1.0 + 1e-6, -1e-6], [0.0]),
+    # reduced cost -1e-6 on a column where x is 0, and b'y = c'x
+    "dual_feasibility": ("REDUCED_COST_TOL",
+                         ([1.0, 0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, -1.0]], [1.0, 0.0]),
+                         [1.0, 0.0, 0.0], [1.0, 1e-6]),
+    # x_2 r_2 = 1e-5: past the absolute 1e-7 of slackness, inside the gap's
+    # relative 1e-7 (1 + 1000)
+    "slackness": ("SLACKNESS_TOL", ([1000.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1e-5]),
+                  [1.0, 1e-5], [1000.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("condition", sorted(CERTIFICATE_FAULTS))
+def test_a_fault_in_one_certificate_condition_is_caught(condition, monkeypatch):
+    tol, (c, A, b), x, y = CERTIFICATE_FAULTS[condition]
+    lp = LinearProgram(c=c, A=A, b=b)
+    sol = lp_core.LpSolution("optimal", np.array(x), np.array(y), float(lp.c @ np.array(x)))
+    with pytest.raises(LpError) as info:
+        lp_core.check_certificate(lp, sol)
+    assert re.findall(r"'(\w+)':", str(info.value)) == [condition]
+    # with its own limit at infinity the certificate passes: no other condition fails
+    monkeypatch.setattr(lp_core, tol, np.inf)
+    lp_core.check_certificate(lp, sol)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

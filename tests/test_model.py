@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings, strategies as st
 
 from occulimits.analysis import bounds_report
@@ -13,12 +14,13 @@ from occulimits.measures import discounted_occupation
 from occulimits.model import (NOISE_NORMALIZATION_TOL, ROW_SUM_TOL, FiniteModel,
                               ModelError, _distinct_rows, build_transition_tensor,
                               example1_model, example1_family_model, example2_model,
-                              load_model, save_model, transition, validate)
+                              eye_minus_law, load_model, save_model, transition, validate)
 from occulimits.programs import average_cost_solution
 from occulimits.suite import random_model, random_stationary_plan
 
 from _oracles import (law_matrix, pair_by_pair_law, plan_law, reference_example1_family_model,
-                      reference_example1_model, reference_example2_model)
+                      reference_example1_model, reference_example2_model,
+                      scipy_chain_eye_minus_law, scipy_row_selection)
 
 
 def assert_same_arrays(a, b):
@@ -128,6 +130,63 @@ def test_distinct_rows_read_the_law_bit_for_bit():
     assert count == 59
     # example 2's images u s do not depend on y: few distinct rows
     assert transition(example2_model(7)).rows.shape == (257, 257)
+
+
+def _same_csr(a, b):
+    """Equal indptr, indices and data, dtypes included, and the same layout."""
+    return a.format == b.format and all(
+        x.dtype == y.dtype and np.array_equal(x, y)
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)))
+
+
+def test_a_plan_law_is_assembled_as_scipy_assembled_it():
+    # law_at reads rows' arrays as scipy's row selection does, and
+    # eye_minus_law gives the arrays of identity - decay * P_pi with sorted
+    # indices, in CSR and, transposed, in CSC; a randomized plan's P_pi is
+    # the product of its pair weights and the rows, whose indices are unsorted
+    count = 0
+    for m, _ in _law_models():
+        tensor = transition(m)
+        every = np.arange(m.n_pairs)
+        assert _same_csr(tensor.law_at(every), scipy_row_selection(tensor, every))
+        for seed, randomized in ((0, False), (1, False), (2, True), (3, True)):
+            plan = random_stationary_plan(m, seed, randomized)
+            if randomized:
+                weights = sparse.csr_matrix((plan.selector, tensor.pair_row, m.state_pair_start),
+                                            shape=(m.n_states, tensor.rows.shape[0]))
+                p_pi = weights @ tensor.rows
+            else:
+                p_pi = tensor.law_at(plan.selector)
+                assert _same_csr(p_pi, scipy_row_selection(tensor, plan.selector))
+            for decay in (0.5, 0.9, 0.987, 0.999):
+                for layout in (sparse.csr_matrix, sparse.csc_matrix):
+                    assert _same_csr(eye_minus_law(p_pi, decay, layout),
+                                     scipy_chain_eye_minus_law(p_pi, decay, layout))
+            count += 1
+    assert count == 4 * 59
+    # exact zeros are dropped, one of six positions each: the diagonal
+    # 1 - 1.0 * 1.0 at decay 1, and 0.25 * 5e-324, which underflows to 0
+    hand = sparse.csr_matrix(np.array([[0.0, 1.0, 0.0], [5e-324, 0.0, 1.0], [0.0, 0.0, 1.0]]))
+    for decay in (0.25, 1.0):
+        for layout in (sparse.csr_matrix, sparse.csc_matrix):
+            assert _same_csr(eye_minus_law(hand, decay, layout),
+                             scipy_chain_eye_minus_law(hand, decay, layout))
+    assert eye_minus_law(hand, 1.0).nnz == eye_minus_law(hand, 0.25).nnz == 5
+
+
+def test_state_sums_add_in_pair_order_as_bincount_does():
+    # signed weights over twenty orders of magnitude, with +0 and -0 among
+    # them, so that a different order of the adds would show in the bits
+    rng = np.random.default_rng(28)
+    for m, _ in _law_models():
+        n = m.n_pairs
+        signed = rng.standard_normal(n) * 10.0 ** rng.integers(-10, 10, n)
+        signed[rng.integers(0, n, 1 + n // 5)] = 0.0
+        signed[rng.integers(0, n, 1 + n // 5)] = -0.0
+        for w in (signed, np.full(n, -0.0), rng.integers(-3, 4, n)):
+            want = np.bincount(m.pair_state, w, m.n_states)
+            got = m.state_sums(w)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_distinct_rows_rank_a_key_that_would_overflow():

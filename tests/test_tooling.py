@@ -96,6 +96,41 @@ def test_no_module_reads_a_full_law_matrix():
     assert reads == []
 
 
+def _plan_law_reads(path):
+    """file:line of every rows[...] index outside TransitionTensor, every
+    scipy identity matrix and every np.bincount over pair_state in the
+    module at path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tensor = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "TransitionTensor"
+              for node in ast.walk(cls)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) \
+                and node.value.attr == "rows" and id(node) not in tensor:
+            found.append(node)
+        elif isinstance(node, ast.Attribute) and node.attr in ("identity", "eye") \
+                and ast.unparse(node.value) == "sparse":
+            found.append(node)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.sparse") \
+                and any(alias.name in ("identity", "eye") for alias in node.names):
+            found.append(node)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "np.bincount" \
+                and "pair_state" in ast.unparse(node.args[0]):
+            found.append(node)
+    return [f"{path.name}:{node.lineno}" for node in found]
+
+
+def test_a_plan_law_is_read_by_the_tensor():
+    # P_pi, and the whole law, are read from rows' arrays by
+    # TransitionTensor.law_at, I - decay P_pi is assembled by eye_minus with
+    # no identity matrix, and per-state sums are FiniteModel.state_sums
+    reads = [read for path in sorted(PACKAGE.glob("*.py")) for read in _plan_law_reads(path)]
+    assert reads == []
+    # the check sees what it looks for
+    assert len(_plan_law_reads(Path(__file__).parent / "_oracles.py")) >= 3
+
+
 def _first_pairs_sums(tree):
     """Line numbers of every sum with X.state_pair_start[:-1], each state's
     first pair, as an operand, itself or through a name bound to it."""
