@@ -275,7 +275,7 @@ def cesaro_window(g, T, delta):
     """
     measures.check_horizon(T)
     measures.check_positive("delta", delta)
-    seq = list(g)
+    seq = list(islice(g, T))
     if len(seq) < T:
         raise ValueError(f"sequence of length {len(seq)} is shorter than T={T}")
     prefix = np.concatenate([[0.0], np.cumsum([_term(t, seq[t]) for t in range(T)])])

@@ -67,7 +67,7 @@ class GMeasure:
         return float(np.sum(self.weights))
 
     def integrate(self, table):
-        return float(np.asarray(table) @ self.weights)
+        return float(numeric_array("table", table, self.weights.shape, float) @ self.weights)
 
     def support(self, tol=1e-12):
         return np.nonzero(self.weights > tol)[0]

@@ -34,8 +34,8 @@ class FiniteModel:
     holds scalar points), pair_cost, k(y, u), and exactly one of next_idx, the
     (n_pairs, n_atoms) state index of every pair's image under every noise
     atom, or kernel, the dense (n_pairs, n_states) transition rows of a
-    kernel-mode model.  It refuses with ModelError any array it cannot use,
-    freezes every array and builds the transition law that transition(model)
+    kernel-mode model; it keeps neither.  It refuses with ModelError any array
+    it cannot use, freezes every array and builds the law that transition(model)
     returns, then refuses with one ModelError every problem that validate
     lists: a model that exists is valid.  Assigning any attribute raises.
 
@@ -81,14 +81,12 @@ class FiniteModel:
         fields = {"states": states, "pair_control": pair_control, "noise": noise,
                   "initial_index": None if initial_index is None else int(initial_index),
                   "state_pair_start": starts, "pair_state": pair_state, "_sizes": sizes,
-                  "pair_cost": pair_cost,
-                  # the law's inputs, read by build_transition_tensor
-                  "_next_idx": next_idx, "_kernel": kernel}
+                  "pair_cost": pair_cost}
         for name, value in fields.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_transition", build_transition_tensor(self))
+        object.__setattr__(self, "_transition", build_transition_tensor(self, next_idx, kernel))
         problems = validate(self)
         if problems:
             raise ModelError("; ".join(problems))
@@ -186,19 +184,23 @@ class TransitionTensor:
     rows, and pair_row, the row of every pair, so the law (pairs by states)
     is rows[pair_row] and a plan's law P_pi is rows[pair_row[pairs]] at its
     pairs.  rows_t is rows.T, built once and sharing rows' read-only
-    arrays, which push reads.  A kernel-row model's rows are its kernel and
-    its next_idx is None; a dynamics model keeps next_idx, the (n_pairs,
-    n_atoms) image of every pair under every noise atom.  state_runs is
+    arrays, which push reads.  row_images, the (n_rows, n_atoms) image of
+    every distinct row under every noise atom, is None for a kernel-row model,
+    whose rows are its kernel; next_idx is row_images[pair_row].  state_runs is
     the read-only list [lo_0, end_0, lo_1, end_1, ...] of the rows [lo_y,
     end_y) that state y's pairs read, when the model has state-only costs
     on row runs (see _state_runs), else None.  The tensor holds no
     reference to its model, so a model is freed with its last reference.
     """
 
-    def __init__(self, rows, pair_row, next_idx, state_runs):
-        self.rows, self.pair_row, self.next_idx = rows, pair_row, next_idx
+    def __init__(self, rows, pair_row, row_images, state_runs):
+        self.rows, self.pair_row, self.row_images = rows, pair_row, row_images
         self.state_runs = state_runs
         self.rows_t = rows.T
+
+    @property
+    def next_idx(self):
+        return None if self.row_images is None else self.row_images[self.pair_row]
 
     def expect(self, values, scale=1.0):
         """scale * E[values(f(y,u,s))] for every pair, as a (n_pairs,) vector.
@@ -261,24 +263,25 @@ def _state_runs(model, pair_row):
     return runs
 
 
-def build_transition_tensor(model):
+def build_transition_tensor(model, next_idx, kernel):
     """Build P(y'|y,u) = sum over noise atoms s with f(y,u,s)=y' of prob(s)
-    once per distinct row of the model's image table, or take a kernel-mode
-    model's rows, and find the model's state runs; the model constructor
-    calls this once."""
-    next_idx = model._next_idx
+    once per distinct row of the image table next_idx, or take the kernel
+    rows of a kernel-mode model (next_idx None), and find the model's state
+    runs; the model constructor calls this once, with its checked inputs."""
     if next_idx is None:
-        rows, pair_row = model._kernel, np.arange(model.n_pairs)
+        rows, pair_row, row_images = kernel, np.arange(model.n_pairs), None
     else:
         first, pair_row = _distinct_rows(next_idx, model.n_states)
-        n_rows, n_atoms = len(first), next_idx.shape[1]
+        row_images = next_idx[first]
+        n_rows, n_atoms = row_images.shape
         # atoms sharing an image are summed into one entry
         rows = sparse.csr_matrix((np.tile(model.noise, n_rows),
-                                  (np.repeat(np.arange(n_rows), n_atoms), next_idx[first].ravel())),
+                                  (np.repeat(np.arange(n_rows), n_atoms), row_images.ravel())),
                                  shape=(n_rows, model.n_states))
+        row_images.flags.writeable = False
     for part in (rows.data, rows.indices, rows.indptr, pair_row):
         part.flags.writeable = False
-    return TransitionTensor(rows, pair_row, next_idx, _state_runs(model, pair_row))
+    return TransitionTensor(rows, pair_row, row_images, _state_runs(model, pair_row))
 
 
 def transition(model):
@@ -337,7 +340,7 @@ def validate(model):
     if not np.isfinite(model.pair_control).all():
         report.append("control values are not all finite")
     tensor = transition(model)
-    if tensor.next_idx is not None:
+    if tensor.row_images is not None:
         total = sum(model.noise.tolist())  # left to right; numpy pairs the terms
         if abs(total - 1.0) > NOISE_NORMALIZATION_TOL:
             report.append(f"noise not normalized (sum={total!r})")
@@ -413,10 +416,10 @@ def example1_family_model(y0s):
 def example2_model(m, control_step=None):
     """Dyadic-grid model of y(t+1) = u(t)s(t) with U(y) = [-1,y] / [y,1].
 
-    States are the multiples of 2^-m in [-1, 1].  Each state's control grid
-    discretizes its admissible interval with spacing control_step (a multiple
-    of the grid step) and always contains the interval endpoints and the point
-    y itself.  Noise: s=1 w.p. 1/2, s=1/4 w.p. 1/2.  Cost k(y,u) = y.
+    States are the multiples of 2^-m in [-1, 1].  U(y)'s grid is its endpoints
+    lo and hi and the multiples of control_step (a multiple of the grid step)
+    between them; it holds y: lo when y > 0, hi when y < 0, the multiple 0 at
+    y = 0.  Noise: s=1 w.p. 1/2, s=1/4 w.p. 1/2.  Cost k(y,u) = y.
 
     Images u*s snap to the nearest grid point, ties toward 0, preserving sign:
     a strictly positive image never snaps to 0 or below (it floors at +step),
@@ -442,19 +445,16 @@ def example2_model(m, control_step=None):
     values = np.arange(-n_half, n_half + 1) * step
     lo = np.where(values > 0, values, -1.0)
     hi = np.where(values < 0, values, 1.0)
-    # candidate controls: the multiples of control_step in [lo, hi] (clipped
-    # into it), then lo, hi and y; sorted and deduplicated within each state
-    k_lo = np.ceil(lo / control_step - 1e-12).astype(np.int64)
-    counts = np.floor(hi / control_step + 1e-12).astype(np.int64) - k_lo + 1
+    # each state's controls, increasing: k * control_step clipped into [lo, hi] for k
+    # from below lo (it clips to lo) to above hi (to hi); equal neighbours are dropped
+    k_lo = np.ceil(lo / control_step - 1e-12).astype(np.int64) - 1
+    counts = np.floor(hi / control_step + 1e-12).astype(np.int64) + 2 - k_lo
     owner = np.repeat(np.arange(n_states), counts)
     k = k_lo[owner] + np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-    state = np.concatenate([owner, np.tile(np.arange(n_states), 3)])
-    u = np.concatenate([np.clip(k * control_step, lo[owner], hi[owner]), lo, hi, values])
-    order = np.lexsort((u, state))
-    state, u = state[order], u[order]
+    u = np.clip(k * control_step, lo[owner], hi[owner])
     fresh = np.ones(len(u), dtype=bool)
-    fresh[1:] = (state[1:] != state[:-1]) | (u[1:] != u[:-1])
-    pair_state, u = state[fresh], u[fresh]
+    fresh[1:] = (owner[1:] != owner[:-1]) | (u[1:] != u[:-1])
+    pair_state, u = owner[fresh], u[fresh]
     images = u[:, None] * [1.0, 0.25]  # s=1, s=1/4
     mag = np.abs(images) / step
     k = np.floor(mag + 0.5)
@@ -642,7 +642,7 @@ def save_model(model, path):
         "cost": [{"state": i, "control": l, "value": c}
                  for (i, l), c in zip(pairs, model.pair_cost.tolist())],
     }
-    if tensor.next_idx is None:
+    if tensor.row_images is None:
         rows, starts = tensor.rows.toarray().tolist(), model.state_pair_start.tolist()
         doc["transition"] = [rows[a:b] for a, b in zip(starts, starts[1:])]
     else:

@@ -17,7 +17,9 @@ chain, a plan's law selected by scipy's row indexing, the greedy first
 plan found by the argmin over every pair, and a randomized plan's weights
 checked state by state in Python floats.
 The reference models rebuild the two examples pair by pair with Python
-scalars, as the vectorized builders must reproduce bit for bit.
+scalars, as the vectorized builders must reproduce bit for bit, and
+example 2's earlier builder, a sorted union of candidate controls, is kept
+as the reference for its pair arrays.
 """
 
 import math
@@ -153,6 +155,38 @@ def reference_example2_model(m, control_step=None):
             pair_cost.append(y)
             next_idx.append([index_of[_snap_dyadic(u * s, step)] for s in s_vals])
     return FiniteModel(states, pair_state, pair_control, noise, pair_cost, next_idx)
+
+
+def candidate_union_example2_model(m, control_step=None):
+    """example2_model's earlier vectorized builder, for valid arguments, and
+    the image table it passed as next_idx: each state's candidates are the
+    multiples of control_step in [lo, hi] (clipped into it), then lo, hi and
+    y, joined, sorted by state and value and deduplicated."""
+    step = 2.0 ** (-m)
+    control_step = step if control_step is None else control_step
+    n_half = 2 ** m
+    n_states = 2 * n_half + 1
+    values = np.arange(-n_half, n_half + 1) * step
+    lo = np.where(values > 0, values, -1.0)
+    hi = np.where(values < 0, values, 1.0)
+    k_lo = np.ceil(lo / control_step - 1e-12).astype(np.int64)
+    counts = np.floor(hi / control_step + 1e-12).astype(np.int64) - k_lo + 1
+    owner = np.repeat(np.arange(n_states), counts)
+    k = k_lo[owner] + np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    state = np.concatenate([owner, np.tile(np.arange(n_states), 3)])
+    u = np.concatenate([np.clip(k * control_step, lo[owner], hi[owner]), lo, hi, values])
+    order = np.lexsort((u, state))
+    state, u = state[order], u[order]
+    fresh = np.ones(len(u), dtype=bool)
+    fresh[1:] = (state[1:] != state[:-1]) | (u[1:] != u[:-1])
+    pair_state, u = state[fresh], u[fresh]
+    images = u[:, None] * [1.0, 0.25]  # s=1, s=1/4
+    mag = np.abs(images) / step
+    k = np.floor(mag + 0.5)
+    k -= k - mag == 0.5
+    next_idx = n_half + np.sign(images) * np.maximum(k, 1)
+    return FiniteModel(states=values, pair_state=pair_state, pair_control=u, noise=[0.5, 0.5],
+                       pair_cost=values[pair_state], next_idx=next_idx), next_idx
 
 
 def bfs_enumeration_optimum(c, A, b, feas_tol=1e-9):

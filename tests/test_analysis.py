@@ -1,9 +1,11 @@
+import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from occulimits import dp
+from occulimits import dp, programs
 from occulimits.analysis import (SANDWICH_PAD, CertificateError, abel_window, bounds_report,
                                  cesaro_window, check_window, dual_from_expansion,
                                  verify_long_run_optimality)
@@ -96,6 +98,24 @@ def test_a_value_past_its_slack_leaves_the_sandwich(monkeypatch, capsys, kind):
     assert err.endswith("sandwich_ok=False\n")
 
 
+def test_a_duality_gap_past_its_tolerance_is_not_strong(monkeypatch):
+    # d*(y0) = mu is moved 1e-5 below k*(y0): strong duality fails, and the
+    # curve endpoints are not compared to k*(y0), though a user slack is given
+    m = example1_model(0.5)
+    y0, Ts, epss = m.initial_index, [1, 10, 100], [0.5, 0.1, 0.01]
+    assert bounds_report(m, y0, Ts, epss, user_slack=0.05).endpoints_ok is True
+    solve = programs.augmented_lp
+
+    def shifted(model, y, *rest):
+        res = solve(model, y, *rest)
+        return dataclasses.replace(res, dual=dataclasses.replace(res.dual, mu=res.dual.mu - 1e-5))
+
+    monkeypatch.setattr(programs, "augmented_lp", shifted)
+    rep = bounds_report(m, y0, Ts, epss, user_slack=0.05)
+    assert rep.gap == pytest.approx(1e-5, rel=1e-6) and rep.sandwich_ok
+    assert rep.strong_duality is False and rep.endpoints_ok is None
+
+
 def test_bounds_report_input_validation():
     m = example1_model(0.5)
     with pytest.raises(ValueError):
@@ -142,6 +162,22 @@ def test_verify_flipped_plan_fails():
                                          T0=1, t_max=50, tol=1e-8)
     assert not verdict.certified
     assert verdict.pointwise_residual >= 0.25
+
+
+def test_verify_fails_a_dual_whose_psi_drifts_along_the_plan():
+    # state 0 moves to the absorbing state 1, and psi = (0, 1): both
+    # families hold, family 1 is tight at state 1, the plan's support from
+    # t = 1 on, but E[psi(y_t)] = 1 != psi(y0) = 0, so only the
+    # stationarity residual refuses the plan
+    m = FiniteModel(states=[0.0, 1.0], pair_state=[0, 1], pair_control=[0.0, 0.0],
+                    noise=[1.0], pair_cost=[0.0, 0.0], next_idx=[[1], [1]])
+    dual = DualCertificate(mu=-1.0, psi=np.array([0.0, 1.0]), eta=np.zeros(2))
+    plan = Plan(kind="stationary_deterministic", selector=np.array([0, 1]))
+    family1, family2 = dual.slacks(m, 0)
+    assert family1.tolist() == [1.0, 0.0] and family2.tolist() == [1.0, 0.0]
+    verdict = verify_long_run_optimality(m, plan, dual, 0, T0=1, t_max=10, tol=1e-9)
+    assert verdict.certificate_violation == 0.0 and verdict.pointwise_residual == 0.0
+    assert verdict.stationarity_residual == 1.0 and not verdict.certified
 
 
 def test_verify_computes_each_slack_once(monkeypatch):
@@ -582,6 +618,18 @@ def test_bounds_report_sandwich_on_suite_models(seed):
     rep = bounds_report(m, 0, [1, 8, 64, 512], [0.5, 0.2, 0.05])
     assert rep.sandwich_ok, rep.out_of_sandwich
     assert abs(rep.gap) <= 1e-6
+
+
+def test_cesaro_window_reads_only_its_first_T_terms():
+    # it used to read the whole iterator, so an endless one never returned
+    def four_terms():
+        yield from [1.0, 0.0, 0.0, 0.0]
+        raise AssertionError("term T+1 was read")
+
+    assert cesaro_window(four_terms(), T=4, delta=0.1) == 1
+    assert cesaro_window(itertools.repeat(0.5), 3, 0.1) == 0
+    with pytest.raises(ValueError, match="sequence of length 3 is shorter than T=4"):
+        cesaro_window(iter([0.5] * 3), 4, 0.1)
 
 
 def test_cesaro_window_independent_recheck():

@@ -582,9 +582,9 @@ def test_model_file_builds_transition_once(tmp_path, capsys, monkeypatch):
     calls = []
     build = model_mod.build_transition_tensor
 
-    def counted(model):
+    def counted(model, *args):
         calls.append(model)
-        return build(model)
+        return build(model, *args)
 
     monkeypatch.setattr(model_mod, "build_transition_tensor", counted)
     code, _, _ = run(capsys, "bounds", "--model", str(path), "--y0", "0",

@@ -355,6 +355,23 @@ def test_rho_and_hausdorff_refuse_unusable_weights(case):
     assert rho(good, good, fam) == 0.0 and hausdorff([good], [good], fam) == 0.0
 
 
+@pytest.mark.parametrize("case", ["strings", "bools", "short", "rows"])
+def test_integrate_refuses_an_unusable_table(case):
+    # a bool table used to be read as 0 and 1, and a string table to escape
+    # as numpy's UFuncTypeError
+    n = 4
+    gamma = GMeasure(np.full(n, 0.25))
+    table, refusal = {
+        "strings": (np.full(n, "0.25"), "of dtype <U4 is not numeric"),
+        "bools": (np.ones(n, dtype=bool), "of dtype bool is not numeric"),
+        "short": (np.full(n - 1, 0.25), rf"has shape \({n - 1},\), expected \({n},\)"),
+        "rows": (np.full((2, n), 0.25), rf"has shape \(2, {n}\), expected \({n},\)"),
+    }[case]
+    with pytest.raises(ValueError, match=f"^table {refusal}$"):
+        gamma.integrate(table)
+    assert gamma.integrate([1, 2, 3, 4]) == 2.5
+
+
 def test_rho_zero_and_symmetry():
     m = random_model(12)
     fam = canonical_test_family(m)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import re
 import weakref
@@ -12,15 +13,15 @@ from occulimits.analysis import bounds_report
 from occulimits.dp import finite_horizon_values
 from occulimits.measures import discounted_occupation
 from occulimits.model import (NOISE_NORMALIZATION_TOL, ROW_SUM_TOL, FiniteModel,
-                              ModelError, _distinct_rows, build_transition_tensor,
-                              example1_model, example1_family_model, example2_model,
-                              eye_minus_law, load_model, save_model, transition, validate)
+                              ModelError, _distinct_rows, example1_model, example1_family_model,
+                              example2_model, eye_minus_law, load_model, save_model, transition,
+                              validate)
 from occulimits.programs import average_cost_solution
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import (law_matrix, pair_by_pair_law, plan_law, reference_example1_family_model,
-                      reference_example1_model, reference_example2_model,
-                      scipy_chain_eye_minus_law, scipy_row_selection)
+from _oracles import (candidate_union_example2_model, law_matrix, pair_by_pair_law, plan_law,
+                      reference_example1_family_model, reference_example1_model,
+                      reference_example2_model, scipy_chain_eye_minus_law, scipy_row_selection)
 
 
 def assert_same_arrays(a, b):
@@ -77,13 +78,13 @@ def test_a_model_is_rebuilt_from_its_own_arrays():
 
 
 def test_single_state_forced_row():
-    tensor = build_transition_tensor(single_state_model())
+    tensor = transition(single_state_model())
     assert np.allclose(tensor.rows[tensor.pair_row].toarray(), [[1.0]])
 
 
 def test_example1_transition_row_matches_dynamics():
     m = example1_model(0.5)
-    tensor = build_transition_tensor(m)
+    tensor = transition(m)
     # state +0.5 (index 1), control -1 (pair 2): images 0.5*(-1)*s
     p = 2
     assert m.pair_state[p] == 1 and m.pair_control[p].tolist() == [-1.0]
@@ -96,7 +97,7 @@ def test_three_state_rows_match_hand_enumeration():
     # 3 states, one control each, 2 atoms (0.6 / 0.4); images fixed by hand
     m = FiniteModel(states=[0.0, 1.0, 2.0], pair_state=[0, 1, 2], pair_control=[0.0] * 3,
                     noise=[0.6, 0.4], pair_cost=[0.0] * 3, next_idx=[[1, 2], [1, 1], [0, 1]])
-    tensor = build_transition_tensor(m)
+    tensor = transition(m)
     assert np.allclose(tensor.rows[tensor.pair_row].toarray(), [[0.0, 0.6, 0.4],
                                                                 [0.0, 1.0, 0.0],
                                                                 [0.6, 0.4, 0.0]])
@@ -573,7 +574,7 @@ def test_example2_snapping_preserves_sign():
 @pytest.mark.parametrize("seed", range(6))
 def test_rows_nonnegative_and_normalized(seed):
     m = random_model(seed)
-    tensor = build_transition_tensor(m)
+    tensor = transition(m)
     law = tensor.rows[tensor.pair_row]
     sums = np.asarray(law.sum(axis=1)).ravel()
     assert np.all(np.abs(sums - 1.0) <= 1e-12)
@@ -744,6 +745,49 @@ def test_builders_match_dict_reference(case):
     assert_same_arrays(built, ref)
 
 
+def test_example2_matches_the_candidate_union_builder():
+    # each state's controls are one clipped range of multiples; the earlier
+    # builder sorted the multiples, lo, hi and y together.  Byte-identical
+    # pair arrays, law and images at every m = 2..10 with the default step,
+    # 2..7 grid steps, 0.25..2 and multiples off by 1e-10 relative
+    count = 0
+    for m in range(2, 11):
+        step = 2.0 ** -m
+        steps = {j * step for j in range(2, 8)} | {0.25, 0.5, 0.75, 1.0, 1.5, 2.0}
+        for control_step in [None, *sorted(steps - {step}), 3 * step * (1 + 1e-10),
+                             3 * step * (1 - 1e-10)]:
+            built = example2_model(m, control_step)
+            ref, images = candidate_union_example2_model(m, control_step)
+            tb, tr = transition(built), transition(ref)
+            assert (tb.state_runs is None) == (tr.state_runs is None)
+            for x, y in [(built.pair_state, ref.pair_state),
+                         (built.pair_control, ref.pair_control),
+                         (built.pair_cost, ref.pair_cost), (tb.pair_row, tr.pair_row),
+                         (tb.rows.data, tr.rows.data), (tb.rows.indices, tr.rows.indices),
+                         (tb.rows.indptr, tr.rows.indptr), (tb.next_idx, images.astype(np.int64)),
+                         *([] if tb.state_runs is None else [(tb.state_runs, tr.state_runs)])]:
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (m, control_step)
+            count += 1
+    assert count == 126
+
+
+# sha256 of save_model's file, pinned when the model kept its pairs' images
+SAVED_DIGESTS = {
+    "example1": "b62e1129ff0368701c59c8d975c189b73be27e7a7148f9598d4275f8979ceaae",
+    "example2_m3": "f796763f0c74b5f6cd8237b267847a07b42057eda788096a3e7d308de50f54ff",
+    "suite_4": "71e59e422f90b42bfe1d8f10897939279472b13cfee32778e7b84cb6fc677228",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAVED_DIGESTS))
+def test_saved_model_files_are_pinned(tmp_path, case):
+    build = {"example1": lambda: example1_model(0.5), "example2_m3": lambda: example2_model(3),
+             "suite_4": lambda: random_model(4)}[case]
+    path = tmp_path / "model.json"
+    save_model(build(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_DIGESTS[case]
+
+
 # the largest m whose 2^(m+1)+1 states fit np.intp
 LAST_M = np.iinfo(np.intp).bits - 3
 # per case: builder, arguments and the refusal; each used to build a model
@@ -788,13 +832,22 @@ def test_model_fields_cannot_be_assigned(name):
 
 @pytest.mark.parametrize("part", ["pair_cost", "pair_state",
                                   "state_pair_start", "rows.data", "rows.indices",
-                                  "rows.indptr", "pair_row", "next_idx", "states",
-                                  "pair_control", "noise"])
+                                  "rows.indptr", "pair_row", "row_images", "next_idx",
+                                  "states", "pair_control", "noise"])
 def test_model_arrays_are_read_only(part):
     m = random_model(0)
+    tensor = transition(m)
     name, _, field = part.partition(".")
-    array = getattr(transition(m) if name in ("rows", "pair_row", "next_idx") else m, name)
+    array = getattr(tensor if name in ("rows", "pair_row", "row_images", "next_idx") else m,
+                    name)
     if field:
         array = getattr(array, field)
-    with pytest.raises(ValueError, match="read-only"):
-        array[0] = 1
+    if name == "next_idx":
+        # a new array on every read: writing to it leaves the law unchanged
+        images, law = array.copy(), law_matrix(m).toarray()
+        array[0] = (array[0] + 1) % m.n_states
+        assert np.array_equal(tensor.next_idx, images)
+        assert np.array_equal(law_matrix(m).toarray(), law)
+    else:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1

@@ -192,6 +192,33 @@ def test_one_function_checks_an_array_arguments_dtype():
     assert reads == inside and len(inside) == len(allowed)
 
 
+def _held_arrays(obj):
+    """Every array an object holds as an attribute, by name, with the
+    compressed arrays of every sparse matrix among them."""
+    held = {}
+    for name, value in vars(obj).items():
+        if sparse.issparse(value):
+            held.update({f"{name}.{part}": getattr(value, part)
+                         for part in ("data", "indices", "indptr")})
+        elif isinstance(value, np.ndarray):
+            held[name] = value
+    return held
+
+
+def test_a_model_keeps_no_per_pair_image_table():
+    # the model keeps neither of its law's constructor inputs, and its tensor
+    # holds the images once per distinct row, so the per-pair arrays are
+    # pair_state, pair_control, pair_cost and pair_row, 8 bytes each
+    m = example2_model(8)
+    assert not hasattr(m, "_next_idx") and not hasattr(m, "_kernel")
+    held = {**_held_arrays(m),
+            **{f"tensor.{name}": a for name, a in _held_arrays(transition(m)).items()}}
+    assert [name for name, a in held.items() if a.shape == (m.n_pairs, len(m.noise))] == []
+    per_pair = {name: a.nbytes for name, a in held.items() if a.shape[:1] == (m.n_pairs,)}
+    assert sorted(per_pair) == ["pair_control", "pair_cost", "pair_state", "tensor.pair_row"]
+    assert sum(per_pair.values()) == 32 * m.n_pairs
+
+
 def test_lp_size_reads_the_model():
     # perfbench sizes each traced LP from n_pairs and len(model.noise)
     tracing = _load_tracing()
