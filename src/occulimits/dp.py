@@ -133,17 +133,24 @@ def finite_horizon_values(model, T):
     divided.
 
     A model with state runs (TransitionTensor.state_runs) takes the range
-    path: each stage reduces (tau-1) E[v], read on the law's distinct rows,
-    over every state's run and adds the state's one cost.  That is the pair
-    path's minimum bit for bit: a minimum is exact in any order, and
-    fl(k + x) is monotone in x.  Every other model takes the pair path,
-    which reduces _stage_costs over each state's pairs.
+    path: every state's run is a prefix or a suffix of the law's distinct
+    rows, so each stage takes the running minima of (tau-1) E[v], read on
+    those rows, from the left and from the right, reads every state's
+    minimum from one of them and adds the state's one cost: O(n_rows +
+    n_states) per stage, whatever the pair count.  That is the pair path's
+    minimum bit for bit: a minimum is exact in any order, and fl(k + x) is
+    monotone in x.  Every other model takes the pair path, which reduces
+    _stage_costs over each state's pairs.
     """
     measures.check_horizon(T)
     tensor = transition(model)
     k = model.pair_cost
     starts = model.state_pair_start[:-1]
     runs, state_cost = tensor.state_runs, k[starts]
+    if runs is not None:
+        # each state's entry of _run_stage_min's buffer: min w[:end] or min w[lo:]
+        n_rows, lo, end = tensor.rows.shape[0], runs[::2], runs[1::2]
+        at = np.where(lo == 0, end - 1, n_rows + lo)
     v_prev = np.zeros(model.n_states)
     curve = []
     with np.errstate(over="ignore"):
@@ -151,7 +158,7 @@ def finite_horizon_values(model, T):
             if runs is None:
                 v_prev = np.minimum.reduceat(_stage_costs(tensor, k, v_prev, tau), starts)
             else:
-                v_prev = _run_stage_min(tensor, runs, state_cost, v_prev, tau)
+                v_prev = _run_stage_min(tensor, at, state_cost, v_prev, tau)
             v_prev /= tau
             if not np.isfinite(v_prev).all():
                 raise SolverError(f"finite-horizon recursion overflowed: v_{tau} is not "
@@ -160,19 +167,23 @@ def finite_horizon_values(model, T):
     return curve, Plan(kind="staged", selector=StagedSelectors(model, curve))
 
 
-def _run_stage_min(tensor, runs, state_cost, v, tau):
+def _run_stage_min(tensor, at, state_cost, v, tau):
     """min_u q(y, u) of every state on the range path: w = (tau-1) E[v] on
     the law's distinct rows, scaled as TransitionTensor.expect scales it,
-    then one reduceat over the state runs, whose even outputs are the
-    states' minima and whose odd ones, over the gaps between runs, are
-    dropped.  w's pad entry lets a run end at the last row."""
+    then its running minima from the left, min w[:i+1] at i, and, written
+    through a reversed view, from the right, min w[i:] at n_rows + i, in one
+    buffer; at holds each state's entry of it.  w holds no -0.0 (a CSR row
+    sum starts at +0.0 and tau-1 >= 0), so which of two equal zeros a
+    minimum keeps cannot show."""
+    w = tensor.rows @ v
     scale = tau - 1
-    w = np.empty(tensor.rows.shape[0] + 1)
-    w[-1] = 0.0
-    w[:-1] = tensor.rows @ v
     if scale != 1.0:
         w *= scale
-    return np.minimum.reduceat(w, runs)[::2] + state_cost
+    n_rows = len(w)
+    buf = np.empty(2 * n_rows)
+    np.minimum.accumulate(w, out=buf[:n_rows])
+    np.minimum.accumulate(w[::-1], out=buf[n_rows:][::-1])
+    return buf[at] + state_cost
 
 
 def _stage_costs(tensor, k, v, tau):

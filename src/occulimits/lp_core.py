@@ -58,11 +58,11 @@ class LinearProgram:
                 entries = numeric_array("A", self.A.data)
                 self.A = self.A.astype(float, copy=False)
             else:
-                self.A = entries = numeric_array("A", self.A, None, float)
+                self.A = entries = numeric_array("A", self.A, None, float).copy()
             if self.A.ndim != 2:
                 raise ValueError(f"A has shape {self.A.shape}, not one of two dimensions")
-            self.c = numeric_array("c", self.c, self.A.shape[1:], float)
-            self.b = numeric_array("b", self.b, self.A.shape[:1], float)
+            self.c = numeric_array("c", self.c, self.A.shape[1:], float).copy()
+            self.b = numeric_array("b", self.b, self.A.shape[:1], float).copy()
         except ValueError as exc:
             raise LpError(f"LP data: {exc}") from exc
         if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(self.b))

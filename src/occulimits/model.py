@@ -135,11 +135,13 @@ class FiniteModel:
 
 
 def numeric_array(name, value, shape=None, dtype=None):
-    """value as a new array (cast to dtype, if given) of integer or float kind
+    """value as an array (cast to dtype, if given) of integer or float kind
     and of the given shape, else ValueError naming it: the one check of an
-    array argument.  Finiteness and sign are each caller's to check."""
+    array argument.  It copies only to convert or cast, so an array of the
+    right dtype comes back as itself: a caller that keeps it copies it.
+    Finiteness and sign are each caller's to check."""
     try:
-        array = np.array(value)
+        array = np.asarray(value)
     except ValueError as exc:  # ragged rows
         raise ValueError(f"{name}: {exc}") from exc
     if array.dtype.kind not in "iuf":
@@ -150,9 +152,9 @@ def numeric_array(name, value, shape=None, dtype=None):
 
 
 def _array(name, value, shape=None, dtype=float):
-    """numeric_array, refusing with ModelError."""
+    """A copy of numeric_array's array, which the model keeps, refusing with ModelError."""
     try:
-        return numeric_array(name, value, shape, dtype)
+        return numeric_array(name, value, shape, dtype).copy()
     except ValueError as exc:
         raise ModelError(str(exc)) from exc
 
@@ -189,7 +191,8 @@ class TransitionTensor:
     whose rows are its kernel; next_idx is row_images[pair_row].  state_runs is
     the read-only list [lo_0, end_0, lo_1, end_1, ...] of the rows [lo_y,
     end_y) that state y's pairs read, when the model has state-only costs
-    on row runs (see _state_runs), else None.  The tensor holds no
+    on row runs, each a prefix or a suffix of the rows (see _state_runs),
+    else None.  The tensor holds no
     reference to its model, so a model is freed with its last reference.
     """
 
@@ -203,10 +206,12 @@ class TransitionTensor:
         return None if self.row_images is None else self.row_images[self.pair_row]
 
     def expect(self, values, scale=1.0):
-        """scale * E[values(f(y,u,s))] for every pair, as a (n_pairs,) vector.
-        The scale multiplies the distinct rows' values before they are read
-        at the pairs, which is bit for bit the product after."""
-        row_values = self.rows @ np.asarray(values, dtype=float)
+        """scale * E[values(f(y,u,s))] for every pair, as a (n_pairs,) vector,
+        values being one number per state (numeric_array's check, else
+        ValueError).  The scale multiplies the distinct rows' values before
+        they are read at the pairs, which is bit for bit the product after."""
+        values = numeric_array("values", values, (self.rows.shape[1],), float)
+        row_values = self.rows @ values
         if scale != 1.0:
             row_values *= scale
         return row_values[self.pair_row]
@@ -222,9 +227,11 @@ class TransitionTensor:
                                  shape=(len(r), self.rows.shape[1]))
 
     def push(self, pair_mass):
-        """Forward image sum_(y,u) mass(y,u) P(.|y,u), summed per distinct row first."""
-        return self.rows_t @ np.bincount(self.pair_row, np.asarray(pair_mass, dtype=float),
-                                         self.rows.shape[0])
+        """Forward image sum_(y,u) mass(y,u) P(.|y,u), summed per distinct row
+        first, pair_mass being one number per pair (numeric_array's check,
+        else ValueError)."""
+        pair_mass = numeric_array("pair_mass", pair_mass, self.pair_row.shape, float)
+        return self.rows_t @ np.bincount(self.pair_row, pair_mass, self.rows.shape[0])
 
 
 def _distinct_rows(next_idx, n_states):
@@ -241,13 +248,15 @@ def _distinct_rows(next_idx, n_states):
     return first, pair_row
 
 
-def _state_runs(model, pair_row):
+def _state_runs(model, pair_row, n_rows):
     """The interleaved bounds [lo_0, end_0, lo_1, end_1, ...] of the rows
     each state's pairs read, when every state's pairs have one cost, bit for
-    bit, and read the consecutive increasing rows lo_y..end_y - 1, and the
-    first rows lo_y are nondecreasing; else None.  The last condition keeps
-    the gaps [end_y, lo_(y+1)), which a reduceat over the list also
-    reduces, to n_rows entries in all."""
+    bit, and read the consecutive increasing rows lo_y..end_y - 1, the first
+    rows lo_y are nondecreasing, and every run is a prefix (lo_y = 0) or a
+    suffix (end_y = n_rows) of the rows; else None.  A prefix's or a
+    suffix's minimum is one entry of a running minimum, which
+    finite_horizon_values reads per stage in place of a reduction over the
+    run."""
     if not model._sizes.all():  # an empty U(y), refused by validate
         return None
     starts = model.state_pair_start
@@ -256,7 +265,8 @@ def _state_runs(model, pair_row):
     follows = (bits[1:] == bits[:-1]) & (np.diff(pair_row) == 1)
     follows[starts[1:-1] - 1] = True  # unless the next pair is the next state's
     lo, end = pair_row[starts[:-1]], pair_row[starts[1:] - 1] + 1
-    if not (follows.all() and np.all(lo[1:] >= lo[:-1])):
+    if not (follows.all() and np.all(lo[1:] >= lo[:-1])
+            and np.all((lo == 0) | (end == n_rows))):
         return None
     runs = np.stack([lo, end], axis=1).ravel()
     runs.flags.writeable = False
@@ -281,7 +291,8 @@ def build_transition_tensor(model, next_idx, kernel):
         row_images.flags.writeable = False
     for part in (rows.data, rows.indices, rows.indptr, pair_row):
         part.flags.writeable = False
-    return TransitionTensor(rows, pair_row, row_images, _state_runs(model, pair_row))
+    return TransitionTensor(rows, pair_row, row_images,
+                            _state_runs(model, pair_row, rows.shape[0]))
 
 
 def transition(model):

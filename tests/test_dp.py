@@ -303,6 +303,37 @@ def test_plan_evaluation_matches_the_scipy_chain_bit_for_bit(monkeypatch):
     assert len(got) == 64 and got == want
 
 
+@pytest.mark.parametrize("m, horizons", [*((m, (1, 2, 3, 128)) for m in range(2, 11)),
+                                         (8, (1000,))])
+def test_range_path_matches_the_pair_path_oracle(m, horizons):
+    # the prefix and suffix minima give the pair path's curve bit for bit,
+    # and the selectors read from that curve are the pair path's argmins
+    mdl = example2_model(m)
+    assert transition(mdl).state_runs is not None
+    values, sels = eager_finite_horizon_values(mdl, max(horizons))
+    by_tau = sels[::-1]  # the argmin with tau stages to go at tau - 1
+    for T in horizons:
+        curve, plan = finite_horizon_values(mdl, T)
+        assert [vf.values.tobytes() for vf in curve] == [v.tobytes() for v in values[:T]]
+        assert [s.tobytes() for s in plan.selector] == [s.tobytes() for s in by_tau[T - 1::-1]]
+
+
+def test_state_runs_need_prefix_or_suffix_runs():
+    # four kernel rows; the middle state reads the interior run [1, 3), so
+    # the model takes the pair path although it meets every other condition,
+    # and its curve is the oracle's
+    interior = FiniteModel(
+        states=[0.0, 1.0, 2.0], pair_state=[0, 1, 1, 2], pair_control=[0.0, 1.0, 2.0, 3.0],
+        noise=[], pair_cost=[0.5, -1.0, -1.0, 2.0],
+        kernel=[[0.5, 0.5, 0.0], [0.0, 0.25, 0.75], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert transition(interior).pair_row.tolist() == [0, 1, 2, 3]
+    assert transition(interior).state_runs is None
+    curve, plan = finite_horizon_values(interior, 6)
+    values, sels = eager_finite_horizon_values(interior, 6)
+    assert [vf.values.tobytes() for vf in curve] == [v.tobytes() for v in values]
+    assert [s.tobytes() for s in plan.selector] == [s.tobytes() for s in sels]
+
+
 def test_range_path_never_reads_the_pair_law(monkeypatch):
     mdl = example2_model(7)
     scales = []

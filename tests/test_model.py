@@ -200,6 +200,27 @@ def test_distinct_rows_rank_a_key_that_would_overflow():
     assert np.array_equal(first[pair_row[200:]], np.arange(100))
 
 
+@pytest.mark.parametrize("method, size", [("expect", "n_states"), ("push", "n_pairs")])
+@pytest.mark.parametrize("case", ["strings", "bools", "short", "rows"])
+def test_expect_and_push_refuse_an_unusable_argument(method, size, case):
+    # strings used to be parsed as numbers and bools read as 0 and 1; a short
+    # argument was refused by scipy or numpy in their words, and expect read
+    # a column of values as a column, returning (n_pairs, 1)
+    m = example1_model(0.5)
+    apply = getattr(transition(m), method)
+    n = getattr(m, size)
+    value, refusal = {
+        "strings": ([str(i + 1) for i in range(n)], "of dtype <U1 is not numeric"),
+        "bools": (np.ones(n, dtype=bool), "of dtype bool is not numeric"),
+        "short": (np.ones(n - 1), rf"has shape \({n - 1},\), expected \({n},\)"),
+        "rows": (np.ones((n, 1)), rf"has shape \({n}, 1\), expected \({n},\)"),
+    }[case]
+    name = "values" if method == "expect" else "pair_mass"
+    with pytest.raises(ValueError, match=f"^{name} {refusal}$"):
+        apply(value)
+    assert np.array_equal(apply(list(range(1, n + 1))), apply(np.arange(1.0, n + 1)))
+
+
 @pytest.mark.parametrize("arrays", [
     {"states": [0.0], "pair_state": [0], "pair_control": [0.0], "noise": [],
      "pair_cost": [1.0], "next_idx": np.zeros((1, 0))},

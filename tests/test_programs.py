@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from occulimits import dp, lp_core, programs
+from occulimits import dp, lp_core, measures, programs
 from occulimits.analysis import bounds_report
 from occulimits.dp import discounted_values
 from occulimits.measures import discounted_occupation
@@ -655,6 +655,35 @@ def test_membership_refuses_bool_and_non_numeric_weights(weights, argument):
     if argument == "gamma":
         with pytest.raises(ValueError, match=r"^measure of dtype \S+ is not numeric$"):
             membership_residuals(m, given["gamma"], "W")
+
+
+def test_a_check_that_only_reads_an_array_does_not_copy_it(monkeypatch):
+    # numeric_array used to copy every argument it checked; GMeasure.integrate,
+    # membership_residuals and DualCertificate.slacks only read theirs, so a
+    # float64 argument of the right shape is checked as it is, while the
+    # LinearProgram a caller builds still keeps copies of c, A and b
+    m = example2_model(4)
+    res = augmented_lp(m, 0)
+    read = []
+
+    def spy(name, value, *args):
+        array = numeric_array(name, value, *args)
+        if isinstance(value, np.ndarray):
+            read.append((name, np.shares_memory(array, value)))
+        return array
+
+    numeric_array = programs.numeric_array
+    for module in (measures, programs):
+        monkeypatch.setattr(module, "numeric_array", spy)
+    theta = np.ones(m.n_pairs)
+    res.gamma.integrate(m.pair_cost)
+    membership_residuals(m, res.gamma.weights, "Omega", y0=0, xi=res.xi)
+    res.dual.slacks(m, 0, theta)
+    assert read == [("table", True), ("measure", True), ("xi", True), ("psi", True),
+                    ("eta", True), ("theta", True)]
+    c, A, b = np.ones(2), np.ones((1, 2)), np.ones(1)
+    lp = lp_core.LinearProgram(c, A, b)
+    assert not any(np.shares_memory(x, y) for x, y in ((lp.c, c), (lp.A, A), (lp.b, b)))
 
 
 def test_cost_at_highs_infinity_is_refused_by_name():
