@@ -99,14 +99,15 @@ class Plan:
         return w
 
 
-def _group_min(model, q):
+def _group_min(model, q, vmin=None):
     """(vmin, pairs): the least q(y, u) of every state y, and the lowest
     pair of y that attains it.  One pass: the pairs with q <= vmin are
     listed once, and, as pairs are numbered state by state, a state's first
     one is found by binary search from its first pair.  A state with none,
-    whose minimum is NaN, gets the pair n_pairs + 1."""
+    whose minimum is NaN, gets the pair n_pairs + 1.  A caller may pass vmin."""
     starts, ends = model.state_pair_start[:-1], model.state_pair_start[1:]
-    vmin = np.minimum.reduceat(q, starts)
+    if vmin is None:
+        vmin = np.minimum.reduceat(q, starts)
     # the appended hit, at n_pairs, ends the search of the last states
     hits = np.flatnonzero(np.append(q <= model.at_pairs(vmin), True))
     first = hits[np.searchsorted(hits, starts)]
@@ -116,9 +117,59 @@ def _group_min(model, q):
 def _greedy_start(model, cost):
     """Each state's lowest pair of least cost.  On a model with state runs a
     state's pairs share one cost, bit for bit, so it is the state's first."""
-    if transition(model).state_runs is not None:
+    if transition(model).run_min_at is not None:
         return model.state_pair_start[:-1]
     return _group_min(model, cost)[1]
+
+
+class _StageMin:
+    """The Bellman stage minimum min_u q(y, u) of every state, with q = cost +
+    scale E[v], cost a per-pair array (k or eps k) or None for no cost, and
+    scale applied to the law's distinct rows, as TransitionTensor.expect
+    applies it.  Every Bellman step over all of a state's pairs reads it.
+
+    A model with state runs (TransitionTensor.run_min_at) takes the range
+    path: w = scale E[v] on the distinct rows, its running minima from the
+    left, min w[:i+1] at i, and, written through a reversed view, from the
+    right, min w[i:] at n_rows + i, in one buffer, each state's entry of it
+    plus the state's one cost: O(n_rows + n_states), whatever the pair count.
+    That is the pair path's minimum bit for bit: a minimum is exact in any
+    order, and, the cost c being finite, fl(c + x) is monotone in x, so
+    min_u fl(c + x_u) = fl(c + min_u x_u), NaN included (no cost is c = 0).
+    w holds no -0.0 (a CSR row sum starts at +0.0 and scale >= 0), so which
+    of two equal zeros a minimum keeps cannot show.  Every other model takes
+    the pair path, a reduction of q over each state's pairs.  With select,
+    it returns (vmin, pairs, q), the selectors, each state's lowest pair
+    attaining vmin, from one pass over q (_group_min) fed this minimum.
+    """
+
+    def __init__(self, model, cost=None):
+        self._model, self._cost, self._tensor = model, cost, transition(model)
+        # hoisted: the cost every pair of a state shares
+        self._state_cost = None if cost is None or self._tensor.run_min_at is None \
+            else cost[model.state_pair_start[:-1]]
+
+    def __call__(self, v, scale=1.0, select=False):
+        tensor, vmin = self._tensor, None
+        w = tensor.rows @ v
+        if scale != 1.0:
+            w *= scale
+        if tensor.run_min_at is not None:
+            n_rows = len(w)
+            buf = np.empty(2 * n_rows)
+            np.minimum.accumulate(w, out=buf[:n_rows])
+            np.minimum.accumulate(w[::-1], out=buf[n_rows:][::-1])
+            vmin = buf[tensor.run_min_at]
+            if self._state_cost is not None:
+                vmin += self._state_cost
+            if not select:
+                return vmin
+        q = w[tensor.pair_row]
+        if self._cost is not None:
+            q += self._cost
+        if not select:
+            return np.minimum.reduceat(q, self._model.state_pair_start[:-1])
+        return *_group_min(self._model, q, vmin), q
 
 
 def finite_horizon_values(model, T):
@@ -126,74 +177,25 @@ def finite_horizon_values(model, T):
 
     Returns the whole curve v_1..v_T (one ValueFunction per horizon) and the
     staged argmin plan, whose forward evaluation reproduces v_T exactly.  The
-    recursion keeps values only; the plan's stage selectors (a
-    StagedSelectors) are computed from the curve the first time they are
-    read.  Raises SolverError naming the first horizon whose value is not
-    finite: with costs near the float range, T v_T overflows before it is
-    divided.
-
-    A model with state runs (TransitionTensor.state_runs) takes the range
-    path: every state's run is a prefix or a suffix of the law's distinct
-    rows, so each stage takes the running minima of (tau-1) E[v], read on
-    those rows, from the left and from the right, reads every state's
-    minimum from one of them and adds the state's one cost: O(n_rows +
-    n_states) per stage, whatever the pair count.  That is the pair path's
-    minimum bit for bit: a minimum is exact in any order, and fl(k + x) is
-    monotone in x.  Every other model takes the pair path, which reduces
-    _stage_costs over each state's pairs.
+    recursion keeps values only, each stage one _StageMin minimum; the
+    plan's stage selectors (a StagedSelectors) are computed from the curve
+    the first time they are read.  Raises SolverError naming the first
+    horizon whose value is not finite: with costs near the float range, T
+    v_T overflows before it is divided.
     """
     measures.check_horizon(T)
-    tensor = transition(model)
-    k = model.pair_cost
-    starts = model.state_pair_start[:-1]
-    runs, state_cost = tensor.state_runs, k[starts]
-    if runs is not None:
-        # each state's entry of _run_stage_min's buffer: min w[:end] or min w[lo:]
-        n_rows, lo, end = tensor.rows.shape[0], runs[::2], runs[1::2]
-        at = np.where(lo == 0, end - 1, n_rows + lo)
+    stage = _StageMin(model, model.pair_cost)
     v_prev = np.zeros(model.n_states)
     curve = []
     with np.errstate(over="ignore"):
         for tau in range(1, T + 1):
-            if runs is None:
-                v_prev = np.minimum.reduceat(_stage_costs(tensor, k, v_prev, tau), starts)
-            else:
-                v_prev = _run_stage_min(tensor, at, state_cost, v_prev, tau)
+            v_prev = stage(v_prev, tau - 1)
             v_prev /= tau
             if not np.isfinite(v_prev).all():
                 raise SolverError(f"finite-horizon recursion overflowed: v_{tau} is not "
                                   "finite (costs too close to the float range)")
             curve.append(ValueFunction(values=v_prev))
-    return curve, Plan(kind="staged", selector=StagedSelectors(model, curve))
-
-
-def _run_stage_min(tensor, at, state_cost, v, tau):
-    """min_u q(y, u) of every state on the range path: w = (tau-1) E[v] on
-    the law's distinct rows, scaled as TransitionTensor.expect scales it,
-    then its running minima from the left, min w[:i+1] at i, and, written
-    through a reversed view, from the right, min w[i:] at n_rows + i, in one
-    buffer; at holds each state's entry of it.  w holds no -0.0 (a CSR row
-    sum starts at +0.0 and tau-1 >= 0), so which of two equal zeros a
-    minimum keeps cannot show."""
-    w = tensor.rows @ v
-    scale = tau - 1
-    if scale != 1.0:
-        w *= scale
-    n_rows = len(w)
-    buf = np.empty(2 * n_rows)
-    np.minimum.accumulate(w, out=buf[:n_rows])
-    np.minimum.accumulate(w[::-1], out=buf[n_rows:][::-1])
-    return buf[at] + state_cost
-
-
-def _stage_costs(tensor, k, v, tau):
-    """q = k + (tau-1) E[v], the stage costs with tau stages to go, built in
-    one buffer, with tau-1 applied to the law's distinct rows; the pair
-    path of the recursion and StagedSelectors share it, so a selector sees
-    the recursion's q bit for bit."""
-    q = tensor.expect(v, tau - 1)
-    q += k
-    return q
+    return curve, Plan(kind="staged", selector=StagedSelectors(stage, curve))
 
 
 class StagedSelectors(Sequence):
@@ -202,16 +204,12 @@ class StagedSelectors(Sequence):
     Stage t (t = 0..T-1, negative t counted from the end) acts with tau =
     T - t stages to go, so its selector holds each state's lowest pair minimizing
     q = k + (tau-1) E[v_{tau-1}], with v_0 = 0.  It is computed from the
-    stored curve with the pair path's arithmetic (_stage_costs) the first
-    time it is read, and kept, so it is the selector the recursion would
-    have stored, on either path: the range path's minima are the pair
-    path's, bit for bit, and only the pairs carry the lowest attaining one.
+    stored curve by the recursion's _StageMin the first time it is read, and
+    kept, so it is the selector the recursion would have stored.
     """
 
-    def __init__(self, model, curve):
-        self._model = model
-        self._curve = curve
-        self._sels = [None] * len(curve)
+    def __init__(self, stage, curve):
+        self._stage, self._curve, self._sels = stage, curve, [None] * len(curve)
 
     def __len__(self):
         return len(self._sels)
@@ -222,10 +220,9 @@ class StagedSelectors(Sequence):
         t = range(len(self))[t]  # an int in 0..T-1, else IndexError or TypeError
         if self._sels[t] is None:
             tau = len(self) - t
-            v = self._curve[tau - 2].values if tau > 1 else np.zeros(self._model.n_states)
+            v = self._curve[tau - 2].values if tau > 1 else np.zeros_like(self._curve[0].values)
             with np.errstate(over="ignore"):
-                q = _stage_costs(transition(self._model), self._model.pair_cost, v, tau)
-            self._sels[t] = _group_min(self._model, q)[1]
+                self._sels[t] = self._stage(v, tau - 1, select=True)[1]
         return self._sels[t]
 
 
@@ -246,12 +243,11 @@ def discounted_values(model, eps, tol=DEFAULT_TOL):
     tensor = transition(model)
     k_eps = eps * model.pair_cost
     decay = 1.0 - eps
+    stage = _StageMin(model, k_eps)
     pairs = _greedy_start(model, k_eps)
     for _ in range(PI_ITERATION_CAP):
         h = spsolve(eye_minus_law(tensor.law_at(pairs), decay), k_eps[pairs])
-        q = tensor.expect(h, decay)
-        q += k_eps
-        vmin, best = _group_min(model, q)
+        vmin, best, q = stage(h, decay, select=True)
         improve = vmin < q[pairs] - IMPROVEMENT_TOL * (1.0 + np.abs(h))
         if not improve.any():
             break
@@ -412,15 +408,18 @@ def average_cost_policy_iteration(model):
     in two phases: a state first switches to the control of least
     E[g(f(y,u,s))]; only when no state can, it switches, among the controls
     whose E g is within the margin of that least value, to the control of
-    least k + E[h(f(y,u,s))].  A control is replaced only when the new one is
-    better by IMPROVEMENT_TOL (relative), with lowest-index ties, so float
-    noise cannot make plans cycle.  When no state switches, g is the optimal
-    gain g* and (g, h) solve the multichain optimality equations.  Raises
-    SolverError at the iteration cap, when an evaluation matrix is singular
-    or when a gain or bias is not finite.
+    least k + E[h(f(y,u,s))].  The first phase is a _StageMin minimum; the
+    second stays on the pairs (_group_min), since its tight set masks some
+    of a state's pairs, so its candidates are no run of rows.  A control is
+    replaced only when the new one is better by IMPROVEMENT_TOL (relative),
+    with lowest-index ties, so float noise cannot make plans cycle.  When no
+    state switches, g is the optimal gain g* and (g, h) solve the multichain
+    optimality equations.  Raises SolverError at the iteration cap, when an
+    evaluation matrix is singular or when a gain or bias is not finite.
     """
     tensor = transition(model)
     k = model.pair_cost
+    first_phase = _StageMin(model)
     pairs = _greedy_start(model, k)
     for rounds in range(1, PI_ITERATION_CAP + 1):
         chain = ClosedClasses(tensor.law_at(pairs))
@@ -429,8 +428,7 @@ def average_cost_policy_iteration(model):
         if not (np.isfinite(g).all() and np.isfinite(h).all()):
             raise SolverError("policy evaluation: the gain or bias is not finite "
                               "(costs too close to the float range)")
-        eg = tensor.expect(g)
-        g_min, best = _group_min(model, eg)
+        g_min, best, eg = first_phase(g, select=True)
         margin = IMPROVEMENT_TOL * (1.0 + np.abs(g))
         improve = g_min < eg[pairs] - margin
         if not improve.any():
@@ -448,10 +446,10 @@ def average_cost_policy_iteration(model):
 
 def greedy_feedback_from_eta(model, eta):
     """u^f(y) = argmin_u {k(y,u) + E[eta(f(y,u,s))]}, lowest-index ties."""
-    eta = numeric_array("eta", eta, (model.n_states,))
+    eta = numeric_array("eta", eta, (model.n_states,), float)
     if not np.all(np.isfinite(eta)):
         raise ValueError("eta must be finite")
-    _, pairs = _group_min(model, model.pair_cost + transition(model).expect(eta))
+    _, pairs, _ = _StageMin(model, model.pair_cost)(eta, select=True)
     return Plan(kind="stationary_deterministic", selector=pairs)
 
 

@@ -188,17 +188,16 @@ class TransitionTensor:
     pairs.  rows_t is rows.T, built once and sharing rows' read-only
     arrays, which push reads.  row_images, the (n_rows, n_atoms) image of
     every distinct row under every noise atom, is None for a kernel-row model,
-    whose rows are its kernel; next_idx is row_images[pair_row].  state_runs is
-    the read-only list [lo_0, end_0, lo_1, end_1, ...] of the rows [lo_y,
-    end_y) that state y's pairs read, when the model has state-only costs
-    on row runs, each a prefix or a suffix of the rows (see _state_runs),
-    else None.  The tensor holds no
-    reference to its model, so a model is freed with its last reference.
+    whose rows are its kernel; next_idx is row_images[pair_row].  run_min_at
+    is, when the model has state runs (see _run_min_at), every state's
+    read-only entry of dp._StageMin's running-minimum buffer, else None.
+    The tensor holds no reference to its model, so a model is freed with
+    its last reference.
     """
 
-    def __init__(self, rows, pair_row, row_images, state_runs):
+    def __init__(self, rows, pair_row, row_images, run_min_at):
         self.rows, self.pair_row, self.row_images = rows, pair_row, row_images
-        self.state_runs = state_runs
+        self.run_min_at = run_min_at
         self.rows_t = rows.T
 
     @property
@@ -248,15 +247,14 @@ def _distinct_rows(next_idx, n_states):
     return first, pair_row
 
 
-def _state_runs(model, pair_row, n_rows):
-    """The interleaved bounds [lo_0, end_0, lo_1, end_1, ...] of the rows
-    each state's pairs read, when every state's pairs have one cost, bit for
-    bit, and read the consecutive increasing rows lo_y..end_y - 1, the first
-    rows lo_y are nondecreasing, and every run is a prefix (lo_y = 0) or a
-    suffix (end_y = n_rows) of the rows; else None.  A prefix's or a
-    suffix's minimum is one entry of a running minimum, which
-    finite_horizon_values reads per stage in place of a reduction over the
-    run."""
+def _run_min_at(model, pair_row, n_rows):
+    """Each state's entry of the running-minimum buffer, end_y - 1 for a
+    prefix run (lo_y = 0), else n_rows + lo_y, when the model has state runs:
+    every state's pairs have one cost, bit for bit, and read the consecutive
+    increasing rows lo_y..end_y - 1, and every run is a prefix or a suffix
+    (end_y = n_rows) of the rows; else None.  A prefix's or a suffix's
+    minimum is one entry of a running minimum, which dp._StageMin reads in
+    place of a reduction over the run."""
     if not model._sizes.all():  # an empty U(y), refused by validate
         return None
     starts = model.state_pair_start
@@ -265,12 +263,11 @@ def _state_runs(model, pair_row, n_rows):
     follows = (bits[1:] == bits[:-1]) & (np.diff(pair_row) == 1)
     follows[starts[1:-1] - 1] = True  # unless the next pair is the next state's
     lo, end = pair_row[starts[:-1]], pair_row[starts[1:] - 1] + 1
-    if not (follows.all() and np.all(lo[1:] >= lo[:-1])
-            and np.all((lo == 0) | (end == n_rows))):
+    if not (follows.all() and np.all((lo == 0) | (end == n_rows))):
         return None
-    runs = np.stack([lo, end], axis=1).ravel()
-    runs.flags.writeable = False
-    return runs
+    at = np.where(lo == 0, end - 1, n_rows + lo)
+    at.flags.writeable = False
+    return at
 
 
 def build_transition_tensor(model, next_idx, kernel):
@@ -292,7 +289,7 @@ def build_transition_tensor(model, next_idx, kernel):
     for part in (rows.data, rows.indices, rows.indptr, pair_row):
         part.flags.writeable = False
     return TransitionTensor(rows, pair_row, row_images,
-                            _state_runs(model, pair_row, rows.shape[0]))
+                            _run_min_at(model, pair_row, rows.shape[0]))
 
 
 def transition(model):

@@ -14,12 +14,16 @@ The kernel oracles keep the library's earlier formulas, which its faster
 kernels must reproduce bit for bit: the two-pass segmented argmin, the
 closed classes and I - decay P_pi assembled by scipy's sparse operator
 chain, a plan's law selected by scipy's row indexing, the greedy first
-plan found by the argmin over every pair, and a randomized plan's weights
-checked state by state in Python floats.
+plan found by the argmin over every pair, the Bellman stage minimum on the
+pairs whatever the model, the state runs read off their definition state by
+state, and a randomized plan's weights checked state by state in Python
+floats.
 The reference models rebuild the two examples pair by pair with Python
 scalars, as the vectorized builders must reproduce bit for bit, and
 example 2's earlier builder, a sorted union of candidate controls, is kept
-as the reference for its pair arrays.
+as the reference for its pair arrays.  The random interval models have the
+shape of the range path, state-only costs on prefix or suffix runs of one
+control list, and variants just off it.
 """
 
 import math
@@ -301,6 +305,112 @@ def group_min_oracle(model, q):
     vmin = np.minimum.reduceat(q, starts)
     cand = np.where(q <= vmin[model.pair_state], np.arange(model.n_pairs), model.n_pairs + 1)
     return vmin, np.minimum.reduceat(cand, starts).astype(np.int64)
+
+
+class PairPathStageMin:
+    """Stand-in for dp._StageMin that takes the pair path on every model: q =
+    cost + expect(v, scale) at every pair, and the two-pass segmented
+    argmin of group_min_oracle."""
+
+    def __init__(self, model, cost=None):
+        self.model, self.cost = model, cost
+
+    def __call__(self, v, scale=1.0, select=False):
+        q = transition(self.model).expect(v, scale)
+        if self.cost is not None:
+            q += self.cost
+        vmin, pairs = group_min_oracle(self.model, q)
+        return (vmin, pairs, q) if select else vmin
+
+
+def run_min_at_oracle(model):
+    """TransitionTensor.run_min_at read off its definition, state by state:
+    when every state's pairs have one cost, bit for bit, and read the
+    consecutive increasing rows lo..end - 1, a prefix (lo = 0) or a suffix
+    (end = n_rows) of the rows, each state's entry end - 1 or n_rows + lo;
+    else None."""
+    tensor = transition(model)
+    n_rows, starts = tensor.rows.shape[0], model.state_pair_start.tolist()
+    at = []
+    for a, b in zip(starts, starts[1:]):
+        rows = tensor.pair_row[a:b].tolist()
+        if len(set(model.pair_cost[a:b].view(np.int64).tolist())) != 1 \
+                or rows != list(range(rows[0], rows[0] + len(rows))):
+            return None
+        lo, end = rows[0], rows[-1] + 1
+        if lo == 0:
+            at.append(end - 1)
+        elif end == n_rows:
+            at.append(n_rows + lo)
+        else:
+            return None
+    return np.array(at)
+
+
+INTERVAL_VARIANTS = ("runs", "shuffled", "interior", "ulp", "negzero")
+# state costs, drawn with repeats so that states tie; -0.0 is a cost too
+INTERVAL_COSTS = (-0.5, -0.0, 0.0, 0.25, 1.0 / 3.0, 1.0)
+
+
+def interval_model(seed, variant="runs", kernel_form=False):
+    """A random model of the range path's shape: states on a line, each
+    state's controls a prefix or a suffix of one shared control list, a
+    control's law the same from every state, and one cost per state.
+
+    In dynamics form a control's images are distinct index tuples in
+    increasing lexicographic order, so the law's distinct rows are the
+    controls in use, in order; with uniform noise two controls whose tuples
+    permute each other have one law, so their pairs tie.  In kernel form
+    every pair is its own row, so only a two-state model has state runs,
+    and kernel form draws two states, three or more for 'interior'; its
+    rows are quarters, so controls that draw the same row tie.
+    variant is one of INTERVAL_VARIANTS:
+      'runs': the states in the order of their first rows (state runs);
+      'shuffled': a suffix run before a prefix run, so the first rows fall
+        (state runs too);
+      'interior': a state reads an interior slice of the list (no runs);
+      'ulp': one pair's cost one ulp above its state's (no runs);
+      'negzero': a state of cost 0.0 with one pair of cost -0.0 (no runs).
+    """
+    rng = np.random.default_rng(seed)
+    n_states = 2 if kernel_form and variant != "interior" else int(rng.integers(3, 9))
+    n_atoms = int(rng.integers(1, 4))
+    n_controls = min(int(rng.integers(3, 7)), n_states ** n_atoms)
+    runs = []
+    for _ in range(n_states):
+        length = int(rng.integers(1, n_controls + 1))
+        runs.append((0, length) if rng.integers(2) else (n_controls - length, n_controls))
+    if variant == "runs":
+        runs.sort()
+    elif variant == "shuffled":
+        runs[:2] = [(1, n_controls), (0, 1)]
+    elif variant == "interior":
+        runs[:2] = [(0, n_controls), (1, n_controls - 1)]
+    elif variant in ("ulp", "negzero"):
+        runs[0] = (0, n_controls)
+    state_cost = rng.choice(INTERVAL_COSTS, n_states)
+    pair_state = np.repeat(np.arange(n_states), [end - lo for lo, end in runs])
+    control = np.concatenate([np.arange(lo, end) for lo, end in runs])
+    pair_cost = state_cost[pair_state]
+    if variant == "ulp":
+        pair_cost[n_controls - 1] = np.nextafter(pair_cost[0], np.inf)
+    elif variant == "negzero":
+        pair_cost[:n_controls] = 0.0
+        pair_cost[n_controls - 1] = -0.0
+    states = np.arange(n_states, dtype=float)
+    if kernel_form:
+        table = np.stack([np.bincount(rng.integers(0, n_states, 4), minlength=n_states) / 4
+                          for _ in range(n_controls)])
+        return FiniteModel(states, pair_state, control.astype(float), [], pair_cost,
+                           kernel=table[control])
+    if rng.integers(2):
+        noise = np.full(n_atoms, 1.0 / n_atoms)
+    else:
+        noise = 0.05 + (1.0 - 0.05 * n_atoms) * rng.dirichlet(np.ones(n_atoms))
+    codes = np.sort(rng.choice(n_states ** n_atoms, n_controls, replace=False))
+    images = codes[:, None] // n_states ** np.arange(n_atoms - 1, -1, -1) % n_states
+    return FiniteModel(states, pair_state, control.astype(float), noise, pair_cost,
+                       images[control])
 
 
 def scipy_row_selection(tensor, pairs):

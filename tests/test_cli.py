@@ -419,6 +419,41 @@ def test_a_highs_answer_that_fails_its_certificate_exits_3(capsys, monkeypatch):
                           "optimality certificate failed: {'primal_feasibility': ")
 
 
+def test_a_singular_policy_evaluation_falls_back_to_highs(capsys, monkeypatch):
+    # dp._factor turns splu's RuntimeError into SolverError, which fails
+    # policy iteration; the measure LPs then take HiGHS's answers, so
+    # bounds still answers with the same values, and exit 0, not 3
+    argv = ("bounds", "--builtin", "example2", "--m", "3", "--y0", "-0.5", "--format", "json")
+    code, out, summary = run(capsys, *argv)
+    assert code == 0
+    errors, calls = [], []
+    policy_iteration, linprog = dp.average_cost_policy_iteration, programs.linprog
+
+    def recorded(model):
+        try:
+            return policy_iteration(model)
+        except programs.SolverError as exc:
+            errors.append(str(exc))
+            raise
+
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(dp, "splu", singular)
+    monkeypatch.setattr(dp, "average_cost_policy_iteration", recorded)
+    monkeypatch.setattr(programs, "linprog", counted)
+    code, fallback, err = run(capsys, *argv)
+    assert code == 0 and err == summary and calls
+    assert set(errors) == {"policy evaluation: Factor is exactly singular"}
+    want, got = json.loads(out), json.loads(fallback)
+    assert want.pop("xi_mass") == 1.0 and got.pop("xi_mass") > 1.0  # HiGHS's xi
+    assert got == want
+
+
 def test_policy_example2_coarse_grid_certified(capsys):
     # exited 5 while the dual came from an LP vertex: the greedy plan of that
     # dual strayed off the certified support from y0 = 0.5

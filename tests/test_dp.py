@@ -18,10 +18,11 @@ from occulimits.model import (FiniteModel, TransitionTensor, example1_family_mod
 from occulimits.programs import SolverError
 from occulimits.suite import random_model, random_stationary_plan
 
-from _oracles import (check_rows_one_by_one, eager_finite_horizon_values, group_min_oracle,
-                      group_min_start, optimal_gain_oracle, scipy_chain_closed_classes,
-                      scipy_chain_eye_minus_law, scipy_row_selection, value_iteration,
-                      with_cost)
+from _oracles import (INTERVAL_VARIANTS, PairPathStageMin, check_rows_one_by_one,
+                      eager_finite_horizon_values, group_min_oracle, group_min_start,
+                      interval_model, optimal_gain_oracle, run_min_at_oracle,
+                      scipy_chain_closed_classes, scipy_chain_eye_minus_law,
+                      scipy_row_selection, value_iteration, with_cost)
 
 
 def constant_cost_model(c=0.7):
@@ -121,6 +122,26 @@ def test_greedy_feedback_closed_form_eta_example1():
     assert m.pair_control[plan.selector].tolist() == [[1.0], [-1.0]]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_greedy_feedback_refuses_a_non_finite_eta(bad):
+    m = example2_model(3)
+    eta = np.zeros(m.n_states)
+    eta[1] = bad
+    with pytest.raises(ValueError, match="eta must be finite"):
+        greedy_feedback_from_eta(m, eta)
+
+
+def test_a_factorization_error_is_a_policy_evaluation_solver_error(monkeypatch):
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(dp, "splu", singular)
+    with pytest.raises(SolverError, match="^policy evaluation: Factor is exactly singular$"):
+        dp._factor(sparse.identity(2))
+    with pytest.raises(SolverError, match="^policy evaluation: Factor is exactly singular$"):
+        average_cost_policy_iteration(example2_model(3))
+
+
 def test_greedy_feedback_closed_form_eta_example2():
     m = example2_model(8)
     vals = m.states[:, 0]
@@ -173,9 +194,14 @@ def test_staged_plan_reproduces_vT():
         assert val == pytest.approx(curve[-1].values[y0], abs=1e-12)
 
 
+# the suite seeds below 50 with state runs: two states of one pair each,
+# whose two rows are a prefix and a suffix of the rows
+RUN_SEEDS = (23, 35)
+
+
 def _pair_path_cases():
     """Models without state runs, whose recursion takes the pair path."""
-    yield from (random_model(seed) for seed in range(50))
+    yield from (random_model(seed) for seed in range(50) if seed not in RUN_SEEDS)
     yield example1_model(0.5)
     yield example1_family_model([0.25, 0.5, 0.75, 1.0])
     yield from (example2_model(m, control_step=0.5) for m in range(2, 10))
@@ -183,7 +209,9 @@ def _pair_path_cases():
 
 def _recursion_cases():
     yield from _pair_path_cases()
-    yield from (example2_model(m) for m in range(2, 10))  # the range path
+    # the range path
+    yield from (random_model(seed) for seed in RUN_SEEDS)
+    yield from (example2_model(m) for m in range(2, 10))
 
 
 def test_staged_plan_read_on_first_use_matches_the_eager_recursion():
@@ -205,19 +233,31 @@ def test_staged_plan_read_on_first_use_matches_the_eager_recursion():
         assert all(np.array_equal(a, b) for a, b in zip(lazy[::-7], sels[::-7]))
 
 
+def _runs(tensor):
+    """Each state's run [lo, end) of rows, read back from its entry of the
+    running-minimum buffer: a prefix [0, at + 1) or a suffix [at - n_rows,
+    n_rows)."""
+    n_rows = tensor.rows.shape[0]
+    return [(0, at + 1) if at < n_rows else (at - n_rows, n_rows)
+            for at in tensor.run_min_at.tolist()]
+
+
 def test_state_runs_are_found_on_example2_default_grid_only():
     for m in range(2, 10):
         mdl = example2_model(m)
         tensor = transition(mdl)
-        runs = tensor.state_runs
         starts = mdl.state_pair_start
         # each state's pairs read the rows lo..end-1, one each, in order
-        for y, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
-            assert tensor.pair_row[a:b].tolist() == list(range(runs[2 * y], runs[2 * y + 1]))
-        assert not runs.flags.writeable
-        assert runs[-1] == tensor.rows.shape[0]  # the last run ends at the last row
+        for (a, b), (lo, end) in zip(zip(starts[:-1], starts[1:]), _runs(tensor)):
+            assert tensor.pair_row[a:b].tolist() == list(range(lo, end))
+        assert not tensor.run_min_at.flags.writeable
+        assert _runs(tensor)[-1][1] == tensor.rows.shape[0]  # the last run ends at the last row
     for mdl in _pair_path_cases():
-        assert transition(mdl).state_runs is None
+        assert transition(mdl).run_min_at is None
+    for seed in RUN_SEEDS:
+        mdl = random_model(seed)
+        assert mdl.n_pairs == mdl.n_states == 2 and transition(mdl).rows.shape[0] == 2
+        assert sorted(_runs(transition(mdl))) == [(0, 1), (1, 2)]
 
 
 def test_state_runs_need_one_cost_bit_for_bit():
@@ -227,11 +267,11 @@ def test_state_runs_need_one_cost_bit_for_bit():
     for y, cost in ((zero, -0.0), (1, np.nextafter(mdl.states[1, 0], 0.0))):
         k = mdl.pair_cost.copy()
         k[mdl.state_pair_start[y + 1] - 1] = cost  # the state's last pair
-        assert transition(with_cost(mdl, k)).state_runs is None
-    assert transition(with_cost(mdl, mdl.pair_cost)).state_runs is not None
+        assert transition(with_cost(mdl, k)).run_min_at is None
+    assert transition(with_cost(mdl, mdl.pair_cost)).run_min_at is not None
 
 
-def test_state_runs_need_increasing_rows_and_nondecreasing_first_rows():
+def test_state_runs_need_increasing_rows_in_any_state_order():
     def chain(next_idx, pair_state):
         return FiniteModel(states=[0.0, 1.0, 2.0], pair_state=pair_state,
                            pair_control=np.arange(len(pair_state), dtype=float), noise=[1.0],
@@ -239,11 +279,17 @@ def test_state_runs_need_increasing_rows_and_nondecreasing_first_rows():
                            next_idx=np.array(next_idx)[:, None])
 
     # the distinct rows are the images 0, 1, 2
-    assert transition(chain([0, 1, 1, 2, 2], [0, 0, 1, 1, 2])).state_runs.tolist() == \
-        [0, 2, 1, 3, 2, 3]
-    assert transition(chain([1, 0, 1, 2], [0, 0, 1, 2])).state_runs is None  # decreasing
-    assert transition(chain([0, 2, 1, 2], [0, 0, 1, 2])).state_runs is None  # a gap
-    assert transition(chain([1, 2, 0, 2], [0, 0, 1, 2])).state_runs is None  # first rows fall
+    assert _runs(transition(chain([0, 1, 1, 2, 2], [0, 0, 1, 1, 2]))) == [(0, 2), (1, 3), (2, 3)]
+    assert transition(chain([1, 0, 1, 2], [0, 0, 1, 2])).run_min_at is None  # decreasing
+    assert transition(chain([0, 2, 1, 2], [0, 0, 1, 2])).run_min_at is None  # a gap
+    # a suffix, a prefix, a suffix: the first rows fall, and the running
+    # minima still read every run, so the model is on the range path
+    falling = chain([1, 2, 0, 2], [0, 0, 1, 2])
+    assert _runs(transition(falling)) == [(1, 3), (0, 1), (2, 3)]
+    curve, plan = finite_horizon_values(falling, 6)
+    values, sels = eager_finite_horizon_values(falling, 6)
+    assert [vf.values.tobytes() for vf in curve] == [v.tobytes() for v in values]
+    assert [s.tobytes() for s in plan.selector] == [s.tobytes() for s in sels]
 
 
 def _plan_models():
@@ -264,8 +310,8 @@ def test_greedy_start_is_the_argmin_over_every_pair(monkeypatch):
         for cost in (mdl.pair_cost, *(eps * mdl.pair_cost for eps in (0.5, 0.1, 0.013, 0.001))):
             got = dp._greedy_start(mdl, cost)
             assert got.dtype == np.int64 and np.array_equal(got, group_min_start(mdl, cost))
-        n_runs += transition(mdl).state_runs is not None
-    assert n_runs == 7  # example 2 on its default grid
+        n_runs += transition(mdl).run_min_at is not None
+    assert n_runs == 7 + len(RUN_SEEDS)  # and example 2 on its default grid
     # and it is read without a pass over the pairs
     mdl = example2_model(8)
     monkeypatch.setattr(dp, "_group_min", None)
@@ -303,13 +349,67 @@ def test_plan_evaluation_matches_the_scipy_chain_bit_for_bit(monkeypatch):
     assert len(got) == 64 and got == want
 
 
+def _interval_models():
+    """20 seeds of every interval variant in both forms: 200 models, 80 with
+    state runs."""
+    for variant in INTERVAL_VARIANTS:
+        for kernel_form in (False, True):
+            yield from (interval_model(seed, variant, kernel_form) for seed in range(20))
+
+
+def test_state_runs_match_their_definition_on_interval_models():
+    counts = {}
+    for mdl in [*_interval_models(), *_plan_models()]:
+        at, want = transition(mdl).run_min_at, run_min_at_oracle(mdl)
+        assert (at is None) == (want is None)
+        assert at is None or (at.dtype == np.int64 and np.array_equal(at, want))
+        counts[at is not None] = counts.get(at is not None, 0) + 1
+    # the runs and shuffled variants, example 2 on its default grid and
+    # suite seeds 23 and 35
+    assert counts == {True: 80 + 7 + 2, False: 120 + 64 - 7 - 2}
+
+
+def _stage_minimum_sites(mdl):
+    """The bytes of every reader of the stage minimum: v_1..v_8 and the
+    selectors, h_eps and its plan at four discounts, policy iteration's
+    gain, bias, plan and round count, and the greedy plans of its bias and
+    of a rounded random eta, whose ties the lowest pair breaks."""
+    curve, plan = finite_horizon_values(mdl, 8)
+    out = [vf.values for vf in curve] + list(plan.selector)
+    for eps in (0.5, 0.1, 0.013, 0.001):
+        h, greedy = discounted_values(mdl, eps)
+        out += [h.values, greedy.selector]
+    sol = average_cost_policy_iteration(mdl)
+    out += [sol.gain, sol.bias, sol.plan.selector, np.array(sol.rounds)]
+    eta = np.round(np.random.default_rng(mdl.n_pairs).standard_normal(mdl.n_states), 1)
+    out += [greedy_feedback_from_eta(mdl, e).selector for e in (sol.bias, eta)]
+    return [(a.dtype, a.tobytes()) for a in map(np.asarray, out)]
+
+
+def test_every_stage_minimum_site_matches_the_pair_path_oracle(monkeypatch):
+    # the range path's minima and the selectors fed them are the pair
+    # path's, bit for bit, at every site: on the interval models (both
+    # paths), the suite, both examples and example 2's control_step grids
+    models = [*_interval_models(), *_plan_models()]
+    for mdl in models[:200]:
+        curve, plan = finite_horizon_values(mdl, 8)
+        values, sels = eager_finite_horizon_values(mdl, 8)
+        assert [vf.values.tobytes() for vf in curve] == [v.tobytes() for v in values]
+        assert [s.tobytes() for s in plan.selector] == [s.tobytes() for s in sels]
+    got = [_stage_minimum_sites(mdl) for mdl in models]
+    monkeypatch.setattr(dp, "_StageMin", PairPathStageMin)
+    monkeypatch.setattr(dp, "_greedy_start", group_min_start)
+    want = [_stage_minimum_sites(mdl) for mdl in models]
+    assert len(got) == 264 and got == want
+
+
 @pytest.mark.parametrize("m, horizons", [*((m, (1, 2, 3, 128)) for m in range(2, 11)),
                                          (8, (1000,))])
 def test_range_path_matches_the_pair_path_oracle(m, horizons):
     # the prefix and suffix minima give the pair path's curve bit for bit,
     # and the selectors read from that curve are the pair path's argmins
     mdl = example2_model(m)
-    assert transition(mdl).state_runs is not None
+    assert transition(mdl).run_min_at is not None
     values, sels = eager_finite_horizon_values(mdl, max(horizons))
     by_tau = sels[::-1]  # the argmin with tau stages to go at tau - 1
     for T in horizons:
@@ -327,7 +427,7 @@ def test_state_runs_need_prefix_or_suffix_runs():
         noise=[], pair_cost=[0.5, -1.0, -1.0, 2.0],
         kernel=[[0.5, 0.5, 0.0], [0.0, 0.25, 0.75], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert transition(interior).pair_row.tolist() == [0, 1, 2, 3]
-    assert transition(interior).state_runs is None
+    assert transition(interior).run_min_at is None
     curve, plan = finite_horizon_values(interior, 6)
     values, sels = eager_finite_horizon_values(interior, 6)
     assert [vf.values.tobytes() for vf in curve] == [v.tobytes() for v in values]
@@ -335,19 +435,33 @@ def test_state_runs_need_prefix_or_suffix_runs():
 
 
 def test_range_path_never_reads_the_pair_law(monkeypatch):
+    # the recursion reads no per-pair array of the law or of the model's
+    # broadcasts; a selector read does, in its one pass over the pairs
     mdl = example2_model(7)
-    scales = []
+    reads = []
 
-    def spy(self, values, scale=1.0):
-        scales.append(scale)
-        return expect(self, values, scale)
+    def pair_row(self):
+        reads.append("pair_row")
+        return self.__dict__["pair_row"]
 
-    expect = TransitionTensor.expect
-    monkeypatch.setattr(TransitionTensor, "expect", spy)
+    def at_pairs(self, x):
+        reads.append("at_pairs")
+        return spread(self, x)
+
+    def expect(self, values, scale=1.0):
+        reads.append("expect")
+        return law_expect(self, values, scale)
+
+    spread, law_expect = FiniteModel.at_pairs, TransitionTensor.expect
+    monkeypatch.setattr(TransitionTensor, "pair_row", property(pair_row), raising=False)
+    monkeypatch.setattr(TransitionTensor, "expect", expect)
+    monkeypatch.setattr(FiniteModel, "at_pairs", at_pairs)
     curve, plan = finite_horizon_values(mdl, 128)
-    assert len(curve) == 128 and scales == []
-    plan.selector[0]  # a selector is read on the pair path
-    assert scales == [127]
+    assert len(curve) == 128 and reads == []
+    values, sels = eager_finite_horizon_values(mdl, 128)
+    reads.clear()
+    assert plan.selector[0].tobytes() == sels[0].tobytes()
+    assert reads == ["pair_row", "at_pairs"]
 
 
 @pytest.mark.parametrize("sign", ["positive", "negative", "state"])
@@ -358,7 +472,7 @@ def test_range_path_overflow_is_refused(sign):
     state_sign = {"positive": np.ones_like(y), "negative": -np.ones_like(y),
                   "state": np.where(y < 0, -1.0, 1.0)}[sign]
     mdl = with_cost(mdl, mdl.at_pairs(1e308 * state_sign))
-    assert transition(mdl).state_runs is not None
+    assert transition(mdl).run_min_at is not None
     values, _ = eager_finite_horizon_values(mdl, 2)
     assert np.isfinite(values[0]).all() and not np.isfinite(values[1]).all()
     with warnings.catch_warnings():

@@ -780,13 +780,13 @@ def test_example2_matches_the_candidate_union_builder():
             built = example2_model(m, control_step)
             ref, images = candidate_union_example2_model(m, control_step)
             tb, tr = transition(built), transition(ref)
-            assert (tb.state_runs is None) == (tr.state_runs is None)
+            assert (tb.run_min_at is None) == (tr.run_min_at is None)
             for x, y in [(built.pair_state, ref.pair_state),
                          (built.pair_control, ref.pair_control),
                          (built.pair_cost, ref.pair_cost), (tb.pair_row, tr.pair_row),
                          (tb.rows.data, tr.rows.data), (tb.rows.indices, tr.rows.indices),
                          (tb.rows.indptr, tr.rows.indptr), (tb.next_idx, images.astype(np.int64)),
-                         *([] if tb.state_runs is None else [(tb.state_runs, tr.state_runs)])]:
+                         *([] if tb.run_min_at is None else [(tb.run_min_at, tr.run_min_at)])]:
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (m, control_step)
             count += 1
     assert count == 126

@@ -2,8 +2,10 @@
 
 The benchmark harness (perfbench/) wraps library attributes by name, and
 pytest.ini collects only tests/, so a rename that drops one of those names
-must fail here rather than only in a traced benchmark run.  Tests and notes
-name seeded suite models by their seed, so the suite's models are pinned by
+must fail here rather than only in a traced benchmark run.  The mutation
+tool (tools/mutants.py) names the source text each mutant replaces, so a
+refactor that moves that text must fail here too.  Tests and notes name
+seeded suite models by their seed, so the suite's models are pinned by
 digest."""
 
 import ast
@@ -27,15 +29,20 @@ from occulimits.suite import random_model
 
 from _oracles import no_policy_iteration
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 PACKAGE = Path(occulimits.__file__).resolve().parent
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load("perfbench_tracing", TRACING)
 
 
 def test_every_traced_target_exists():
@@ -43,6 +50,16 @@ def test_every_traced_target_exists():
     missing = [span for owner, attr, span in tracing.TARGETS if attr not in vars(owner)]
     assert missing == [], f"perfbench/tracing.py wraps names the library lacks: {missing}"
     assert tracing.is_clean()
+
+
+def test_every_mutant_applies_once():
+    # tools/mutants.py reports a mutant whose text is not found exactly once
+    # as stale only when it is run by hand; this fails at once
+    mutants = _load("occulimits_mutants", ROOT / "tools" / "mutants.py").MUTANTS
+    assert mutants and len({name for name, *_ in mutants}) == len(mutants)
+    for name, path, old, new in mutants:
+        text = (PACKAGE / path).read_text(encoding="utf-8")
+        assert text.count(old) == 1 and old != new, (name, text.count(old))
 
 
 def _library_reads(path):

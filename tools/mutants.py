@@ -50,9 +50,14 @@ MUTANTS = [
      "if not (v1 <= CERT_TOL and v2 <= CERT_TOL):", "if False:"),
     ("bellman-residual-off", "dp.py",
      "if not residual <= tol * eps:", "if False:"),
-    # the range path of v_T reads a suffix run's minimum from the prefix minima
+    # the range path of the stage minimum reads a suffix run's minimum from
+    # the prefix minima
     ("suffix-run-from-prefix-minima", "dp.py",
-     "at = np.where(lo == 0, end - 1, n_rows + lo)", "at = end - 1"),
+     "np.minimum.accumulate(w[::-1], out=buf[n_rows:][::-1])",
+     "np.minimum.accumulate(w, out=buf[n_rows:])"),
+    # the range path's minimum without the state's cost
+    ("range-min-without-state-cost", "dp.py",
+     "vmin += self._state_cost", "pass"),
 ]
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
